@@ -9,22 +9,20 @@ distance over a larger convex region whenever the intersection covers it to
 within a known constant.
 """
 
-from .application import (AppBoundReport, ConvexRegion, Halfspace,
-                          bound_max_distance, extract_boundary_point, project_region)
+from .application import (AppBoundReport, bound_max_distance, extract_boundary_point,
+                          project_region)
 from .convexfn import (Affine, BallQuad, ConvexFn, Max, PositivePart, Sum,
-                       ball_constraint, evaluate, halfspace_constraint, positive_part)
+                       ball_constraint, halfspace_constraint)
 from .errors import (DimensionMismatch, EmptyIntersection, EmptySample, GridTooLarge,
                      HullscopeError, HypothesisViolation, InnerUndetermined,
                      NonFiniteValue, PreconditionFailed, UnboundedRegion)
-from .farthest import BisectionConfig, FarthestReport, bracket, solve_farthest
+from .farthest import BisectionConfig, FarthestReport, solve_farthest
 from .feasibility import (ConstraintSet, FeasibilityReport, FeasibilityVerdict,
-                          build_g_tilde, check_feasibility, default_start)
-from .geometry import Ball, Vector, as_vector, contains, dist, project_to_ball, sq_norm
+                          ProjectionResult, build_g_tilde, check_feasibility, default_start)
+from .geometry import Ball, Vector, as_vector
 from .inclusion import (BallIntersection, InclusionReport, InclusionVerdict,
-                        OuterBall, ProjectionResult, build_G, build_Gk,
-                        check_inclusion, dykstra_project, dykstra_project_full)
-from .minimize import (Diminishing, MinimizeResult, PolyakWithTarget, SolverConfig,
-                       minimize, refine_minimum)
+                        OuterBall, build_G, build_Gk, check_inclusion, dykstra_project_full)
+from .minimize import MinimizeResult, PolyakWithTarget, SolverConfig, minimize, refine_minimum
 from .oracle import (GridFeasibility, GridMaxDistance, GridSpec, LemmaCheckResult,
                      check_lemma_2_5, check_lemma_2_6, check_lemma_2_7, check_lemma_2_8,
                      grid_feasible, grid_max_distance)
@@ -34,21 +32,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Affine", "AppBoundReport", "Ball", "BallIntersection", "BallQuad",
-    "BisectionConfig", "ConstraintSet", "ConvexFn", "ConvexRegion",
-    "Diminishing", "DimensionMismatch", "EmptyIntersection", "EmptySample",
-    "FarthestReport", "FeasibilityReport", "FeasibilityVerdict",
-    "GridFeasibility", "GridMaxDistance", "GridSpec", "GridTooLarge",
-    "Halfspace", "HullscopeError", "HypothesisViolation", "InclusionReport",
+    "BisectionConfig", "ConstraintSet", "ConvexFn", "DimensionMismatch",
+    "EmptyIntersection", "EmptySample", "FarthestReport", "FeasibilityReport",
+    "FeasibilityVerdict", "GridFeasibility", "GridMaxDistance", "GridSpec",
+    "GridTooLarge", "HullscopeError", "HypothesisViolation", "InclusionReport",
     "InclusionVerdict", "InnerUndetermined", "LemmaCheckResult", "Max",
     "MinimizeResult", "NonFiniteValue", "OuterBall", "PolyakWithTarget",
     "PositivePart", "PreconditionFailed", "ProblemFile", "ProblemFileError",
     "ProjectionResult", "SolverConfig", "Sum", "UnboundedRegion", "Vector",
-    "as_vector", "ball_constraint", "bound_max_distance", "bracket",
-    "build_G", "build_Gk", "build_g_tilde", "check_feasibility",
-    "check_inclusion", "check_lemma_2_5", "check_lemma_2_6", "check_lemma_2_7",
-    "check_lemma_2_8", "contains", "default_start", "dist", "dykstra_project",
-    "dykstra_project_full", "evaluate", "extract_boundary_point",
-    "grid_feasible", "grid_max_distance", "halfspace_constraint",
-    "load_problem", "minimize", "positive_part", "project_region",
-    "project_to_ball", "refine_minimum", "solve_farthest", "sq_norm",
+    "as_vector", "ball_constraint", "bound_max_distance", "build_G", "build_Gk",
+    "build_g_tilde", "check_feasibility", "check_inclusion", "check_lemma_2_5",
+    "check_lemma_2_6", "check_lemma_2_7", "check_lemma_2_8", "default_start",
+    "dykstra_project_full", "extract_boundary_point", "grid_feasible",
+    "grid_max_distance", "halfspace_constraint", "load_problem", "minimize",
+    "project_region", "refine_minimum", "solve_farthest",
 ]

@@ -1,6 +1,8 @@
 """Bounding the maximum distance over a convex region via an inner ball intersection.
 
-Given a bounded convex region ``S`` (halfspaces and balls), an inner
+Given a bounded convex region ``S`` (a ``ConstraintSet`` of ball and
+halfspace constraints; boundedness is the caller's responsibility, and
+sampling raises ``UnboundedRegion`` when it detects a free direction), an inner
 intersection ``C1`` of equal-radius balls with ``C1`` inside ``S``, and a
 covering constant ``delta`` such that every point of ``S`` is within
 ``delta`` of ``C1``, the maximum distance ``V_s`` from a center ``c`` over
@@ -22,87 +24,18 @@ guard against misuse, not a proof.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .convexfn import Affine, BallQuad, ConvexFn, Max
-from .errors import (DimensionMismatch, HypothesisViolation, UnboundedRegion)
+from .convexfn import Max, ball_constraint
+from .errors import HypothesisViolation, UnboundedRegion
 from .farthest import BisectionConfig, solve_farthest
-from .geometry import Ball, Vector, as_vector
-from .inclusion import BallIntersection, _dykstra, _ball_projector
+from .feasibility import ConstraintSet
+from .geometry import Ball
+from .inclusion import BallIntersection
 from .minimize import refine_minimum
-
-log = logging.getLogger("hullscope.application")
-
-
-@dataclass(frozen=True)
-class Halfspace:
-    """The constraint a.x <= b."""
-
-    a: Vector
-    b: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_vector(self.a))
-        if float(self.a @ self.a) == 0.0:
-            raise ValueError("halfspace normal must be nonzero")
-        object.__setattr__(self, "b", float(self.b))
-
-
-@dataclass(frozen=True)
-class ConvexRegion:
-    """Intersection of halfspaces and balls; must be nonempty and bounded.
-
-    Boundedness is a caller responsibility (it cannot be certified cheaply);
-    sampling raises ``UnboundedRegion`` when it detects a free direction.
-    """
-
-    halfspaces: tuple[Halfspace, ...]
-    balls: tuple[Ball, ...]
-    dimension: int
-
-    def __init__(self, halfspaces=(), balls=(), dimension: int | None = None):
-        halfspaces = tuple(h if isinstance(h, Halfspace) else Halfspace(*h) for h in halfspaces)
-        balls = tuple(balls)
-        if not halfspaces and not balls:
-            raise ValueError("region needs at least one constraint")
-        dims = [h.a.shape[0] for h in halfspaces] + [b.center.shape[0] for b in balls]
-        dim = dims[0] if dimension is None else int(dimension)
-        if any(d != dim for d in dims):
-            raise DimensionMismatch("all region constraints must share the ambient dimension")
-        object.__setattr__(self, "halfspaces", halfspaces)
-        object.__setattr__(self, "balls", balls)
-        object.__setattr__(self, "dimension", dim)
-
-    def constraint_fns(self) -> list[ConvexFn]:
-        fns: list[ConvexFn] = [Affine(h.a, -h.b) for h in self.halfspaces]
-        fns.extend(BallQuad(b.center, -(b.radius ** 2)) for b in self.balls)
-        return fns
-
-    def residual(self, x) -> float:
-        """Worst constraint violation; <= 0 means the point is in the region."""
-        x = np.asarray(x, dtype=np.float64)
-        vals = [float(h.a @ x) - h.b for h in self.halfspaces]
-        vals.extend(float((x - b.center) @ (x - b.center)) - b.radius ** 2 for b in self.balls)
-        return max(vals)
-
-    def projectors(self):
-        projs = []
-        for h in self.halfspaces:
-            a, b, na2 = h.a, h.b, float(h.a @ h.a)
-
-            def proj(u, a=a, b=b, na2=na2):
-                excess = float(a @ u) - b
-                if excess <= 0.0:
-                    return u
-                return u - (excess / na2) * a
-
-            projs.append(proj)
-        projs.extend(_ball_projector(b.center, b.radius) for b in self.balls)
-        return projs
 
 
 @dataclass
@@ -116,18 +49,14 @@ class AppBoundReport:
     delta: float
 
 
-def project_region(region: ConvexRegion, y, iters: int = 300, tol: float = 1e-12) -> np.ndarray:
+def project_region(region: ConstraintSet, y, iters: int = 300, tol: float = 1e-12) -> np.ndarray:
     """Euclidean projection onto the region (Dykstra over all constraints)."""
-    y = np.asarray(y, dtype=np.float64)
-    point, converged, _, shift = _dykstra(region.projectors(), y, iters, tol)
-    if not converged and shift > 1e-6:
-        log.warning("region projection still moving after %d sweeps (last shift %.3e)", iters, shift)
-    return point
+    return region.project(y, iters=iters, tol=tol).point
 
 
-def _deep_point(constraint_fns, start, label: str) -> np.ndarray:
+def _deep_point(cs: ConstraintSet, start, label: str) -> np.ndarray:
     """A strictly interior point, found by pushing down the worst residual."""
-    worst = Max(constraint_fns)
+    worst = Max(cs.constraints)
     res = refine_minimum(worst, start, value_gap=1e-6, probe_iters=2000, max_probes=40)
     if res.f_best >= -1e-9:
         raise HypothesisViolation(
@@ -136,12 +65,12 @@ def _deep_point(constraint_fns, start, label: str) -> np.ndarray:
     return res.x_best
 
 
-def _chord(region: ConvexRegion, x: np.ndarray, d: np.ndarray) -> tuple[float, float]:
+def _chord(region: ConstraintSet, x: np.ndarray, d: np.ndarray) -> tuple[float, float]:
     """Parameter range of {x + t d} inside the region; d is a unit vector."""
     t_lo, t_hi = -math.inf, math.inf
     for h in region.halfspaces:
         ad = float(h.a @ d)
-        slack = h.b - float(h.a @ x)
+        slack = -h.b - float(h.a @ x)
         if abs(ad) < 1e-14:
             continue
         t = slack / ad
@@ -153,7 +82,7 @@ def _chord(region: ConvexRegion, x: np.ndarray, d: np.ndarray) -> tuple[float, f
         w = x - b.center
         # ||w + t d||^2 = r^2 with ||d|| = 1
         beta = float(w @ d)
-        gamma = float(w @ w) - b.radius ** 2
+        gamma = float(w @ w) + b.offset
         disc = beta * beta - gamma
         if disc < 0.0:
             disc = 0.0
@@ -165,7 +94,7 @@ def _chord(region: ConvexRegion, x: np.ndarray, d: np.ndarray) -> tuple[float, f
     return t_lo, t_hi
 
 
-def _hit_and_run(region: ConvexRegion, x0: np.ndarray, count: int, rng) -> list[np.ndarray]:
+def _hit_and_run(region: ConstraintSet, x0: np.ndarray, count: int, rng) -> list[np.ndarray]:
     """Uniform-ish interior samples by hit-and-run from a strictly interior point."""
     x = np.array(x0, dtype=np.float64)
     n = region.dimension
@@ -181,17 +110,17 @@ def _hit_and_run(region: ConvexRegion, x0: np.ndarray, count: int, rng) -> list[
     return out
 
 
-def _covering_candidates(region: ConvexRegion, interior: np.ndarray) -> list[np.ndarray]:
+def _covering_candidates(region: ConstraintSet, interior: np.ndarray) -> list[np.ndarray]:
     """Deterministic spot-check points: ball centers and halfspace feet."""
     cands = [np.asarray(b.center, dtype=np.float64) for b in region.balls]
     for h in region.halfspaces:
         na2 = float(h.a @ h.a)
-        foot = interior + ((h.b - float(h.a @ interior)) / na2) * h.a
+        foot = interior + ((-h.b - float(h.a @ interior)) / na2) * h.a
         cands.append(foot)
-    return [c for c in cands if region.residual(c) <= 1e-9]
+    return [c for c in cands if region.worst_residual(c) <= 1e-9]
 
 
-def extract_boundary_point(region: ConvexRegion, x_star_c, c, *, iters: int = 4000) -> np.ndarray:
+def extract_boundary_point(region: ConstraintSet, x_star_c, c, *, iters: int = 4000) -> np.ndarray:
     """Maximize the linear functional (x_star_c - c).x over the region.
 
     Projected ascent with a fixed direction: diminishing steps scaled by a
@@ -208,11 +137,12 @@ def extract_boundary_point(region: ConvexRegion, x_star_c, c, *, iters: int = 40
 
     scale_points = [x_star_c]
     for b in region.balls:
-        scale_points.append(b.center + b.radius)
-        scale_points.append(b.center - b.radius)
+        radius = math.sqrt(-b.offset)
+        scale_points.append(b.center + radius)
+        scale_points.append(b.center - radius)
     for h in region.halfspaces:
         na2 = float(h.a @ h.a)
-        scale_points.append((h.b / na2) * h.a)
+        scale_points.append((-h.b / na2) * h.a)
     stacked = np.stack(scale_points)
     spread = float(np.linalg.norm(stacked.max(axis=0) - stacked.min(axis=0)))
     step_scale = max(spread, 1e-3)
@@ -230,7 +160,7 @@ def extract_boundary_point(region: ConvexRegion, x_star_c, c, *, iters: int = 40
     return best
 
 
-def bound_max_distance(region: ConvexRegion, bi: BallIntersection, c, delta: float,
+def bound_max_distance(region: ConstraintSet, bi: BallIntersection, c, delta: float,
                        cfg: BisectionConfig | None = None, *,
                        samples: int = 1000, seed: int = 0) -> AppBoundReport:
     """Sandwich the maximum distance over the region between V_c and V_c + delta.
@@ -242,6 +172,9 @@ def bound_max_distance(region: ConvexRegion, bi: BallIntersection, c, delta: flo
 
     Raises
     ------
+    TypeError, ValueError
+        When a region constraint is not a ball or a halfspace with a nonzero
+        normal.
     HypothesisViolation
         With the offending sample attached, when a spot check fails.
     EmptyIntersection, PreconditionFailed, InnerUndetermined
@@ -255,26 +188,25 @@ def bound_max_distance(region: ConvexRegion, bi: BallIntersection, c, delta: flo
         raise ValueError("delta must be finite and >= 0")
     rng = np.random.default_rng(seed)
     cover_slack = 1e-7
-    c1_balls = bi.balls()
+    # squared as ball_constraint squares (radius ** 2), which can differ in
+    # the last bit from the R * R of bi.constraint_set()
+    c1 = ConstraintSet([ball_constraint(Ball(ck, bi.radius)) for ck in bi.centers])
+    anchor = np.mean(bi.centers, axis=0)
 
     # inner intersection inside the region
-    deep_c1 = _deep_point([BallQuad(b.center, -(b.radius ** 2)) for b in c1_balls],
-                          np.mean([b.center for b in c1_balls], axis=0), "ball intersection")
-    c1_region = ConvexRegion(balls=c1_balls)
-    for x in _hit_and_run(c1_region, deep_c1, max(200, samples // 5), rng):
-        if region.residual(x) > 1e-7:
+    deep_c1 = _deep_point(c1, anchor, "ball intersection")
+    for x in _hit_and_run(c1, deep_c1, max(200, samples // 5), rng):
+        if region.worst_residual(x) > 1e-7:
             raise HypothesisViolation(
                 "inner intersection is not contained in the region",
-                counterexample=x, distance=region.residual(x))
+                counterexample=x, distance=region.worst_residual(x))
 
     # delta-covering of the region by the inner intersection
-    deep_s = _deep_point(region.constraint_fns(),
-                         np.mean([b.center for b in c1_balls], axis=0), "region")
+    deep_s = _deep_point(region, anchor, "region")
     check_points = _hit_and_run(region, deep_s, samples, rng)
     check_points.extend(_covering_candidates(region, deep_s))
-    c1_projectors = [_ball_projector(b.center, b.radius) for b in c1_balls]
     for x in check_points:
-        p, _, _, _ = _dykstra(c1_projectors, x, 500, 1e-11)
+        p = c1.project(x, iters=500, tol=1e-11).point
         d_to_c1 = float(np.linalg.norm(x - p))
         if d_to_c1 > delta + cover_slack:
             raise HypothesisViolation(

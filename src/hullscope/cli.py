@@ -175,7 +175,8 @@ def build_arg_parser() -> _Parser:
     common.add_argument("--tol", type=float, default=1e-8, help="absolute tolerance (default 1e-8)")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
     common.add_argument("--max-iters", type=int, default=50_000, dest="max_iters",
-                        help="inner solver iteration budget")
+                        help="subgradient iteration budget of one feasibility check, "
+                             "one inclusion check or one bisection step")
     common.add_argument("--json-indent", type=int, default=None, dest="json_indent",
                         help="pretty-print the JSON report with this indent")
 

@@ -48,14 +48,6 @@ class ConvexFn:
         raise NotImplementedError
 
 
-def evaluate(fn: ConvexFn, x) -> tuple[float, Vector]:
-    """Evaluate ``fn`` at ``x`` after dimension validation."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != fn.dim:
-        raise DimensionMismatch(f"point has shape {x.shape}, function expects dimension {fn.dim}")
-    return fn.eval(x)
-
-
 class Affine(ConvexFn):
     """a.x + b"""
 
@@ -189,11 +181,6 @@ class Max(ConvexFn):
         for t in self.terms[1:]:
             np.maximum(out, t.values(X), out=out)
         return out
-
-
-def positive_part(fn: ConvexFn) -> PositivePart:
-    """Wrap ``fn`` so the value clamps at zero from below."""
-    return PositivePart(fn)
 
 
 def ball_constraint(ball: Ball) -> BallQuad:

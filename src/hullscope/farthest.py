@@ -19,10 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InnerUndetermined, PreconditionFailed
-from .inclusion import (BallIntersection, InclusionVerdict, OuterBall,
-                        _find_point_in_intersection, _inclusion_at,
-                        _precondition_margin)
+from .errors import InnerUndetermined
+from .inclusion import BallIntersection, InclusionVerdict, inclusion_checker
 from .minimize import SolverConfig
 
 
@@ -54,34 +52,15 @@ class FarthestReport:
     total_inner_iters: int
 
 
-def bracket(bi: BallIntersection, c, x0_in_C1, *, tol: float = 1e-7) -> tuple[float, float]:
-    """Initial bisection bracket (R, 2R + ||x0 - c||) for the farthest search.
-
-    ``x0_in_C1`` must lie in the intersection to within ``tol`` and the
-    outside center must satisfy the distance precondition.
-    """
-    c = np.asarray(c, dtype=np.float64)
-    x0 = np.asarray(x0_in_C1, dtype=np.float64)
-    worst = float(np.max(bi.residuals(x0)))
-    if worst > tol:
-        raise PreconditionFailed(f"x0 is not in the intersection (worst residual {worst:.3e})")
-    margin = _precondition_margin(bi, c, tol)
-    if margin <= tol:
-        raise PreconditionFailed(
-            f"outer center too close to the intersection: d(c, C1) - R = {margin:.6e}")
-    r_lo = bi.radius
-    r_hi = 2.0 * bi.radius + float(np.linalg.norm(x0 - c))
-    return r_lo, r_hi
-
-
 def solve_farthest(bi: BallIntersection, c, cfg: BisectionConfig | None = None) -> FarthestReport:
     """Maximum distance from ``c`` attained on the ball intersection.
 
     Bisects the bracket, running one inclusion check per midpoint (the
-    inclusion minimizer warm-starts from the previous step's witness).
-    An inner Undetermined verdict is surfaced as ``InnerUndetermined``
-    rather than silently resolved; callers may loosen ``eps`` or tighten
-    the inner solver.
+    inclusion minimizer warm-starts from the previous step's witness);
+    ``cfg.inner.max_iters`` caps the iterations of each step. An inner
+    Undetermined verdict, including a step that ran out of budget, is
+    surfaced as ``InnerUndetermined`` rather than silently resolved;
+    callers may loosen ``eps`` or tighten the inner solver.
 
     Raises
     ------
@@ -90,13 +69,7 @@ def solve_farthest(bi: BallIntersection, c, cfg: BisectionConfig | None = None) 
     if cfg is None:
         cfg = BisectionConfig()
     c = np.asarray(c, dtype=np.float64)
-    inner = cfg.inner
-    witness = _find_point_in_intersection(bi, inner)
-    margin = _precondition_margin(bi, c, inner.tol)
-    if margin <= inner.tol:
-        raise PreconditionFailed(
-            f"outer center too close to the intersection: d(c, C1) - R = {margin:.6e}")
-
+    witness, check = inclusion_checker(bi, c, cfg.inner)
     r_lo = bi.radius
     r_hi = 2.0 * bi.radius + float(np.linalg.norm(witness - c))
     steps = 0
@@ -105,7 +78,7 @@ def solve_farthest(bi: BallIntersection, c, cfg: BisectionConfig | None = None) 
 
     while r_hi - r_lo > 2.0 * cfg.eps:
         mid = 0.5 * (r_lo + r_hi)
-        report = _inclusion_at(bi, OuterBall(c, mid), inner, warm, margin)
+        report = check(mid, warm)
         steps += 1
         total_inner += report.iters
         if report.verdict is InclusionVerdict.NONEMPTY_DIFFERENCE:

@@ -15,19 +15,72 @@ Tolerances are absolute; callers should pre-scale badly scaled problems.
 from __future__ import annotations
 
 import enum
+import logging
+import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .convexfn import BallQuad, ConvexFn, PositivePart, Sum
+from .convexfn import Affine, BallQuad, ConvexFn, PositivePart, Sum
 from .errors import DimensionMismatch
 from .geometry import Vector
 from .minimize import MinimizeResult, PolyakWithTarget, SolverConfig, minimize, refine_minimum
 
+log = logging.getLogger("hullscope.feasibility")
+
+
+@dataclass
+class ProjectionResult:
+    """Dykstra output: the projection point plus convergence evidence.
+
+    ``last_shift`` is the point displacement over the final sweep; it bounds
+    how much another sweep could still move the result.
+    """
+
+    point: np.ndarray
+    converged: bool
+    sweeps: int
+    last_shift: float
+
+
+def _projector(g: BallQuad | Affine):
+    """Closed-form Euclidean projection onto one ball or halfspace leaf."""
+    if isinstance(g, BallQuad):
+        center, radius = g.center, math.sqrt(-g.offset)
+
+        def onto_ball(u):
+            d = u - center
+            nd = float(np.linalg.norm(d))
+            if nd <= radius:
+                return u
+            return center + (radius / nd) * d
+
+        return onto_ball
+
+    a, b, na2 = g.a, g.b, float(g.a @ g.a)
+
+    def onto_halfspace(u):
+        excess = float(a @ u) + b
+        if excess <= 0.0:
+            return u
+        return u - (excess / na2) * a
+
+    return onto_halfspace
+
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Convex constraint functions g_k sharing one ambient dimension."""
+    """Convex constraint functions g_k sharing one ambient dimension.
+
+    Feasibility accepts any convex g_k. The region operations
+    (``worst_residual``, ``balls``, ``halfspaces``, ``project``) need every
+    g_k to be a leaf: a ball ``BallQuad`` with offset ``-r^2 < 0`` or a
+    halfspace ``Affine`` with a nonzero normal, as ``ball_constraint`` and
+    ``halfspace_constraint`` build them. They raise ``TypeError`` on any
+    other node and ``ValueError`` on a degenerate leaf. The order of the
+    constraints is kept everywhere: merit sums and ``Max`` ties depend on it.
+    """
 
     constraints: tuple[ConvexFn, ...]
     dimension: int
@@ -50,6 +103,74 @@ class ConstraintSet:
     def residuals(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         return np.array([g.eval(x)[0] for g in self.constraints])
+
+    def worst_residual(self, x) -> float:
+        """Largest constraint value; <= 0 means the point is in the region."""
+        x = np.asarray(x, dtype=np.float64)
+        return max(g.eval(x)[0] for g in self._leaves)
+
+    @cached_property
+    def _leaves(self) -> tuple[ConvexFn, ...]:
+        """The constraints, once checked to be region leaves."""
+        for g in self.constraints:
+            if isinstance(g, BallQuad):
+                if not g.offset < 0.0:
+                    raise ValueError("ball constraint needs a negative offset -r^2")
+            elif isinstance(g, Affine):
+                if float(g.a @ g.a) == 0.0:
+                    raise ValueError("halfspace normal must be nonzero")
+            else:
+                raise TypeError(f"region operations need ball or halfspace leaves, got {type(g).__name__}")
+        return self.constraints
+
+    @cached_property
+    def balls(self) -> tuple[BallQuad, ...]:
+        """Ball leaves ``||x - c||^2 - r^2``, in constraint order."""
+        return tuple(g for g in self._leaves if isinstance(g, BallQuad))
+
+    @cached_property
+    def halfspaces(self) -> tuple[Affine, ...]:
+        """Halfspace leaves ``a.x + b``, i.e. the sets ``a.x <= -b``, in constraint order."""
+        return tuple(g for g in self._leaves if isinstance(g, Affine))
+
+    @cached_property
+    def _projectors(self) -> tuple:
+        return tuple(_projector(g) for g in self._leaves)
+
+    def project(self, y, iters: int = 1000, tol: float = 1e-11) -> ProjectionResult:
+        """Euclidean projection of ``y`` onto the intersection, by Dykstra's algorithm.
+
+        Alternating projections with correction terms; the limit is the
+        projection onto the intersection. The caller is responsible for the
+        intersection being nonempty (certify via ``check_feasibility``
+        first); on an empty intersection the iteration cannot converge and
+        the result comes back flagged.
+        """
+        projectors = self._projectors
+        x = np.array(y, dtype=np.float64)
+        if x.shape != (self.dimension,):
+            raise DimensionMismatch("point and constraints must share the ambient dimension")
+        corrections = [np.zeros_like(x) for _ in projectors]
+        converged = False
+        sweep = 0
+        shift = math.inf
+        for sweep in range(1, iters + 1):
+            x_prev = x
+            for i, proj in enumerate(projectors):
+                z = x + corrections[i]
+                x = proj(z)
+                corrections[i] = z - x
+            shift = float(np.linalg.norm(x - x_prev))
+            if shift <= tol:
+                converged = True
+                break
+        if not converged:
+            # a tiny last shift means the point is essentially settled; only a
+            # large one deserves attention
+            level = logging.WARNING if shift > 1e-6 else logging.DEBUG
+            log.log(level, "Dykstra projection stopped after %d sweeps (last shift %.3e)",
+                    sweep, shift)
+        return ProjectionResult(point=x, converged=converged, sweeps=sweep, last_shift=shift)
 
 
 class FeasibilityVerdict(enum.Enum):
@@ -112,7 +233,8 @@ def check_feasibility(cs: ConstraintSet, x0=None, cfg: SolverConfig | None = Non
     refined_ok = True
 
     if first.f_best > cfg.tol:
-        ref = refine_minimum(g_tilde, first.x_best, lower_bound=0.0, value_gap=cfg.tol)
+        ref = refine_minimum(g_tilde, first.x_best, lower_bound=0.0, value_gap=cfg.tol,
+                             max_iters=cfg.max_iters - first.iters)
         iters += ref.iters
         refined_ok = ref.converged
         if ref.f_best < best.f_best:

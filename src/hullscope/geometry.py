@@ -1,8 +1,8 @@
-"""Dense small-vector arithmetic and ball primitives.
+"""Validated float64 vectors and the ball primitive.
 
 All quantities are plain float64 numpy vectors. Points are immutable after
-construction (``as_vector`` freezes them); every operation here is pure and
-reentrant, so values can be shared freely across threads.
+construction (``as_vector`` freezes them), so values can be shared freely
+across threads.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-
-from .errors import DimensionMismatch
 
 Vector = NDArray[np.float64]
 
@@ -28,28 +26,9 @@ def as_vector(coords) -> Vector:
     return v
 
 
-def _same_dim(a: Vector, b: Vector) -> None:
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatch(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-
-
-def dist(a, b) -> float:
-    """Euclidean distance ||a - b||."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    _same_dim(a, b)
-    return float(np.linalg.norm(a - b))
-
-
-def sq_norm(a) -> float:
-    """Squared Euclidean norm a.a."""
-    a = np.asarray(a, dtype=np.float64)
-    return float(a @ a)
-
-
 @dataclass(frozen=True)
 class Ball:
-    """A ball given by center and radius > 0; open vs closed is per query."""
+    """A closed ball given by center and radius > 0."""
 
     center: Vector
     radius: float
@@ -64,23 +43,3 @@ class Ball:
     @property
     def dim(self) -> int:
         return self.center.shape[0]
-
-
-def contains(ball: Ball, x, closed: bool = True) -> bool:
-    """Membership test; the closed variant accepts the boundary sphere."""
-    x = np.asarray(x, dtype=np.float64)
-    _same_dim(ball.center, x)
-    d2 = sq_norm(x - ball.center)
-    r2 = ball.radius * ball.radius
-    return d2 <= r2 if closed else d2 < r2
-
-
-def project_to_ball(ball: Ball, y) -> Vector:
-    """Euclidean projection of y onto the closed ball (closed form)."""
-    y = np.asarray(y, dtype=np.float64)
-    _same_dim(ball.center, y)
-    d = y - ball.center
-    nd = float(np.linalg.norm(d))
-    if nd <= ball.radius:
-        return y.copy()
-    return ball.center + (ball.radius / nd) * d

@@ -25,7 +25,6 @@ which computes exact Euclidean projections onto the ball intersection.
 from __future__ import annotations
 
 import enum
-import logging
 import math
 from dataclasses import dataclass
 
@@ -33,11 +32,9 @@ import numpy as np
 
 from .convexfn import Affine, BallQuad, ConvexFn, Max, PositivePart, Sum
 from .errors import DimensionMismatch, EmptyIntersection, PreconditionFailed
-from .feasibility import ConstraintSet, FeasibilityVerdict, check_feasibility
-from .geometry import Ball, Vector, as_vector
+from .feasibility import ConstraintSet, FeasibilityVerdict, ProjectionResult, check_feasibility
+from .geometry import Vector, as_vector
 from .minimize import MinimizeResult, SolverConfig, refine_minimum
-
-log = logging.getLogger("hullscope.inclusion")
 
 # The minimizer of G generically sits on the boundary sphere of the outer
 # ball, so the boundary-side tolerance must absorb solver noise; verdicts are
@@ -74,16 +71,8 @@ class BallIntersection:
     def m(self) -> int:
         return len(self.centers)
 
-    def balls(self) -> list[Ball]:
-        return [Ball(c, self.radius) for c in self.centers]
-
-    def residuals(self, x) -> np.ndarray:
-        """Values f_k(x) = ||x - c_k||^2 - R^2 for every k."""
-        x = np.asarray(x, dtype=np.float64)
-        r2 = self.radius * self.radius
-        return np.array([float((d := x - c) @ d) - r2 for c in self.centers])
-
     def constraint_set(self) -> ConstraintSet:
+        """The balls as constraints f_k(x) = ||x - c_k||^2 - R^2, in center order."""
         r2 = self.radius * self.radius
         return ConstraintSet([BallQuad(c, -r2) for c in self.centers])
 
@@ -126,90 +115,14 @@ class InclusionReport:
     iters: int
 
 
-@dataclass
-class ProjectionResult:
-    """Dykstra output: the projection point plus convergence evidence.
+def dykstra_project_full(cs: ConstraintSet, y, iters: int = 1000, tol: float = 1e-11) -> ProjectionResult:
+    """Project ``y`` onto the intersection of ``cs``, with diagnostics.
 
-    ``last_shift`` is the point displacement over the final sweep; it bounds
-    how much another sweep could still move the result.
+    The distance precondition projects through this name, so a tracer that
+    wraps it (as ``bench/tracing.py`` does) counts those projections apart
+    from the covering check's, which call ``ConstraintSet.project``.
     """
-
-    point: np.ndarray
-    converged: bool
-    sweeps: int
-    max_violation: float
-    last_shift: float
-
-
-def _dykstra(projectors, y, iters: int, tol: float) -> tuple[np.ndarray, bool, int, float]:
-    """Dykstra's alternating projections with correction terms.
-
-    ``projectors`` map a point to its Euclidean projection onto one convex
-    set; the limit is the projection onto the intersection.
-    """
-    x = np.array(y, dtype=np.float64)
-    m = len(projectors)
-    corrections = [np.zeros_like(x) for _ in range(m)]
-    converged = False
-    sweep = 0
-    shift = math.inf
-    for sweep in range(1, iters + 1):
-        x_prev = x
-        for i in range(m):
-            z = x + corrections[i]
-            x = projectors[i](z)
-            corrections[i] = z - x
-        shift = float(np.linalg.norm(x - x_prev))
-        if shift <= tol:
-            converged = True
-            break
-    return x, converged, sweep, shift
-
-
-def _ball_projector(center: np.ndarray, radius: float):
-    def proj(u):
-        d = u - center
-        nd = float(np.linalg.norm(d))
-        if nd <= radius:
-            return u
-        return center + (radius / nd) * d
-
-    return proj
-
-
-def dykstra_project_full(balls, y, iters: int = 1000, tol: float = 1e-11) -> ProjectionResult:
-    """Project ``y`` onto the intersection of closed balls, with diagnostics.
-
-    The caller is responsible for the intersection being nonempty (certify
-    via ``check_feasibility`` first); on an empty intersection the iteration
-    cannot converge and the result comes back flagged.
-    """
-    balls = list(balls)
-    if not balls:
-        raise ValueError("need at least one ball")
-    y = np.asarray(y, dtype=np.float64)
-    for b in balls:
-        if b.center.shape[0] != y.shape[0]:
-            raise DimensionMismatch("point and balls must share the ambient dimension")
-    projectors = [_ball_projector(b.center, b.radius) for b in balls]
-    point, converged, sweeps, shift = _dykstra(projectors, y, iters, tol)
-    violation = max(
-        max(0.0, float(np.linalg.norm(point - b.center)) - b.radius) for b in balls
-    )
-    return ProjectionResult(point=point, converged=converged, sweeps=sweeps,
-                            max_violation=violation, last_shift=shift)
-
-
-def dykstra_project(balls, y, iters: int = 1000, tol: float = 1e-11) -> np.ndarray:
-    """Euclidean projection of ``y`` onto the intersection of closed balls."""
-    res = dykstra_project_full(balls, y, iters=iters, tol=tol)
-    if not res.converged:
-        # a tiny last shift means the point is essentially settled; only a
-        # large one deserves attention
-        level = logging.WARNING if res.last_shift > 1e-6 else logging.DEBUG
-        log.log(level, "Dykstra projection stopped after %d sweeps (last shift %.3e, violation %.3e)",
-                res.sweeps, res.last_shift, res.max_violation)
-    return res.point
+    return cs.project(y, iters=iters, tol=tol)
 
 
 def build_Gk(bi: BallIntersection, ob: OuterBall, k: int) -> ConvexFn:
@@ -240,28 +153,8 @@ def build_G(bi: BallIntersection, ob: OuterBall) -> Max:
     return Max([build_Gk(bi, ob, k) for k in range(bi.m)])
 
 
-def _find_point_in_intersection(bi: BallIntersection, cfg: SolverConfig) -> np.ndarray:
-    report = check_feasibility(bi.constraint_set(), cfg=cfg)
-    if report.verdict is not FeasibilityVerdict.FEASIBLE:
-        raise EmptyIntersection(
-            f"ball intersection not certified nonempty (verdict {report.verdict.value}, "
-            f"merit minimum {report.g_tilde_min:.3e})")
-    return np.asarray(report.witness, dtype=np.float64)
-
-
-def _precondition_margin(bi: BallIntersection, c: np.ndarray, tol: float) -> float:
-    proj = dykstra_project_full(bi.balls(), c)
-    if not proj.converged:
-        level = logging.WARNING if proj.last_shift > 1e-6 else logging.DEBUG
-        log.log(level, "distance-precondition projection stopped after %d sweeps (last shift %.3e)",
-                proj.sweeps, proj.last_shift)
-    d = float(np.linalg.norm(c - proj.point))
-    return d - bi.radius
-
-
-def _classify(bi: BallIntersection, ob: OuterBall, x: np.ndarray, tol: float) -> InclusionVerdict:
-    res = bi.residuals(x)
-    a = float(np.max(res))
+def _classify(fk: np.ndarray, ob: OuterBall, x: np.ndarray, tol: float) -> InclusionVerdict:
+    a = float(np.max(fk))
     b = ob.radius * ob.radius - float((x - ob.center) @ (x - ob.center))
     tol_bnd = max(_BOUNDARY_TOL_FLOOR, 10.0 * tol)
     if a <= tol and b <= tol_bnd:
@@ -280,18 +173,60 @@ def _inclusion_at(bi: BallIntersection, ob: OuterBall, cfg: SolverConfig,
     G = build_G(bi, ob)
     gap = max(cfg.tol / 100.0, 1e-12)
     res: MinimizeResult = refine_minimum(
-        G, start, lower_bound=-(bi.radius * bi.radius), value_gap=gap)
+        G, start, lower_bound=-(bi.radius * bi.radius), value_gap=gap, max_iters=cfg.max_iters)
     x_star = res.x_best
-    verdict = _classify(bi, ob, x_star, cfg.tol)
+    fk = bi.constraint_set().residuals(x_star)
+    verdict = _classify(fk, ob, x_star, cfg.tol)
+    if verdict is InclusionVerdict.INCLUDED and not res.converged:
+        # only the minimizer of G localizes the difference; a point that is
+        # not a member proves nothing while the bracket is still open
+        verdict = InclusionVerdict.UNDETERMINED
     return InclusionReport(
         verdict=verdict,
         x_star=x_star,
         g_at_xstar=float(res.f_best),
-        residuals_fk=[float(v) for v in bi.residuals(x_star)],
+        residuals_fk=[float(v) for v in fk],
         dist_xstar_to_c=float(np.linalg.norm(x_star - ob.center)),
         precondition_margin=float(margin),
         iters=res.iters,
     )
+
+
+def inclusion_checker(bi: BallIntersection, c, cfg: SolverConfig):
+    """Certify the preconditions for center ``c`` once; return a witness and a checker.
+
+    Finds a point of ``C1`` with ``check_feasibility`` and verifies the
+    distance precondition ``d(c, C1) > R`` by Dykstra projection. Returns
+    ``(witness, check)``: ``check(r, start)`` runs the inclusion test against
+    ``B(c, r)``, minimizing ``G`` from ``start``.
+
+    Raises
+    ------
+    EmptyIntersection
+        If the intersection cannot be certified nonempty.
+    PreconditionFailed
+        If ``d(c, C1) - R`` is not above the configured tolerance; no sound
+        verdict exists in that regime.
+    """
+    c = np.asarray(c, dtype=np.float64)
+    if c.shape != (bi.dim,):
+        raise DimensionMismatch("outer ball and intersection must share the ambient dimension")
+    cs = bi.constraint_set()
+    report = check_feasibility(cs, cfg=cfg)
+    if report.verdict is not FeasibilityVerdict.FEASIBLE:
+        raise EmptyIntersection(
+            f"ball intersection not certified nonempty (verdict {report.verdict.value}, "
+            f"merit minimum {report.g_tilde_min:.3e})")
+    proj = dykstra_project_full(cs, c)
+    margin = float(np.linalg.norm(c - proj.point)) - bi.radius
+    if margin <= cfg.tol:
+        raise PreconditionFailed(
+            f"outer center too close to the intersection: d(c, C1) - R = {margin:.6e}")
+
+    def check(r: float, start: np.ndarray) -> InclusionReport:
+        return _inclusion_at(bi, OuterBall(c, r), cfg, start, margin)
+
+    return np.asarray(report.witness, dtype=np.float64), check
 
 
 def check_inclusion(bi: BallIntersection, ob: OuterBall,
@@ -301,6 +236,9 @@ def check_inclusion(bi: BallIntersection, ob: OuterBall,
     Pipeline: certify the intersection nonempty (its witness is the start
     point), verify the distance precondition ``d(c, C1) > R`` via Dykstra
     projection, minimize ``G`` and classify the minimizer by membership.
+    ``cfg.max_iters`` caps the iterations of the witness search, and
+    separately those of the minimization of ``G``; a minimization that stops
+    before its bracket closes cannot report Included.
 
     Raises
     ------
@@ -312,11 +250,5 @@ def check_inclusion(bi: BallIntersection, ob: OuterBall,
     """
     if cfg is None:
         cfg = SolverConfig()
-    if ob.center.shape[0] != bi.dim:
-        raise DimensionMismatch("outer ball and intersection must share the ambient dimension")
-    witness = _find_point_in_intersection(bi, cfg)
-    margin = _precondition_margin(bi, ob.center, cfg.tol)
-    if margin <= cfg.tol:
-        raise PreconditionFailed(
-            f"outer center too close to the intersection: d(c, C1) - R = {margin:.6e}")
-    return _inclusion_at(bi, ob, cfg, witness, margin)
+    witness, check = inclusion_checker(bi, ob.center, cfg)
+    return check(ob.radius, witness)

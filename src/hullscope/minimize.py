@@ -1,14 +1,9 @@
 """Unconstrained subgradient minimization with best-iterate tracking.
 
-Two step rules only:
-
-* ``PolyakWithTarget(t)`` -- steps ``(f(x_k) - t) / ||g_k||^2`` along ``-g_k``,
-  stopping once ``f(x_k) <= t + tol``. Fast when the target value is
-  attainable (e.g. 0 for a feasible merit function); an unattainable target
-  is detected by stalling above it.
-* ``Diminishing(c0)`` -- normalized steps ``c0 / sqrt(k + 1)`` along
-  ``-g_k / ||g_k||``, the safe fallback when nothing is known about the
-  optimal value.
+One step rule: ``PolyakWithTarget(t)`` steps ``(f(x_k) - t) / ||g_k||^2``
+along ``-g_k``, stopping once ``f(x_k) <= t + tol``. It is fast when the
+target value is attainable (e.g. 0 for a feasible merit function); an
+unattainable target is detected by stalling above it.
 
 Subgradient methods are not descent methods, so the best iterate seen so far
 is tracked and returned. A run is deterministic: identical inputs give
@@ -16,8 +11,8 @@ identical outputs.
 
 ``refine_minimum`` sits on top: it bisects over Polyak target values to pin
 the optimal value down to a requested gap. Each probe is a plain
-``PolyakWithTarget`` run, so the two step rules above remain the only step
-rules in the library.
+``PolyakWithTarget`` run, so the rule above is the only step rule in the
+library.
 """
 
 from __future__ import annotations
@@ -43,26 +38,12 @@ class PolyakWithTarget:
 
 
 @dataclass(frozen=True)
-class Diminishing:
-    """Normalized diminishing step rule c0 / sqrt(k + 1)."""
-
-    c0: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(float(self.c0)) and self.c0 > 0):
-            raise ValueError("c0 must be a finite positive number")
-
-
-StepRule = PolyakWithTarget | Diminishing
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     """Iteration budget, tolerance, step rule and stall window."""
 
     max_iters: int = 50_000
     tol: float = 1e-8
-    step_rule: StepRule = Diminishing(1.0)
+    step_rule: PolyakWithTarget = PolyakWithTarget(0.0)
     stall_iters: int = 2_000
 
     def __post_init__(self):
@@ -72,7 +53,7 @@ class SolverConfig:
             raise ValueError("tol must be a finite positive number")
         if int(self.stall_iters) < 1:
             raise ValueError("stall_iters must be >= 1")
-        if not isinstance(self.step_rule, (PolyakWithTarget, Diminishing)):
+        if not isinstance(self.step_rule, PolyakWithTarget):
             raise TypeError(f"unknown step rule {self.step_rule!r}")
 
 
@@ -117,10 +98,7 @@ def minimize(fn: ConvexFn, x0, cfg: SolverConfig | None = None) -> MinimizeResul
     if not np.all(np.isfinite(x)):
         raise NonFiniteValue("start point has non-finite coordinates")
 
-    rule = cfg.step_rule
-    polyak = isinstance(rule, PolyakWithTarget)
-    target = rule.target if polyak else 0.0
-    c0 = 0.0 if polyak else rule.c0
+    target = cfg.step_rule.target
     tol = cfg.tol
     stall = cfg.stall_iters
     fn_eval = fn.eval
@@ -144,7 +122,7 @@ def minimize(fn: ConvexFn, x0, cfg: SolverConfig | None = None) -> MinimizeResul
         if baseline - best_f >= tol:
             baseline = best_f
             last_progress = k
-        if polyak and f <= target + tol:
+        if f <= target + tol:
             converged = True
             break
         gg = float(g @ g)
@@ -155,10 +133,7 @@ def minimize(fn: ConvexFn, x0, cfg: SolverConfig | None = None) -> MinimizeResul
         if k - last_progress >= stall:
             converged = True
             break
-        if polyak:
-            x = x - ((f - target) / gg) * g
-        else:
-            x = x - (c0 / (math.sqrt(k + 1.0) * math.sqrt(gg))) * g
+        x = x - ((f - target) / gg) * g
 
     return MinimizeResult(x_best=best_x, f_best=best_f, iters=k + 1, converged=converged, evals=evals)
 
@@ -172,18 +147,23 @@ def refine_minimum(
     probe_iters: int = 4_000,
     probe_stall: int = 400,
     max_probes: int = 80,
+    max_iters: int | None = None,
 ) -> MinimizeResult:
     """Estimate the minimum value of ``fn`` by bisecting over Polyak targets.
 
     Maintains an upper bound (the best value observed, always valid) and a
     lower bound (either ``lower_bound`` when the caller knows one, or a
     target a probe failed to reach -- a heuristic). Each probe warm-starts
-    from the incumbent. Returns a result whose ``converged`` flag means the
-    bracket closed to ``value_gap``; ``f_best`` is always an upper bound on
-    the true minimum.
+    from the incumbent. ``max_iters``, when given, caps the subgradient
+    iterations summed over all probes. Returns a result whose ``converged``
+    flag means the bracket closed to ``value_gap``; ``f_best`` is always an
+    upper bound on the true minimum.
     """
     if not (math.isfinite(value_gap) and value_gap > 0):
         raise ValueError("value_gap must be a finite positive number")
+    if max_iters is not None and max_iters < 0:
+        raise ValueError("max_iters must be >= 0")
+    budget = math.inf if max_iters is None else int(max_iters)
     probe_tol = max(value_gap / 8.0, 1e-13)
     x = np.asarray(x0, dtype=np.float64)
     f0, _ = fn.eval(x)
@@ -197,7 +177,7 @@ def refine_minimum(
 
     def probe(t: float) -> MinimizeResult:
         nonlocal total_iters, total_evals
-        cfg = SolverConfig(max_iters=probe_iters, tol=probe_tol,
+        cfg = SolverConfig(max_iters=min(probe_iters, budget - total_iters), tol=probe_tol,
                            step_rule=PolyakWithTarget(t), stall_iters=probe_stall)
         r = minimize(fn, xb, cfg)
         total_iters += r.iters
@@ -209,6 +189,8 @@ def refine_minimum(
         # no certified lower bound: probe downward with doubling offsets
         delta = max(0.25 * abs(ub), 8.0 * value_gap, 1e-3)
         for _ in range(max_probes // 2):
+            if total_iters >= budget:
+                break
             probes += 1
             t = ub - delta
             r = probe(t)
@@ -216,20 +198,21 @@ def refine_minimum(
                 ub, xb = r.f_best, r.x_best
             if r.f_best <= t + probe_tol:
                 delta *= 2.0
-            else:
+            elif total_iters < budget:
                 lb = t
                 break
         if lb is None:
             return MinimizeResult(x_best=xb, f_best=ub, iters=total_iters,
                                   converged=False, evals=total_evals)
 
-    while ub - lb > value_gap and probes < max_probes:
+    while ub - lb > value_gap and probes < max_probes and total_iters < budget:
         probes += 1
         t = 0.5 * (ub + lb)
         r = probe(t)
         if r.f_best < ub:
             ub, xb = r.f_best, r.x_best
-        if r.f_best > t + probe_tol:
+        # a failed probe that ran out of budget says nothing about the minimum
+        if r.f_best > t + probe_tol and total_iters < budget:
             lb = t
 
     return MinimizeResult(x_best=xb, f_best=ub, iters=total_iters,

@@ -22,10 +22,11 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from .convexfn import ball_constraint
 from .errors import EmptySample, GridTooLarge
 from .feasibility import ConstraintSet
 from .geometry import Ball, Vector, as_vector
-from .inclusion import BallIntersection, dykstra_project
+from .inclusion import BallIntersection
 
 _GRID_GUARD = 10 ** 8
 _SLACK = 1e-12
@@ -221,11 +222,11 @@ def check_lemma_2_6(trials: int = 10_000, seed: int = 0) -> LemmaCheckResult:
         deep = R - max(float(np.linalg.norm(off)) for off in offsets)
         x = z0 + (0.98 * deep * rng.uniform(0.0, 1.0) ** (1.0 / n)) * _unit(rng, n)
 
-        balls = [Ball(c, R) for c in centers]
+        c1 = ConstraintSet([ball_constraint(Ball(c, R)) for c in centers])
         y_far = z0 + (4.0 * R + rng.uniform(0.0, 3.0) * R) * _unit(rng, n)
         # modest projection accuracy suffices: the constructed distance margin
         # below is at least 0.1 R
-        p = dykstra_project(balls, y_far, iters=600, tol=1e-9)
+        p = c1.project(y_far, iters=600, tol=1e-9).point
         u = y_far - p
         nu = float(np.linalg.norm(u))
         s = R * (1.1 + rng.uniform(0.0, 1.5))

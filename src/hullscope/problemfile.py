@@ -16,9 +16,9 @@ from importlib import resources
 
 import jsonschema
 
-from .application import ConvexRegion, Halfspace
 from .convexfn import ConvexFn, ball_constraint, halfspace_constraint
 from .errors import HullscopeError
+from .feasibility import ConstraintSet
 from .geometry import Ball
 from .inclusion import BallIntersection, OuterBall
 
@@ -38,7 +38,7 @@ class ProblemFile:
     constraints: list[ConvexFn] | None
     ball_intersection: BallIntersection | None
     outer: OuterBall | None
-    region: ConvexRegion | None
+    region: ConstraintSet | None
     delta: float | None
 
 
@@ -50,6 +50,19 @@ def _schema() -> dict:
 def _check_dim(name: str, vec, n: int) -> None:
     if len(vec) != n:
         raise ProblemFileError(f"{name} has length {len(vec)}, expected dimension {n}")
+
+
+def _leaves(specs, name: str, n: int) -> list[ConvexFn]:
+    """Halfspaces ``{a, b}`` and balls ``{center, radius}`` of a constraint list."""
+    out = []
+    for i, spec in enumerate(specs):
+        if "a" in spec:
+            _check_dim(f"{name}[{i}].a", spec["a"], n)
+            out.append(halfspace_constraint(spec["a"], spec["b"]))
+        else:
+            _check_dim(f"{name}[{i}].center", spec["center"], n)
+            out.append(ball_constraint(Ball(spec["center"], spec["radius"])))
+    return out
 
 
 def load_problem(path) -> ProblemFile:
@@ -71,14 +84,7 @@ def load_problem(path) -> ProblemFile:
 
     constraints = None
     if "constraints" in raw:
-        constraints = []
-        for i, spec in enumerate(raw["constraints"]):
-            if spec["type"] == "halfspace":
-                _check_dim(f"constraints[{i}].a", spec["a"], n)
-                constraints.append(halfspace_constraint(spec["a"], spec["b"]))
-            else:
-                _check_dim(f"constraints[{i}].center", spec["center"], n)
-                constraints.append(ball_constraint(Ball(spec["center"], spec["radius"])))
+        constraints = _leaves(raw["constraints"], "constraints", n)
 
     bi = None
     if "ball_intersection" in raw:
@@ -95,17 +101,13 @@ def load_problem(path) -> ProblemFile:
     region = None
     if "region" in raw:
         block = raw["region"]
-        halfspaces = []
-        for i, h in enumerate(block.get("halfspaces", [])):
-            _check_dim(f"region.halfspaces[{i}].a", h["a"], n)
-            halfspaces.append(Halfspace(h["a"], h["b"]))
-        balls = []
-        for i, b in enumerate(block.get("balls", [])):
-            _check_dim(f"region.balls[{i}].center", b["center"], n)
-            balls.append(Ball(b["center"], b["radius"]))
-        if not halfspaces and not balls:
+        leaves = (_leaves(block.get("halfspaces", []), "region.halfspaces", n)
+                  + _leaves(block.get("balls", []), "region.balls", n))
+        if not leaves:
             raise ProblemFileError("region must list at least one halfspace or ball")
-        region = ConvexRegion(halfspaces=halfspaces, balls=balls, dimension=n)
+        region = ConstraintSet(leaves, dimension=n)
+        # region operations refuse a zero halfspace normal: refuse it at load
+        region.halfspaces
 
     return ProblemFile(
         version=raw["version"],

@@ -1,18 +1,29 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from hullscope import (Ball, BallIntersection, ConvexRegion, Halfspace,
-                       HypothesisViolation, bound_max_distance, extract_boundary_point,
-                       project_region)
+from hullscope import (Affine, Ball, BallIntersection, BallQuad, ConstraintSet,
+                       HypothesisViolation, PositivePart, ProblemFileError, ball_constraint,
+                       bound_max_distance, extract_boundary_point, halfspace_constraint,
+                       load_problem, project_region)
+
+
+def box(lo: float, hi: float) -> ConstraintSet:
+    """The square [lo, hi]^2 as four halfspaces."""
+    return ConstraintSet([
+        halfspace_constraint([1.0, 0.0], hi), halfspace_constraint([-1.0, 0.0], -lo),
+        halfspace_constraint([0.0, 1.0], hi), halfspace_constraint([0.0, -1.0], -lo)])
 
 
 def unit_square_shifted():
     """The box [-0.5, 1.5]^2."""
-    return ConvexRegion(halfspaces=[
-        Halfspace([1.0, 0.0], 1.5), Halfspace([-1.0, 0.0], 0.5),
-        Halfspace([0.0, 1.0], 1.5), Halfspace([0.0, -1.0], 0.5)])
+    return box(-0.5, 1.5)
+
+
+def disk_region():
+    return ConstraintSet([ball_constraint(Ball([0.5, 0.5], 1.0))])
 
 
 def inner_disk():
@@ -45,32 +56,29 @@ def test_covering_constant_of_square_fixture():
 
 
 def test_degenerate_delta_zero():
-    region = ConvexRegion(balls=[Ball([0.5, 0.5], 1.0)])
-    rep = bound_max_distance(region, inner_disk(), C, 0.0)
+    rep = bound_max_distance(disk_region(), inner_disk(), C, 0.0)
     assert rep.dist_x_hat == pytest.approx(rep.v_c, abs=1e-3)
     assert rep.v_c == pytest.approx(4.5, abs=1e-3)
 
 
 def test_big_square_rejected_with_counterexample():
-    big = ConvexRegion(halfspaces=[
-        Halfspace([1.0, 0.0], 10.0), Halfspace([-1.0, 0.0], 10.0),
-        Halfspace([0.0, 1.0], 10.0), Halfspace([0.0, -1.0], 10.0)])
+    big = box(-10.0, 10.0)
     with pytest.raises(HypothesisViolation) as exc_info:
         bound_max_distance(big, inner_disk(), C, 0.42)
     err = exc_info.value
     assert err.counterexample is not None
     assert err.distance > 0.42
     # the counterexample really is a region point far from the inner disk
-    assert big.residual(err.counterexample) <= 1e-6
+    assert big.worst_residual(err.counterexample) <= 1e-6
     true_d = np.linalg.norm(np.asarray(err.counterexample) - np.array([0.5, 0.5])) - 1.0
     assert true_d == pytest.approx(err.distance, abs=1e-6)
 
 
 def test_containment_violation_detected():
     # region that does not contain the inner intersection
-    small = ConvexRegion(halfspaces=[
-        Halfspace([1.0, 0.0], 0.6), Halfspace([-1.0, 0.0], 0.5),
-        Halfspace([0.0, 1.0], 1.5), Halfspace([0.0, -1.0], 0.5)])
+    small = ConstraintSet([
+        halfspace_constraint([1.0, 0.0], 0.6), halfspace_constraint([-1.0, 0.0], 0.5),
+        halfspace_constraint([0.0, 1.0], 1.5), halfspace_constraint([0.0, -1.0], 0.5)])
     with pytest.raises(HypothesisViolation):
         bound_max_distance(small, inner_disk(), C, 0.42)
 
@@ -87,9 +95,8 @@ def test_extract_boundary_point_zero_direction():
 
 
 def test_extract_boundary_point_single_ball():
-    region = ConvexRegion(balls=[Ball([0.5, 0.5], 1.0)])
     # direction (0, 1.1): the maximizer is center + radius * d / ||d||
-    x_hat = extract_boundary_point(region, [0.5, 1.6], [0.5, 0.5])
+    x_hat = extract_boundary_point(disk_region(), [0.5, 1.6], [0.5, 0.5])
     np.testing.assert_allclose(x_hat, [0.5, 1.5], atol=1e-4)
 
 
@@ -98,7 +105,7 @@ def test_x_hat_feasible_and_objective_dominates_start():
     x_star_c = np.array([-0.49996, 0.5])
     c = np.asarray(C)
     x_hat = extract_boundary_point(region, x_star_c, c)
-    assert region.residual(x_hat) <= 1e-8
+    assert region.worst_residual(x_hat) <= 1e-8
     d = (x_star_c - c) / np.linalg.norm(x_star_c - c)
     assert float(d @ x_hat) >= float(d @ x_star_c) - 1e-9
 
@@ -117,8 +124,27 @@ def test_projection_step_is_monotone_in_objective():
         x = x_next
 
 
-def test_region_validation():
+def test_region_validation(tmp_path):
     with pytest.raises(ValueError):
-        ConvexRegion()
-    with pytest.raises(ValueError):
-        Halfspace([0.0, 0.0], 1.0)
+        ConstraintSet([])
+    # every region operation refuses a zero halfspace normal or a non-leaf constraint
+    flat = ConstraintSet([halfspace_constraint([0.0, 0.0], 1.0), ball_constraint(Ball([0.0, 0.0], 1.0))])
+    with pytest.raises(ValueError, match="normal"):
+        project_region(flat, [0.0, 0.0])
+    with pytest.raises(ValueError, match="normal"):
+        bound_max_distance(flat, inner_disk(), C, 0.42)
+    with pytest.raises(TypeError):
+        project_region(ConstraintSet([PositivePart(Affine([1.0, 0.0], 0.0))]), [0.0, 0.0])
+    with pytest.raises(ValueError, match="offset"):
+        project_region(ConstraintSet([BallQuad([0.0, 0.0], 1.0)]), [0.0, 0.0])
+    # and a problem file is refused at load, as the file format always did
+    doc = {"version": 1, "dimension": 2,
+           "region": {"halfspaces": [{"a": [0.0, 0.0], "b": 1.0}]}}
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="normal"):
+        load_problem(path)
+    doc["region"] = {}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ProblemFileError):
+        load_problem(path)

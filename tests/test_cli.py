@@ -112,6 +112,18 @@ def test_appbound_big_square_rejected():
     assert doc["distance"] > 0.42
 
 
+def test_max_iters_caps_inclusion_and_farthest():
+    args = ("inclusion", str(problem_path("lens-far-c")), "--r", "3.9")
+    full = run_cli(*args)
+    starved = run_cli(*args, "--max-iters", "1")
+    assert full.returncode == 0
+    assert starved.stdout != full.stdout
+    assert starved.returncode not in (0, 1)
+    starved = run_cli("farthest", str(problem_path("lens-far-c")), "--max-iters", "1")
+    assert starved.returncode == 2
+    assert json.loads(starved.stdout)["error"] == "inner_undetermined"
+
+
 def test_stdout_is_single_json_document():
     proc = run_cli("feas", str(problem_path("disjoint-disks")), "--json-indent", "2")
     json.loads(proc.stdout)  # parses as exactly one document

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hullscope import (Affine, Ball, BallQuad, DimensionMismatch, Max, PositivePart,
-                       Sum, ball_constraint, evaluate, halfspace_constraint, positive_part)
+                       Sum, ball_constraint, halfspace_constraint, minimize)
 
 
 def abs_value_1d():
@@ -11,14 +11,14 @@ def abs_value_1d():
 
 def test_positive_part_of_ball_quad_outside():
     fn = PositivePart(BallQuad([0.0, 0.0], -1.0))
-    v, g = evaluate(fn, [2.0, 0.0])
+    v, g = fn.eval(np.array([2.0, 0.0]))
     assert v == pytest.approx(3.0)
     np.testing.assert_allclose(g, [4.0, 0.0])
 
 
 def test_positive_part_of_ball_quad_inside():
     fn = PositivePart(BallQuad([0.0, 0.0], -1.0))
-    v, g = evaluate(fn, [0.5, 0.0])
+    v, g = fn.eval(np.array([0.5, 0.0]))
     assert v == 0.0
     np.testing.assert_allclose(g, [0.0, 0.0])
 
@@ -39,7 +39,7 @@ def test_max_tie_takes_lowest_index():
 
 def test_positive_part_semantics():
     base = Affine([1.0], 0.0)
-    wrapped = positive_part(base)
+    wrapped = PositivePart(base)
     assert wrapped.value([-2.0]) == 0.0
     assert wrapped.value([2.0]) == 2.0
     assert wrapped.value([0.0]) == 0.0
@@ -48,7 +48,7 @@ def test_positive_part_semantics():
 def test_dimension_mismatch_raises():
     fn = BallQuad([0.0, 0.0], 0.0)
     with pytest.raises(DimensionMismatch):
-        evaluate(fn, [1.0, 2.0, 3.0])
+        minimize(fn, [1.0, 2.0, 3.0])
 
 
 def test_mixed_dimension_terms_rejected():

@@ -3,34 +3,30 @@ import math
 import numpy as np
 import pytest
 
-from hullscope import (BallIntersection, BisectionConfig, GridSpec, PreconditionFailed,
-                       bracket, grid_max_distance, solve_farthest)
+from hullscope import (BallIntersection, BisectionConfig, GridSpec, InnerUndetermined,
+                       PreconditionFailed, SolverConfig, grid_max_distance, solve_farthest)
 
 from conftest import far_center, random_ball_intersection
 
 
+def initial_bracket(bi, c) -> tuple[float, float]:
+    """The bracket solve_farthest starts from: an eps this wide takes no step."""
+    rep = solve_farthest(bi, c, BisectionConfig(eps=1e3))
+    assert rep.bisection_steps == 0
+    return rep.r_lo, rep.r_hi
+
+
 def test_bracket_single_disk():
     bi = BallIntersection([[0.0, 0.0]], 1.0)
-    assert bracket(bi, [5.0, 0.0], [0.0, 0.0]) == (1.0, 7.0)
+    assert initial_bracket(bi, [5.0, 0.0]) == (1.0, 7.0)
 
 
 def test_bracket_lens():
+    # the witness is the centroid (0.5, 0) of the centers
     bi = BallIntersection([[0.0, 0.0], [1.0, 0.0]], 1.0)
-    r_lo, r_hi = bracket(bi, [4.0, 0.0], [0.5, 0.0])
+    r_lo, r_hi = initial_bracket(bi, [4.0, 0.0])
     assert r_lo == 1.0
     assert r_hi == pytest.approx(5.5)
-
-
-def test_bracket_requires_membership():
-    bi = BallIntersection([[0.0, 0.0]], 1.0)
-    with pytest.raises(PreconditionFailed):
-        bracket(bi, [5.0, 0.0], [3.0, 0.0])
-
-
-def test_bracket_requires_distance():
-    bi = BallIntersection([[0.0, 0.0]], 1.0)
-    with pytest.raises(PreconditionFailed):
-        bracket(bi, [0.5, 0.0], [0.0, 0.0])
 
 
 def test_bracket_contains_oracle_max():
@@ -38,7 +34,7 @@ def test_bracket_contains_oracle_max():
     for i in range(8):
         bi, z0 = random_ball_intersection(rng, 1 + i % 3)
         c = far_center(rng, bi, z0)
-        r_lo, r_hi = bracket(bi, c, z0)
+        r_lo, r_hi = initial_bracket(bi, c)
         box = 1.05 * bi.radius
         oracle = grid_max_distance(bi, c, GridSpec(z0 - box, z0 + box, 2e-3))
         assert r_lo < oracle.r_max < r_hi
@@ -68,7 +64,7 @@ def test_farthest_precondition():
 
 
 def test_inner_undetermined_is_surfaced(monkeypatch):
-    import hullscope.farthest as far_mod
+    import hullscope.inclusion as incl_mod
     from hullscope import InclusionVerdict
     from hullscope.inclusion import InclusionReport
 
@@ -77,11 +73,17 @@ def test_inner_undetermined_is_surfaced(monkeypatch):
                                x_star=np.zeros(2), g_at_xstar=0.0, residuals_fk=[0.0],
                                dist_xstar_to_c=0.0, precondition_margin=margin, iters=1)
 
-    monkeypatch.setattr(far_mod, "_inclusion_at", fake_inclusion)
+    monkeypatch.setattr(incl_mod, "_inclusion_at", fake_inclusion)
     bi = BallIntersection([[0.0, 0.0]], 1.0)
-    from hullscope import InnerUndetermined
     with pytest.raises(InnerUndetermined):
         solve_farthest(bi, [5.0, 0.0])
+
+
+def test_starved_step_is_inner_undetermined():
+    # a step whose refinement runs out of budget cannot shrink the bracket
+    bi = BallIntersection([[0.0, 0.0], [1.0, 0.0]], 1.0)
+    with pytest.raises(InnerUndetermined):
+        solve_farthest(bi, [4.0, 0.0], BisectionConfig(eps=1e-4, inner=SolverConfig(max_iters=5)))
 
 
 def test_step_bound():
@@ -96,7 +98,7 @@ def test_witness_invariants():
     bi = BallIntersection([[0.0, 0.0], [1.0, 0.0]], 1.0)
     eps = 1e-4
     rep = solve_farthest(bi, [4.0, 0.0], BisectionConfig(eps=eps))
-    assert max(bi.residuals(rep.x_witness)) <= 1e-6
+    assert max(bi.constraint_set().residuals(rep.x_witness)) <= 1e-6
     assert np.linalg.norm(rep.x_witness - np.array([4.0, 0.0])) >= rep.r_star - 2 * eps
 
 
@@ -130,10 +132,11 @@ def test_emptiness_monotone_in_radius():
 def test_intersection_diameter_within_2R():
     rng = np.random.default_rng(4)
     bi, z0 = random_ball_intersection(rng, 3)
+    cs = bi.constraint_set()
     pts = []
     while len(pts) < 60:
         x = z0 + rng.uniform(-1.5 * bi.radius, 1.5 * bi.radius, 2)
-        if max(bi.residuals(x)) <= 0.0:
+        if max(cs.residuals(x)) <= 0.0:
             pts.append(x)
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):

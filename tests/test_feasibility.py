@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hullscope import (Ball, ConstraintSet, FeasibilityVerdict, GridSpec,
+from hullscope import (Ball, ConstraintSet, FeasibilityVerdict, GridSpec, SolverConfig,
                        ball_constraint, build_g_tilde, check_feasibility, default_start,
                        grid_feasible, halfspace_constraint)
 
@@ -40,6 +40,15 @@ def test_infeasible_disjoint_disks_value():
     assert rep.verdict is FeasibilityVerdict.INFEASIBLE
     assert rep.g_tilde_min == pytest.approx(2.5, abs=1e-3)
     assert rep.witness is None
+
+
+def test_budget_caps_the_refinement_too():
+    # the Infeasible verdict above takes ~16k iterations, nearly all of them
+    # in the refinement; a smaller budget must bound the whole check
+    cs = ConstraintSet([ball_constraint(Ball([0, 0], 1.0)), ball_constraint(Ball([3, 0], 1.0))])
+    rep = check_feasibility(cs, x0=[0.0, 0.0], cfg=SolverConfig(max_iters=50))
+    assert rep.iters <= 50
+    assert rep.verdict is FeasibilityVerdict.UNDETERMINED
 
 
 def test_single_ball_start_already_feasible():

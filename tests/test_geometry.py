@@ -1,50 +1,20 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from hullscope import Ball, DimensionMismatch, as_vector, contains, dist, project_to_ball, sq_norm
-
-finite_coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
-
-
-def vectors(n):
-    return st.lists(finite_coord, min_size=n, max_size=n).map(np.array)
-
-
-def test_dist_345():
-    assert dist((0, 0), (3, 4)) == pytest.approx(5.0)
-
-
-def test_dist_identical_points():
-    assert dist((1, 1), (1, 1)) == 0.0
-
-
-def test_dist_unit_step():
-    assert dist((0, 0), (1, 0)) == 1.0
-
-
-def test_dist_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        dist((0, 0), (1, 0, 0))
-
-
-def test_sq_norm_values():
-    assert sq_norm((3, 4)) == 25.0
-    assert sq_norm((0, 0, 0)) == 0.0
-    assert sq_norm((1, 1, 1, 1)) == 4.0
+from hullscope import Ball, ConstraintSet, DimensionMismatch, as_vector, ball_constraint
 
 
 def test_contains_boundary():
-    b = Ball((0, 0), 1.0)
-    assert contains(b, (1, 0), closed=True)
-    assert not contains(b, (1, 0), closed=False)
-    assert contains(b, (0.5, 0), closed=False)
+    # a ball is closed: its worst residual is 0 on the boundary sphere
+    ball = ConstraintSet([ball_constraint(Ball((0, 0), 1.0))])
+    assert ball.worst_residual((1, 0)) == 0.0
+    assert ball.worst_residual((0.5, 0)) < 0.0
+    assert ball.worst_residual((1.5, 0)) > 0.0
 
 
 def test_contains_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        contains(Ball((0, 0), 1.0), (1, 0, 0))
+        ConstraintSet([ball_constraint(Ball((0, 0), 1.0))]).project((1, 0, 0))
 
 
 def test_ball_rejects_bad_radius():
@@ -67,26 +37,8 @@ def test_as_vector_is_frozen():
         v[0] = 3.0
 
 
-@given(vectors(3), vectors(3), vectors(3))
-def test_triangle_inequality(a, b, c):
-    lhs = dist(a, c)
-    rhs = dist(a, b) + dist(b, c)
-    assert lhs <= rhs + 1e-12 * max(1.0, abs(rhs))
-
-
-@given(vectors(4), vectors(4))
-def test_dist_squared_matches_sq_norm(a, b):
-    d = dist(a, b)
-    s = sq_norm(a - b)
-    assert d * d == pytest.approx(s, rel=1e-12, abs=1e-12)
-
-
-@given(vectors(2), vectors(2))
-def test_dist_symmetry(a, b):
-    assert dist(a, b) == dist(b, a)
-
-
 def test_project_to_ball():
-    b = Ball((0, 0), 1.0)
-    np.testing.assert_allclose(project_to_ball(b, (5, 0)), [1, 0])
-    np.testing.assert_allclose(project_to_ball(b, (0.2, 0.1)), [0.2, 0.1])
+    # the projector recovers the radius from the offset -r^2 exactly
+    b = ConstraintSet([ball_constraint(Ball((0, 0), 0.1))])
+    assert b.project((5, 0)).point.tolist() == [0.1, 0.0]
+    np.testing.assert_allclose(b.project((0.02, 0.01)).point, [0.02, 0.01])

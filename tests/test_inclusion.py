@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
-from hullscope import (Ball, BallIntersection, EmptyIntersection, GridSpec,
-                       InclusionVerdict, OuterBall, PreconditionFailed, build_G,
-                       build_Gk, check_inclusion, dykstra_project, dykstra_project_full,
-                       grid_max_distance)
+from hullscope import (Ball, BallIntersection, ConstraintSet, EmptyIntersection, GridSpec,
+                       InclusionVerdict, OuterBall, PreconditionFailed, SolverConfig,
+                       ball_constraint, build_G, build_Gk, check_inclusion,
+                       dykstra_project_full, grid_max_distance)
+
+
+def project_onto_balls(balls, y):
+    return dykstra_project_full(ConstraintSet([ball_constraint(b) for b in balls]), y).point
 
 from conftest import far_center, random_ball_intersection
 
@@ -85,17 +89,17 @@ def test_Gk_and_G_are_midpoint_convex():
 
 
 def test_dykstra_single_ball():
-    np.testing.assert_allclose(dykstra_project([Ball([0, 0], 1.0)], [5.0, 0.0]), [1.0, 0.0],
+    np.testing.assert_allclose(project_onto_balls([Ball([0, 0], 1.0)], [5.0, 0.0]), [1.0, 0.0],
                                atol=1e-10)
 
 
 def test_dykstra_interior_fixed_point():
     y = np.array([0.3, -0.2])
-    np.testing.assert_allclose(dykstra_project([Ball([0, 0], 1.0)], y), y)
+    np.testing.assert_allclose(project_onto_balls([Ball([0, 0], 1.0)], y), y)
 
 
 def test_dykstra_lens_rightmost_point():
-    p = dykstra_project([Ball([0, 0], 1.0), Ball([1, 0], 1.0)], [4.0, 0.0])
+    p = project_onto_balls([Ball([0, 0], 1.0), Ball([1, 0], 1.0)], [4.0, 0.0])
     np.testing.assert_allclose(p, [1.0, 0.0], atol=1e-6)
 
 
@@ -103,9 +107,11 @@ def test_dykstra_variational_characterization():
     rng = np.random.default_rng(8)
     balls = [Ball([0.0, 0.0], 1.0), Ball([0.8, 0.0], 1.0)]
     y = np.array([3.0, 2.0])
-    res = dykstra_project_full(balls, y)
+    cs = ConstraintSet([ball_constraint(b) for b in balls])
+    res = dykstra_project_full(cs, y)
     p = res.point
-    assert res.max_violation <= 1e-8
+    assert res.converged
+    assert cs.worst_residual(p) <= 1e-8
     # (y - p) . (q - p) <= 0 for all q in the intersection
     for _ in range(500):
         q = rng.uniform(-1.0, 2.0, 2)
@@ -128,6 +134,15 @@ def test_inclusion_single_disk_included():
     bi = BallIntersection([[0.0, 0.0]], 1.0)
     rep = check_inclusion(bi, OuterBall([5.0, 0.0], 6.1))
     assert rep.verdict is InclusionVerdict.INCLUDED
+
+
+def test_unconverged_refinement_is_not_included():
+    # with full budget this instance is Included (see above); a refinement
+    # starved of iterations cannot localize the minimizer of G
+    bi = BallIntersection([[0.0, 0.0]], 1.0)
+    rep = check_inclusion(bi, OuterBall([5.0, 0.0], 6.1), SolverConfig(max_iters=3))
+    assert rep.verdict is InclusionVerdict.UNDETERMINED
+    assert rep.iters <= 3
 
 
 def test_inclusion_precondition_failure():

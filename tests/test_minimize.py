@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hullscope import (Affine, Ball, BallQuad, ConstraintSet, Diminishing, Max,
+from hullscope import (Affine, Ball, BallQuad, ConstraintSet, Max,
                        NonFiniteValue, PolyakWithTarget, SolverConfig, ball_constraint,
                        build_g_tilde, minimize, refine_minimum)
 
@@ -33,24 +33,6 @@ def test_abs_value_polyak():
     assert abs(res.x_best[0]) <= 1e-8
 
 
-def test_disjoint_disks_diminishing():
-    oracle = scan_disjoint_disks_merit()
-    assert oracle == pytest.approx(2.5, abs=1e-6)
-    fn = disjoint_disks_merit()
-    res = minimize(fn, [0.0, 0.0],
-                   SolverConfig(step_rule=Diminishing(1.0), max_iters=50_000, stall_iters=50_000))
-    assert res.f_best == pytest.approx(2.5, abs=1e-4)
-    np.testing.assert_allclose(res.x_best, [1.5, 0.0], atol=1e-2)
-
-
-def test_smooth_quadratic_diminishing():
-    fn = BallQuad([1.0, 2.0], 0.0)
-    res = minimize(fn, [0.0, 0.0],
-                   SolverConfig(step_rule=Diminishing(1.0), max_iters=50_000, stall_iters=50_000))
-    assert res.f_best <= 1e-6
-    np.testing.assert_allclose(res.x_best, [1.0, 2.0], atol=1e-3)
-
-
 def test_smooth_quadratic_polyak_high_accuracy():
     fn = BallQuad([1.0, 2.0], 0.0)
     res = minimize(fn, [0.0, 0.0], SolverConfig(step_rule=PolyakWithTarget(0.0)))
@@ -60,7 +42,7 @@ def test_smooth_quadratic_polyak_high_accuracy():
 
 def test_f_best_matches_eval_at_x_best():
     fn = disjoint_disks_merit()
-    res = minimize(fn, [0.2, -0.7], SolverConfig(step_rule=Diminishing(0.5), max_iters=3000))
+    res = minimize(fn, [0.2, -0.7], SolverConfig(max_iters=3000))
     assert res.f_best == fn.value(res.x_best)
 
 
@@ -77,7 +59,7 @@ def test_f_best_is_running_minimum():
             seen.append(v)
             return v, g
 
-    res = minimize(Tracker(), [0.0, 0.0], SolverConfig(step_rule=Diminishing(1.0), max_iters=2000))
+    res = minimize(Tracker(), [0.0, 0.0], SolverConfig(max_iters=2000))
     running = np.minimum.accumulate(seen)
     assert res.f_best == running[-1]
     assert np.all(np.diff(running) <= 0.0)
@@ -92,7 +74,7 @@ def test_polyak_never_overshoots_exact_target():
 
 def test_zero_subgradient_returns_immediately():
     fn = Affine([0.0, 0.0], 3.0)
-    res = minimize(fn, [1.0, 1.0], SolverConfig(step_rule=Diminishing(1.0)))
+    res = minimize(fn, [1.0, 1.0], SolverConfig())
     assert res.converged
     assert res.iters == 1
     assert res.f_best == 3.0
@@ -129,7 +111,9 @@ def test_refine_minimum_reaches_known_value():
     first = minimize(fn, [0.0, 0.0], SolverConfig(step_rule=PolyakWithTarget(0.0)))
     ref = refine_minimum(fn, first.x_best, lower_bound=0.0, value_gap=1e-8)
     assert ref.converged
-    assert ref.f_best == pytest.approx(2.5, abs=1e-6)
+    oracle = scan_disjoint_disks_merit()
+    assert oracle == pytest.approx(2.5, abs=1e-6)
+    assert ref.f_best == pytest.approx(oracle, abs=1e-6)
 
 
 def test_refine_minimum_without_lower_bound():
@@ -145,6 +129,16 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
-        Diminishing(0.0)
+        PolyakWithTarget(float("inf"))
+    with pytest.raises(TypeError):
+        SolverConfig(step_rule=0.0)
     with pytest.raises(ValueError):
         SolverConfig(stall_iters=0)
+
+
+def test_refine_minimum_budget_caps_probe_iterations():
+    fn = disjoint_disks_merit()
+    ref = refine_minimum(fn, [0.0, 0.0], lower_bound=0.0, value_gap=1e-8, max_iters=25)
+    assert ref.iters <= 25
+    assert not ref.converged
+    assert ref.f_best >= 2.5 - 1e-9
