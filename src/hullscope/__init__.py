@@ -21,7 +21,7 @@ from .feasibility import (ConstraintSet, FeasibilityReport, FeasibilityVerdict,
                           ProjectionResult, build_g_tilde, check_feasibility, default_start)
 from .geometry import Ball, Vector, as_vector
 from .inclusion import (BallIntersection, InclusionReport, InclusionVerdict,
-                        OuterBall, build_G, build_Gk, check_inclusion, dykstra_project_full)
+                        OuterBall, build_G, check_inclusion, dykstra_project_full)
 from .minimize import MinimizeResult, PolyakWithTarget, SolverConfig, minimize, refine_minimum
 from .oracle import (GridFeasibility, GridMaxDistance, GridSpec, LemmaCheckResult,
                      check_lemma_2_5, check_lemma_2_6, check_lemma_2_7, check_lemma_2_8,
@@ -40,7 +40,7 @@ __all__ = [
     "MinimizeResult", "NonFiniteValue", "OuterBall", "PolyakWithTarget",
     "PositivePart", "PreconditionFailed", "ProblemFile", "ProblemFileError",
     "ProjectionResult", "SolverConfig", "Sum", "UnboundedRegion", "Vector",
-    "as_vector", "ball_constraint", "bound_max_distance", "build_G", "build_Gk",
+    "as_vector", "ball_constraint", "bound_max_distance", "build_G",
     "build_g_tilde", "check_feasibility", "check_inclusion", "check_lemma_2_5",
     "check_lemma_2_6", "check_lemma_2_7", "check_lemma_2_8", "default_start",
     "dykstra_project_full", "extract_boundary_point", "grid_feasible",

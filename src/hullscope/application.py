@@ -29,11 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convexfn import Max, ball_constraint
+from .convexfn import Max
 from .errors import HypothesisViolation, UnboundedRegion
 from .farthest import BisectionConfig, solve_farthest
 from .feasibility import ConstraintSet
-from .geometry import Ball
 from .inclusion import BallIntersection
 from .minimize import refine_minimum
 
@@ -125,6 +124,8 @@ def extract_boundary_point(region: ConstraintSet, x_star_c, c, *, iters: int = 4
 
     Projected ascent with a fixed direction: diminishing steps scaled by a
     diameter estimate, each followed by a Dykstra projection back into the
+    region, until a step projects back onto its start ``x``: by the
+    projection's variational inequality ``x`` then maximizes ``d.x`` over the
     region. Returns the best iterate by objective value.
     """
     x_star_c = np.asarray(x_star_c, dtype=np.float64)
@@ -152,7 +153,10 @@ def extract_boundary_point(region: ConstraintSet, x_star_c, c, *, iters: int = 4
     best_obj = float(d_hat @ x)
     for k in range(iters):
         y = x + (step_scale / math.sqrt(k + 1.0)) * d_hat
-        x = project_region(region, y)
+        x_next = project_region(region, y)
+        if np.array_equal(x_next, x):
+            break
+        x = x_next
         obj = float(d_hat @ x)
         if obj > best_obj:
             best_obj = obj
@@ -188,9 +192,7 @@ def bound_max_distance(region: ConstraintSet, bi: BallIntersection, c, delta: fl
         raise ValueError("delta must be finite and >= 0")
     rng = np.random.default_rng(seed)
     cover_slack = 1e-7
-    # squared as ball_constraint squares (radius ** 2), which can differ in
-    # the last bit from the R * R of bi.constraint_set()
-    c1 = ConstraintSet([ball_constraint(Ball(ck, bi.radius)) for ck in bi.centers])
+    c1 = bi.constraint_set()
     anchor = np.mean(bi.centers, axis=0)
 
     # inner intersection inside the region

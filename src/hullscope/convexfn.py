@@ -9,7 +9,8 @@ Subgradient selection at kinks is deterministic: the positive part returns
 the zero vector when the inner value is <= 0 (valid, since 0 is in the
 subdifferential there), and a maximum returns the subgradient of the
 lowest-index achieving term. Evaluation is side-effect free; trees are
-immutable after construction.
+immutable after construction. Batch ``values`` is one array pass on the
+leaves (``Affine``, ``BallQuad``) and a row-by-row ``eval`` everywhere else.
 
 Returned subgradients may alias arrays owned by the tree (e.g. the
 coefficient vector of an affine node) and must be treated as read-only.
@@ -26,7 +27,7 @@ from .geometry import Ball, Vector, as_vector
 
 
 class ConvexFn:
-    """Base node; subclasses implement ``eval`` and the batch ``values``."""
+    """Base node; subclasses implement ``eval``."""
 
     __slots__ = ("dim",)
 
@@ -44,8 +45,9 @@ class ConvexFn:
         return self.eval(np.asarray(x, dtype=np.float64))[0]
 
     def values(self, X: np.ndarray) -> np.ndarray:
-        """Vectorized values over the rows of an (N, dim) array."""
-        raise NotImplementedError
+        """Values over the rows of an (N, dim) array."""
+        X = np.asarray(X, dtype=np.float64)
+        return np.array([self.eval(x)[0] for x in X], dtype=np.float64)
 
 
 class Affine(ConvexFn):
@@ -110,25 +112,29 @@ class PositivePart(ConvexFn):
             return v, g
         return 0.0, self._zero
 
-    def values(self, X):
-        return np.maximum(self.inner.values(X), 0.0)
 
-
-class Sum(ConvexFn):
-    """Sum of convex terms."""
+class _Composite(ConvexFn):
+    """A node over one or more terms of a common dimension."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms):
         terms = tuple(terms)
+        name = type(self).__name__
         if not terms:
-            raise ValueError("Sum needs at least one term")
+            raise ValueError(f"{name} needs at least one term")
         dim = terms[0].dim
         for t in terms:
             if t.dim != dim:
-                raise DimensionMismatch("Sum terms must share a dimension")
+                raise DimensionMismatch(f"{name} terms must share a dimension")
         super().__init__(dim)
         self.terms = terms
+
+
+class Sum(_Composite):
+    """Sum of convex terms."""
+
+    __slots__ = ()
 
     def eval(self, x):
         total = 0.0
@@ -139,53 +145,24 @@ class Sum(ConvexFn):
             g += tg
         return total, g
 
-    def values(self, X):
-        out = self.terms[0].values(X).copy()
-        for t in self.terms[1:]:
-            out += t.values(X)
-        return out
 
+class Max(_Composite):
+    """Pointwise maximum; the subgradient is that of the lowest-index achieving term."""
 
-class Max(ConvexFn):
-    """Pointwise maximum; exposes the achieving index at evaluation time."""
+    __slots__ = ()
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        terms = tuple(terms)
-        if not terms:
-            raise ValueError("Max needs at least one term")
-        dim = terms[0].dim
-        for t in terms:
-            if t.dim != dim:
-                raise DimensionMismatch("Max terms must share a dimension")
-        super().__init__(dim)
-        self.terms = terms
-
-    def eval_with_index(self, x) -> tuple[float, Vector, int]:
-        """(value, subgradient, achieving index); ties go to the lowest index."""
+    def eval(self, x):
         best_v, best_g = self.terms[0].eval(x)
-        best_i = 0
         for i in range(1, len(self.terms)):
             v, g = self.terms[i].eval(x)
             if v > best_v:
-                best_v, best_g, best_i = v, g, i
-        return best_v, best_g, best_i
-
-    def eval(self, x):
-        v, g, _ = self.eval_with_index(x)
-        return v, g
-
-    def values(self, X):
-        out = self.terms[0].values(X).copy()
-        for t in self.terms[1:]:
-            np.maximum(out, t.values(X), out=out)
-        return out
+                best_v, best_g = v, g
+        return best_v, best_g
 
 
 def ball_constraint(ball: Ball) -> BallQuad:
     """Sub-level function g(x) = ||x - center||^2 - radius^2 of a closed ball."""
-    return BallQuad(ball.center, -(ball.radius ** 2))
+    return BallQuad(ball.center, -(ball.radius * ball.radius))
 
 
 def halfspace_constraint(a, b) -> Affine:

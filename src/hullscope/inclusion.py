@@ -9,13 +9,20 @@ global minimizer of a convex piecewise function ``G`` lands inside
 non-convex membership question into one convex minimization plus a
 membership check.
 
-Each ``G_k`` is assembled from certified-convex nodes via the decomposition
+The witness is ``G = max_k G_k`` with ``f_k = ||x - c_k||^2 - R^2``,
+``f = ||x - c||^2 - r^2`` and, since ``f_k = max(f_k, 0) + min(f_k, 0)``,
 
-    G_k = (f_k - f) + max(f, 0) + sum_{i != k} max(f_i, 0)
+    G_k = f_k - min(f, 0) + sum_{i != k} max(f_i, 0)
+        = -min(f, 0) + sum_i max(f_i, 0) + min(f_k, 0).
 
-with ``f_k = ||x - c_k||^2 - R^2`` and ``f = ||x - c||^2 - r^2``; the first
-term is affine and built in closed form. ``G`` is their pointwise maximum.
-The literal formula ``f_k - min(f, 0) + sum max(f_i, 0)`` survives only in
+Only the last term depends on k, and ``min(., 0)`` is nondecreasing, so
+
+    G = -min(f, 0) + sum_i max(f_i, 0) + min(max_k f_k, 0),
+
+which ``build_G`` evaluates in one pass over the m + 1 centres. ``G`` is
+convex as a maximum of the convex ``G_k = (f_k - f) + max(f, 0) +
+sum_{i != k} max(f_i, 0)``, where ``f_k - f`` is affine because both
+quadratics have the Hessian ``2 I``. The literal formula survives only in
 test oracles.
 
 The distance precondition is checked with Dykstra's projection algorithm,
@@ -30,10 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convexfn import Affine, BallQuad, ConvexFn, Max, PositivePart, Sum
+from .convexfn import BallQuad, ConvexFn
 from .errors import DimensionMismatch, EmptyIntersection, PreconditionFailed
 from .feasibility import ConstraintSet, FeasibilityVerdict, ProjectionResult, check_feasibility
-from .geometry import Vector, as_vector
+from .geometry import Ball, Vector, as_vector
 from .minimize import MinimizeResult, SolverConfig, refine_minimum
 
 # The minimizer of G generically sits on the boundary sphere of the outer
@@ -77,19 +84,7 @@ class BallIntersection:
         return ConstraintSet([BallQuad(c, -r2) for c in self.centers])
 
 
-@dataclass(frozen=True)
-class OuterBall:
-    """The outer ball B(c, r) the intersection is tested against."""
-
-    center: Vector
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", as_vector(self.center))
-        r = float(self.radius)
-        if not (math.isfinite(r) and r > 0):
-            raise ValueError("radius must be a finite positive number")
-        object.__setattr__(self, "radius", r)
+OuterBall = Ball  # the outer ball B(c, r): a centre and a finite radius > 0
 
 
 class InclusionVerdict(enum.Enum):
@@ -125,32 +120,56 @@ def dykstra_project_full(cs: ConstraintSet, y, iters: int = 1000, tol: float = 1
     return cs.project(y, iters=iters, tol=tol)
 
 
-def build_Gk(bi: BallIntersection, ob: OuterBall, k: int) -> ConvexFn:
-    """Convex witness G_k for constraint index ``k`` (zero-based).
+class _WitnessG(ConvexFn):
+    """``G`` in closed form, evaluating ``f`` and every ``f_k`` once.
 
-    Tree shape: affine(f_k - f) + max(f, 0) + sum_{i != k} max(f_i, 0).
-    Every node is convex by construction.
+    The subgradient is that of ``G_{k*}``, which equals ``G`` at ``x``: ``k*``
+    is the first index with ``f_k > 0``, else the first maximizer of ``f_k``.
+    It is ``-2 (x - c)`` if ``f <= 0``, plus ``2 (x - c_i)`` for each
+    ``f_i > 0``, plus ``2 (x - c_{k*})`` when ``max_k f_k <= 0``.
     """
-    m = bi.m
-    if not (0 <= k < m):
-        raise IndexError(f"constraint index {k} out of range for m = {m}")
+
+    __slots__ = ("points", "ones", "r2", "R2")
+
+    def __init__(self, bi: BallIntersection, ob: OuterBall):
+        super().__init__(bi.dim)
+        points = np.vstack((ob.center,) + bi.centers)  # row 0 is c, row k is c_k
+        points.setflags(write=False)
+        self.points = points
+        self.ones = np.ones(bi.dim)
+        self.r2 = ob.radius * ob.radius
+        self.R2 = bi.radius * bi.radius
+
+    def eval(self, x):
+        D = x - self.points
+        # row sums by a matrix product: at n = 2 it costs less than np.einsum
+        sq = ((D * D) @ self.ones).tolist()
+        R2 = self.R2
+        w = [0.0] * len(sq)
+        value = 0.0
+        f = sq[0] - self.r2
+        if f <= 0.0:
+            value = -f
+            w[0] = -2.0
+        top, k_top = -math.inf, 1
+        for i in range(1, len(sq)):
+            fi = sq[i] - R2
+            if fi > 0.0:
+                value += fi
+                w[i] = 2.0
+            if fi > top:
+                top, k_top = fi, i
+        if top <= 0.0:
+            value += top
+            w[k_top] += 2.0
+        return value, np.dot(w, D)
+
+
+def build_G(bi: BallIntersection, ob: OuterBall) -> ConvexFn:
+    """The convex witness ``G = max_k G_k`` of ``bi`` against the outer ball ``ob``."""
     if ob.center.shape[0] != bi.dim:
         raise DimensionMismatch("outer ball and intersection must share the ambient dimension")
-    ck = bi.centers[k]
-    c = ob.center
-    R2 = bi.radius * bi.radius
-    r2 = ob.radius * ob.radius
-    # f_k - f collapses to the affine function -2 (c_k - c).x + |c_k|^2 - |c|^2 - R^2 + r^2
-    a = -2.0 * (ck - c)
-    b = float(ck @ ck) - float(c @ c) - R2 + r2
-    terms: list[ConvexFn] = [Affine(a, b), PositivePart(BallQuad(c, -r2))]
-    terms.extend(PositivePart(BallQuad(bi.centers[i], -R2)) for i in range(m) if i != k)
-    return Sum(terms)
-
-
-def build_G(bi: BallIntersection, ob: OuterBall) -> Max:
-    """Pointwise maximum of the G_k; the achieving index is exposed at eval."""
-    return Max([build_Gk(bi, ob, k) for k in range(bi.m)])
+    return _WitnessG(bi, ob)
 
 
 def _classify(fk: np.ndarray, ob: OuterBall, x: np.ndarray, tol: float) -> InclusionVerdict:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from hullscope import (BisectionConfig, FeasibilityVerdict, GridSpec,
-                       InclusionVerdict, OuterBall, SolverConfig, build_G, build_Gk,
+                       InclusionVerdict, OuterBall, SolverConfig, build_G,
                        build_g_tilde, check_feasibility, check_inclusion, check_lemma_2_5,
                        check_lemma_2_6, check_lemma_2_7, check_lemma_2_8, grid_feasible,
                        grid_max_distance, load_problem, solve_farthest)
@@ -165,10 +165,7 @@ def _fixture_functions():
             from hullscope import ConstraintSet
             out.append((name + ":g_tilde", build_g_tilde(ConstraintSet(problem.constraints))))
         if problem.ball_intersection is not None and problem.outer is not None:
-            bi, ob = problem.ball_intersection, problem.outer
-            for k in range(bi.m):
-                out.append((f"{name}:G_{k}", build_Gk(bi, ob, k)))
-            out.append((name + ":G", build_G(bi, ob)))
+            out.append((name + ":G", build_G(problem.ball_intersection, problem.outer)))
     return out
 
 

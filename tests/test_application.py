@@ -89,6 +89,21 @@ def test_extract_boundary_point_square_face():
     assert -0.5 - 1e-9 <= x_hat[1] <= 1.5 + 1e-9
 
 
+def test_extract_boundary_point_stops_at_fixed_point(monkeypatch):
+    # the square face x = -0.5 is normal to the direction: once a step
+    # projects back onto its start, the ascent is over
+    calls = []
+
+    def counting(region, y, **kwargs):
+        calls.append(1)
+        return project_region(region, y, **kwargs)
+
+    monkeypatch.setattr("hullscope.application.project_region", counting)
+    x_hat = extract_boundary_point(unit_square_shifted(), [-0.5, 0.5], C)
+    np.testing.assert_allclose(x_hat, [-0.5, 0.5], atol=1e-12)
+    assert len(calls) <= 5
+
+
 def test_extract_boundary_point_zero_direction():
     with pytest.raises(ValueError):
         extract_boundary_point(unit_square_shifted(), C, C)

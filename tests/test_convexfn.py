@@ -25,16 +25,18 @@ def test_positive_part_of_ball_quad_inside():
 
 def test_max_achieving_index():
     fn = abs_value_1d()
-    v, g, i = fn.eval_with_index(np.array([5.0]))
+    v, g = fn.eval(np.array([5.0]))
     assert v == 5.0
     np.testing.assert_allclose(g, [1.0])
-    assert i == 0
+    v, g = fn.eval(np.array([-5.0]))
+    assert v == 5.0
+    np.testing.assert_allclose(g, [-1.0])
 
 
 def test_max_tie_takes_lowest_index():
-    fn = Max([Affine([1.0], 0.0), Affine([1.0], 0.0)])
-    _, _, i = fn.eval_with_index(np.array([2.0]))
-    assert i == 0
+    # |x| at its kink: both terms achieve 0, the first one's subgradient wins
+    _, g = abs_value_1d().eval(np.array([0.0]))
+    np.testing.assert_allclose(g, [1.0])
 
 
 def test_positive_part_semantics():

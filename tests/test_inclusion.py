@@ -3,7 +3,7 @@ import pytest
 
 from hullscope import (Ball, BallIntersection, ConstraintSet, EmptyIntersection, GridSpec,
                        InclusionVerdict, OuterBall, PreconditionFailed, SolverConfig,
-                       ball_constraint, build_G, build_Gk, check_inclusion,
+                       ball_constraint, build_G, check_inclusion,
                        dykstra_project_full, grid_max_distance)
 
 
@@ -13,44 +13,124 @@ def project_onto_balls(balls, y):
 from conftest import far_center, random_ball_intersection
 
 
-def literal_Gk(bi: BallIntersection, ob: OuterBall, k: int, x: np.ndarray) -> float:
-    """Independent literal evaluation: f_k - min(f, 0) + sum_{i != k} max(f_i, 0)."""
+def literal_residuals(bi: BallIntersection, ob: OuterBall, x: np.ndarray) -> tuple[float, list[float]]:
+    """f and the f_k, each from its own squared distance."""
     R2 = bi.radius ** 2
     r2 = ob.radius ** 2
     f = float((x - ob.center) @ (x - ob.center)) - r2
-    fk = [float((x - c) @ (x - c)) - R2 for c in bi.centers]
+    return f, [float((x - c) @ (x - c)) - R2 for c in bi.centers]
+
+
+def literal_Gk_of(f: float, fk: list[float], k: int) -> float:
+    """Independent literal evaluation: f_k - min(f, 0) + sum_{i != k} max(f_i, 0)."""
     total = fk[k] - min(f, 0.0)
-    total += sum(max(fk[i], 0.0) for i in range(bi.m) if i != k)
+    total += sum(max(fk[i], 0.0) for i in range(len(fk)) if i != k)
     return total
 
 
-def test_build_Gk_single_ball_values():
-    bi = BallIntersection([[0.0, 0.0]], 1.0)
-    ob = OuterBall([5.0, 0.0], 5.0)
-    G0 = build_Gk(bi, ob, 0)
-    assert G0.value([-1.0, 0.0]) == pytest.approx(0.0)
-    assert G0.value([5.0, 0.0]) == pytest.approx(49.0)
+def literal_Gk(bi: BallIntersection, ob: OuterBall, k: int, x: np.ndarray) -> float:
+    f, fk = literal_residuals(bi, ob, x)
+    return literal_Gk_of(f, fk, k)
 
 
-def test_build_Gk_index_out_of_range():
-    bi = BallIntersection([[0.0, 0.0]], 1.0)
-    ob = OuterBall([5.0, 0.0], 5.0)
-    with pytest.raises(IndexError):
-        build_Gk(bi, ob, 1)
-    with pytest.raises(IndexError):
-        build_Gk(bi, ob, -1)
+def literal_G(bi: BallIntersection, ob: OuterBall, x: np.ndarray) -> float:
+    f, fk = literal_residuals(bi, ob, x)
+    return max(literal_Gk_of(f, fk, k) for k in range(bi.m))
 
 
-def test_tree_matches_literal_formula():
+def literal_grad_Gk(bi: BallIntersection, ob: OuterBall, k: int, x: np.ndarray) -> np.ndarray:
+    """Gradient of the literal G_k wherever no f or f_i (i != k) is zero."""
+    f = float((x - ob.center) @ (x - ob.center)) - ob.radius ** 2
+    g = 2.0 * (x - bi.centers[k])
+    if f < 0.0:
+        g -= 2.0 * (x - ob.center)
+    for i, c in enumerate(bi.centers):
+        if i != k and float((x - c) @ (x - c)) - bi.radius ** 2 > 0.0:
+            g += 2.0 * (x - c)
+    return g
+
+
+SHAPES = [(2, 1), (2, 2), (2, 3), (10, 8), (16, 6), (50, 32)]
+
+
+def random_shape(rng, n: int, m: int, points: int):
+    """Balls within R/2 of an anchor, an outer ball reaching over them, and points around them.
+
+    The points fall inside and outside every ball and the outer ball, so
+    every sign pattern of f and max_k f_k is visited.
+    """
+    R = rng.uniform(0.5, 2.0)
+    z0 = rng.normal(0.0, 1.0, n)
+    dirs = rng.standard_normal((m, n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    centers = z0 + (0.5 * R) * rng.uniform(0.0, 1.0, (m, 1)) * dirs
+    u = rng.standard_normal(n)
+    c = z0 + 3.0 * R * u / np.linalg.norm(u)
+    ob = OuterBall(c, R * rng.uniform(2.0, 4.0))
+    v = rng.standard_normal((points, n))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    # along the segment from the anchor to c, then out by up to 2.5 R
+    X = z0 + rng.uniform(0.0, 1.2, (points, 1)) * (c - z0) + R * rng.uniform(0.0, 2.5, (points, 1)) * v
+    return BallIntersection(list(centers), R), ob, X
+
+
+def test_G_matches_literal_formula():
     rng = np.random.default_rng(42)
-    bi = BallIntersection([[0.0, 0.0], [1.0, 0.0], [0.4, 0.6]], 1.0)
-    ob = OuterBall([4.0, 0.0], 3.5)
-    trees = [build_Gk(bi, ob, k) for k in range(bi.m)]
-    for _ in range(1000):
-        x = rng.normal(0.0, 3.0, 2)
-        for k, tree in enumerate(trees):
-            lit = literal_Gk(bi, ob, k, x)
-            assert tree.value(x) == pytest.approx(lit, rel=1e-12, abs=1e-12)
+    for n, m in SHAPES:
+        bi, ob, X = random_shape(rng, n, m, 1000)
+        G = build_G(bi, ob)
+        inside_all = inside_outer = 0
+        for x in X:
+            lit = literal_G(bi, ob, x)
+            assert G.value(x) == pytest.approx(lit, rel=1e-12, abs=1e-12), (n, m, x)
+            inside_all += bool(max(float((x - c) @ (x - c)) for c in bi.centers) <= bi.radius ** 2)
+            inside_outer += bool(float((x - ob.center) @ (x - ob.center)) <= ob.radius ** 2)
+        assert 0 < inside_all < len(X) and 0 < inside_outer < len(X), (n, m)
+
+
+def test_G_subgradient_inequality():
+    rng = np.random.default_rng(43)
+    for n, m in SHAPES:
+        bi, ob, X = random_shape(rng, n, m, 1000)
+        G = build_G(bi, ob)
+        for x in X:
+            gx, g = G.eval(x)
+            y = x + rng.choice([1e-3, 0.1, 1.0, 3.0]) * bi.radius * rng.standard_normal(n)
+            gy = G.value(y)
+            assert gy >= gx + float(g @ (y - x)) - 1e-9 * max(1.0, abs(gx), abs(gy)), (n, m)
+
+
+def test_G_subgradient_at_kinks():
+    """Exact kinks: a ball sphere (f_0 = 0), the outer sphere (f = 0), a centre tie."""
+    rng = np.random.default_rng(44)
+    bi = BallIntersection([[0.0, 0.0], [1.0, 0.0]], 1.0)
+    ob = OuterBall([4.0, 0.0], 3.0)
+    G = build_G(bi, ob)
+    kinks = [np.array([-1.0, 0.0]),  # f_0 = 0, f_1 > 0
+             np.array([1.0, 0.0]),   # f = 0, f_0 = 0, f_1 < 0
+             np.array([2.0, 0.0]),   # f_1 = 0, f_0 > 0, f < 0
+             np.array([0.5, 0.5]),   # f_0 = f_1 < 0 tie
+             np.array([0.5, 0.0])]   # f_0 = f_1 < 0 tie on the axis
+    kinks += [np.array([0.5, t]) for t in rng.uniform(-0.8, 0.8, 20)]
+    for x in kinks:
+        gx, g = G.eval(x)
+        assert gx == pytest.approx(literal_G(bi, ob, x), abs=1e-12)
+        for scale in (1e-6, 1e-3, 0.1, 1.0, 4.0):
+            for y in x + scale * rng.standard_normal((50, 2)):
+                assert G.value(y) >= gx + float(g @ (y - x)) - 1e-12, (x, y)
+    # at the centre tie inside both balls (and outside the outer ball) the
+    # lowest index wins
+    x = np.array([0.5, 0.5])
+    _, g = G.eval(x)
+    np.testing.assert_allclose(g, 2.0 * (x - bi.centers[0]))
+
+
+def test_build_G_single_ball_values():
+    bi = BallIntersection([[0.0, 0.0]], 1.0)
+    ob = OuterBall([5.0, 0.0], 5.0)
+    G = build_G(bi, ob)
+    assert G.value([-1.0, 0.0]) == pytest.approx(0.0)
+    assert G.value([5.0, 0.0]) == pytest.approx(49.0)
 
 
 def test_build_G_is_max_of_Gk():
@@ -61,31 +141,32 @@ def test_build_G_is_max_of_Gk():
     for _ in range(300):
         x = rng.normal(0.0, 2.5, 2)
         vals = [literal_Gk(bi, ob, k, x) for k in range(bi.m)]
-        v, _, idx = G.eval_with_index(np.asarray(x))
+        v, g = G.eval(x)
         assert v == pytest.approx(max(vals), rel=1e-12, abs=1e-12)
-        assert v >= vals[idx] - 1e-12
-        assert vals[idx] == pytest.approx(v, rel=1e-12, abs=1e-12)
+        # the subgradient is the gradient of the lowest-index achieving G_k
+        k = next(k for k, val in enumerate(vals) if val >= max(vals) - 1e-9)
+        np.testing.assert_allclose(g, literal_grad_Gk(bi, ob, k, x), rtol=1e-12, atol=1e-12)
 
 
 def test_build_G_single_term():
     bi = BallIntersection([[0.0, 0.0]], 1.0)
     ob = OuterBall([5.0, 0.0], 5.0)
     G = build_G(bi, ob)
-    G0 = build_Gk(bi, ob, 0)
     for x in ([0.3, -0.4], [-1.0, 0.0], [5.0, 0.0]):
-        assert G.value(x) == G0.value(x)
+        assert G.value(x) == pytest.approx(literal_Gk(bi, ob, 0, np.asarray(x)), rel=1e-12, abs=1e-12)
 
 
 def test_Gk_and_G_are_midpoint_convex():
     rng = np.random.default_rng(12)
     bi = BallIntersection([[0.0, 0.0], [1.0, 0.0]], 1.0)
     ob = OuterBall([4.0, 0.0], 3.5)
-    fns = [build_Gk(bi, ob, k) for k in range(bi.m)] + [build_G(bi, ob)]
+    G = build_G(bi, ob)
+    fns = [lambda x, k=k: literal_Gk(bi, ob, k, x) for k in range(bi.m)] + [G.value]
     for fn in fns:
         for _ in range(1000):
             x = rng.normal(0.0, 3.0, 2)
             y = rng.normal(0.0, 3.0, 2)
-            assert fn.value(0.5 * (x + y)) <= 0.5 * (fn.value(x) + fn.value(y)) + 1e-9
+            assert fn(0.5 * (x + y)) <= 0.5 * (fn(x) + fn(y)) + 1e-9
 
 
 def test_dykstra_single_ball():
