@@ -3,7 +3,13 @@
 Node kinds: affine functions, ball quadratics ``||x - center||^2 + offset``,
 positive parts, sums and pointwise maxima. Every node is convex by
 construction, so anything assembled here may be handed to the subgradient
-solver without further checks.
+solver without further checks. The constraint functions are built from
+these nodes. The two functions the checkers minimise are not: the merit
+function (``feasibility.build_g_tilde``) and the inclusion witness
+(``inclusion.build_G``) are single ``ConvexFn`` nodes written in closed form
+over dense rows, whose modules state why they are convex; a ``Sum`` of
+``PositivePart`` nodes and a ``Max`` of ``Sum`` trees remain their test
+oracles.
 
 Subgradient selection at kinks is deterministic: the positive part returns
 the zero vector when the inner value is <= 0 (valid, since 0 is in the

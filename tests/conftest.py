@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from hullscope import Ball, BallIntersection, ConstraintSet, ball_constraint
+from hullscope import Ball, BallIntersection, ConstraintSet, ball_constraint, halfspace_constraint
 
 settings.register_profile("suite", max_examples=200, deadline=None)
 settings.load_profile("suite")
@@ -69,3 +69,33 @@ def far_center(rng: np.random.Generator, bi: BallIntersection, z0: np.ndarray,
     d = rng.standard_normal(2)
     d /= np.linalg.norm(d)
     return z0 + (2.0 * bi.radius + max_off + u) * d
+
+
+def _unit(rng: np.random.Generator, n: int) -> np.ndarray:
+    u = rng.standard_normal(n)
+    return u / np.linalg.norm(u)
+
+
+def mixed_instance(rng: np.random.Generator, n: int, mb: int, mh: int,
+                   feasible: bool) -> tuple[list, np.ndarray]:
+    """Balls and halfspaces whose feasibility is certain by construction.
+
+    Every constraint holds at the returned anchor with a distance slack of at
+    least 0.2. An infeasible instance has one halfspace replaced by one that
+    leaves a whole ball on its far side with a gap in [0.3, 0.6]. Returns the
+    constraint list (balls first) and the anchor.
+    """
+    z = rng.uniform(-1.0, 1.0, n)
+    radii = rng.uniform(1.0, 2.0, mb)
+    slack = rng.uniform(0.2, 1.0, mb)
+    centers = [z + (radii[k] - slack[k]) * rng.uniform(0.0, 1.0) * _unit(rng, n) for k in range(mb)]
+    A = [_unit(rng, n) for _ in range(mh)]
+    b = [float(a @ z) + rng.uniform(0.2, 1.0) for a in A]
+    if not feasible:
+        k = int(rng.integers(mb))
+        h = int(rng.integers(mh))
+        # the ball lies in a.x >= a.c_k - r_k, the new halfspace is a.x <= that - gap
+        b[h] = float(A[h] @ centers[k]) - radii[k] - rng.uniform(0.3, 0.6)
+    constraints = [ball_constraint(Ball(c, r)) for c, r in zip(centers, radii)]
+    constraints += [halfspace_constraint(a, bh) for a, bh in zip(A, b)]
+    return constraints, z

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from hullscope import (Ball, ConstraintSet, FeasibilityVerdict, GridSpec, SolverConfig,
-                       ball_constraint, build_g_tilde, check_feasibility, default_start,
-                       grid_feasible, halfspace_constraint)
+from hullscope import (Affine, Ball, BallQuad, ConstraintSet, FeasibilityVerdict, GridSpec, Max,
+                       PositivePart, SolverConfig, Sum, ball_constraint, build_g_tilde,
+                       check_feasibility, default_start, grid_feasible, halfspace_constraint)
 
-from conftest import disk_grid_bounds, disks_to_constraints, random_disk_instance
+from conftest import (disk_grid_bounds, disks_to_constraints, mixed_instance,
+                      random_disk_instance)
 
 
 def test_g_tilde_single_halfspace_interior():
@@ -124,3 +125,98 @@ def test_report_iters_positive():
     cs = ConstraintSet([ball_constraint(Ball([0, 0], 1.0))])
     rep = check_feasibility(cs)
     assert rep.iters >= 1
+
+
+# (n, balls, halfspaces) for the closed-form merit against the literal tree
+MERIT_SHAPES = [(1, 0, 2), (2, 2, 0), (2, 3, 0), (10, 8, 0), (20, 15, 14), (50, 16, 16)]
+
+
+def merit_sets(rng):
+    """The shapes above, one set mixing in a ``Max`` of affines, one with offsets >= 0.
+
+    Yields ``(label, constraints, anchor)``; every constraint holds at the
+    anchor except the balls with a non-negative offset.
+    """
+    for n, mb, mh in MERIT_SHAPES:
+        constraints, z = mixed_instance(rng, n, mb, mh, feasible=True)
+        yield (n, mb, mh), constraints, z
+    constraints, z = mixed_instance(rng, 3, 2, 2, feasible=True)
+    a1, a2 = rng.standard_normal((2, 3))
+    kinked = Max([Affine(a1, -float(a1 @ z) - 0.3), Affine(a2, -float(a2 @ z) - 0.5)])
+    yield "max-of-affines", constraints[:2] + [kinked] + constraints[2:], z
+    constraints, z = mixed_instance(rng, 3, 2, 2, feasible=True)
+    yield "offset>=0", constraints + [BallQuad(z, 0.0), BallQuad(z + 0.5, 0.3)], z
+
+
+def literal_merit(constraints, x):
+    """Value and subgradient of ``Sum(PositivePart(g_k))``, plus the sum of the terms' norms."""
+    v, g = Sum([PositivePart(c) for c in constraints]).eval(x)
+    terms = [c.eval(x) for c in constraints]
+    return v, g, sum(float(np.linalg.norm(tg)) for tv, tg in terms if tv > 0.0)
+
+
+def merit_points(rng, z, count):
+    """Points around the anchor, out to 6 along random directions."""
+    u = rng.standard_normal((count, z.shape[0]))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    return z + rng.uniform(0.0, 6.0, (count, 1)) * u
+
+
+def test_merit_matches_literal_sum_of_positive_parts():
+    rng = np.random.default_rng(51)
+    for label, constraints, z in merit_sets(rng):
+        merit = build_g_tilde(ConstraintSet(constraints))
+        X = merit_points(rng, z, 1000)
+        for x in X:
+            v, g = merit.eval(x)
+            v_ref, g_ref, scale = literal_merit(constraints, x)
+            assert abs(v - v_ref) <= 1e-12 * v_ref, (label, x)
+            assert float(np.linalg.norm(g - g_ref)) <= 1e-12 * scale, (label, x)
+        residuals = np.array([[c.eval(x)[0] for c in constraints] for x in X])
+        # every residual that can be negative is visited on both sides of zero
+        can_be_negative = residuals.min(axis=0) < 0.0
+        assert (residuals.max(axis=0) > 0.0).all(), label
+        if label != "offset>=0":
+            assert can_be_negative.all(), label
+        else:
+            assert can_be_negative.tolist() == [True] * (len(constraints) - 2) + [False, False]
+
+
+def test_merit_subgradient_inequality():
+    rng = np.random.default_rng(52)
+    for label, constraints, z in merit_sets(rng):
+        merit = build_g_tilde(ConstraintSet(constraints))
+        for x in merit_points(rng, z, 300):
+            fx, g = merit.eval(x)
+            y = x + rng.choice([1e-3, 0.1, 1.0, 3.0]) * rng.standard_normal(x.shape[0])
+            fy = merit.value(y)
+            assert fy >= fx + float(g @ (y - x)) - 1e-9 * max(1.0, fx, fy), (label, x, y)
+
+
+def test_merit_subgradient_at_kinks():
+    """A constraint at exactly zero adds the zero vector, as ``PositivePart`` does."""
+    on_sphere = ball_constraint(Ball([0.0, 0.0], 1.0))   # zero at (1, 0)
+    on_plane = halfspace_constraint([0.0, 1.0], 0.0)      # zero on x2 = 0
+    outside = ball_constraint(Ball([3.0, 0.0], 1.0))     # 3 at (1, 0), gradient (-4, 0)
+    x = np.array([1.0, 0.0])
+    for constraints in ([on_sphere, on_plane, outside], [outside, on_plane, on_sphere],
+                        [on_sphere, outside], [on_plane, outside]):
+        v, g = build_g_tilde(ConstraintSet(constraints)).eval(x)
+        assert v == 3.0
+        np.testing.assert_array_equal(g, [-4.0, 0.0])
+    v, g = build_g_tilde(ConstraintSet([on_sphere, on_plane])).eval(x)
+    assert v == 0.0
+    np.testing.assert_array_equal(g, [0.0, 0.0])
+
+
+def test_wide_mixed_feasible_and_infeasible():
+    # n = 20 with 15 balls and 14 halfspaces, the shape of the wide benchmark
+    for feasible in (True, False):
+        constraints, _ = mixed_instance(np.random.default_rng(0), 20, 15, 14, feasible)
+        rep = check_feasibility(ConstraintSet(constraints))
+        if feasible:
+            assert rep.verdict is FeasibilityVerdict.FEASIBLE
+            assert max(rep.residuals) <= 1e-8
+        else:
+            assert rep.verdict is FeasibilityVerdict.INFEASIBLE
+            assert rep.g_tilde_min > 0.1

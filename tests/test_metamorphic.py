@@ -3,15 +3,18 @@
 Translating an instance, or permuting its centers and constraints, changes
 the floating-point arithmetic and the order of merit sums and ``Max`` ties,
 but not the geometry, so ``check_feasibility`` and ``check_inclusion`` must
-return the same verdict.
+return the same verdict. The merit function groups constraints by kind (balls,
+then halfspaces, then any other node), so permuting a mixed list reorders
+its sums only within each group.
 """
 
 import numpy as np
 
-from hullscope import (Ball, BallIntersection, FeasibilityVerdict, GridSpec, InclusionVerdict,
-                       OuterBall, check_feasibility, check_inclusion, grid_max_distance)
+from hullscope import (Ball, BallIntersection, ConstraintSet, FeasibilityVerdict, GridSpec,
+                       InclusionVerdict, OuterBall, check_feasibility, check_inclusion,
+                       grid_max_distance)
 
-from conftest import (disks_to_constraints, far_center, random_ball_intersection,
+from conftest import (disks_to_constraints, far_center, mixed_instance, random_ball_intersection,
                       random_disk_instance)
 
 
@@ -29,6 +32,17 @@ def test_feasibility_verdict_invariant_under_translation_and_permutation():
         assert verdicts == [verdicts[0]] * 3, f"instance {i}: {verdicts}"
         seen.add(verdicts[0])
     assert seen == {FeasibilityVerdict.FEASIBLE, FeasibilityVerdict.INFEASIBLE}
+
+
+def test_feasibility_verdict_invariant_under_permuting_mixed_constraints():
+    rng = np.random.default_rng(33)
+    for feasible in (True, False):
+        constraints, _ = mixed_instance(rng, 6, 5, 4, feasible)
+        expected = FeasibilityVerdict.FEASIBLE if feasible else FeasibilityVerdict.INFEASIBLE
+        for i in range(3):
+            order = rng.permutation(len(constraints)) if i else range(len(constraints))
+            verdict = check_feasibility(ConstraintSet([constraints[j] for j in order])).verdict
+            assert verdict is expected, f"feasible={feasible}, permutation {i}"
 
 
 def test_inclusion_verdict_invariant_under_translation_and_permutation():
