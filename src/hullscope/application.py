@@ -17,9 +17,14 @@ used instead of a simplex-style solver because ``S`` may have ball
 constraints; the objective is linear, so any maximizer satisfies the
 sandwich and face ties resolve to whatever point the iteration reaches.
 
-The two covering hypotheses are spot-checked by sampling (hit-and-run from a
-deep interior point, plus deterministic candidates); this is a heuristic
-guard against misuse, not a proof.
+The two covering hypotheses are spot-checked by sampling (hit-and-run plus
+deterministic candidates); this is a heuristic guard against misuse, not a
+proof. Both hit-and-run chains start from one deep point: a minimizer of
+the worst ball residual of ``C1``, refined from the mean of the centers with
+the lower bound ``-R^2`` (no ball residual is below it). That point lies
+strictly inside ``C1``, and the interior of ``C1`` lies inside the interior
+of ``S`` whenever ``C1`` is inside ``S``, so it is strictly inside ``S`` too;
+when it is not, it is itself a counterexample to the containment hypothesis.
 """
 
 from __future__ import annotations
@@ -48,20 +53,9 @@ class AppBoundReport:
     delta: float
 
 
-def project_region(region: ConstraintSet, y, iters: int = 300, tol: float = 1e-12) -> np.ndarray:
+def project_region(region: ConstraintSet, y) -> np.ndarray:
     """Euclidean projection onto the region (Dykstra over all constraints)."""
-    return region.project(y, iters=iters, tol=tol).point
-
-
-def _deep_point(cs: ConstraintSet, start, label: str) -> np.ndarray:
-    """A strictly interior point, found by pushing down the worst residual."""
-    worst = Max(cs.constraints)
-    res = refine_minimum(worst, start, value_gap=1e-6, probe_iters=2000, max_probes=40)
-    if res.f_best >= -1e-9:
-        raise HypothesisViolation(
-            f"{label} has no usable interior (best depth {res.f_best:.3e})",
-            counterexample=res.x_best)
-    return res.x_best
+    return region.project(y, iters=300, tol=1e-12).point
 
 
 def _chord(region: ConstraintSet, x: np.ndarray, d: np.ndarray) -> tuple[float, float]:
@@ -119,14 +113,15 @@ def _covering_candidates(region: ConstraintSet, interior: np.ndarray) -> list[np
     return [c for c in cands if region.worst_residual(c) <= 1e-9]
 
 
-def extract_boundary_point(region: ConstraintSet, x_star_c, c, *, iters: int = 4000) -> np.ndarray:
+def extract_boundary_point(region: ConstraintSet, x_star_c, c) -> np.ndarray:
     """Maximize the linear functional (x_star_c - c).x over the region.
 
     Projected ascent with a fixed direction: diminishing steps scaled by a
     diameter estimate, each followed by a Dykstra projection back into the
-    region, until a step projects back onto its start ``x``: by the
+    region, until a step projects back onto its start ``x`` (by the
     projection's variational inequality ``x`` then maximizes ``d.x`` over the
-    region. Returns the best iterate by objective value.
+    region) or 4,000 steps are taken. Returns the best iterate by objective
+    value.
     """
     x_star_c = np.asarray(x_star_c, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
@@ -151,7 +146,7 @@ def extract_boundary_point(region: ConstraintSet, x_star_c, c, *, iters: int = 4
     x = project_region(region, x_star_c)
     best = x
     best_obj = float(d_hat @ x)
-    for k in range(iters):
+    for k in range(4000):
         y = x + (step_scale / math.sqrt(k + 1.0)) * d_hat
         x_next = project_region(region, y)
         if np.array_equal(x_next, x):
@@ -165,14 +160,14 @@ def extract_boundary_point(region: ConstraintSet, x_star_c, c, *, iters: int = 4
 
 
 def bound_max_distance(region: ConstraintSet, bi: BallIntersection, c, delta: float,
-                       cfg: BisectionConfig | None = None, *,
-                       samples: int = 1000, seed: int = 0) -> AppBoundReport:
+                       cfg: BisectionConfig | None = None, *, seed: int = 0) -> AppBoundReport:
     """Sandwich the maximum distance over the region between V_c and V_c + delta.
 
-    Spot-checks the two hypotheses first (inner intersection inside the
-    region; every sampled region point within ``delta`` of the intersection),
-    then computes the inner maximum by bisection and extracts a boundary
-    point realizing the sandwich.
+    Spot-checks the two hypotheses first (the deep point and 200 samples of
+    the inner intersection inside the region; 1,000 samples and the
+    deterministic candidates of the region within ``delta`` of the
+    intersection), then computes the inner maximum by bisection and extracts
+    a boundary point realizing the sandwich.
 
     Raises
     ------
@@ -193,20 +188,31 @@ def bound_max_distance(region: ConstraintSet, bi: BallIntersection, c, delta: fl
     rng = np.random.default_rng(seed)
     cover_slack = 1e-7
     c1 = bi.constraint_set()
-    anchor = np.mean(bi.centers, axis=0)
+
+    # one strictly interior point of C1 starts both chains; no ball residual
+    # is below -R^2, which bounds the refinement from below
+    res = refine_minimum(Max(c1.constraints), np.mean(bi.centers, axis=0),
+                         lower_bound=-(bi.radius * bi.radius), value_gap=1e-6)
+    if res.f_best >= -1e-9:
+        raise HypothesisViolation(
+            f"ball intersection has no usable interior (best depth {res.f_best:.3e})",
+            counterexample=res.x_best)
+    deep = res.x_best
 
     # inner intersection inside the region
-    deep_c1 = _deep_point(c1, anchor, "ball intersection")
-    for x in _hit_and_run(c1, deep_c1, max(200, samples // 5), rng):
+    depth = region.worst_residual(deep)
+    if depth >= -1e-9:
+        raise HypothesisViolation("inner intersection is not contained in the region",
+                                  counterexample=deep, distance=depth)
+    for x in _hit_and_run(c1, deep, 200, rng):
         if region.worst_residual(x) > 1e-7:
             raise HypothesisViolation(
                 "inner intersection is not contained in the region",
                 counterexample=x, distance=region.worst_residual(x))
 
     # delta-covering of the region by the inner intersection
-    deep_s = _deep_point(region, anchor, "region")
-    check_points = _hit_and_run(region, deep_s, samples, rng)
-    check_points.extend(_covering_candidates(region, deep_s))
+    check_points = _hit_and_run(region, deep, 1000, rng)
+    check_points.extend(_covering_candidates(region, deep))
     for x in check_points:
         p = c1.project(x, iters=500, tol=1e-11).point
         d_to_c1 = float(np.linalg.norm(x - p))

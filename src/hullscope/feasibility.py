@@ -109,20 +109,16 @@ class ConstraintSet:
     constraints: tuple[ConvexFn, ...]
     dimension: int
 
-    def __init__(self, constraints, dimension: int | None = None):
+    def __init__(self, constraints):
         constraints = tuple(constraints)
         if not constraints:
             raise ValueError("need at least one constraint")
-        dim = constraints[0].dim if dimension is None else int(dimension)
+        dim = constraints[0].dim
         for g in constraints:
             if g.dim != dim:
                 raise DimensionMismatch("all constraints must share the ambient dimension")
         object.__setattr__(self, "constraints", constraints)
         object.__setattr__(self, "dimension", dim)
-
-    @property
-    def m(self) -> int:
-        return len(self.constraints)
 
     def residuals(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -342,7 +338,7 @@ def check_feasibility(cs: ConstraintSet, x0=None, cfg: SolverConfig | None = Non
 
     x_best = best.x_best
     f_best = best.f_best
-    residuals = [float(g.eval(x_best)[0]) for g in cs.constraints]
+    residuals = cs.residuals(x_best).tolist()
 
     if f_best <= cfg.tol:
         verdict = FeasibilityVerdict.FEASIBLE

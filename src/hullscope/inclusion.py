@@ -110,14 +110,14 @@ class InclusionReport:
     iters: int
 
 
-def dykstra_project_full(cs: ConstraintSet, y, iters: int = 1000, tol: float = 1e-11) -> ProjectionResult:
+def dykstra_project_full(cs: ConstraintSet, y) -> ProjectionResult:
     """Project ``y`` onto the intersection of ``cs``, with diagnostics.
 
     The distance precondition projects through this name, so a tracer that
     wraps it (as ``bench/tracing.py`` does) counts those projections apart
     from the covering check's, which call ``ConstraintSet.project``.
     """
-    return cs.project(y, iters=iters, tol=tol)
+    return cs.project(y, iters=1000, tol=1e-11)
 
 
 class _WitnessG(ConvexFn):

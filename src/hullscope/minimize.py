@@ -10,9 +10,13 @@ is tracked and returned. A run is deterministic: identical inputs give
 identical outputs.
 
 ``refine_minimum`` sits on top: it bisects over Polyak target values to pin
-the optimal value down to a requested gap. Each probe is a plain
-``PolyakWithTarget`` run, so the rule above is the only step rule in the
-library.
+the optimal value down to a requested gap. Every caller knows a lower bound
+on the minimum (the merit function is at least 0, ``G`` and a worst ball
+residual at least ``-R^2``), so the lower end of the bracket starts at
+that bound. It rises to each target a probe fails to reach, which is a
+heuristic: a stalled probe does not prove its target unattainable. Each
+probe is a plain ``PolyakWithTarget`` run, so the rule above is the only
+step rule in the library.
 """
 
 from __future__ import annotations
@@ -138,26 +142,31 @@ def minimize(fn: ConvexFn, x0, cfg: SolverConfig | None = None) -> MinimizeResul
     return MinimizeResult(x_best=best_x, f_best=best_f, iters=k + 1, converged=converged, evals=evals)
 
 
+# refine_minimum's probe budget: iterations and stall window per probe, and
+# the number of probes
+PROBE_ITERS = 4_000
+PROBE_STALL = 400
+MAX_PROBES = 80
+
+
 def refine_minimum(
     fn: ConvexFn,
     x0,
     *,
-    lower_bound: float | None = None,
-    value_gap: float = 1e-9,
-    probe_iters: int = 4_000,
-    probe_stall: int = 400,
-    max_probes: int = 80,
+    lower_bound: float,
+    value_gap: float,
     max_iters: int | None = None,
 ) -> MinimizeResult:
     """Estimate the minimum value of ``fn`` by bisecting over Polyak targets.
 
     Maintains an upper bound (the best value observed, always valid) and a
-    lower bound (either ``lower_bound`` when the caller knows one, or a
-    target a probe failed to reach -- a heuristic). Each probe warm-starts
-    from the incumbent. ``max_iters``, when given, caps the subgradient
-    iterations summed over all probes. Returns a result whose ``converged``
-    flag means the bracket closed to ``value_gap``; ``f_best`` is always an
-    upper bound on the true minimum.
+    lower end that starts at the caller's ``lower_bound`` and rises to each
+    target a probe fails to reach. A failed probe does not prove its target
+    unattainable, so once a probe has failed the lower end is a heuristic.
+    Each probe warm-starts from the incumbent. ``max_iters``, when given,
+    caps the subgradient iterations summed over all probes. Returns a
+    result whose ``converged`` flag means the bracket closed to
+    ``value_gap``; ``f_best`` is always an upper bound on the true minimum.
     """
     if not (math.isfinite(value_gap) and value_gap > 0):
         raise ValueError("value_gap must be a finite positive number")
@@ -171,44 +180,19 @@ def refine_minimum(
         raise NonFiniteValue("non-finite value at the refinement start point")
     ub = f0
     xb = x.copy()
+    lb = lower_bound
     total_iters = 0
     total_evals = 1
     probes = 0
 
-    def probe(t: float) -> MinimizeResult:
-        nonlocal total_iters, total_evals
-        cfg = SolverConfig(max_iters=min(probe_iters, budget - total_iters), tol=probe_tol,
-                           step_rule=PolyakWithTarget(t), stall_iters=probe_stall)
+    while ub - lb > value_gap and probes < MAX_PROBES and total_iters < budget:
+        probes += 1
+        t = 0.5 * (ub + lb)
+        cfg = SolverConfig(max_iters=min(PROBE_ITERS, budget - total_iters), tol=probe_tol,
+                           step_rule=PolyakWithTarget(t), stall_iters=PROBE_STALL)
         r = minimize(fn, xb, cfg)
         total_iters += r.iters
         total_evals += r.evals
-        return r
-
-    lb = lower_bound
-    if lb is None:
-        # no certified lower bound: probe downward with doubling offsets
-        delta = max(0.25 * abs(ub), 8.0 * value_gap, 1e-3)
-        for _ in range(max_probes // 2):
-            if total_iters >= budget:
-                break
-            probes += 1
-            t = ub - delta
-            r = probe(t)
-            if r.f_best < ub:
-                ub, xb = r.f_best, r.x_best
-            if r.f_best <= t + probe_tol:
-                delta *= 2.0
-            elif total_iters < budget:
-                lb = t
-                break
-        if lb is None:
-            return MinimizeResult(x_best=xb, f_best=ub, iters=total_iters,
-                                  converged=False, evals=total_evals)
-
-    while ub - lb > value_gap and probes < max_probes and total_iters < budget:
-        probes += 1
-        t = 0.5 * (ub + lb)
-        r = probe(t)
         if r.f_best < ub:
             ub, xb = r.f_best, r.x_best
         # a failed probe that ran out of budget says nothing about the minimum

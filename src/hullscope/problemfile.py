@@ -105,7 +105,7 @@ def load_problem(path) -> ProblemFile:
                   + _leaves(block.get("balls", []), "region.balls", n))
         if not leaves:
             raise ProblemFileError("region must list at least one halfspace or ball")
-        region = ConstraintSet(leaves, dimension=n)
+        region = ConstraintSet(leaves)
         # region operations refuse a zero halfspace normal: refuse it at load
         region.halfspaces
 

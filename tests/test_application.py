@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from hullscope import (Affine, Ball, BallIntersection, BallQuad, ConstraintSet,
-                       HypothesisViolation, PositivePart, ProblemFileError, ball_constraint,
-                       bound_max_distance, extract_boundary_point, halfspace_constraint,
-                       load_problem, project_region)
+from hullscope import (Affine, Ball, BallIntersection, BallQuad, BisectionConfig, ConstraintSet,
+                       GridSpec, HypothesisViolation, PositivePart, ProblemFileError,
+                       ball_constraint, bound_max_distance, extract_boundary_point,
+                       grid_max_distance, halfspace_constraint, load_problem, project_region)
 
 
 def box(lo: float, hi: float) -> ConstraintSet:
@@ -81,6 +81,45 @@ def test_containment_violation_detected():
         halfspace_constraint([0.0, 1.0], 1.5), halfspace_constraint([0.0, -1.0], 0.5)])
     with pytest.raises(HypothesisViolation):
         bound_max_distance(small, inner_disk(), C, 0.42)
+    # a region that excludes the inner center: the deep point is the counterexample
+    shifted = box(0.6, 2.0)
+    with pytest.raises(HypothesisViolation, match="not contained") as exc_info:
+        bound_max_distance(shifted, inner_disk(), C, 0.42)
+    err = exc_info.value
+    np.testing.assert_allclose(err.counterexample, [0.5, 0.5], atol=1e-12)
+    assert err.distance == pytest.approx(0.1, abs=1e-12)
+
+
+def test_appbound_solves_one_deep_point(monkeypatch):
+    # one refinement serves both hit-and-run chains; the disk center is
+    # already the deepest point, so it takes no iteration
+    import hullscope.application as application
+
+    refine = application.refine_minimum
+    iters = []
+
+    def counting(*args, **kwargs):
+        res = refine(*args, **kwargs)
+        iters.append(res.iters)
+        return res
+
+    monkeypatch.setattr(application, "refine_minimum", counting)
+    bound_max_distance(unit_square_shifted(), inner_disk(), C, 0.42)
+    assert iters == [0]
+
+
+def test_three_ball_sandwich():
+    # the mean of the centers is not the deepest point of C1, so the deep
+    # point needs refinement probes
+    bi = BallIntersection([[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]], 1.0)
+    region = bi.constraint_set()
+    c = [5.0, 0.3]
+    eps = 1e-2
+    rep = bound_max_distance(region, bi, c, 0.0, BisectionConfig(eps=eps))
+    oracle = grid_max_distance(bi, c, GridSpec([-0.05, -0.25], [1.05, 0.9], 1e-3)).r_max
+    assert rep.v_c == pytest.approx(oracle, abs=2 * eps)
+    assert rep.v_c - 2 * eps <= rep.dist_x_hat <= rep.v_c + rep.delta + 2 * eps
+    assert region.worst_residual(rep.x_hat) <= 1e-8
 
 
 def test_extract_boundary_point_square_face():

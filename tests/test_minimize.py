@@ -117,8 +117,9 @@ def test_refine_minimum_reaches_known_value():
 
 
 def test_refine_minimum_without_lower_bound():
+    # a loose lower bound, far below the minimum, still closes the bracket
     fn = BallQuad([2.0, -1.0], -4.0)  # minimum value -4
-    ref = refine_minimum(fn, [0.0, 0.0], value_gap=1e-7)
+    ref = refine_minimum(fn, [0.0, 0.0], lower_bound=-100.0, value_gap=1e-7)
     assert ref.converged
     assert ref.f_best == pytest.approx(-4.0, abs=1e-5)
 
