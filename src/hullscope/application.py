@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convexfn import Max
-from .errors import HypothesisViolation, UnboundedRegion
+from .errors import DimensionMismatch, HypothesisViolation, UnboundedRegion
 from .farthest import BisectionConfig, solve_farthest
 from .feasibility import ConstraintSet
 from .inclusion import BallIntersection
@@ -171,6 +171,9 @@ def bound_max_distance(region: ConstraintSet, bi: BallIntersection, c, delta: fl
 
     Raises
     ------
+    DimensionMismatch
+        When the region, the inner intersection and ``c`` do not share one
+        dimension.
     TypeError, ValueError
         When a region constraint is not a ball or a halfspace with a nonzero
         normal.
@@ -182,6 +185,9 @@ def bound_max_distance(region: ConstraintSet, bi: BallIntersection, c, delta: fl
     if cfg is None:
         cfg = BisectionConfig()
     c = np.asarray(c, dtype=np.float64)
+    if region.dimension != bi.dim or c.shape != (bi.dim,):
+        raise DimensionMismatch(f"region has dimension {region.dimension}, the inner intersection "
+                                f"{bi.dim} and c has shape {c.shape}")
     delta = float(delta)
     if delta < 0 or not math.isfinite(delta):
         raise ValueError("delta must be finite and >= 0")

@@ -14,9 +14,9 @@ oracles.
 Subgradient selection at kinks is deterministic: the positive part returns
 the zero vector when the inner value is <= 0 (valid, since 0 is in the
 subdifferential there), and a maximum returns the subgradient of the
-lowest-index achieving term. Evaluation is side-effect free; trees are
-immutable after construction. Batch ``values`` is one array pass on the
-leaves (``Affine``, ``BallQuad``) and a row-by-row ``eval`` everywhere else.
+lowest-index achieving term. Each node has one evaluator, ``eval``, at a
+single point; ``value`` is its first component. Evaluation is side-effect
+free; trees are immutable after construction.
 
 Returned subgradients may alias arrays owned by the tree (e.g. the
 coefficient vector of an affine node) and must be treated as read-only.
@@ -50,11 +50,6 @@ class ConvexFn:
     def value(self, x) -> float:
         return self.eval(np.asarray(x, dtype=np.float64))[0]
 
-    def values(self, X: np.ndarray) -> np.ndarray:
-        """Values over the rows of an (N, dim) array."""
-        X = np.asarray(X, dtype=np.float64)
-        return np.array([self.eval(x)[0] for x in X], dtype=np.float64)
-
 
 class Affine(ConvexFn):
     """a.x + b"""
@@ -72,9 +67,6 @@ class Affine(ConvexFn):
 
     def eval(self, x):
         return float(self.a @ x) + self.b, self.a
-
-    def values(self, X):
-        return X @ self.a + self.b
 
 
 class BallQuad(ConvexFn):
@@ -94,10 +86,6 @@ class BallQuad(ConvexFn):
     def eval(self, x):
         d = x - self.center
         return float(d @ d) + self.offset, 2.0 * d
-
-    def values(self, X):
-        D = X - self.center
-        return np.einsum("ij,ij->i", D, D) + self.offset
 
 
 class PositivePart(ConvexFn):

@@ -25,14 +25,6 @@ class InnerUndetermined(HullscopeError):
     """An inner inclusion check came back undetermined; refusing to guess."""
 
 
-class GridTooLarge(HullscopeError, ValueError):
-    """A grid specification exceeds the exhaustive-scan guard."""
-
-
-class EmptySample(HullscopeError):
-    """No grid point fell inside the target set."""
-
-
 class UnboundedRegion(HullscopeError):
     """Sampling found a direction along which the region is unbounded."""
 

@@ -319,8 +319,8 @@ def check_feasibility(cs: ConstraintSet, x0=None, cfg: SolverConfig | None = Non
     if cfg is None:
         cfg = SolverConfig()
     start = default_start(cs) if x0 is None else np.asarray(x0, dtype=np.float64)
-    if start.shape[0] != cs.dimension:
-        raise DimensionMismatch(f"x0 has dimension {start.shape[0]}, constraints have {cs.dimension}")
+    if start.shape != (cs.dimension,):
+        raise DimensionMismatch(f"x0 has shape {start.shape}, constraints have dimension {cs.dimension}")
 
     g_tilde = build_g_tilde(cs)
     first = minimize(g_tilde, start, replace(cfg, step_rule=PolyakWithTarget(0.0)))

@@ -12,6 +12,11 @@ order and reproducible from the failure output. Trial preconditions are
 constructed exactly (reflections for distance ties, ray extensions for
 exact set distances) rather than filtered, so trial counts are meaningful.
 Strict inequalities are asserted with a small slack to absorb rounding.
+
+These helpers are test infrastructure, not part of the ``hullscope``
+package. The grid scans compute each leaf's residuals with their own array
+arithmetic (an einsum per ball quadratic, a mat-vec per affine function), so
+they share no evaluator with the code they check.
 """
 
 from __future__ import annotations
@@ -22,14 +27,19 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .convexfn import ball_constraint
-from .errors import EmptySample, GridTooLarge
-from .feasibility import ConstraintSet
-from .geometry import Ball, Vector, as_vector
-from .inclusion import BallIntersection
+from hullscope import (Affine, Ball, BallIntersection, BallQuad, ConstraintSet, ConvexFn,
+                       HullscopeError, Vector, as_vector, ball_constraint)
 
 _GRID_GUARD = 10 ** 8
 _SLACK = 1e-12
+
+
+class GridTooLarge(HullscopeError, ValueError):
+    """A grid specification exceeds the exhaustive-scan guard."""
+
+
+class EmptySample(HullscopeError):
+    """No grid point fell inside the target set."""
 
 
 @dataclass(frozen=True)
@@ -87,6 +97,16 @@ def _grid_chunks(spec: GridSpec, chunk_rows: int = 1 << 20) -> Iterator[np.ndarr
         yield np.stack([m.ravel() for m in mesh], axis=1)
 
 
+def _leaf_residuals(g: ConvexFn, X: np.ndarray) -> np.ndarray:
+    """Values of a ball or halfspace leaf over the rows of ``X``."""
+    if isinstance(g, BallQuad):
+        D = X - g.center
+        return np.einsum("ij,ij->i", D, D) + g.offset
+    if isinstance(g, Affine):
+        return X @ g.a + g.b
+    raise TypeError(f"grid scans take BallQuad and Affine leaves, not {type(g).__name__}")
+
+
 class GridFeasibility(NamedTuple):
     feasible: bool
     witness: np.ndarray | None
@@ -98,7 +118,9 @@ def grid_feasible(cs: ConstraintSet, grid: GridSpec) -> GridFeasibility:
 
     Feasible iff some grid point satisfies every constraint; the witness is
     the deepest such point (smallest worst residual). Also reports the grid
-    minimum of the merit function (sum of positive parts).
+    minimum of the merit function (sum of positive parts). Every constraint
+    must be a ``BallQuad`` or ``Affine`` leaf; any other node is a
+    ``TypeError``.
     """
     if grid.lower.shape[0] != cs.dimension:
         raise ValueError("grid dimension does not match the constraint set")
@@ -106,7 +128,7 @@ def grid_feasible(cs: ConstraintSet, grid: GridSpec) -> GridFeasibility:
     best_point = None
     min_gt = math.inf
     for chunk in _grid_chunks(grid):
-        vals = np.stack([g.values(chunk) for g in cs.constraints])
+        vals = np.stack([_leaf_residuals(g, chunk) for g in cs.constraints])
         worst = vals.max(axis=0)
         gt = np.maximum(vals, 0.0).sum(axis=0)
         i = int(np.argmin(worst))

@@ -15,14 +15,14 @@ import time
 import numpy as np
 import pytest
 
-from hullscope import (BisectionConfig, FeasibilityVerdict, GridSpec,
-                       InclusionVerdict, OuterBall, SolverConfig, build_G,
-                       build_g_tilde, check_feasibility, check_inclusion, check_lemma_2_5,
-                       check_lemma_2_6, check_lemma_2_7, check_lemma_2_8, grid_feasible,
-                       grid_max_distance, load_problem, solve_farthest)
+from hullscope import (BisectionConfig, FeasibilityVerdict, InclusionVerdict, OuterBall,
+                       SolverConfig, build_G, build_g_tilde, check_feasibility, check_inclusion,
+                       load_problem, solve_farthest)
 
 from conftest import (disk_grid_bounds, disks_to_constraints, far_center, problem_path,
                       random_ball_intersection, random_disk_instance)
+from oracles import (GridSpec, check_lemma_2_5, check_lemma_2_6, check_lemma_2_7, check_lemma_2_8,
+                     grid_feasible, grid_max_distance)
 
 FIXTURES = ["disjoint-disks", "overlapping-disks", "single-disk-far-c", "lens-far-c",
             "c-inside", "square-and-disk", "big-square"]
@@ -205,7 +205,7 @@ def test_criterion_7_sign_characterization(report):
         center = np.mean([c for c in bi.centers], axis=0)
         span = 2.5 * bi.radius + float(np.linalg.norm(ob.center - center))
         X = rng.uniform(center - span, center + span, (10_000, bi.dim))
-        vals = G.values(X)
+        vals = np.array([G.value(x) for x in X])
         in_c1 = np.ones(len(X), dtype=bool)
         for ck in bi.centers:
             D = X - ck

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from hullscope import (Affine, Ball, BallIntersection, BallQuad, BisectionConfig, ConstraintSet,
-                       GridSpec, HypothesisViolation, PositivePart, ProblemFileError,
+                       DimensionMismatch, HypothesisViolation, PositivePart, ProblemFileError,
                        ball_constraint, bound_max_distance, extract_boundary_point,
-                       grid_max_distance, halfspace_constraint, load_problem, project_region)
+                       halfspace_constraint, load_problem, project_region)
+
+from oracles import GridSpec, grid_max_distance
 
 
 def box(lo: float, hi: float) -> ConstraintSet:
@@ -88,6 +90,25 @@ def test_containment_violation_detected():
     err = exc_info.value
     np.testing.assert_allclose(err.counterexample, [0.5, 0.5], atol=1e-12)
     assert err.distance == pytest.approx(0.1, abs=1e-12)
+
+
+@pytest.mark.parametrize("region,bi,c", [
+    (unit_square_shifted(), BallIntersection([[0.5, 0.5, 0.0]], 1.0), [4.0, 0.5, 0.0]),
+    (ConstraintSet([ball_constraint(Ball([0.0, 0.0, 0.0], 2.0))]),
+     BallIntersection([[0.0]], 1.0), [4.0]),
+    (unit_square_shifted(), inner_disk(), [4.0, 0.5, 0.0]),
+    (unit_square_shifted(), inner_disk(), 4.0),
+])
+def test_dimension_mismatch_raised_before_sampling(monkeypatch, region, bi, c):
+    import hullscope.application as application
+
+    def fail(*args, **kwargs):
+        raise AssertionError("sampled before checking dimensions")
+
+    monkeypatch.setattr(application, "refine_minimum", fail)
+    monkeypatch.setattr(application, "_hit_and_run", fail)
+    with pytest.raises(DimensionMismatch):
+        bound_max_distance(region, bi, c, 0.42)
 
 
 def test_appbound_solves_one_deep_point(monkeypatch):

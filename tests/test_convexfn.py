@@ -118,11 +118,3 @@ def test_positive_part_equals_clamped_inner(n):
         x = rng.normal(0.0, 2.0, n)
         assert fn.value(x) == max(inner.value(x), 0.0)
 
-
-def test_batch_values_match_pointwise():
-    rng = np.random.default_rng(99)
-    for fn in _random_trees(rng, 3):
-        X = rng.normal(0.0, 2.0, (50, 3))
-        batch = fn.values(X)
-        single = np.array([fn.value(x) for x in X])
-        np.testing.assert_allclose(batch, single, rtol=1e-13, atol=1e-13)

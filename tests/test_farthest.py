@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from hullscope import (BallIntersection, BisectionConfig, GridSpec, InnerUndetermined,
-                       PreconditionFailed, SolverConfig, grid_max_distance, solve_farthest)
+from hullscope import (BallIntersection, BisectionConfig, InnerUndetermined, PreconditionFailed,
+                       SolverConfig, solve_farthest)
 
 from conftest import far_center, random_ball_intersection
+from oracles import GridSpec, grid_max_distance
 
 
 def initial_bracket(bi, c) -> tuple[float, float]:

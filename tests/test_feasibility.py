@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from hullscope import (Affine, Ball, BallQuad, ConstraintSet, FeasibilityVerdict, GridSpec, Max,
-                       PositivePart, SolverConfig, Sum, ball_constraint, build_g_tilde,
-                       check_feasibility, default_start, grid_feasible, halfspace_constraint)
+from hullscope import (Affine, Ball, BallQuad, ConstraintSet, DimensionMismatch, FeasibilityVerdict,
+                       Max, PositivePart, SolverConfig, Sum, ball_constraint, build_g_tilde,
+                       check_feasibility, default_start, halfspace_constraint)
 
 from conftest import (disk_grid_bounds, disks_to_constraints, mixed_instance,
                       random_disk_instance)
+from oracles import GridSpec, grid_feasible
 
 
 def test_g_tilde_single_halfspace_interior():
@@ -58,6 +59,13 @@ def test_single_ball_start_already_feasible():
     assert rep.verdict is FeasibilityVerdict.FEASIBLE
     np.testing.assert_allclose(rep.witness, [0.0, 0.0])
     assert rep.residuals[0] == pytest.approx(-1.0)
+
+
+@pytest.mark.parametrize("x0", [0.0, [0.0], [0.0, 0.0, 0.0], [[0.0], [0.0]]])
+def test_start_of_wrong_shape_is_dimension_mismatch(x0):
+    cs = ConstraintSet([ball_constraint(Ball([0, 0], 1.0))])
+    with pytest.raises(DimensionMismatch):
+        check_feasibility(cs, x0=x0)
 
 
 def test_default_start_is_centroid_for_balls():

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from hullscope import (Ball, BallIntersection, ConstraintSet, EmptyIntersection, GridSpec,
-                       InclusionVerdict, OuterBall, PreconditionFailed, SolverConfig,
-                       ball_constraint, build_G, check_inclusion,
-                       dykstra_project_full, grid_max_distance)
+from hullscope import (Ball, BallIntersection, ConstraintSet, EmptyIntersection, InclusionVerdict,
+                       OuterBall, PreconditionFailed, SolverConfig, ball_constraint, build_G,
+                       check_inclusion, dykstra_project_full)
 
 
 def project_onto_balls(balls, y):
     return dykstra_project_full(ConstraintSet([ball_constraint(b) for b in balls]), y).point
 
 from conftest import far_center, random_ball_intersection
+from oracles import GridSpec, grid_max_distance
 
 
 def literal_residuals(bi: BallIntersection, ob: OuterBall, x: np.ndarray) -> tuple[float, list[float]]:
@@ -252,7 +252,7 @@ def test_sign_characterization_sampled():
     ob = OuterBall([4.0, 0.0], 3.5)
     G = build_G(bi, ob)
     X = rng.uniform(-2.0, 3.0, (4000, 2))
-    vals = G.values(X)
+    vals = np.array([G.value(x) for x in X])
     R2 = bi.radius ** 2
     in_c1 = np.ones(len(X), dtype=bool)
     for c in bi.centers:

@@ -1,4 +1,4 @@
-"""Verdicts must not depend on where an instance sits or how it is listed.
+"""Verdicts must not depend on where an instance sits, how it is listed or its scale.
 
 Translating an instance, or permuting its centers and constraints, changes
 the floating-point arithmetic and the order of merit sums and ``Max`` ties,
@@ -6,26 +6,56 @@ but not the geometry, so ``check_feasibility`` and ``check_inclusion`` must
 return the same verdict. The merit function groups constraints by kind (balls,
 then halfspaces, then any other node), so permuting a mixed list reorders
 its sums only within each group.
+
+Scaling the centers and radii by a power of two ``s`` and the tolerance by
+``s^2`` scales every float of a run exactly: points and subgradients by
+``s``, values by ``s^2``. So the verdict and the iteration count must both
+be unchanged. The absolute floors of the solvers (``1e-12`` and ``1e-13`` in
+the refinement gaps, the ``1e-6`` boundary tolerance of inclusion) do not
+bind at ``s`` in {1/4, 4}; far below 1/4 they start to.
 """
 
 import numpy as np
 
-from hullscope import (Ball, BallIntersection, ConstraintSet, FeasibilityVerdict, GridSpec,
-                       InclusionVerdict, OuterBall, check_feasibility, check_inclusion,
-                       grid_max_distance)
+from hullscope import (Ball, BallIntersection, ConstraintSet, FeasibilityVerdict, InclusionVerdict,
+                       OuterBall, SolverConfig, check_feasibility, check_inclusion)
 
 from conftest import (disks_to_constraints, far_center, mixed_instance, random_ball_intersection,
                       random_disk_instance)
+from oracles import GridSpec, grid_max_distance
+
+
+SCALES = (0.25, 4.0)
+TOL = SolverConfig().tol
+
+
+def _disk_instances():
+    """Eight random disk sets, each with a translation and a permutation."""
+    rng = np.random.default_rng(31)
+    for i in range(8):
+        disks = random_disk_instance(rng, 2 + i % 3)
+        yield disks, rng.uniform(-3.0, 3.0, 2), rng.permutation(len(disks))
+
+
+def _inclusion_instances():
+    """Two ball intersections with an outer radius and a translation and a permutation each.
+
+    The outer radius is 0.85 and then 1.15 times the grid estimate of ``r*``.
+    """
+    rng = np.random.default_rng(32)
+    for factor in (0.85, 1.15):
+        bi, z0 = random_ball_intersection(rng, 2)
+        c = far_center(rng, bi, z0)
+        box = 1.05 * bi.radius
+        r_star = grid_max_distance(bi, c, GridSpec(z0 - box, z0 + box, 4e-3)).r_max
+        yield bi, c, factor * r_star, rng.uniform(-3.0, 3.0, 2), rng.permutation(bi.m)
 
 
 def test_feasibility_verdict_invariant_under_translation_and_permutation():
-    rng = np.random.default_rng(31)
     seen = set()
-    for i in range(8):
-        disks = random_disk_instance(rng, 2 + i % 3)
-        shift = rng.uniform(-3.0, 3.0, 2)
+    for i, (disks, shift, order) in enumerate(_disk_instances()):
         moved = [Ball(b.center + shift, b.radius) for b in disks]
-        permuted = [disks[j] for j in rng.permutation(len(disks))]
+        permuted = [disks[j] for j in order]
         verdicts = [check_feasibility(disks_to_constraints(d)).verdict
                     for d in (disks, moved, permuted)]
         assert verdicts[0] is not FeasibilityVerdict.UNDETERMINED, f"instance {i}"
@@ -46,16 +76,8 @@ def test_feasibility_verdict_invariant_under_permuting_mixed_constraints():
 
 
 def test_inclusion_verdict_invariant_under_translation_and_permutation():
-    rng = np.random.default_rng(32)
     seen = set()
-    for i, factor in enumerate((0.85, 1.15)):
-        bi, z0 = random_ball_intersection(rng, 2)
-        c = far_center(rng, bi, z0)
-        box = 1.05 * bi.radius
-        r_star = grid_max_distance(bi, c, GridSpec(z0 - box, z0 + box, 4e-3)).r_max
-        r = factor * r_star
-        shift = rng.uniform(-3.0, 3.0, 2)
-        order = rng.permutation(bi.m)
+    for i, (bi, c, r, shift, order) in enumerate(_inclusion_instances()):
         variants = [
             (bi, c),
             (BallIntersection([ck + shift for ck in bi.centers], bi.radius), c + shift),
@@ -66,3 +88,23 @@ def test_inclusion_verdict_invariant_under_translation_and_permutation():
         assert verdicts == [verdicts[0]] * 3, f"instance {i}: {verdicts}"
         seen.add(verdicts[0])
     assert seen == {InclusionVerdict.NONEMPTY_DIFFERENCE, InclusionVerdict.INCLUDED}
+
+
+def test_feasibility_verdict_and_iterations_invariant_under_scaling():
+    for i, (disks, _, _) in enumerate(_disk_instances()):
+        runs = []
+        for s in (1.0, *SCALES):
+            scaled = [Ball(s * b.center, s * b.radius) for b in disks]
+            rep = check_feasibility(disks_to_constraints(scaled), cfg=SolverConfig(tol=TOL * s * s))
+            runs.append((rep.verdict, rep.iters))
+        assert runs == [runs[0]] * 3, f"instance {i}: {runs}"
+
+
+def test_inclusion_verdict_and_iterations_invariant_under_scaling():
+    for i, (bi, c, r, _, _) in enumerate(_inclusion_instances()):
+        runs = []
+        for s in (1.0, *SCALES):
+            scaled = BallIntersection([s * ck for ck in bi.centers], s * bi.radius)
+            rep = check_inclusion(scaled, OuterBall(s * c, s * r), SolverConfig(tol=TOL * s * s))
+            runs.append((rep.verdict, rep.iters))
+        assert runs == [runs[0]] * 3, f"instance {i}: {runs}"

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from hullscope import (Ball, BallIntersection, ConstraintSet, EmptySample, GridSpec,
-                       GridTooLarge, ball_constraint, check_lemma_2_5, check_lemma_2_6,
-                       check_lemma_2_7, check_lemma_2_8, grid_feasible, grid_max_distance)
+from hullscope import (Ball, BallIntersection, ConstraintSet, PositivePart, ball_constraint,
+                       halfspace_constraint)
+
+from oracles import (EmptySample, GridSpec, GridTooLarge, check_lemma_2_5, check_lemma_2_6,
+                     check_lemma_2_7, check_lemma_2_8, grid_feasible, grid_max_distance)
 
 
 def test_grid_spec_validation():
@@ -36,6 +38,24 @@ def test_grid_feasible_single_disk():
     res = grid_feasible(cs, GridSpec([-1.5, -1.5], [1.5, 1.5], 1e-2))
     assert res.feasible
     assert res.min_g_tilde == 0.0
+
+
+def test_grid_feasible_halfspace_leaves():
+    # the strip 0 <= x1 <= 1 cut by the unit disk at the origin
+    cs = ConstraintSet([halfspace_constraint([-1.0, 0.0], 0.0), halfspace_constraint([1.0, 0.0], 1.0),
+                        ball_constraint(Ball([0, 0], 1.0))])
+    res = grid_feasible(cs, GridSpec([-1.5, -1.5], [1.5, 1.5], 1e-2))
+    assert res.feasible
+    assert res.min_g_tilde == 0.0
+    # the deepest points (worst residual -0.5) form the segment x1 = 0.5, |x2| <= 0.5
+    assert res.witness[0] == pytest.approx(0.5, abs=1e-2)
+    assert max(g.value(res.witness) for g in cs.constraints) == pytest.approx(-0.5, abs=1e-2)
+
+
+def test_grid_feasible_rejects_composite_nodes():
+    cs = ConstraintSet([PositivePart(ball_constraint(Ball([0, 0], 1.0)))])
+    with pytest.raises(TypeError):
+        grid_feasible(cs, GridSpec([-1.5, -1.5], [1.5, 1.5], 1e-1))
 
 
 def test_grid_max_distance_single_disk():
