@@ -17,7 +17,8 @@ from .errors import (DimensionMismatch, EmptyIntersection, HullscopeError, Hypot
                      InnerUndetermined, NonFiniteValue, PreconditionFailed, UnboundedRegion)
 from .farthest import BisectionConfig, FarthestReport, solve_farthest
 from .feasibility import (ConstraintSet, FeasibilityReport, FeasibilityVerdict,
-                          ProjectionResult, build_g_tilde, check_feasibility, default_start)
+                          InfeasibilityCertificate, ProjectionResult, build_g_tilde,
+                          check_feasibility, default_start)
 from .geometry import Ball, Vector, as_vector
 from .inclusion import (BallIntersection, InclusionReport, InclusionVerdict,
                         OuterBall, build_G, check_inclusion, dykstra_project_full)
@@ -31,7 +32,7 @@ __all__ = [
     "BisectionConfig", "ConstraintSet", "ConvexFn", "DimensionMismatch",
     "EmptyIntersection", "FarthestReport", "FeasibilityReport",
     "FeasibilityVerdict", "HullscopeError", "HypothesisViolation",
-    "InclusionReport", "InclusionVerdict", "InnerUndetermined", "Max",
+    "InclusionReport", "InclusionVerdict", "InfeasibilityCertificate", "InnerUndetermined", "Max",
     "MinimizeResult", "NonFiniteValue", "OuterBall", "PolyakWithTarget",
     "PositivePart", "PreconditionFailed", "ProblemFile", "ProblemFileError",
     "ProjectionResult", "SolverConfig", "Sum", "UnboundedRegion", "Vector",

@@ -121,10 +121,15 @@ def extract_boundary_point(region: ConstraintSet, x_star_c, c) -> np.ndarray:
     region, until a step projects back onto its start ``x`` (by the
     projection's variational inequality ``x`` then maximizes ``d.x`` over the
     region) or 4,000 steps are taken. Returns the best iterate by objective
-    value.
+    value. Raises ``DimensionMismatch`` unless ``x_star_c`` and ``c`` both
+    have shape ``(region.dimension,)``.
     """
     x_star_c = np.asarray(x_star_c, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
+    n = region.dimension
+    if x_star_c.shape != (n,) or c.shape != (n,):
+        raise DimensionMismatch(f"region has dimension {n}, x_star_c has shape {x_star_c.shape} "
+                                f"and c has shape {c.shape}")
     d = x_star_c - c
     nd = float(np.linalg.norm(d))
     if nd < 1e-14:

@@ -52,7 +52,7 @@ def test_criterion_1_feasibility_oracle_agreement(report):
     t0 = time.time()
     rng = np.random.default_rng(20_250_101)
     cfg = SolverConfig(max_iters=200_000)
-    compared = mismatches = 0
+    compared = mismatches = uncertified = 0
     for i in range(200):
         disks = random_disk_instance(rng, 2 + i % 2)
         cs = disks_to_constraints(disks)
@@ -66,10 +66,14 @@ def test_criterion_1_feasibility_oracle_agreement(report):
                     else FeasibilityVerdict.INFEASIBLE)
         if rep.verdict is not expected:
             mismatches += 1
+        # an Infeasible verdict on this disk-only suite must be proven, not inferred
+        if not oracle.feasible and not (rep.certificate is not None and rep.certificate.verify(cs)):
+            uncertified += 1
     elapsed = time.time() - t0
-    ok = mismatches == 0 and compared >= 150 and elapsed < 60.0
+    ok = mismatches == 0 and uncertified == 0 and compared >= 150 and elapsed < 60.0
     report(1, "feasibility agreement with grid oracle", ok,
-            f"compared={compared}/200 mismatches={mismatches} elapsed={elapsed:.1f}s")
+            f"compared={compared}/200 mismatches={mismatches} uncertified={uncertified} "
+            f"elapsed={elapsed:.1f}s")
 
 
 def test_criterion_2_disjoint_disks_value(report):

@@ -10,7 +10,8 @@ PUBLIC = [
     "Affine", "AppBoundReport", "Ball", "BallIntersection", "BallQuad", "BisectionConfig",
     "ConstraintSet", "ConvexFn", "DimensionMismatch", "EmptyIntersection", "FarthestReport",
     "FeasibilityReport", "FeasibilityVerdict", "HullscopeError", "HypothesisViolation",
-    "InclusionReport", "InclusionVerdict", "InnerUndetermined", "Max", "MinimizeResult",
+    "InclusionReport", "InclusionVerdict", "InfeasibilityCertificate", "InnerUndetermined", "Max",
+    "MinimizeResult",
     "NonFiniteValue", "OuterBall", "PolyakWithTarget", "PositivePart", "PreconditionFailed",
     "ProblemFile", "ProblemFileError", "ProjectionResult", "SolverConfig", "Sum",
     "UnboundedRegion", "Vector", "as_vector", "ball_constraint", "bound_max_distance", "build_G",
@@ -23,7 +24,7 @@ TEST_MODULES = {"tests", "conftest", "oracles"}
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 48
+    assert len(PUBLIC) == 49
     assert sorted(hullscope.__all__) == PUBLIC
 
 

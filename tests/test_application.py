@@ -169,6 +169,16 @@ def test_extract_boundary_point_zero_direction():
         extract_boundary_point(unit_square_shifted(), C, C)
 
 
+@pytest.mark.parametrize("x_star_c, c", [
+    ([-0.5, 0.5, 0.0], [4.0, 0.5, 0.0]),   # both 3-D on the 2-D square
+    ([-0.5, 0.5], 4.0),                     # a scalar c would broadcast to (4, 4)
+    ([-0.5, 0.5], [4.0, 0.5, 0.0]),
+])
+def test_extract_boundary_point_dimension_mismatch(x_star_c, c):
+    with pytest.raises(DimensionMismatch):
+        extract_boundary_point(unit_square_shifted(), x_star_c, c)
+
+
 def test_extract_boundary_point_single_ball():
     # direction (0, 1.1): the maximizer is center + radius * d / ||d||
     x_hat = extract_boundary_point(disk_region(), [0.5, 1.6], [0.5, 0.5])

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from hullscope import (Affine, Ball, BallQuad, ConstraintSet, DimensionMismatch, FeasibilityVerdict,
-                       Max, PositivePart, SolverConfig, Sum, ball_constraint, build_g_tilde,
-                       check_feasibility, default_start, halfspace_constraint)
+                       InfeasibilityCertificate, Max, PositivePart, SolverConfig, Sum,
+                       ball_constraint, build_g_tilde, check_feasibility, default_start,
+                       halfspace_constraint)
 
 from conftest import (disk_grid_bounds, disks_to_constraints, mixed_instance,
                       random_disk_instance)
@@ -45,12 +46,73 @@ def test_infeasible_disjoint_disks_value():
 
 
 def test_budget_caps_the_refinement_too():
-    # the Infeasible verdict above takes ~16k iterations, nearly all of them
-    # in the refinement; a smaller budget must bound the whole check
-    cs = ConstraintSet([ball_constraint(Ball([0, 0], 1.0)), ball_constraint(Ball([3, 0], 1.0))])
+    # a Max node is not a ball row, so no dual certificate applies and the
+    # Infeasible verdict takes ~16k iterations, nearly all of them in the
+    # refinement; a smaller budget must bound the whole check
+    cs = ConstraintSet([ball_constraint(Ball([0, 0], 1.0)),
+                        Max([ball_constraint(Ball([3, 0], 1.0))])])
     rep = check_feasibility(cs, x0=[0.0, 0.0], cfg=SolverConfig(max_iters=50))
     assert rep.iters <= 50
     assert rep.verdict is FeasibilityVerdict.UNDETERMINED
+    assert rep.certificate is None
+    rep = check_feasibility(cs, x0=[0.0, 0.0])
+    assert rep.verdict is FeasibilityVerdict.INFEASIBLE
+    assert rep.iters > 10_000
+    assert rep.certificate is None
+
+
+def test_certificate_proves_infeasible_within_the_budget():
+    cs = ConstraintSet([ball_constraint(Ball([0, 0], 1.0)), ball_constraint(Ball([3, 0], 1.0))])
+    rep = check_feasibility(cs, x0=[0.0, 0.0], cfg=SolverConfig(max_iters=50))
+    assert rep.iters <= 50
+    assert rep.verdict is FeasibilityVerdict.INFEASIBLE
+    assert rep.certificate is not None
+    assert rep.certificate.verify(cs)
+    # the midpoint of the centres has D = (|c1|^2 - 1 + |c2|^2 - 1) / 2 - |x|^2 = 3.5 - 2.25
+    assert rep.certificate.weights == (0.5, 0.5)
+    assert rep.certificate.bound == 1.25
+    assert rep.certificate.steps == 0
+
+
+def _cert(weights):
+    return InfeasibilityCertificate(weights=tuple(weights), bound=0.0, steps=0)
+
+
+def test_verifier_accepts_valid_multipliers():
+    disks = ConstraintSet([ball_constraint(Ball([0, 0], 1.0)), ball_constraint(Ball([3, 0], 1.0))])
+    assert _cert([0.5, 0.5]).verify(disks)
+    # lambda need not sum to one: D = S - |v|^2 / s = 7 - 9 / 2
+    assert _cert([1.0, 1.0]).verify(disks)
+    # the unit disk and x1 >= 2, i.e. -x1 + 2 <= 0: D = -1 + 2 mu - mu^2 / 4 = 2 at mu = 2
+    mixed = ConstraintSet([ball_constraint(Ball([0, 0], 1.0)),
+                           halfspace_constraint([-1.0, 0.0], -2.0)])
+    assert _cert([1.0, 2.0]).verify(mixed)
+    # the halfspace listed first: weights follow constraint order
+    swapped = ConstraintSet(mixed.constraints[::-1])
+    assert _cert([2.0, 1.0]).verify(swapped)
+    assert not _cert([1.0, 2.0]).verify(swapped)
+
+
+def test_verifier_rejects_what_only_a_wrong_formula_accepts():
+    # both systems are feasible (the origin, and (3, 0)), so nothing may verify
+    disk_and_plane = ConstraintSet([ball_constraint(Ball([0, 0], 1.0)),
+                                    halfspace_constraint([1.0, 0.0], 5.0)])   # x1 - 5 <= 0
+    # a negative mu: S = -1 + 5 = 4 and |v|^2 = 1/4 would pass
+    assert not _cert([1.0, -1.0]).verify(disk_and_plane)
+    # mu entering S as -mu b: S = -1 + 5 and |v|^2 = 1/4 would pass
+    assert not _cert([1.0, 1.0]).verify(disk_and_plane)
+    # dropping |x|^2: S = |c|^2 - r^2 = 8 would pass, D = 8 - 9
+    far_disk = ConstraintSet([ball_constraint(Ball([3, 0], 1.0))])
+    assert not _cert([1.0]).verify(far_disk)
+    # degenerate multipliers
+    disks = ConstraintSet([ball_constraint(Ball([0, 0], 1.0)), ball_constraint(Ball([3, 0], 1.0))])
+    assert not _cert([0.0, 0.0]).verify(disks)
+    assert not _cert([0.5]).verify(disks)
+    assert not _cert([0.5, float("nan")]).verify(disks)
+    assert not _cert([0.5, float("inf")]).verify(disks)
+    # a general convex node carries no closed-form dual term
+    assert not _cert([0.5, 0.5]).verify(ConstraintSet([ball_constraint(Ball([0, 0], 1.0)),
+                                                       Max([ball_constraint(Ball([3, 0], 1.0))])]))
 
 
 def test_single_ball_start_already_feasible():
@@ -66,6 +128,15 @@ def test_start_of_wrong_shape_is_dimension_mismatch(x0):
     cs = ConstraintSet([ball_constraint(Ball([0, 0], 1.0))])
     with pytest.raises(DimensionMismatch):
         check_feasibility(cs, x0=x0)
+
+
+@pytest.mark.parametrize("x", [[0.0, 0.0, 0.0], [0.0], 0.0])
+def test_point_of_wrong_shape_is_dimension_mismatch(x):
+    box = ConstraintSet([halfspace_constraint(a, 1.0) for a in ([1.0, 0.0], [-1.0, 0.0],
+                                                                [0.0, 1.0], [0.0, -1.0])])
+    for op in (box.residuals, box.worst_residual, box.project):
+        with pytest.raises(DimensionMismatch):
+            op(x)
 
 
 def test_default_start_is_centroid_for_balls():
@@ -84,6 +155,8 @@ def test_halfspace_infeasible_pair_detected():
     rep = check_feasibility(cs, x0=[0.5])
     assert rep.verdict is FeasibilityVerdict.INFEASIBLE
     assert rep.g_tilde_min == pytest.approx(1.0, abs=1e-6)
+    # no ball row: the dual is linear in mu, so the closed form does not apply
+    assert rep.certificate is None
 
 
 def test_feasible_verdict_is_sound_on_random_instances():
@@ -93,6 +166,9 @@ def test_feasible_verdict_is_sound_on_random_instances():
         rep = check_feasibility(cs)
         if rep.verdict is FeasibilityVerdict.FEASIBLE:
             assert max(rep.residuals) <= 1e-8
+            assert rep.certificate is None
+        elif rep.certificate is not None:
+            assert rep.certificate.verify(cs)
 
 
 def test_oracle_agreement_quick():
@@ -113,6 +189,8 @@ def test_oracle_agreement_quick():
         rep = check_feasibility(cs)
         expected = FeasibilityVerdict.FEASIBLE if oracle.feasible else FeasibilityVerdict.INFEASIBLE
         assert rep.verdict is expected
+        assert (rep.certificate is not None) is (not oracle.feasible)
+        assert rep.certificate is None or rep.certificate.verify(cs)
     assert checked >= 15
 
 
@@ -221,10 +299,15 @@ def test_wide_mixed_feasible_and_infeasible():
     # n = 20 with 15 balls and 14 halfspaces, the shape of the wide benchmark
     for feasible in (True, False):
         constraints, _ = mixed_instance(np.random.default_rng(0), 20, 15, 14, feasible)
-        rep = check_feasibility(ConstraintSet(constraints))
+        cs = ConstraintSet(constraints)
+        rep = check_feasibility(cs)
         if feasible:
             assert rep.verdict is FeasibilityVerdict.FEASIBLE
             assert max(rep.residuals) <= 1e-8
+            assert rep.certificate is None
         else:
             assert rep.verdict is FeasibilityVerdict.INFEASIBLE
             assert rep.g_tilde_min > 0.1
+            assert rep.certificate is not None
+            assert rep.certificate.verify(cs)
+            assert rep.certificate.bound > 0.0

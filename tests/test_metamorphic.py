@@ -51,15 +51,23 @@ def _inclusion_instances():
         yield bi, c, factor * r_star, rng.uniform(-3.0, 3.0, 2), rng.permutation(bi.m)
 
 
+def _assert_certified_iff_infeasible(reports, label):
+    """Every Infeasible variant carries a dual certificate, and no other one does."""
+    for rep in reports:
+        infeasible = rep.verdict is FeasibilityVerdict.INFEASIBLE
+        assert (rep.certificate is not None) is infeasible, f"{label}: {rep}"
+
+
 def test_feasibility_verdict_invariant_under_translation_and_permutation():
     seen = set()
     for i, (disks, shift, order) in enumerate(_disk_instances()):
         moved = [Ball(b.center + shift, b.radius) for b in disks]
         permuted = [disks[j] for j in order]
-        verdicts = [check_feasibility(disks_to_constraints(d)).verdict
-                    for d in (disks, moved, permuted)]
+        reports = [check_feasibility(disks_to_constraints(d)) for d in (disks, moved, permuted)]
+        verdicts = [rep.verdict for rep in reports]
         assert verdicts[0] is not FeasibilityVerdict.UNDETERMINED, f"instance {i}"
         assert verdicts == [verdicts[0]] * 3, f"instance {i}: {verdicts}"
+        _assert_certified_iff_infeasible(reports, f"instance {i}")
         seen.add(verdicts[0])
     assert seen == {FeasibilityVerdict.FEASIBLE, FeasibilityVerdict.INFEASIBLE}
 
@@ -71,8 +79,9 @@ def test_feasibility_verdict_invariant_under_permuting_mixed_constraints():
         expected = FeasibilityVerdict.FEASIBLE if feasible else FeasibilityVerdict.INFEASIBLE
         for i in range(3):
             order = rng.permutation(len(constraints)) if i else range(len(constraints))
-            verdict = check_feasibility(ConstraintSet([constraints[j] for j in order])).verdict
-            assert verdict is expected, f"feasible={feasible}, permutation {i}"
+            rep = check_feasibility(ConstraintSet([constraints[j] for j in order]))
+            assert rep.verdict is expected, f"feasible={feasible}, permutation {i}"
+            _assert_certified_iff_infeasible([rep], f"feasible={feasible}, permutation {i}")
 
 
 def test_inclusion_verdict_invariant_under_translation_and_permutation():
@@ -92,12 +101,14 @@ def test_inclusion_verdict_invariant_under_translation_and_permutation():
 
 def test_feasibility_verdict_and_iterations_invariant_under_scaling():
     for i, (disks, _, _) in enumerate(_disk_instances()):
-        runs = []
+        runs, reports = [], []
         for s in (1.0, *SCALES):
             scaled = [Ball(s * b.center, s * b.radius) for b in disks]
             rep = check_feasibility(disks_to_constraints(scaled), cfg=SolverConfig(tol=TOL * s * s))
             runs.append((rep.verdict, rep.iters))
+            reports.append(rep)
         assert runs == [runs[0]] * 3, f"instance {i}: {runs}"
+        _assert_certified_iff_infeasible(reports, f"instance {i}")
 
 
 def test_inclusion_verdict_and_iterations_invariant_under_scaling():
