@@ -19,9 +19,9 @@ sandwich and face ties resolve to whatever point the iteration reaches.
 
 The two covering hypotheses are spot-checked by sampling (hit-and-run plus
 deterministic candidates); this is a heuristic guard against misuse, not a
-proof. Both hit-and-run chains start from one deep point: a minimizer of
-the worst ball residual of ``C1``, refined from the mean of the centers with
-the lower bound ``-R^2`` (no ball residual is below it). That point lies
+proof. Both hit-and-run chains start from one deep point, the primal point
+of the optimal multipliers found by the certificate's dual ascent over the
+balls of ``C1``; the guard reads its true depth. That point lies
 strictly inside ``C1``, and the interior of ``C1`` lies inside the interior
 of ``S`` whenever ``C1`` is inside ``S``, so it is strictly inside ``S`` too;
 when it is not, it is itself a counterexample to the containment hypothesis.
@@ -34,12 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convexfn import Max
 from .errors import DimensionMismatch, HypothesisViolation, UnboundedRegion
 from .farthest import BisectionConfig, solve_farthest
-from .feasibility import ConstraintSet
+from .feasibility import ConstraintSet, _dual_ascent
 from .inclusion import BallIntersection
-from .minimize import refine_minimum
 
 
 @dataclass
@@ -200,15 +198,13 @@ def bound_max_distance(region: ConstraintSet, bi: BallIntersection, c, delta: fl
     cover_slack = 1e-7
     c1 = bi.constraint_set()
 
-    # one strictly interior point of C1 starts both chains; no ball residual
-    # is below -R^2, which bounds the refinement from below
-    res = refine_minimum(Max(c1.constraints), np.mean(bi.centers, axis=0),
-                         lower_bound=-(bi.radius * bi.radius), value_gap=1e-6)
-    if res.f_best >= -1e-9:
+    # one strictly interior point of C1 starts both chains
+    _, _, deep, _, _ = _dual_ascent(c1)
+    depth = c1.worst_residual(deep)
+    if depth >= -1e-9:
         raise HypothesisViolation(
-            f"ball intersection has no usable interior (best depth {res.f_best:.3e})",
-            counterexample=res.x_best)
-    deep = res.x_best
+            f"ball intersection has no usable interior (best depth {depth:.3e})",
+            counterexample=deep)
 
     # inner intersection inside the region
     depth = region.worst_residual(deep)

@@ -105,8 +105,8 @@ def _parse_x0(text: str, dim: int) -> np.ndarray:
         coords = [float(v) for v in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"--x0 must be comma-separated numbers, got {text!r}") from exc
-    if len(coords) != dim:
-        raise UsageError(f"--x0 has {len(coords)} coordinates, problem dimension is {dim}")
+    if len(coords) != dim or not np.isfinite(coords).all():
+        raise UsageError(f"--x0 needs {dim} finite coordinates, got {text!r}")
     return np.array(coords)
 
 

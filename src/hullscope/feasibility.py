@@ -34,7 +34,10 @@ candidate counts only once ``sum lambda_i (|c_i|^2 + o_i) + sum mu_j b_j -
 |sum lambda_i c_i - sum mu_j a_j / 2|^2 / s > 0``, with ``s = sum lambda_i``,
 holds in exact rational arithmetic over the float inputs and multipliers, so
 floating-point rounding cannot produce a false proof. A node of any other
-kind, or a system without a ball row, gets no certificate.
+kind, or a system without a ball row, gets no certificate. Over balls alone
+the best ``D`` is ``min_x max_i g_i(x)``, attained at the primal point ``x``
+of the optimal multipliers, the deepest point of the intersection: the same
+ascent gives ``bound_max_distance`` its deep point.
 
 Verdicts are three-valued. Feasible comes with a witness and a certified
 Infeasible with its multipliers. Without a certificate, an Infeasible verdict
@@ -399,22 +402,19 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.fmax(v - theta, 0.0)
 
 
-def _dual_certificate(cs: ConstraintSet) -> InfeasibilityCertificate | None:
-    """Ascend the Lagrange dual of the ball and affine rows; verify the first ``D > 0``.
+def _dual_ascent(cs: ConstraintSet):
+    """Ascend the Lagrange dual of the rows of ``cs``: one ball at least, no other node.
 
     Projected gradient from uniform ``lambda`` and ``mu = 0``, keeping
     ``lambda`` in the simplex and ``mu >= 0``, with the step
     ``1 / (2 ||M||_F^2)``, ``M = [C; -A/2]`` over the rows centred at the mean
     ball centre. That step is at most the inverse Lipschitz constant
     ``1 / (2 ||M||_2^2)`` of the dual gradient, so every step raises ``D``,
-    and it needs no SVD. Returns None when a node other than a ball or an
-    affine function is present, when there is no ball row, when the ascent
-    reaches a fixed point or ``CERTIFICATE_STEPS`` steps with ``D <= 0``, or
-    when the exact check rejects the multipliers.
+    and it needs no SVD. Stops at the first ``D > 0``, at a fixed point or
+    after ``CERTIFICATE_STEPS`` steps; returns ``(lambda, mu, x, D, steps)``
+    with ``x`` the primal point, the minimizer of the Lagrangian.
     """
-    C, offsets, A, shifts, others = cs.rows
-    if others or C is None:
-        return None
+    C, offsets, A, shifts, _ = cs.rows
     # D does not change when the rows are translated together (b_j picks up
     # a_j.z), but ||M||_F does: centring the balls at their mean lets the
     # step follow the spread of the centres, not their distance from 0
@@ -435,22 +435,27 @@ def _dual_certificate(cs: ConstraintSet) -> InfeasibilityCertificate | None:
     for step in range(CERTIFICATE_STEPS + 1):
         x = lam @ C - 0.5 * (mu @ A)
         D = float(lam @ q + mu @ b - x @ x)
-        if D > 0.0:
+        if D > 0.0 or step == CERTIFICATE_STEPS:
             break
         # the gradient is the constraint values at x: g_i(x) - |x|^2 and h_j(x)
         lam_next = _project_simplex(lam + t * (q - 2.0 * (C @ x)))
         mu_next = np.fmax(mu + t * (b + A @ x), 0.0)
         if np.array_equal(lam_next, lam) and np.array_equal(mu_next, mu):
-            return None
+            break
         lam, mu = lam_next, mu_next
-    else:
+    return lam, mu, x + z, D, step
+
+
+def _dual_certificate(cs: ConstraintSet) -> InfeasibilityCertificate | None:
+    """The ascent's multipliers when they prove ``cs`` empty in the exact check, else None."""
+    if cs.rows.others or cs.rows.centers is None:
         return None
-    weights, lam_it, mu_it = [], iter(lam.tolist()), iter(mu.tolist())
-    for g in cs.constraints:
-        weights.append(next(lam_it) if isinstance(g, BallQuad) else next(mu_it))
-    if not _proves_empty(cs, weights):
+    lam, mu, _, D, steps = _dual_ascent(cs)
+    lam_it, mu_it = iter(lam.tolist()), iter(mu.tolist())
+    weights = [next(lam_it) if isinstance(g, BallQuad) else next(mu_it) for g in cs.constraints]
+    if not (D > 0.0 and _proves_empty(cs, weights)):
         return None
-    return InfeasibilityCertificate(weights=tuple(weights), bound=D, steps=step)
+    return InfeasibilityCertificate(weights=tuple(weights), bound=D, steps=steps)
 
 
 def default_start(cs: ConstraintSet) -> np.ndarray:

@@ -11,12 +11,11 @@ identical outputs.
 
 ``refine_minimum`` sits on top: it bisects over Polyak target values to pin
 the optimal value down to a requested gap. Every caller knows a lower bound
-on the minimum (the merit function is at least 0, ``G`` and a worst ball
-residual at least ``-R^2``), so the lower end of the bracket starts at
-that bound. It rises to each target a probe fails to reach, which is a
-heuristic: a stalled probe does not prove its target unattainable. Each
-probe is a plain ``PolyakWithTarget`` run, so the rule above is the only
-step rule in the library.
+on the minimum (the merit function is at least 0, ``G`` at least ``-R^2``),
+so the lower end of the bracket starts at that bound. It rises to each
+target a probe fails to reach, a heuristic: a stalled probe does not prove
+its target unattainable. Each probe is a plain ``PolyakWithTarget`` run, so
+the rule above is the only step rule in the library.
 """
 
 from __future__ import annotations
@@ -142,11 +141,9 @@ def minimize(fn: ConvexFn, x0, cfg: SolverConfig | None = None) -> MinimizeResul
     return MinimizeResult(x_best=best_x, f_best=best_f, iters=k + 1, converged=converged, evals=evals)
 
 
-# refine_minimum's probe budget: iterations and stall window per probe, and
-# the number of probes
+# refine_minimum's probe budget: iterations and stall window per probe
 PROBE_ITERS = 4_000
 PROBE_STALL = 400
-MAX_PROBES = 80
 
 
 def refine_minimum(
@@ -155,7 +152,7 @@ def refine_minimum(
     *,
     lower_bound: float,
     value_gap: float,
-    max_iters: int | None = None,
+    max_iters: int,
 ) -> MinimizeResult:
     """Estimate the minimum value of ``fn`` by bisecting over Polyak targets.
 
@@ -163,16 +160,18 @@ def refine_minimum(
     lower end that starts at the caller's ``lower_bound`` and rises to each
     target a probe fails to reach. A failed probe does not prove its target
     unattainable, so once a probe has failed the lower end is a heuristic.
-    Each probe warm-starts from the incumbent. ``max_iters``, when given,
-    caps the subgradient iterations summed over all probes. Returns a
-    result whose ``converged`` flag means the bracket closed to
-    ``value_gap``; ``f_best`` is always an upper bound on the true minimum.
+    Each probe warm-starts from the incumbent. ``max_iters`` caps the
+    subgradient iterations summed over all probes; every probe spends at
+    least one, so it also bounds the number of probes. Returns a result
+    whose ``converged`` flag means the bracket closed to ``value_gap``;
+    ``f_best`` is always an upper bound on the true minimum. Its two callers
+    are ``check_feasibility``, when no dual certificate proves the set
+    empty, and the inclusion check, which pins down the minimum of ``G``.
     """
     if not (math.isfinite(value_gap) and value_gap > 0):
         raise ValueError("value_gap must be a finite positive number")
-    if max_iters is not None and max_iters < 0:
+    if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
-    budget = math.inf if max_iters is None else int(max_iters)
     probe_tol = max(value_gap / 8.0, 1e-13)
     x = np.asarray(x0, dtype=np.float64)
     f0, _ = fn.eval(x)
@@ -183,12 +182,10 @@ def refine_minimum(
     lb = lower_bound
     total_iters = 0
     total_evals = 1
-    probes = 0
 
-    while ub - lb > value_gap and probes < MAX_PROBES and total_iters < budget:
-        probes += 1
+    while ub - lb > value_gap and total_iters < max_iters:
         t = 0.5 * (ub + lb)
-        cfg = SolverConfig(max_iters=min(PROBE_ITERS, budget - total_iters), tol=probe_tol,
+        cfg = SolverConfig(max_iters=min(PROBE_ITERS, max_iters - total_iters), tol=probe_tol,
                            step_rule=PolyakWithTarget(t), stall_iters=PROBE_STALL)
         r = minimize(fn, xb, cfg)
         total_iters += r.iters
@@ -196,7 +193,7 @@ def refine_minimum(
         if r.f_best < ub:
             ub, xb = r.f_best, r.x_best
         # a failed probe that ran out of budget says nothing about the minimum
-        if r.f_best > t + probe_tol and total_iters < budget:
+        if r.f_best > t + probe_tol and total_iters < max_iters:
             lb = t
 
     return MinimizeResult(x_best=xb, f_best=ub, iters=total_iters,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 import jsonschema
@@ -42,9 +43,12 @@ class ProblemFile:
     delta: float | None
 
 
-def _schema() -> dict:
+@cache
+def _validator():
+    """Validator of the packaged schema, built once; the tests check the schema itself."""
     text = resources.files("hullscope").joinpath("schema/problem-v1.schema.json").read_text()
-    return json.loads(text)
+    schema = json.loads(text)
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 def _check_dim(name: str, vec, n: int) -> None:
@@ -75,10 +79,10 @@ def load_problem(path) -> ProblemFile:
     except json.JSONDecodeError as exc:
         raise ProblemFileError(f"malformed JSON: {exc}") from exc
 
-    try:
-        jsonschema.validate(raw, _schema())
-    except jsonschema.ValidationError as exc:
-        raise ProblemFileError(f"schema violation: {exc.message}") from exc
+    # best_match picks the error jsonschema.validate would raise
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(raw))
+    if error is not None:
+        raise ProblemFileError(f"schema violation: {error.message}")
 
     n = raw["dimension"]
 

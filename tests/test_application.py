@@ -105,34 +105,41 @@ def test_dimension_mismatch_raised_before_sampling(monkeypatch, region, bi, c):
     def fail(*args, **kwargs):
         raise AssertionError("sampled before checking dimensions")
 
-    monkeypatch.setattr(application, "refine_minimum", fail)
+    monkeypatch.setattr(application, "_dual_ascent", fail)
     monkeypatch.setattr(application, "_hit_and_run", fail)
     with pytest.raises(DimensionMismatch):
         bound_max_distance(region, bi, c, 0.42)
 
 
+def three_balls():
+    return BallIntersection([[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]], 1.0)
+
+
 def test_appbound_solves_one_deep_point(monkeypatch):
-    # one refinement serves both hit-and-run chains; the disk center is
-    # already the deepest point, so it takes no iteration
+    # the mean of the centers has depth -0.679; the dual ascent goes deeper,
+    # towards the centre of the smallest circle enclosing the three centers
     import hullscope.application as application
 
-    refine = application.refine_minimum
-    iters = []
+    hit_and_run = application._hit_and_run
+    starts = []
 
-    def counting(*args, **kwargs):
-        res = refine(*args, **kwargs)
-        iters.append(res.iters)
-        return res
+    def recording(region, x0, count, rng):
+        starts.append(np.array(x0))
+        return hit_and_run(region, x0, count, rng)
 
-    monkeypatch.setattr(application, "refine_minimum", counting)
-    bound_max_distance(unit_square_shifted(), inner_disk(), C, 0.42)
-    assert iters == [0]
+    monkeypatch.setattr(application, "_hit_and_run", recording)
+    bi = three_balls()
+    c1 = bi.constraint_set()
+    assert c1.worst_residual(np.mean(bi.centers, axis=0)) > -0.68
+    bound_max_distance(c1, bi, [5.0, 0.3], 0.0, BisectionConfig(eps=1e-2))
+    # both chains start from the one deep point
+    assert len(starts) == 2
+    np.testing.assert_array_equal(starts[0], starts[1])
+    assert c1.worst_residual(starts[0]) <= -0.69
 
 
 def test_three_ball_sandwich():
-    # the mean of the centers is not the deepest point of C1, so the deep
-    # point needs refinement probes
-    bi = BallIntersection([[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]], 1.0)
+    bi = three_balls()
     region = bi.constraint_set()
     c = [5.0, 0.3]
     eps = 1e-2
@@ -141,6 +148,24 @@ def test_three_ball_sandwich():
     assert rep.v_c == pytest.approx(oracle, abs=2 * eps)
     assert rep.v_c - 2 * eps <= rep.dist_x_hat <= rep.v_c + rep.delta + 2 * eps
     assert region.worst_residual(rep.x_hat) <= 1e-8
+
+
+def test_thin_inner_intersection_has_a_deep_point():
+    # eight unit balls on the circle of radius sqrt(1 - 1e-7) around the
+    # origin: C1 has depth -1e-7 and lies within 1e-3 of the origin
+    rho = math.sqrt(1.0 - 1e-7)
+    angles = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 2.5, 4.2]
+    bi = BallIntersection([[rho * math.cos(t), rho * math.sin(t)] for t in angles], 1.0)
+    c = [5.0, 0.3]
+    eps = 1e-2
+    rep = bound_max_distance(bi.constraint_set(), bi, c, 0.0, BisectionConfig(eps=eps))
+    assert rep.v_c == pytest.approx(math.hypot(*c), abs=2 * eps)
+
+
+def test_empty_inner_intersection_rejected():
+    bi = BallIntersection([[0.0, 0.0], [3.0, 0.0]], 1.0)
+    with pytest.raises(HypothesisViolation, match="no usable interior"):
+        bound_max_distance(bi.constraint_set(), bi, [5.0, 0.3], 0.0)
 
 
 def test_extract_boundary_point_square_face():

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from conftest import problem_path
 
 
@@ -52,6 +54,14 @@ def test_schema_violation_exits_65(tmp_path):
     assert proc.returncode == 65
 
 
+def test_packaged_schema_is_valid():
+    # loading trusts the packaged schema, so check it here once
+    from hullscope.problemfile import _validator
+
+    validator = _validator()
+    validator.check_schema(validator.schema)
+
+
 def test_missing_block_exits_65():
     proc = run_cli("inclusion", str(problem_path("disjoint-disks")))
     assert proc.returncode == 65
@@ -62,8 +72,9 @@ def test_unknown_command_exits_64():
     assert proc.returncode == 64
 
 
-def test_bad_x0_exits_64():
-    proc = run_cli("feas", str(problem_path("overlapping-disks")), "--x0", "1,banana")
+@pytest.mark.parametrize("x0", ["1,banana", "nan,0", "1e400,0"])
+def test_bad_x0_exits_64(x0):
+    proc = run_cli("feas", str(problem_path("overlapping-disks")), "--x0", x0)
     assert proc.returncode == 64
 
 

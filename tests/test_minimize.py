@@ -109,7 +109,7 @@ def test_stall_marks_converged():
 def test_refine_minimum_reaches_known_value():
     fn = disjoint_disks_merit()
     first = minimize(fn, [0.0, 0.0], SolverConfig(step_rule=PolyakWithTarget(0.0)))
-    ref = refine_minimum(fn, first.x_best, lower_bound=0.0, value_gap=1e-8)
+    ref = refine_minimum(fn, first.x_best, lower_bound=0.0, value_gap=1e-8, max_iters=50_000)
     assert ref.converged
     oracle = scan_disjoint_disks_merit()
     assert oracle == pytest.approx(2.5, abs=1e-6)
@@ -119,7 +119,7 @@ def test_refine_minimum_reaches_known_value():
 def test_refine_minimum_without_lower_bound():
     # a loose lower bound, far below the minimum, still closes the bracket
     fn = BallQuad([2.0, -1.0], -4.0)  # minimum value -4
-    ref = refine_minimum(fn, [0.0, 0.0], lower_bound=-100.0, value_gap=1e-7)
+    ref = refine_minimum(fn, [0.0, 0.0], lower_bound=-100.0, value_gap=1e-7, max_iters=50_000)
     assert ref.converged
     assert ref.f_best == pytest.approx(-4.0, abs=1e-5)
 
