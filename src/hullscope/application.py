@@ -56,12 +56,24 @@ def project_region(region: ConstraintSet, y) -> np.ndarray:
     return region.project(y, iters=300, tol=1e-12).point
 
 
+def _balls(region: ConstraintSet):
+    """``(center, offset)`` of each ball ``||x - center||^2 + offset <= 0``, in order."""
+    rows = region.region_rows
+    return () if rows.centers is None else zip(rows.centers, rows.offsets)
+
+
+def _halfspaces(region: ConstraintSet):
+    """``(a, b)`` of each halfspace ``a.x + b <= 0``, in order."""
+    rows = region.region_rows
+    return () if rows.normals is None else zip(rows.normals, rows.shifts)
+
+
 def _chord(region: ConstraintSet, x: np.ndarray, d: np.ndarray) -> tuple[float, float]:
     """Parameter range of {x + t d} inside the region; d is a unit vector."""
     t_lo, t_hi = -math.inf, math.inf
-    for h in region.halfspaces:
-        ad = float(h.a @ d)
-        slack = -h.b - float(h.a @ x)
+    for a, b in _halfspaces(region):
+        ad = float(a @ d)
+        slack = -b - float(a @ x)
         if abs(ad) < 1e-14:
             continue
         t = slack / ad
@@ -69,11 +81,11 @@ def _chord(region: ConstraintSet, x: np.ndarray, d: np.ndarray) -> tuple[float, 
             t_hi = min(t_hi, t)
         else:
             t_lo = max(t_lo, t)
-    for b in region.balls:
-        w = x - b.center
+    for center, offset in _balls(region):
+        w = x - center
         # ||w + t d||^2 = r^2 with ||d|| = 1
         beta = float(w @ d)
-        gamma = float(w @ w) + b.offset
+        gamma = float(w @ w) + offset
         disc = beta * beta - gamma
         if disc < 0.0:
             disc = 0.0
@@ -103,11 +115,9 @@ def _hit_and_run(region: ConstraintSet, x0: np.ndarray, count: int, rng) -> list
 
 def _covering_candidates(region: ConstraintSet, interior: np.ndarray) -> list[np.ndarray]:
     """Deterministic spot-check points: ball centers and halfspace feet."""
-    cands = [np.asarray(b.center, dtype=np.float64) for b in region.balls]
-    for h in region.halfspaces:
-        na2 = float(h.a @ h.a)
-        foot = interior + ((-h.b - float(h.a @ interior)) / na2) * h.a
-        cands.append(foot)
+    cands = [center for center, _ in _balls(region)]
+    cands += [interior + ((-b - float(a @ interior)) / float(a @ a)) * a
+              for a, b in _halfspaces(region)]
     return [c for c in cands if region.worst_residual(c) <= 1e-9]
 
 
@@ -135,13 +145,10 @@ def extract_boundary_point(region: ConstraintSet, x_star_c, c) -> np.ndarray:
     d_hat = d / nd
 
     scale_points = [x_star_c]
-    for b in region.balls:
-        radius = math.sqrt(-b.offset)
-        scale_points.append(b.center + radius)
-        scale_points.append(b.center - radius)
-    for h in region.halfspaces:
-        na2 = float(h.a @ h.a)
-        scale_points.append((-h.b / na2) * h.a)
+    for center, offset in _balls(region):
+        radius = math.sqrt(-offset)
+        scale_points += (center + radius, center - radius)
+    scale_points += [(-b / float(a @ a)) * a for a, b in _halfspaces(region)]
     stacked = np.stack(scale_points)
     spread = float(np.linalg.norm(stacked.max(axis=0) - stacked.min(axis=0)))
     step_scale = max(spread, 1e-3)
@@ -178,8 +185,8 @@ def bound_max_distance(region: ConstraintSet, bi: BallIntersection, c, delta: fl
         When the region, the inner intersection and ``c`` do not share one
         dimension.
     TypeError, ValueError
-        When a region constraint is not a ball or a halfspace with a nonzero
-        normal.
+        When ``c`` or ``delta`` is not finite, ``delta`` is negative, or a
+        region constraint is not a ball or a halfspace with a nonzero normal.
     HypothesisViolation
         With the offending sample attached, when a spot check fails.
     EmptyIntersection, PreconditionFailed, InnerUndetermined
@@ -188,19 +195,21 @@ def bound_max_distance(region: ConstraintSet, bi: BallIntersection, c, delta: fl
     if cfg is None:
         cfg = BisectionConfig()
     c = np.asarray(c, dtype=np.float64)
-    if region.dimension != bi.dim or c.shape != (bi.dim,):
+    if region.dimension != bi.dimension or c.shape != (bi.dimension,):
         raise DimensionMismatch(f"region has dimension {region.dimension}, the inner intersection "
-                                f"{bi.dim} and c has shape {c.shape}")
+                                f"{bi.dimension} and c has shape {c.shape}")
+    if not all(map(math.isfinite, c.tolist())):
+        raise ValueError(f"outer center must be finite, got {c.tolist()}")
+    region.region_rows  # refuse a constraint that is not a ball or a halfspace before sampling
     delta = float(delta)
     if delta < 0 or not math.isfinite(delta):
         raise ValueError("delta must be finite and >= 0")
     rng = np.random.default_rng(seed)
     cover_slack = 1e-7
-    c1 = bi.constraint_set()
 
     # one strictly interior point of C1 starts both chains
-    _, _, deep, _, _ = _dual_ascent(c1)
-    depth = c1.worst_residual(deep)
+    _, _, deep, _, _ = _dual_ascent(bi)
+    depth = bi.worst_residual(deep)
     if depth >= -1e-9:
         raise HypothesisViolation(
             f"ball intersection has no usable interior (best depth {depth:.3e})",
@@ -211,7 +220,7 @@ def bound_max_distance(region: ConstraintSet, bi: BallIntersection, c, delta: fl
     if depth >= -1e-9:
         raise HypothesisViolation("inner intersection is not contained in the region",
                                   counterexample=deep, distance=depth)
-    for x in _hit_and_run(c1, deep, 200, rng):
+    for x in _hit_and_run(bi, deep, 200, rng):
         if region.worst_residual(x) > 1e-7:
             raise HypothesisViolation(
                 "inner intersection is not contained in the region",
@@ -221,7 +230,7 @@ def bound_max_distance(region: ConstraintSet, bi: BallIntersection, c, delta: fl
     check_points = _hit_and_run(region, deep, 1000, rng)
     check_points.extend(_covering_candidates(region, deep))
     for x in check_points:
-        p = c1.project(x, iters=500, tol=1e-11).point
+        p = bi.project(x, iters=500, tol=1e-11).point
         d_to_c1 = float(np.linalg.norm(x - p))
         if d_to_c1 > delta + cover_slack:
             raise HypothesisViolation(

@@ -123,16 +123,15 @@ class ConstraintRows(NamedTuple):
 class ConstraintSet:
     """Convex constraint functions g_k sharing one ambient dimension.
 
-    Feasibility accepts any convex g_k. The region operations
-    (``worst_residual``, ``balls``, ``halfspaces``, ``project``) need every
-    g_k to be a leaf: a ball ``BallQuad`` with offset ``-r^2 < 0`` or a
-    halfspace ``Affine`` with a nonzero normal, as ``ball_constraint`` and
-    ``halfspace_constraint`` build them. They raise ``TypeError`` on any
-    other node and ``ValueError`` on a degenerate leaf. The order of the
-    constraints is kept: ``residuals`` lists the values in it, ``project``
-    sweeps the leaves in it, and a ``Max`` over ``constraints`` breaks ties
-    by it. The merit function reads ``rows``, which groups the constraints by
-    kind, so its sums depend only on the order within each kind.
+    Feasibility and the residuals accept any convex g_k; the merit function
+    reads ``rows``, which groups the constraints by kind. The region
+    operations (``project`` and the sampling of ``application``) read
+    ``region_rows``, which needs every g_k to be a ball ``BallQuad`` with
+    offset ``-r^2 < 0`` or a halfspace ``Affine`` with a nonzero normal, as
+    ``ball_constraint`` and ``halfspace_constraint`` build them. The order
+    of the constraints is kept: ``residuals`` lists the values in it,
+    ``project`` sweeps the leaves in it, and ``rows`` keeps it within each
+    kind, so the merit function's sums depend only on that order.
     """
 
     constraints: tuple[ConvexFn, ...]
@@ -161,39 +160,14 @@ class ConstraintSet:
         return np.array([g.eval(x)[0] for g in self.constraints])
 
     def worst_residual(self, x) -> float:
-        """Largest constraint value; <= 0 means the point is in the region."""
-        x = self._point(x)
-        return max(g.eval(x)[0] for g in self._leaves)
-
-    @cached_property
-    def _leaves(self) -> tuple[ConvexFn, ...]:
-        """The constraints, once checked to be region leaves."""
-        for g in self.constraints:
-            if isinstance(g, BallQuad):
-                if not g.offset < 0.0:
-                    raise ValueError("ball constraint needs a negative offset -r^2")
-            elif isinstance(g, Affine):
-                if float(g.a @ g.a) == 0.0:
-                    raise ValueError("halfspace normal must be nonzero")
-            else:
-                raise TypeError(f"region operations need ball or halfspace leaves, got {type(g).__name__}")
-        return self.constraints
-
-    @cached_property
-    def balls(self) -> tuple[BallQuad, ...]:
-        """Ball leaves ``||x - c||^2 - r^2``, in constraint order."""
-        return tuple(g for g in self._leaves if isinstance(g, BallQuad))
-
-    @cached_property
-    def halfspaces(self) -> tuple[Affine, ...]:
-        """Halfspace leaves ``a.x + b``, i.e. the sets ``a.x <= -b``, in constraint order."""
-        return tuple(g for g in self._leaves if isinstance(g, Affine))
+        """Largest constraint value; <= 0 means the point is in the intersection."""
+        return float(max(self.residuals(x)))
 
     @cached_property
     def rows(self) -> ConstraintRows:
         """The constraints grouped by kind, as dense rows.
 
-        Unlike the region views this accepts every ``BallQuad`` and ``Affine``
+        Unlike ``region_rows`` this accepts every ``BallQuad`` and ``Affine``
         (any offset, any normal): ball quadratics become the rows of
         ``centers`` with their ``offsets``, affine functions the rows of
         ``normals`` with their ``shifts``, and any other node stays in
@@ -215,8 +189,18 @@ class ConstraintSet:
         return ConstraintRows(centers, offsets, normals, shifts, others)
 
     @cached_property
-    def _projectors(self) -> tuple:
-        return tuple(_projector(g) for g in self._leaves)
+    def region_rows(self) -> ConstraintRows:
+        """``rows``, once checked to hold only region leaves: ``TypeError`` on a
+        node in ``others``, ``ValueError`` on an offset >= 0 or a zero normal."""
+        rows = self.rows
+        if rows.others:
+            raise TypeError("region operations need ball or halfspace leaves, "
+                            f"got {type(rows.others[0]).__name__}")
+        if rows.offsets is not None and any(o >= 0.0 for o in rows.offsets):
+            raise ValueError("ball constraint needs a negative offset -r^2")
+        if rows.normals is not None and any(float(a @ a) == 0.0 for a in rows.normals):
+            raise ValueError("halfspace normal must be nonzero")
+        return rows
 
     def project(self, y, iters: int = 1000, tol: float = 1e-11) -> ProjectionResult:
         """Euclidean projection of ``y`` onto the intersection, by Dykstra's algorithm.
@@ -227,7 +211,9 @@ class ConstraintSet:
         first); on an empty intersection the iteration cannot converge and
         the result comes back flagged.
         """
-        projectors = self._projectors
+        self.region_rows  # refuse a non-region constraint before any sweep
+        # built per call, not cached: a set held for many calls keeps only its rows
+        projectors = [_projector(g) for g in self.constraints]
         x = np.array(self._point(y))
         corrections = [np.zeros_like(x) for _ in projectors]
         converged = False
@@ -460,8 +446,9 @@ def _dual_certificate(cs: ConstraintSet) -> InfeasibilityCertificate | None:
 
 def default_start(cs: ConstraintSet) -> np.ndarray:
     """Centroid of ball centers when every constraint is a ball, else zero."""
-    if all(isinstance(g, BallQuad) for g in cs.constraints):
-        return np.mean([g.center for g in cs.constraints], axis=0)
+    centers, _, normals, _, others = cs.rows
+    if normals is None and not others:
+        return np.mean(centers, axis=0)
     return np.zeros(cs.dimension)
 
 

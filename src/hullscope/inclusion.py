@@ -25,8 +25,9 @@ sum_{i != k} max(f_i, 0)``, where ``f_k - f`` is affine because both
 quadratics have the Hessian ``2 I``. The literal formula survives only in
 test oracles.
 
-The distance precondition is checked with Dykstra's projection algorithm,
-which computes exact Euclidean projections onto the ball intersection.
+``C1`` is a ``BallIntersection``, a ``ConstraintSet`` of the ``f_k``: the
+witness search, the residuals and the distance precondition read it as it
+is. The precondition is checked by Dykstra's projection onto ``C1``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 from .convexfn import BallQuad, ConvexFn
 from .errors import DimensionMismatch, EmptyIntersection, PreconditionFailed
 from .feasibility import ConstraintSet, FeasibilityVerdict, ProjectionResult, check_feasibility
-from .geometry import Ball, Vector, as_vector
+from .geometry import Ball
 from .minimize import MinimizeResult, SolverConfig, refine_minimum
 
 # The minimizer of G generically sits on the boundary sphere of the outer
@@ -50,38 +51,32 @@ _BOUNDARY_TOL_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
-class BallIntersection:
-    """Intersection of m closed balls with a common radius R > 0."""
+class BallIntersection(ConstraintSet):
+    """Intersection of m closed balls with a common radius R > 0.
 
-    centers: tuple[Vector, ...]
+    The ``ConstraintSet`` of ``f_k(x) = ||x - c_k||^2 - R^2`` in center order;
+    ``centers`` is the read-only ``(m, n)`` array of the ``c_k``.
+    """
+
     radius: float
 
     def __init__(self, centers, radius: float):
-        centers = tuple(as_vector(c) for c in centers)
-        if not centers:
-            raise ValueError("need at least one center")
-        dim = centers[0].shape[0]
-        for c in centers:
-            if c.shape[0] != dim:
-                raise DimensionMismatch("all centers must share the ambient dimension")
         r = float(radius)
         if not (math.isfinite(r) and r > 0):
             raise ValueError("radius must be a finite positive number")
-        object.__setattr__(self, "centers", centers)
+        super().__init__([BallQuad(c, -(r * r)) for c in centers])
         object.__setattr__(self, "radius", r)
 
     @property
-    def dim(self) -> int:
-        return self.centers[0].shape[0]
+    def centers(self) -> np.ndarray:
+        return self.rows.centers
 
-    @property
-    def m(self) -> int:
-        return len(self.centers)
+    def __repr__(self) -> str:
+        return f"BallIntersection(centers={self.centers.tolist()}, radius={self.radius!r})"
 
     def constraint_set(self) -> ConstraintSet:
-        """The balls as constraints f_k(x) = ||x - c_k||^2 - R^2, in center order."""
-        r2 = self.radius * self.radius
-        return ConstraintSet([BallQuad(c, -r2) for c in self.centers])
+        """The intersection itself, which is already a ``ConstraintSet``."""
+        return self
 
 
 OuterBall = Ball  # the outer ball B(c, r): a centre and a finite radius > 0
@@ -117,7 +112,7 @@ def dykstra_project_full(cs: ConstraintSet, y) -> ProjectionResult:
     wraps it (as ``bench/tracing.py`` does) counts those projections apart
     from the covering check's, which call ``ConstraintSet.project``.
     """
-    return cs.project(y, iters=1000, tol=1e-11)
+    return cs.project(y)
 
 
 class _WitnessG(ConvexFn):
@@ -132,11 +127,11 @@ class _WitnessG(ConvexFn):
     __slots__ = ("points", "ones", "r2", "R2")
 
     def __init__(self, bi: BallIntersection, ob: OuterBall):
-        super().__init__(bi.dim)
-        points = np.vstack((ob.center,) + bi.centers)  # row 0 is c, row k is c_k
+        super().__init__(bi.dimension)
+        points = np.vstack((ob.center, bi.centers))  # row 0 is c, row k is c_k
         points.setflags(write=False)
         self.points = points
-        self.ones = np.ones(bi.dim)
+        self.ones = np.ones(bi.dimension)
         self.r2 = ob.radius * ob.radius
         self.R2 = bi.radius * bi.radius
 
@@ -167,7 +162,7 @@ class _WitnessG(ConvexFn):
 
 def build_G(bi: BallIntersection, ob: OuterBall) -> ConvexFn:
     """The convex witness ``G = max_k G_k`` of ``bi`` against the outer ball ``ob``."""
-    if ob.center.shape[0] != bi.dim:
+    if ob.center.shape[0] != bi.dimension:
         raise DimensionMismatch("outer ball and intersection must share the ambient dimension")
     return _WitnessG(bi, ob)
 
@@ -194,7 +189,7 @@ def _inclusion_at(bi: BallIntersection, ob: OuterBall, cfg: SolverConfig,
     res: MinimizeResult = refine_minimum(
         G, start, lower_bound=-(bi.radius * bi.radius), value_gap=gap, max_iters=cfg.max_iters)
     x_star = res.x_best
-    fk = bi.constraint_set().residuals(x_star)
+    fk = bi.residuals(x_star)
     verdict = _classify(fk, ob, x_star, cfg.tol)
     if verdict is InclusionVerdict.INCLUDED and not res.converged:
         # only the minimizer of G localizes the difference; a point that is
@@ -221,6 +216,8 @@ def inclusion_checker(bi: BallIntersection, c, cfg: SolverConfig):
 
     Raises
     ------
+    DimensionMismatch, ValueError
+        If ``c`` is not a finite point of the intersection's dimension.
     EmptyIntersection
         If the intersection cannot be certified nonempty.
     PreconditionFailed
@@ -228,17 +225,18 @@ def inclusion_checker(bi: BallIntersection, c, cfg: SolverConfig):
         verdict exists in that regime.
     """
     c = np.asarray(c, dtype=np.float64)
-    if c.shape != (bi.dim,):
+    if c.shape != (bi.dimension,):
         raise DimensionMismatch("outer ball and intersection must share the ambient dimension")
-    cs = bi.constraint_set()
-    report = check_feasibility(cs, cfg=cfg)
+    if not all(map(math.isfinite, c.tolist())):
+        raise ValueError(f"outer center must be finite, got {c.tolist()}")
+    report = check_feasibility(bi, cfg=cfg)
     if report.verdict is not FeasibilityVerdict.FEASIBLE:
         raise EmptyIntersection(
             f"ball intersection not certified nonempty (verdict {report.verdict.value}, "
             f"merit minimum {report.g_tilde_min:.3e})")
-    proj = dykstra_project_full(cs, c)
+    proj = dykstra_project_full(bi, c)
     margin = float(np.linalg.norm(c - proj.point)) - bi.radius
-    if margin <= cfg.tol:
+    if not margin > cfg.tol:
         raise PreconditionFailed(
             f"outer center too close to the intersection: d(c, C1) - R = {margin:.6e}")
 

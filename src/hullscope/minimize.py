@@ -21,6 +21,7 @@ the rule above is the only step rule in the library.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,11 +51,11 @@ class SolverConfig:
     stall_iters: int = 2_000
 
     def __post_init__(self):
-        if int(self.max_iters) < 1:
+        if operator.index(self.max_iters) < 1:
             raise ValueError("max_iters must be >= 1")
         if not (math.isfinite(float(self.tol)) and self.tol > 0):
             raise ValueError("tol must be a finite positive number")
-        if int(self.stall_iters) < 1:
+        if operator.index(self.stall_iters) < 1:
             raise ValueError("stall_iters must be >= 1")
         if not isinstance(self.step_rule, PolyakWithTarget):
             raise TypeError(f"unknown step rule {self.step_rule!r}")
@@ -73,7 +74,6 @@ class MinimizeResult:
     f_best: float
     iters: int
     converged: bool
-    evals: int
 
 
 def minimize(fn: ConvexFn, x0, cfg: SolverConfig | None = None) -> MinimizeResult:
@@ -110,13 +110,11 @@ def minimize(fn: ConvexFn, x0, cfg: SolverConfig | None = None) -> MinimizeResul
     best_x = x.copy()
     baseline = math.inf
     last_progress = 0
-    evals = 0
     converged = False
     k = 0
 
     for k in range(cfg.max_iters):
         f, g = fn_eval(x)
-        evals += 1
         if not math.isfinite(f):
             raise NonFiniteValue(f"non-finite value {f!r} at iteration {k} (x = {x!r})")
         if f < best_f:
@@ -138,7 +136,7 @@ def minimize(fn: ConvexFn, x0, cfg: SolverConfig | None = None) -> MinimizeResul
             break
         x = x - ((f - target) / gg) * g
 
-    return MinimizeResult(x_best=best_x, f_best=best_f, iters=k + 1, converged=converged, evals=evals)
+    return MinimizeResult(x_best=best_x, f_best=best_f, iters=k + 1, converged=converged)
 
 
 # refine_minimum's probe budget: iterations and stall window per probe
@@ -181,7 +179,6 @@ def refine_minimum(
     xb = x.copy()
     lb = lower_bound
     total_iters = 0
-    total_evals = 1
 
     while ub - lb > value_gap and total_iters < max_iters:
         t = 0.5 * (ub + lb)
@@ -189,7 +186,6 @@ def refine_minimum(
                            step_rule=PolyakWithTarget(t), stall_iters=PROBE_STALL)
         r = minimize(fn, xb, cfg)
         total_iters += r.iters
-        total_evals += r.evals
         if r.f_best < ub:
             ub, xb = r.f_best, r.x_best
         # a failed probe that ran out of budget says nothing about the minimum
@@ -197,4 +193,4 @@ def refine_minimum(
             lb = t
 
     return MinimizeResult(x_best=xb, f_best=ub, iters=total_iters,
-                          converged=ub - lb <= value_gap, evals=total_evals)
+                          converged=ub - lb <= value_gap)

@@ -111,7 +111,7 @@ def load_problem(path) -> ProblemFile:
             raise ProblemFileError("region must list at least one halfspace or ball")
         region = ConstraintSet(leaves)
         # region operations refuse a zero halfspace normal: refuse it at load
-        region.halfspaces
+        region.region_rows
 
     return ProblemFile(
         version=raw["version"],

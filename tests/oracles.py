@@ -152,7 +152,7 @@ class GridMaxDistance(NamedTuple):
 def grid_max_distance(bi: BallIntersection, c, grid: GridSpec) -> GridMaxDistance:
     """Max of ||x - c|| over grid points inside the ball intersection."""
     c = np.asarray(c, dtype=np.float64)
-    if grid.lower.shape[0] != bi.dim:
+    if grid.lower.shape[0] != bi.dimension:
         raise ValueError("grid dimension does not match the ball intersection")
     r2 = bi.radius * bi.radius
     best = -math.inf

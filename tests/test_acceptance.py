@@ -208,7 +208,7 @@ def test_criterion_7_sign_characterization(report):
         G = build_G(bi, ob)
         center = np.mean([c for c in bi.centers], axis=0)
         span = 2.5 * bi.radius + float(np.linalg.norm(ob.center - center))
-        X = rng.uniform(center - span, center + span, (10_000, bi.dim))
+        X = rng.uniform(center - span, center + span, (10_000, bi.dimension))
         vals = np.array([G.value(x) for x in X])
         in_c1 = np.ones(len(X), dtype=bool)
         for ck in bi.centers:

@@ -111,6 +111,19 @@ def test_dimension_mismatch_raised_before_sampling(monkeypatch, region, bi, c):
         bound_max_distance(region, bi, c, 0.42)
 
 
+@pytest.mark.parametrize("c", [[math.nan, 0.5], [4.0, math.inf]])
+def test_non_finite_center_raised_before_sampling(monkeypatch, c):
+    import hullscope.application as application
+
+    def fail(*args, **kwargs):
+        raise AssertionError("sampled before checking the outer center")
+
+    monkeypatch.setattr(application, "_dual_ascent", fail)
+    monkeypatch.setattr(application, "_hit_and_run", fail)
+    with pytest.raises(ValueError, match="finite"):
+        bound_max_distance(unit_square_shifted(), inner_disk(), c, 0.42)
+
+
 def three_balls():
     return BallIntersection([[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]], 1.0)
 

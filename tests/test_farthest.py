@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hullscope import (BallIntersection, BisectionConfig, InnerUndetermined, PreconditionFailed,
-                       SolverConfig, solve_farthest)
+from hullscope import (BallIntersection, BisectionConfig, DimensionMismatch, InnerUndetermined,
+                       PreconditionFailed, SolverConfig, solve_farthest)
 
 from conftest import far_center, random_ball_intersection
 from oracles import GridSpec, grid_max_distance
@@ -142,3 +142,16 @@ def test_intersection_diameter_within_2R():
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             assert np.linalg.norm(pts[i] - pts[j]) <= 2.0 * bi.radius + 1e-12
+
+
+@pytest.mark.parametrize("c, error", [([math.nan, 0.0], ValueError), ([math.inf, 0.0], ValueError),
+                                      (5.0, DimensionMismatch), ([5.0, 0.0, 0.0], DimensionMismatch)])
+def test_bad_outer_center_refused_before_solving(monkeypatch, c, error):
+    import hullscope.inclusion as inclusion
+
+    def fail(*args, **kwargs):
+        raise AssertionError("solved before checking the outer center")
+
+    monkeypatch.setattr(inclusion, "check_feasibility", fail)
+    with pytest.raises(error):
+        solve_farthest(BallIntersection([[0.0, 0.0]], 1.0), c)

@@ -139,6 +139,16 @@ def test_point_of_wrong_shape_is_dimension_mismatch(x):
             op(x)
 
 
+def test_worst_residual_takes_any_constraint():
+    cs = ConstraintSet([Max([ball_constraint(Ball([0, 0], 1.0)), halfspace_constraint([1.0, 0.0], 0.5)]),
+                        ball_constraint(Ball([1.0, 0.0], 1.0))])
+    for x in ([0.0, 0.0], [0.75, 0.25], [3.0, -1.0]):
+        assert cs.worst_residual(x) == max(cs.residuals(x))
+    # the region operations still refuse the Max node
+    with pytest.raises(TypeError):
+        cs.project([0.0, 0.0])
+
+
 def test_default_start_is_centroid_for_balls():
     cs = ConstraintSet([ball_constraint(Ball([0, 0], 1.0)), ball_constraint(Ball([4, 2], 1.0))])
     np.testing.assert_allclose(default_start(cs), [2.0, 1.0])

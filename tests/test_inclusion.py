@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from hullscope import (Ball, BallIntersection, ConstraintSet, EmptyIntersection, InclusionVerdict,
-                       OuterBall, PreconditionFailed, SolverConfig, ball_constraint, build_G,
-                       check_inclusion, dykstra_project_full)
+from hullscope import (Ball, BallIntersection, ConstraintSet, DimensionMismatch, EmptyIntersection,
+                       FeasibilityVerdict, InclusionVerdict, OuterBall, PreconditionFailed,
+                       SolverConfig, ball_constraint, build_G, check_feasibility, check_inclusion,
+                       dykstra_project_full)
 
 
 def project_onto_balls(balls, y):
@@ -35,7 +36,7 @@ def literal_Gk(bi: BallIntersection, ob: OuterBall, k: int, x: np.ndarray) -> fl
 
 def literal_G(bi: BallIntersection, ob: OuterBall, x: np.ndarray) -> float:
     f, fk = literal_residuals(bi, ob, x)
-    return max(literal_Gk_of(f, fk, k) for k in range(bi.m))
+    return max(literal_Gk_of(f, fk, k) for k in range(len(bi.centers)))
 
 
 def literal_grad_Gk(bi: BallIntersection, ob: OuterBall, k: int, x: np.ndarray) -> np.ndarray:
@@ -140,7 +141,7 @@ def test_build_G_is_max_of_Gk():
     G = build_G(bi, ob)
     for _ in range(300):
         x = rng.normal(0.0, 2.5, 2)
-        vals = [literal_Gk(bi, ob, k, x) for k in range(bi.m)]
+        vals = [literal_Gk(bi, ob, k, x) for k in range(len(bi.centers))]
         v, g = G.eval(x)
         assert v == pytest.approx(max(vals), rel=1e-12, abs=1e-12)
         # the subgradient is the gradient of the lowest-index achieving G_k
@@ -161,7 +162,7 @@ def test_Gk_and_G_are_midpoint_convex():
     bi = BallIntersection([[0.0, 0.0], [1.0, 0.0]], 1.0)
     ob = OuterBall([4.0, 0.0], 3.5)
     G = build_G(bi, ob)
-    fns = [lambda x, k=k: literal_Gk(bi, ob, k, x) for k in range(bi.m)] + [G.value]
+    fns = [lambda x, k=k: literal_Gk(bi, ob, k, x) for k in range(len(bi.centers))] + [G.value]
     for fn in fns:
         for _ in range(1000):
             x = rng.normal(0.0, 3.0, 2)
@@ -281,3 +282,30 @@ def test_oracle_equivalence_quick():
         expected = (InclusionVerdict.NONEMPTY_DIFFERENCE if r_star >= r
                     else InclusionVerdict.INCLUDED)
         assert rep.verdict is expected, f"instance {i}: r*={r_star}, r={r}"
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, float("nan"), float("inf")])
+def test_ball_intersection_refuses_bad_radius(radius):
+    with pytest.raises(ValueError):
+        BallIntersection([[0.0, 0.0]], radius)
+
+
+@pytest.mark.parametrize("centers", [[], [[0.0, float("nan")]], [[1.0, 0.0], [float("inf"), 0.0]]])
+def test_ball_intersection_refuses_bad_centers(centers):
+    with pytest.raises(ValueError):
+        BallIntersection(centers, 1.0)
+
+
+def test_ball_intersection_refuses_mixed_dimensions():
+    with pytest.raises(DimensionMismatch):
+        BallIntersection([[0.0, 0.0], [1.0, 0.0, 0.0]], 1.0)
+
+
+def test_ball_intersection_is_a_constraint_set():
+    bi = BallIntersection([[0.0, 0.0], [1.0, 0.0]], 1.0)
+    assert isinstance(bi, ConstraintSet)
+    assert bi.constraint_set() is bi
+    assert bi.centers.shape == (2, 2) and not bi.centers.flags.writeable
+    rep = check_feasibility(bi)
+    assert rep.verdict is FeasibilityVerdict.FEASIBLE
+    assert bi.worst_residual(rep.witness) <= 1e-8

@@ -48,7 +48,7 @@ def _inclusion_instances():
         c = far_center(rng, bi, z0)
         box = 1.05 * bi.radius
         r_star = grid_max_distance(bi, c, GridSpec(z0 - box, z0 + box, 4e-3)).r_max
-        yield bi, c, factor * r_star, rng.uniform(-3.0, 3.0, 2), rng.permutation(bi.m)
+        yield bi, c, factor * r_star, rng.uniform(-3.0, 3.0, 2), rng.permutation(len(bi.centers))
 
 
 def _assert_certified_iff_infeasible(reports, label):

@@ -91,12 +91,6 @@ def test_non_finite_value_aborts():
         minimize(Bad(), [0.0], SolverConfig())
 
 
-def test_evals_counted():
-    fn = abs_value()
-    res = minimize(fn, [5.0], SolverConfig(step_rule=PolyakWithTarget(0.0)))
-    assert res.evals == res.iters
-
-
 def test_stall_marks_converged():
     # unattainable target: the run stalls above it and reports converged
     fn = disjoint_disks_merit()
@@ -135,6 +129,12 @@ def test_config_validation():
         SolverConfig(step_rule=0.0)
     with pytest.raises(ValueError):
         SolverConfig(stall_iters=0)
+    # a float budget is refused when the config is built, not later in range()
+    for bad in (1e5, 2.5):
+        with pytest.raises(TypeError):
+            SolverConfig(max_iters=bad)
+        with pytest.raises(TypeError):
+            SolverConfig(stall_iters=bad)
 
 
 def test_refine_minimum_budget_caps_probe_iterations():
