@@ -14,8 +14,9 @@ A boundary point ``x_hat`` of ``S`` with ``V_c <= ||x_hat - c|| <= V_c +
 delta`` is extracted by maximizing the linear functional with direction
 ``x_star_c - c`` over ``S``. Projected ascent with Dykstra projections is
 used instead of a simplex-style solver because ``S`` may have ball
-constraints; the objective is linear, so any maximizer satisfies the
-sandwich and face ties resolve to whatever point the iteration reaches.
+constraints. The objective is linear, so constant steps raise it until it
+stops rising; any maximizer satisfies the sandwich, and face ties resolve
+to whatever point the iteration reaches.
 
 The two covering hypotheses are spot-checked by sampling (hit-and-run plus
 deterministic candidates); this is a heuristic guard against misuse, not a
@@ -53,7 +54,7 @@ class AppBoundReport:
 
 def project_region(region: ConstraintSet, y) -> np.ndarray:
     """Euclidean projection onto the region (Dykstra over all constraints)."""
-    return region.project(y, iters=300, tol=1e-12).point
+    return region.project(y).point
 
 
 def _balls(region: ConstraintSet):
@@ -124,13 +125,13 @@ def _covering_candidates(region: ConstraintSet, interior: np.ndarray) -> list[np
 def extract_boundary_point(region: ConstraintSet, x_star_c, c) -> np.ndarray:
     """Maximize the linear functional (x_star_c - c).x over the region.
 
-    Projected ascent with a fixed direction: diminishing steps scaled by a
-    diameter estimate, each followed by a Dykstra projection back into the
-    region, until a step projects back onto its start ``x`` (by the
-    projection's variational inequality ``x`` then maximizes ``d.x`` over the
-    region) or 4,000 steps are taken. Returns the best iterate by objective
-    value. Raises ``DimensionMismatch`` unless ``x_star_c`` and ``c`` both
-    have shape ``(region.dimension,)``.
+    Projected ascent along ``d = x_star_c - c`` with a constant step, a
+    diameter estimate, each followed by a Dykstra projection. The objective
+    is linear, so each step raises ``d.x`` until ``x`` maximizes it (by the
+    projection's variational inequality); the ascent returns ``x`` at the
+    first step that does not raise ``d.x``, or after 4,000 steps. Raises
+    ``DimensionMismatch`` unless ``x_star_c`` and ``c`` both have shape
+    ``(region.dimension,)``, and ``ValueError`` if either is not finite.
     """
     x_star_c = np.asarray(x_star_c, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
@@ -138,6 +139,8 @@ def extract_boundary_point(region: ConstraintSet, x_star_c, c) -> np.ndarray:
     if x_star_c.shape != (n,) or c.shape != (n,):
         raise DimensionMismatch(f"region has dimension {n}, x_star_c has shape {x_star_c.shape} "
                                 f"and c has shape {c.shape}")
+    if not (np.isfinite(x_star_c).all() and np.isfinite(c).all()):
+        raise ValueError(f"x_star_c and c must be finite, got {x_star_c.tolist()} and {c.tolist()}")
     d = x_star_c - c
     nd = float(np.linalg.norm(d))
     if nd < 1e-14:
@@ -154,19 +157,12 @@ def extract_boundary_point(region: ConstraintSet, x_star_c, c) -> np.ndarray:
     step_scale = max(spread, 1e-3)
 
     x = project_region(region, x_star_c)
-    best = x
-    best_obj = float(d_hat @ x)
-    for k in range(4000):
-        y = x + (step_scale / math.sqrt(k + 1.0)) * d_hat
-        x_next = project_region(region, y)
-        if np.array_equal(x_next, x):
+    for _ in range(4000):
+        x_next = project_region(region, x + step_scale * d_hat)
+        if float(d_hat @ x_next) <= float(d_hat @ x):
             break
         x = x_next
-        obj = float(d_hat @ x)
-        if obj > best_obj:
-            best_obj = obj
-            best = x
-    return best
+    return x
 
 
 def bound_max_distance(region: ConstraintSet, bi: BallIntersection, c, delta: float,
@@ -230,7 +226,7 @@ def bound_max_distance(region: ConstraintSet, bi: BallIntersection, c, delta: fl
     check_points = _hit_and_run(region, deep, 1000, rng)
     check_points.extend(_covering_candidates(region, deep))
     for x in check_points:
-        p = bi.project(x, iters=500, tol=1e-11).point
+        p = bi.project(x).point
         d_to_c1 = float(np.linalg.norm(x - p))
         if d_to_c1 > delta + cover_slack:
             raise HypothesisViolation(

@@ -67,6 +67,7 @@ log = logging.getLogger("hullscope.feasibility")
 
 # steps of the dual ascent before the certificate attempt gives up
 CERTIFICATE_STEPS = 1_000
+DYKSTRA_SWEEPS = 1_000  # sweeps before a Dykstra projection gives up
 
 
 @dataclass
@@ -202,31 +203,32 @@ class ConstraintSet:
             raise ValueError("halfspace normal must be nonzero")
         return rows
 
-    def project(self, y, iters: int = 1000, tol: float = 1e-11) -> ProjectionResult:
+    def project(self, y) -> ProjectionResult:
         """Euclidean projection of ``y`` onto the intersection, by Dykstra's algorithm.
 
         Alternating projections with correction terms; the limit is the
-        projection onto the intersection. The caller is responsible for the
-        intersection being nonempty (certify via ``check_feasibility``
-        first); on an empty intersection the iteration cannot converge and
-        the result comes back flagged.
+        projection onto the intersection. Every call stops at the first sweep
+        that moves the point by at most ``1e-11``, or after ``DYKSTRA_SWEEPS``
+        sweeps with the result flagged, as it is on an empty intersection
+        (certify it nonempty via ``check_feasibility`` first). A non-finite
+        ``y`` raises ``ValueError`` before any sweep.
         """
         self.region_rows  # refuse a non-region constraint before any sweep
+        x = np.array(self._point(y))
+        if not np.isfinite(x).all():
+            raise ValueError(f"cannot project a non-finite point {x.tolist()}")
         # built per call, not cached: a set held for many calls keeps only its rows
         projectors = [_projector(g) for g in self.constraints]
-        x = np.array(self._point(y))
         corrections = [np.zeros_like(x) for _ in projectors]
         converged = False
-        sweep = 0
-        shift = math.inf
-        for sweep in range(1, iters + 1):
+        for sweep in range(1, DYKSTRA_SWEEPS + 1):
             x_prev = x
             for i, proj in enumerate(projectors):
                 z = x + corrections[i]
                 x = proj(z)
                 corrections[i] = z - x
             shift = float(np.linalg.norm(x - x_prev))
-            if shift <= tol:
+            if shift <= 1e-11:
                 converged = True
                 break
         if not converged:
@@ -395,9 +397,10 @@ def _dual_ascent(cs: ConstraintSet):
     ``lambda`` in the simplex and ``mu >= 0``, with the step
     ``1 / (2 ||M||_F^2)``, ``M = [C; -A/2]`` over the rows centred at the mean
     ball centre. That step is at most the inverse Lipschitz constant
-    ``1 / (2 ||M||_2^2)`` of the dual gradient, so every step raises ``D``,
-    and it needs no SVD. Stops at the first ``D > 0``, at a fixed point or
-    after ``CERTIFICATE_STEPS`` steps; returns ``(lambda, mu, x, D, steps)``
+    ``1 / (2 ||M||_2^2)`` of the dual gradient, so every step raises ``D``
+    until the multipliers are optimal, and it needs no SVD. Stops at the
+    first ``D > 0``, at the first step that does not raise ``D`` or after
+    ``CERTIFICATE_STEPS`` steps; returns ``(lambda, mu, x, D, steps)``
     with ``x`` the primal point, the minimizer of the Lagrangian.
     """
     C, offsets, A, shifts, _ = cs.rows
@@ -418,17 +421,16 @@ def _dual_ascent(cs: ConstraintSet):
     mu = np.zeros(len(b))
     # one centre and no normal leaves D linear: any step ascends
     t = 0.5 / fro2 if fro2 > 0.0 else 1.0
+    D_prev = -math.inf
     for step in range(CERTIFICATE_STEPS + 1):
         x = lam @ C - 0.5 * (mu @ A)
         D = float(lam @ q + mu @ b - x @ x)
-        if D > 0.0 or step == CERTIFICATE_STEPS:
+        if D > 0.0 or D <= D_prev or step == CERTIFICATE_STEPS:
             break
+        D_prev = D
         # the gradient is the constraint values at x: g_i(x) - |x|^2 and h_j(x)
-        lam_next = _project_simplex(lam + t * (q - 2.0 * (C @ x)))
-        mu_next = np.fmax(mu + t * (b + A @ x), 0.0)
-        if np.array_equal(lam_next, lam) and np.array_equal(mu_next, mu):
-            break
-        lam, mu = lam_next, mu_next
+        lam = _project_simplex(lam + t * (q - 2.0 * (C @ x)))
+        mu = np.fmax(mu + t * (b + A @ x), 0.0)
     return lam, mu, x + z, D, step
 
 

@@ -3,7 +3,8 @@
 One step rule: ``PolyakWithTarget(t)`` steps ``(f(x_k) - t) / ||g_k||^2``
 along ``-g_k``, stopping once ``f(x_k) <= t + tol``. It is fast when the
 target value is attainable (e.g. 0 for a feasible merit function); an
-unattainable target is detected by stalling above it.
+unattainable target is detected by stalling above it. Every run has the same
+stall window: ``STALL_ITERS`` iterations without a ``tol`` improvement.
 
 Subgradient methods are not descent methods, so the best iterate seen so far
 is tracked and returned. A run is deterministic: identical inputs give
@@ -29,6 +30,9 @@ import numpy as np
 from .convexfn import ConvexFn
 from .errors import DimensionMismatch, NonFiniteValue
 
+# iterations without a ``tol`` improvement of the best value that end a run
+STALL_ITERS = 400
+
 
 @dataclass(frozen=True)
 class PolyakWithTarget:
@@ -43,20 +47,17 @@ class PolyakWithTarget:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration budget, tolerance, step rule and stall window."""
+    """Iteration budget, tolerance and step rule; the stall window is ``STALL_ITERS``."""
 
     max_iters: int = 50_000
     tol: float = 1e-8
     step_rule: PolyakWithTarget = PolyakWithTarget(0.0)
-    stall_iters: int = 2_000
 
     def __post_init__(self):
         if operator.index(self.max_iters) < 1:
             raise ValueError("max_iters must be >= 1")
         if not (math.isfinite(float(self.tol)) and self.tol > 0):
             raise ValueError("tol must be a finite positive number")
-        if operator.index(self.stall_iters) < 1:
-            raise ValueError("stall_iters must be >= 1")
         if not isinstance(self.step_rule, PolyakWithTarget):
             raise TypeError(f"unknown step rule {self.step_rule!r}")
 
@@ -67,7 +68,7 @@ class MinimizeResult:
 
     ``converged`` is True when the step-rule stop test fired, a zero
     subgradient certified global optimality, or the best value stopped
-    improving by ``tol`` over a full stall window.
+    improving by ``tol`` over ``STALL_ITERS`` iterations.
     """
 
     x_best: np.ndarray
@@ -103,7 +104,6 @@ def minimize(fn: ConvexFn, x0, cfg: SolverConfig | None = None) -> MinimizeResul
 
     target = cfg.step_rule.target
     tol = cfg.tol
-    stall = cfg.stall_iters
     fn_eval = fn.eval
 
     best_f = math.inf
@@ -131,7 +131,7 @@ def minimize(fn: ConvexFn, x0, cfg: SolverConfig | None = None) -> MinimizeResul
             # zero subgradient: x is a global minimizer of a convex function
             converged = True
             break
-        if k - last_progress >= stall:
+        if k - last_progress >= STALL_ITERS:
             converged = True
             break
         x = x - ((f - target) / gg) * g
@@ -139,9 +139,8 @@ def minimize(fn: ConvexFn, x0, cfg: SolverConfig | None = None) -> MinimizeResul
     return MinimizeResult(x_best=best_x, f_best=best_f, iters=k + 1, converged=converged)
 
 
-# refine_minimum's probe budget: iterations and stall window per probe
+# refine_minimum's iteration budget per probe
 PROBE_ITERS = 4_000
-PROBE_STALL = 400
 
 
 def refine_minimum(
@@ -182,8 +181,7 @@ def refine_minimum(
 
     while ub - lb > value_gap and total_iters < max_iters:
         t = 0.5 * (ub + lb)
-        cfg = SolverConfig(max_iters=min(PROBE_ITERS, max_iters - total_iters), tol=probe_tol,
-                           step_rule=PolyakWithTarget(t), stall_iters=PROBE_STALL)
+        cfg = SolverConfig(min(PROBE_ITERS, max_iters - total_iters), probe_tol, PolyakWithTarget(t))
         r = minimize(fn, xb, cfg)
         total_iters += r.iters
         if r.f_best < ub:

@@ -110,8 +110,10 @@ def load_problem(path) -> ProblemFile:
         if not leaves:
             raise ProblemFileError("region must list at least one halfspace or ball")
         region = ConstraintSet(leaves)
-        # region operations refuse a zero halfspace normal: refuse it at load
-        region.region_rows
+        try:  # region operations refuse a zero halfspace normal: refuse it at load
+            region.region_rows
+        except ValueError as exc:
+            raise ProblemFileError(f"region: {exc}") from exc
 
     return ProblemFile(
         version=raw["version"],

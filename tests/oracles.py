@@ -246,9 +246,9 @@ def check_lemma_2_6(trials: int = 10_000, seed: int = 0) -> LemmaCheckResult:
 
         c1 = ConstraintSet([ball_constraint(Ball(c, R)) for c in centers])
         y_far = z0 + (4.0 * R + rng.uniform(0.0, 3.0) * R) * _unit(rng, n)
-        # modest projection accuracy suffices: the constructed distance margin
+        # the projection need not be exact: the constructed distance margin
         # below is at least 0.1 R
-        p = c1.project(y_far, iters=600, tol=1e-9).point
+        p = c1.project(y_far).point
         u = y_far - p
         nu = float(np.linalg.norm(u))
         s = R * (1.1 + rng.uniform(0.0, 1.5))

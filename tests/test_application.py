@@ -8,6 +8,7 @@ from hullscope import (Affine, Ball, BallIntersection, BallQuad, BisectionConfig
                        DimensionMismatch, HypothesisViolation, PositivePart, ProblemFileError,
                        ball_constraint, bound_max_distance, extract_boundary_point,
                        halfspace_constraint, load_problem, project_region)
+from hullscope.feasibility import _dual_ascent
 
 from oracles import GridSpec, grid_max_distance
 
@@ -151,6 +152,29 @@ def test_appbound_solves_one_deep_point(monkeypatch):
     assert c1.worst_residual(starts[0]) <= -0.69
 
 
+def test_deep_point_ascent_stops_when_the_dual_stops_rising():
+    bi = three_balls()
+    _, _, deep, D, steps = _dual_ascent(bi)
+    assert steps < 100
+    assert D <= -0.69
+    assert bi.worst_residual(deep) <= -0.69
+
+
+def test_three_ball_boundary_ascent_stops_when_the_objective_stops_rising(monkeypatch):
+    calls = []
+
+    def counting(region, y):
+        calls.append(1)
+        return project_region(region, y)
+
+    monkeypatch.setattr("hullscope.application.project_region", counting)
+    x_star_c, c = np.array([0.5, -0.3]), np.array([5.0, 0.3])
+    x_hat = extract_boundary_point(three_balls(), x_star_c, c)
+    assert len(calls) <= 10
+    d = (x_star_c - c) / np.linalg.norm(x_star_c - c)
+    assert float(d @ x_hat) == pytest.approx(0.006649358161, abs=1e-9)
+
+
 def test_three_ball_sandwich():
     bi = three_balls()
     region = bi.constraint_set()
@@ -217,6 +241,29 @@ def test_extract_boundary_point_dimension_mismatch(x_star_c, c):
         extract_boundary_point(unit_square_shifted(), x_star_c, c)
 
 
+@pytest.mark.parametrize("x_star_c, c", [
+    ([math.nan, 0.5], [4.0, 0.5]),
+    ([-0.5, 0.5], [math.inf, 0.5]),
+])
+def test_extract_boundary_point_non_finite_raised_before_projecting(monkeypatch, x_star_c, c):
+    def fail(*args, **kwargs):
+        raise AssertionError("projected before checking finiteness")
+
+    monkeypatch.setattr("hullscope.application.project_region", fail)
+    with pytest.raises(ValueError, match="finite"):
+        extract_boundary_point(unit_square_shifted(), x_star_c, c)
+
+
+def test_project_non_finite_raised_before_sweeping(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("swept before checking finiteness")
+
+    monkeypatch.setattr("hullscope.feasibility._projector", fail)
+    for y in ([math.nan, 0.0], [0.0, -math.inf]):
+        with pytest.raises(ValueError, match="non-finite"):
+            unit_square_shifted().project(y)
+
+
 def test_extract_boundary_point_single_ball():
     # direction (0, 1.1): the maximizer is center + radius * d / ||d||
     x_hat = extract_boundary_point(disk_region(), [0.5, 1.6], [0.5, 0.5])
@@ -265,7 +312,7 @@ def test_region_validation(tmp_path):
            "region": {"halfspaces": [{"a": [0.0, 0.0], "b": 1.0}]}}
     path = tmp_path / "flat.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="normal"):
+    with pytest.raises(ProblemFileError, match="normal"):
         load_problem(path)
     doc["region"] = {}
     path.write_text(json.dumps(doc))

@@ -54,6 +54,15 @@ def test_schema_violation_exits_65(tmp_path):
     assert proc.returncode == 65
 
 
+def test_zero_region_normal_exits_65(tmp_path):
+    bad = tmp_path / "flat.json"
+    bad.write_text(json.dumps({"version": 1, "dimension": 2,
+                               "region": {"halfspaces": [{"a": [0, 0], "b": 1}]}}))
+    proc = run_cli("appbound", str(bad))
+    assert proc.returncode == 65
+    assert "bad problem file" in proc.stderr
+
+
 def test_packaged_schema_is_valid():
     # loading trusts the packaged schema, so check it here once
     from hullscope.problemfile import _validator

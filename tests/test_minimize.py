@@ -95,7 +95,7 @@ def test_stall_marks_converged():
     # unattainable target: the run stalls above it and reports converged
     fn = disjoint_disks_merit()
     res = minimize(fn, [0.0, 0.0],
-                   SolverConfig(step_rule=PolyakWithTarget(0.0), max_iters=30_000, stall_iters=500))
+                   SolverConfig(step_rule=PolyakWithTarget(0.0), max_iters=30_000))
     assert res.converged
     assert res.f_best > 1.0
 
@@ -127,14 +127,10 @@ def test_config_validation():
         PolyakWithTarget(float("inf"))
     with pytest.raises(TypeError):
         SolverConfig(step_rule=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(stall_iters=0)
     # a float budget is refused when the config is built, not later in range()
     for bad in (1e5, 2.5):
         with pytest.raises(TypeError):
             SolverConfig(max_iters=bad)
-        with pytest.raises(TypeError):
-            SolverConfig(stall_iters=bad)
 
 
 def test_refine_minimum_budget_caps_probe_iterations():
