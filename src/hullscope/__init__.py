@@ -4,7 +4,8 @@ The library decides whether an intersection of convex sub-level sets is
 nonempty by minimizing a non-smooth merit function, decides whether an
 intersection of equal-radius balls fits inside another ball by localizing
 the minimizer of a convex witness function, finds the farthest point of the
-intersection from an outside center by bisection, and bounds the maximum
+intersection from an outside center with an exactly checked dual bracket
+(bisecting it only when the dual leaves it wide), and bounds the maximum
 distance over a larger convex region whenever the intersection covers it to
 within a known constant.
 """

@@ -172,8 +172,9 @@ def bound_max_distance(region: ConstraintSet, bi: BallIntersection, c, delta: fl
     Spot-checks the two hypotheses first (the deep point and 200 samples of
     the inner intersection inside the region; 1,000 samples and the
     deterministic candidates of the region within ``delta`` of the
-    intersection), then computes the inner maximum by bisection and extracts
-    a boundary point realizing the sandwich.
+    intersection), then computes the inner maximum with ``solve_farthest``
+    (the dual bracket, bisected only when the dual leaves it wider than
+    ``2 eps``) and extracts a boundary point realizing the sandwich.
 
     Raises
     ------

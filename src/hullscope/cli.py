@@ -176,7 +176,9 @@ def build_arg_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
     common.add_argument("--max-iters", type=int, default=50_000, dest="max_iters",
                         help="subgradient iteration budget of one feasibility check, "
-                             "one inclusion check or one bisection step")
+                             "one inclusion check or one bisection step; the Newton steps "
+                             "of farthest's dual bracket are not subgradient iterations "
+                             "and have their own fixed cap")
     common.add_argument("--json-indent", type=int, default=None, dest="json_indent",
                         help="pretty-print the JSON report with this indent")
 
@@ -193,13 +195,15 @@ def build_arg_parser() -> _Parser:
 
     p = sub.add_parser("farthest", parents=[common],
                        help="max distance from the outer center over the ball intersection")
-    p.add_argument("--eps", type=float, default=1e-4, help="bisection precision (default 1e-4)")
+    p.add_argument("--eps", type=float, default=1e-4,
+                   help="half-width of the final bracket on the maximum (default 1e-4)")
     p.set_defaults(func=cmd_farthest)
 
     p = sub.add_parser("appbound", parents=[common],
                        help="sandwich the max distance over a region via the inner intersection")
     p.add_argument("--delta", type=float, default=None, help="override the covering constant")
-    p.add_argument("--eps", type=float, default=1e-4, help="bisection precision (default 1e-4)")
+    p.add_argument("--eps", type=float, default=1e-4,
+                   help="half-width of the final bracket on the maximum (default 1e-4)")
     p.set_defaults(func=cmd_appbound)
     return parser
 

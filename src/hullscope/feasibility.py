@@ -32,8 +32,9 @@ gradient ascent looks for such multipliers; the gradient of ``D`` is the
 constraint values at ``x``, ``g_i(x) - |x|^2`` and ``a_j.x + b_j``. A
 candidate counts only once ``sum lambda_i (|c_i|^2 + o_i) + sum mu_j b_j -
 |sum lambda_i c_i - sum mu_j a_j / 2|^2 / s > 0``, with ``s = sum lambda_i``,
-holds in exact rational arithmetic over the float inputs and multipliers, so
-floating-point rounding cannot produce a false proof. A node of any other
+holds in exact arithmetic over the float inputs and multipliers (integers
+over a common power of two, ``_dual_sums``), so floating-point rounding
+cannot produce a false proof. A node of any other
 kind, or a system without a ball row, gets no certificate. Over balls alone
 the best ``D`` is ``min_x max_i g_i(x)``, attained at the primal point ``x``
 of the optimal multipliers, the deepest point of the intersection: the same
@@ -52,7 +53,6 @@ import enum
 import logging
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
@@ -342,35 +342,133 @@ def build_g_tilde(cs: ConstraintSet) -> ConvexFn:
     return _Merit(cs)
 
 
+class DyadicRows(NamedTuple):
+    """The ball and affine rows of a ``ConstraintSet`` about an origin ``z``, in integers.
+
+    Every float is a dyadic rational, so one power of two turns all of them
+    into integers with no rounding: ``centers[i]`` is ``c_i - z`` and
+    ``half_normals[j]`` is ``a_j / 2``, both times ``2**b``; ``values`` holds
+    the constraint values at ``z`` times ``2**(2 b)``, ball rows first and
+    then affine rows, each kind in constraint order.
+    """
+
+    centers: list[list[int]]
+    half_normals: list[list[int]]
+    values: list[int]
+    b: int
+
+
+class DualSums(NamedTuple):
+    """The Lagrangian sums of ``DyadicRows`` under weights, in integers.
+
+    ``s = sum lambda_i`` times ``2**a``, ``S = sum lambda_i q_i + sum mu_j h_j``
+    times ``2**(a + 2 b)`` and ``v = sum lambda_i c_i - sum mu_j a_j / 2``
+    times ``2**(a + b)``, where ``q_i`` and ``h_j`` are the row values at the
+    origin and ``c_i`` the centres about it.
+    """
+
+    s: int
+    S: int
+    v: list[int]
+    a: int
+    b: int
+
+
+def _ratios(values) -> list[tuple[int, int]]:
+    return [v.as_integer_ratio() for v in values]
+
+
+def _bits(ratios) -> int:
+    """The least ``k >= 0`` that makes every ratio times ``2**k`` an integer."""
+    return max((q.bit_length() for _, q in ratios), default=1) - 1
+
+
+def _at(ratios, k: int) -> list[int]:
+    """Each ratio times ``2**k``; ``k`` is at least ``_bits(ratios)``."""
+    return [p << (k + 1 - q.bit_length()) for p, q in ratios]
+
+
+def _dyadic(values: list[float]) -> tuple[list[int], int]:
+    """Integers ``N_i`` and the least ``k >= 0`` with ``values[i] == N_i / 2**k``."""
+    ratios = _ratios(values)
+    k = _bits(ratios)
+    return _at(ratios, k), k
+
+
+def _dyadic_rows(cs: ConstraintSet, origin=None) -> DyadicRows | None:
+    """The rows of ``cs`` about ``origin`` (default 0) in integers; None if a node is neither kind.
+
+    ``values`` are exact, so ``origin`` lies in the intersection exactly when
+    none of them is positive.
+    """
+    C, offsets, A, shifts, others = cs.rows
+    if others:
+        return None
+    n = cs.dimension
+    z = _ratios([0.0] * n if origin is None else [float(u) for u in origin])
+    c = _ratios([] if C is None else C.ravel().tolist())
+    a = _ratios([] if A is None else A.ravel().tolist())
+    consts = _ratios((offsets or []) + (shifts or []))
+    # one bit beyond the coordinates keeps a_j / 2 integral, and 2 b covers
+    # the offsets and shifts, which sit on the squared scale
+    b = max(_bits(z + c + a) + 1, (_bits(consts) + 1) // 2)
+    Z = _at(z, b)
+    consts = _at(consts, 2 * b)
+    centers, half_normals, values = [], [], []
+    for i in range(len(c) // n):
+        row = [u - w for u, w in zip(_at(c[i * n:(i + 1) * n], b), Z)]
+        centers.append(row)
+        values.append(sum(u * u for u in row) + consts[i])
+    for j in range(len(a) // n):
+        row = _at(a[j * n:(j + 1) * n], b)
+        half_normals.append([u >> 1 for u in row])
+        values.append(sum(u * w for u, w in zip(row, Z)) + consts[len(centers) + j])
+    return DyadicRows(centers, half_normals, values, b)
+
+
+def _dual_sums(rows: DyadicRows, weights) -> DualSums | None:
+    """``s``, ``S`` and ``v`` of ``rows`` under ``weights`` (ball rows, then affine rows).
+
+    None unless there is one finite, non-negative weight per row.
+    """
+    weights = [float(w) for w in weights]
+    if len(weights) != len(rows.values) or not all(w >= 0.0 and math.isfinite(w) for w in weights):
+        return None
+    ratios = _ratios(weights)
+    a = _bits(ratios)
+    W = _at(ratios, a)
+    m = len(rows.centers)
+    S = sum(w * q for w, q in zip(W, rows.values))
+    v = [0] * len((rows.centers or rows.half_normals)[0])
+    for w, row in zip(W, rows.centers):
+        if w:
+            v = [vk + w * u for vk, u in zip(v, row)]
+    for w, row in zip(W[m:], rows.half_normals):
+        if w:
+            v = [vk - w * u for vk, u in zip(v, row)]
+    return DualSums(sum(W[:m]), S, v, a, rows.b)
+
+
 def _proves_empty(cs: ConstraintSet, weights) -> bool:
     """Exact check of the dual bound ``S - |v|^2 / s > 0`` over the float inputs.
 
     With ``s = sum lambda_i``, ``S = sum lambda_i (|c_i|^2 + o_i) + sum mu_j b_j``
-    and ``v = sum lambda_i c_i - sum mu_j a_j / 2``, every float is converted
-    to a ``Fraction`` exactly, so no rounding enters the verdict.
+    and ``v = sum lambda_i c_i - sum mu_j a_j / 2``, all computed by
+    ``_dual_sums`` as integers over powers of two, so no rounding enters the
+    verdict. Rows of zero weight take no part, whatever their kind.
     """
     if len(weights) != len(cs.constraints):
         return False
-    s = S = Fraction(0)
-    v = [Fraction(0)] * cs.dimension
-    for g, w in zip(cs.constraints, weights):
-        w = float(w)
-        if not (w >= 0.0 and math.isfinite(w)):
-            return False
-        if w == 0.0:
-            continue
-        w = Fraction(w)
-        if isinstance(g, BallQuad):
-            c = [Fraction(ck) for ck in g.center.tolist()]
-            s += w
-            S += w * (sum(ck * ck for ck in c) + Fraction(g.offset))
-            v = [vk + w * ck for vk, ck in zip(v, c)]
-        elif isinstance(g, Affine):
-            S += w * Fraction(g.b)
-            v = [vk - w * Fraction(ak) / 2 for vk, ak in zip(v, g.a.tolist())]
-        else:
-            return False
-    return s > 0 and S * s > sum(vk * vk for vk in v)
+    used = [(g, float(w)) for g, w in zip(cs.constraints, weights) if not float(w) == 0.0]
+    if not used:
+        return False
+    rows = _dyadic_rows(ConstraintSet([g for g, _ in used]))
+    if rows is None:
+        return False
+    sums = _dual_sums(rows, [w for g, w in used if isinstance(g, BallQuad)]
+                     + [w for g, w in used if isinstance(g, Affine)])
+    return (sums is not None and sums.s > 0
+            and sums.S * sums.s > sum(u * u for u in sums.v))
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:

@@ -7,7 +7,6 @@ closed-form geometry) computed inside the tests.
 from __future__ import annotations
 
 import json
-import math
 import subprocess
 import sys
 import time
@@ -129,21 +128,20 @@ def test_criterion_4_farthest_values(report):
     single = load_problem(problem_path("single-disk-far-c"))
     rep = solve_farthest(single.ball_intersection, single.outer.center, BisectionConfig(eps=eps))
     t_single = time.time() - t0
-    steps_bound = math.ceil(math.log2((7.0 - 1.0) / eps))
+    # the dual bracket closes before any bisection step
     results.append(abs(rep.r_star - 6.0) <= 2e-4)
-    results.append(rep.bisection_steps <= steps_bound)
+    results.append(rep.bisection_steps == 0)
     results.append(t_single < 10.0)
-    detail = f"single: r*={rep.r_star:.6f} steps={rep.bisection_steps}<={steps_bound} t={t_single:.1f}s"
+    detail = f"single: r*={rep.r_star:.6f} steps={rep.bisection_steps}==0 t={t_single:.1f}s"
 
     t0 = time.time()
     lens = load_problem(problem_path("lens-far-c"))
     rep2 = solve_farthest(lens.ball_intersection, lens.outer.center, BisectionConfig(eps=eps))
     t_lens = time.time() - t0
-    lens_bound = math.ceil(math.log2((5.5 - 1.0) / eps))
     results.append(abs(rep2.r_star - 4.0) <= 2e-4)
-    results.append(rep2.bisection_steps <= lens_bound)
+    results.append(rep2.bisection_steps == 0)
     results.append(t_lens < 10.0)
-    detail += f" | lens: r*={rep2.r_star:.6f} steps={rep2.bisection_steps}<={lens_bound} t={t_lens:.1f}s"
+    detail += f" | lens: r*={rep2.r_star:.6f} steps={rep2.bisection_steps}==0 t={t_lens:.1f}s"
 
     report(4, "farthest-point values and step bounds", all(results), detail)
 

@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import hullscope.farthest as farthest
 from hullscope import (BallIntersection, BisectionConfig, DimensionMismatch, InnerUndetermined,
                        PreconditionFailed, SolverConfig, solve_farthest)
 
@@ -10,35 +12,65 @@ from conftest import far_center, random_ball_intersection
 from oracles import GridSpec, grid_max_distance
 
 
-def initial_bracket(bi, c) -> tuple[float, float]:
-    """The bracket solve_farthest starts from: an eps this wide takes no step."""
-    rep = solve_farthest(bi, c, BisectionConfig(eps=1e3))
-    assert rep.bisection_steps == 0
-    return rep.r_lo, rep.r_hi
+def assert_exact_dual_bracket(bi, c, rep):
+    """A dual-path report, re-checked in ``Fraction`` arithmetic from its multipliers.
+
+    ``r_hi^2 >= phi(multipliers)``, ``x_witness`` lies in every ball row
+    ``|x - c_k|^2 + o_k <= 0`` and ``r_lo <= |x_witness - c|``.
+    """
+    assert rep.bisection_steps == 0 and rep.total_inner_iters == 0
+    lam = [Fraction(v) for v in rep.multipliers]
+    assert len(lam) == len(bi.centers) and min(lam) >= 0 and sum(lam) > 1
+    cf = [Fraction(v) for v in np.asarray(c, dtype=np.float64).tolist()]
+    d = [[Fraction(u) - w for u, w in zip(ck.tolist(), cf)] for ck in bi.centers]
+    offsets = [Fraction(o) for o in bi.rows.offsets]
+    v = [sum(lk * dk[i] for lk, dk in zip(lam, d)) for i in range(len(cf))]
+    phi = (sum(vi * vi for vi in v) / (sum(lam) - 1)
+           - sum(lk * (sum(u * u for u in dk) + o) for lk, dk, o in zip(lam, d, offsets)))
+    assert Fraction(rep.r_hi) ** 2 >= phi
+    x = [Fraction(u) for u in rep.x_witness.tolist()]
+    for ck, o in zip(bi.centers, offsets):
+        assert sum((xi - Fraction(u)) ** 2 for xi, u in zip(x, ck.tolist())) + o <= 0
+    assert Fraction(rep.r_lo) ** 2 <= sum((xi - ci) ** 2 for xi, ci in zip(x, cf))
+
+
+@pytest.fixture
+def forced_bisection(monkeypatch):
+    """No dual step: the uniform multipliers leave a bracket that bisection must close."""
+    monkeypatch.setattr(farthest, "DUAL_STEPS", 0)
 
 
 def test_bracket_single_disk():
     bi = BallIntersection([[0.0, 0.0]], 1.0)
-    assert initial_bracket(bi, [5.0, 0.0]) == (1.0, 7.0)
+    rep = solve_farthest(bi, [5.0, 0.0], BisectionConfig(eps=1e-6))
+    assert rep.r_lo <= 6.0 <= rep.r_hi
+    assert rep.r_hi - rep.r_lo <= 2e-6
+    assert_exact_dual_bracket(bi, [5.0, 0.0], rep)
 
 
 def test_bracket_lens():
-    # the witness is the centroid (0.5, 0) of the centers
+    # the farthest point is the lens' leftmost point (0, 0)
     bi = BallIntersection([[0.0, 0.0], [1.0, 0.0]], 1.0)
-    r_lo, r_hi = initial_bracket(bi, [4.0, 0.0])
-    assert r_lo == 1.0
-    assert r_hi == pytest.approx(5.5)
+    rep = solve_farthest(bi, [4.0, 0.0], BisectionConfig(eps=1e-6))
+    assert rep.r_lo <= 4.0 <= rep.r_hi
+    assert rep.r_hi - rep.r_lo <= 2e-6
+    assert_exact_dual_bracket(bi, [4.0, 0.0], rep)
 
 
 def test_bracket_contains_oracle_max():
+    # grid points inside C1 bound r* from below: none may beat r_hi, and the
+    # exact member behind r_lo must beat them all
     rng = np.random.default_rng(14)
+    eps = 1e-6
     for i in range(8):
         bi, z0 = random_ball_intersection(rng, 1 + i % 3)
         c = far_center(rng, bi, z0)
-        r_lo, r_hi = initial_bracket(bi, c)
+        rep = solve_farthest(bi, c, BisectionConfig(eps=eps))
         box = 1.05 * bi.radius
         oracle = grid_max_distance(bi, c, GridSpec(z0 - box, z0 + box, 2e-3))
-        assert r_lo < oracle.r_max < r_hi
+        assert oracle.r_max <= rep.r_lo <= rep.r_hi
+        assert rep.r_hi - rep.r_lo <= 2 * eps
+        assert_exact_dual_bracket(bi, c, rep)
 
 
 def test_farthest_single_disk():
@@ -64,7 +96,7 @@ def test_farthest_precondition():
         solve_farthest(bi, [0.5, 0.0])
 
 
-def test_inner_undetermined_is_surfaced(monkeypatch):
+def test_inner_undetermined_is_surfaced(monkeypatch, forced_bisection):
     import hullscope.inclusion as incl_mod
     from hullscope import InclusionVerdict
     from hullscope.inclusion import InclusionReport
@@ -80,19 +112,40 @@ def test_inner_undetermined_is_surfaced(monkeypatch):
         solve_farthest(bi, [5.0, 0.0])
 
 
-def test_starved_step_is_inner_undetermined():
+def test_starved_step_is_inner_undetermined(forced_bisection):
     # a step whose refinement runs out of budget cannot shrink the bracket
     bi = BallIntersection([[0.0, 0.0], [1.0, 0.0]], 1.0)
     with pytest.raises(InnerUndetermined):
         solve_farthest(bi, [4.0, 0.0], BisectionConfig(eps=1e-4, inner=SolverConfig(max_iters=5)))
 
 
-def test_step_bound():
+def test_step_bound(forced_bisection):
+    # an eps this wide takes no step, so it shows the bracket bisection starts from
     bi = BallIntersection([[0.0, 0.0]], 1.0)
+    start = solve_farthest(bi, [5.0, 0.0], BisectionConfig(eps=1e3))
+    assert start.bisection_steps == 0
     eps = 1e-4
     rep = solve_farthest(bi, [5.0, 0.0], BisectionConfig(eps=eps))
-    width0 = 7.0 - 1.0
-    assert rep.bisection_steps <= math.ceil(math.log2(width0 / eps))
+    assert rep.r_lo <= 6.0 <= rep.r_hi
+    assert 0 < rep.bisection_steps <= math.ceil(math.log2((start.r_hi - start.r_lo) / eps))
+
+
+def test_dual_agrees_with_forced_bisection(monkeypatch):
+    # the two brackets are proofs, so beyond agreeing within 2 eps they must overlap
+    rng = np.random.default_rng(15)
+    eps = 5e-2
+    cfg = BisectionConfig(eps=eps)
+    for i in range(30):
+        bi, z0 = random_ball_intersection(rng, 1 + i % 5)
+        c = far_center(rng, bi, z0)
+        dual = solve_farthest(bi, c, cfg)
+        assert_exact_dual_bracket(bi, c, dual)
+        with monkeypatch.context() as patch:
+            patch.setattr(farthest, "DUAL_STEPS", 0)
+            bisected = solve_farthest(bi, c, cfg)
+        assert bisected.bisection_steps > 0
+        assert abs(dual.r_star - bisected.r_star) <= 2 * eps, f"instance {i}"
+        assert bisected.r_lo <= dual.r_hi and dual.r_lo <= bisected.r_hi, f"instance {i}"
 
 
 def test_witness_invariants():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from hullscope import (Affine, Ball, BallQuad, ConstraintSet, DimensionMismatch,
                        InfeasibilityCertificate, Max, PositivePart, SolverConfig, Sum,
                        ball_constraint, build_g_tilde, check_feasibility, default_start,
                        halfspace_constraint)
+
+from hullscope.feasibility import _dual_certificate, _dual_sums, _dyadic_rows, _proves_empty
 
 from conftest import (disk_grid_bounds, disks_to_constraints, mixed_instance,
                       random_disk_instance)
@@ -116,6 +120,65 @@ def test_verifier_rejects_what_only_a_wrong_formula_accepts():
     # a general convex node carries no closed-form dual term
     assert not _cert([0.5, 0.5]).verify(ConstraintSet([ball_constraint(Ball([0, 0], 1.0)),
                                                        Max([ball_constraint(Ball([3, 0], 1.0))])]))
+
+
+def _fraction_sums(cs, weights, origin):
+    """``s``, ``S``, ``v`` and the row values at ``origin`` in ``Fraction`` arithmetic."""
+    z = [Fraction(u) for u in origin]
+    s = S = Fraction(0)
+    v = [Fraction(0)] * len(z)
+    values = []
+    for g, w in zip(cs.constraints, map(Fraction, weights)):
+        if isinstance(g, BallQuad):
+            d = [Fraction(u) - zu for u, zu in zip(g.center.tolist(), z)]
+            q = sum(u * u for u in d) + Fraction(g.offset)
+            s += w
+            v = [vk + w * u for vk, u in zip(v, d)]
+        else:
+            q = sum(Fraction(u) * zu for u, zu in zip(g.a.tolist(), z)) + Fraction(g.b)
+            v = [vk - w * Fraction(u) / 2 for vk, u in zip(v, g.a.tolist())]
+        S += w * q
+        values.append(q)
+    return s, S, v, values
+
+
+def test_dyadic_kernel_matches_fraction_formula():
+    # touching unit disks: weights (1/2, 1/2) give S s - |v|^2 = 1 - 1 = 0
+    # exactly, and the set {(1, 0)} is not empty
+    touching = ConstraintSet([ball_constraint(Ball([0, 0], 1.0)), ball_constraint(Ball([2, 0], 1.0))])
+    cases = [(touching, [0.5, 0.5], [0.0, 0.0])]
+    rng = np.random.default_rng(41)
+    for n in (2, 5):
+        for feasible in (True, False):
+            constraints, z = mixed_instance(rng, n, 3, 2, feasible)
+            # halfspaces first, to check that the kernel keeps the weights with their rows
+            cs = ConstraintSet(constraints[3:] + constraints[:3])
+            for _ in range(10):
+                weights = rng.uniform(0.0, 2.0, 5) * (rng.uniform(size=5) < 0.8)
+                cases.append((cs, weights.tolist(), rng.uniform(-3.0, 3.0, n).tolist()))
+            certificate = _dual_certificate(cs)
+            if certificate is not None:
+                cases.append((cs, list(certificate.weights), z.tolist()))
+    proofs = 0
+    for cs, weights, origin in cases:
+        s, S, v, values = _fraction_sums(cs, weights, origin)
+        rows = _dyadic_rows(cs, origin)
+        kinds = [isinstance(g, BallQuad) for g in cs.constraints]
+        ordered = ([w for w, ball in zip(weights, kinds) if ball]
+                   + [w for w, ball in zip(weights, kinds) if not ball])
+        sums = _dual_sums(rows, ordered)
+        assert Fraction(sums.s, 2 ** sums.a) == s
+        assert Fraction(sums.S, 2 ** (sums.a + 2 * sums.b)) == S
+        assert [Fraction(u, 2 ** (sums.a + sums.b)) for u in sums.v] == v
+        assert [Fraction(u, 2 ** (2 * rows.b)) for u in rows.values] == (
+            [q for q, ball in zip(values, kinds) if ball] + [q for q, ball in zip(values, kinds) if not ball])
+        s0, S0, v0, _ = _fraction_sums(cs, weights, [0.0] * cs.dimension)
+        expected = s0 > 0 and S0 * s0 > sum(u * u for u in v0)
+        assert _proves_empty(cs, weights) is expected
+        proofs += expected
+    assert 0 < proofs < len(cases)
+    assert _fraction_sums(touching, [0.5, 0.5], [0.0, 0.0])[:3] == (1, 1, [1, 0])
+    assert not _proves_empty(touching, [0.5, 0.5])
 
 
 def test_single_ball_start_already_feasible():

@@ -13,12 +13,19 @@ Scaling the centers and radii by a power of two ``s`` and the tolerance by
 be unchanged. The absolute floors of the solvers (``1e-12`` and ``1e-13`` in
 the refinement gaps, the ``1e-6`` boundary tolerance of inclusion) do not
 bind at ``s`` in {1/4, 4}; far below 1/4 they start to.
+
+``solve_farthest`` returns a bracket that is a proof for its own instance.
+On a reflected, permuted, translated or scaled copy that is exactly the same
+instance (centres on a ``2^-20`` grid make the translation exact) the
+brackets must therefore overlap once scaled back, and the midpoints agree
+within ``2 eps``.
 """
 
 import numpy as np
 
-from hullscope import (Ball, BallIntersection, ConstraintSet, FeasibilityVerdict, InclusionVerdict,
-                       OuterBall, SolverConfig, check_feasibility, check_inclusion)
+from hullscope import (Ball, BallIntersection, BisectionConfig, ConstraintSet, FeasibilityVerdict,
+                       InclusionVerdict, OuterBall, SolverConfig, check_feasibility, check_inclusion,
+                       solve_farthest)
 
 from conftest import (disks_to_constraints, far_center, mixed_instance, random_ball_intersection,
                       random_disk_instance)
@@ -119,3 +126,33 @@ def test_inclusion_verdict_and_iterations_invariant_under_scaling():
             rep = check_inclusion(scaled, OuterBall(s * c, s * r), SolverConfig(tol=TOL * s * s))
             runs.append((rep.verdict, rep.iters))
         assert runs == [runs[0]] * 3, f"instance {i}: {runs}"
+
+
+def _dyadic_farthest_instances():
+    """Three ball intersections and outer centres on a ``2^-20`` grid, with a permutation each."""
+    rng = np.random.default_rng(34)
+    for m in (1, 3, 5):
+        bi, z0 = random_ball_intersection(rng, m)
+        c = far_center(rng, bi, z0)
+
+        def snap(a):
+            return np.round(np.asarray(a) * 2.0 ** 20) / 2.0 ** 20
+        yield BallIntersection(snap(bi.centers), float(snap(bi.radius))), snap(c), rng.permutation(m)
+
+
+def test_farthest_bracket_invariant_under_exact_transforms():
+    eps = 1e-6
+    flip = np.array([1.0, -1.0])
+    shift = np.array([0.75, -1.5])
+    for i, (bi, c, order) in enumerate(_dyadic_farthest_instances()):
+        base = solve_farthest(bi, c, BisectionConfig(eps=eps))
+        variants = {
+            "reflection": (1.0, bi.centers * flip, c * flip),
+            "permutation": (1.0, bi.centers[order], c),
+            "translation": (1.0, bi.centers + shift, c + shift),
+            **{f"scale {s}": (s, s * bi.centers, s * c) for s in SCALES},
+        }
+        for name, (s, centers, cc) in variants.items():
+            rep = solve_farthest(BallIntersection(centers, s * bi.radius), cc, BisectionConfig(eps=s * eps))
+            assert rep.r_lo <= s * base.r_hi and s * base.r_lo <= rep.r_hi, f"instance {i}, {name}"
+            assert abs(rep.r_star - s * base.r_star) <= 2 * s * eps, f"instance {i}, {name}"
