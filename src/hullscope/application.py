@@ -35,9 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dual import deep_point
 from .errors import DimensionMismatch, HypothesisViolation, UnboundedRegion
 from .farthest import BisectionConfig, solve_farthest
-from .feasibility import ConstraintSet, _dual_ascent
+from .feasibility import ConstraintSet
 from .inclusion import BallIntersection
 
 
@@ -94,7 +95,7 @@ def _chord(region: ConstraintSet, x: np.ndarray, d: np.ndarray) -> tuple[float, 
         t_lo = max(t_lo, -beta - root)
         t_hi = min(t_hi, -beta + root)
     if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
-        raise UnboundedRegion(f"region is unbounded along direction {d!r}")
+        raise UnboundedRegion(f"region is unbounded along direction {d.tolist()}")
     return t_lo, t_hi
 
 
@@ -205,7 +206,7 @@ def bound_max_distance(region: ConstraintSet, bi: BallIntersection, c, delta: fl
     cover_slack = 1e-7
 
     # one strictly interior point of C1 starts both chains
-    _, _, deep, _, _ = _dual_ascent(bi)
+    deep = deep_point(bi)
     depth = bi.worst_residual(deep)
     if depth >= -1e-9:
         raise HypothesisViolation(

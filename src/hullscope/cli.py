@@ -11,6 +11,9 @@ variable: off, info or trace). Exit codes encode the verdict:
 
     shared     5 empty intersection   64 usage   65 bad file   70 solver abort
 
+A solver abort (70) reports a library error with no code of its own: a
+non-finite value, or an ``appbound`` region that sampling found unbounded.
+
 Reports are deterministic given identical flags and seed; floats are
 serialized with Python's shortest round-trip representation, so a report
 parses back bit-identically.
@@ -30,7 +33,7 @@ import numpy as np
 
 from .application import bound_max_distance
 from .errors import (EmptyIntersection, HullscopeError, HypothesisViolation,
-                     InnerUndetermined, NonFiniteValue, PreconditionFailed)
+                     InnerUndetermined, PreconditionFailed)
 from .farthest import BisectionConfig, solve_farthest
 from .feasibility import ConstraintSet, FeasibilityVerdict, check_feasibility
 from .inclusion import InclusionVerdict, OuterBall, check_inclusion
@@ -245,7 +248,7 @@ def main(argv=None) -> int:
     except InnerUndetermined as exc:
         _emit({"error": "inner_undetermined", "message": str(exc)}, args.json_indent)
         return 2
-    except (NonFiniteValue, HullscopeError) as exc:
+    except HullscopeError as exc:
         print(f"hullscope: solver abort: {exc}", file=sys.stderr)
         return EXIT_SOLVER_ABORT
     except ValueError as exc:

@@ -15,8 +15,8 @@ Subgradient selection at kinks is deterministic: the positive part returns
 the zero vector when the inner value is <= 0 (valid, since 0 is in the
 subdifferential there), and a maximum returns the subgradient of the
 lowest-index achieving term. Each node has one evaluator, ``eval``, at a
-single point; ``value`` is its first component. Evaluation is side-effect
-free; trees are immutable after construction.
+single point, which returns the value and the subgradient together.
+Evaluation is side-effect free; trees are immutable after construction.
 
 Returned subgradients may alias arrays owned by the tree (e.g. the
 coefficient vector of an affine node) and must be treated as read-only.
@@ -46,9 +46,6 @@ class ConvexFn:
     def eval(self, x: Vector) -> tuple[float, Vector]:
         """Return ``(value, subgradient)`` at a validated float64 point."""
         raise NotImplementedError
-
-    def value(self, x) -> float:
-        return self.eval(np.asarray(x, dtype=np.float64))[0]
 
 
 class Affine(ConvexFn):

@@ -12,33 +12,13 @@ exactly zero adds the zero vector, which lies in the subdifferential of
 ``max(g_k, 0)`` there. Grouping the constraints by kind changes only the
 order of the floating-point additions, not the function.
 
-The checker minimizes the merit with a Polyak step targeting zero (fast
-certificate for the feasible case). When that stalls above zero, it first
-tries to prove the intersection empty with a Lagrange dual certificate, and
-only when none is found refines the minimum estimate to classify the
-instance.
-
-The certificate covers ball rows ``||x - c_i||^2 + o_i`` and affine rows
-``a_j.x + b_j``. For multipliers ``lambda`` on the simplex over the balls and
-``mu >= 0`` over the affine rows, the Lagrangian
-``L(x) = sum lambda_i (||x - c_i||^2 + o_i) + sum mu_j (a_j.x + b_j)`` is
-``||x||^2`` plus an affine function, so its minimum over all ``x`` is in
-closed form: at ``x = sum lambda_i c_i - (sum mu_j a_j) / 2`` it is the dual
-value ``D = sum lambda_i (|c_i|^2 + o_i) + sum mu_j b_j - |x|^2``, a concave
-quadratic in the multipliers. At a feasible point ``x`` every term of ``L``
-is at most zero, so ``D <= L(x) <= 0``; hence ``D > 0`` proves the
-intersection empty (the theorem of alternatives). A projected
-gradient ascent looks for such multipliers; the gradient of ``D`` is the
-constraint values at ``x``, ``g_i(x) - |x|^2`` and ``a_j.x + b_j``. A
-candidate counts only once ``sum lambda_i (|c_i|^2 + o_i) + sum mu_j b_j -
-|sum lambda_i c_i - sum mu_j a_j / 2|^2 / s > 0``, with ``s = sum lambda_i``,
-holds in exact arithmetic over the float inputs and multipliers (integers
-over a common power of two, ``_dual_sums``), so floating-point rounding
-cannot produce a false proof. A node of any other
-kind, or a system without a ball row, gets no certificate. Over balls alone
-the best ``D`` is ``min_x max_i g_i(x)``, attained at the primal point ``x``
-of the optimal multipliers, the deepest point of the intersection: the same
-ascent gives ``bound_max_distance`` its deep point.
+The checker minimizes the merit function with a Polyak step targeting zero
+(fast certificate for the feasible case). When that stalls above zero and
+every constraint is a ball or a halfspace, with at least one ball, it first
+tries to prove the intersection empty with the Lagrange dual certificate of
+the ``dual`` module (the bound at anchor weight ``sigma = 0``), checked in
+exact arithmetic, and only when none is found refines the minimum estimate
+to classify the instance.
 
 Verdicts are three-valued. Feasible comes with a witness and a certified
 Infeasible with its multipliers. Without a certificate, an Infeasible verdict
@@ -59,14 +39,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .convexfn import Affine, BallQuad, ConvexFn
+from .dual import certify_empty, proves_empty
 from .errors import DimensionMismatch
 from .geometry import Vector
 from .minimize import MinimizeResult, PolyakWithTarget, SolverConfig, minimize, refine_minimum
 
 log = logging.getLogger("hullscope.feasibility")
 
-# steps of the dual ascent before the certificate attempt gives up
-CERTIFICATE_STEPS = 1_000
 DYKSTRA_SWEEPS = 1_000  # sweeps before a Dykstra projection gives up
 
 
@@ -263,7 +242,7 @@ class InfeasibilityCertificate:
 
     def verify(self, cs: ConstraintSet) -> bool:
         """True when ``weights`` prove ``cs`` empty, checked in exact rational arithmetic."""
-        return _proves_empty(cs, self.weights)
+        return proves_empty(cs.constraints, self.weights)
 
 
 @dataclass
@@ -342,208 +321,6 @@ def build_g_tilde(cs: ConstraintSet) -> ConvexFn:
     return _Merit(cs)
 
 
-class DyadicRows(NamedTuple):
-    """The ball and affine rows of a ``ConstraintSet`` about an origin ``z``, in integers.
-
-    Every float is a dyadic rational, so one power of two turns all of them
-    into integers with no rounding: ``centers[i]`` is ``c_i - z`` and
-    ``half_normals[j]`` is ``a_j / 2``, both times ``2**b``; ``values`` holds
-    the constraint values at ``z`` times ``2**(2 b)``, ball rows first and
-    then affine rows, each kind in constraint order.
-    """
-
-    centers: list[list[int]]
-    half_normals: list[list[int]]
-    values: list[int]
-    b: int
-
-
-class DualSums(NamedTuple):
-    """The Lagrangian sums of ``DyadicRows`` under weights, in integers.
-
-    ``s = sum lambda_i`` times ``2**a``, ``S = sum lambda_i q_i + sum mu_j h_j``
-    times ``2**(a + 2 b)`` and ``v = sum lambda_i c_i - sum mu_j a_j / 2``
-    times ``2**(a + b)``, where ``q_i`` and ``h_j`` are the row values at the
-    origin and ``c_i`` the centres about it.
-    """
-
-    s: int
-    S: int
-    v: list[int]
-    a: int
-    b: int
-
-
-def _ratios(values) -> list[tuple[int, int]]:
-    return [v.as_integer_ratio() for v in values]
-
-
-def _bits(ratios) -> int:
-    """The least ``k >= 0`` that makes every ratio times ``2**k`` an integer."""
-    return max((q.bit_length() for _, q in ratios), default=1) - 1
-
-
-def _at(ratios, k: int) -> list[int]:
-    """Each ratio times ``2**k``; ``k`` is at least ``_bits(ratios)``."""
-    return [p << (k + 1 - q.bit_length()) for p, q in ratios]
-
-
-def _dyadic(values: list[float]) -> tuple[list[int], int]:
-    """Integers ``N_i`` and the least ``k >= 0`` with ``values[i] == N_i / 2**k``."""
-    ratios = _ratios(values)
-    k = _bits(ratios)
-    return _at(ratios, k), k
-
-
-def _dyadic_rows(cs: ConstraintSet, origin=None) -> DyadicRows | None:
-    """The rows of ``cs`` about ``origin`` (default 0) in integers; None if a node is neither kind.
-
-    ``values`` are exact, so ``origin`` lies in the intersection exactly when
-    none of them is positive.
-    """
-    C, offsets, A, shifts, others = cs.rows
-    if others:
-        return None
-    n = cs.dimension
-    z = _ratios([0.0] * n if origin is None else [float(u) for u in origin])
-    c = _ratios([] if C is None else C.ravel().tolist())
-    a = _ratios([] if A is None else A.ravel().tolist())
-    consts = _ratios((offsets or []) + (shifts or []))
-    # one bit beyond the coordinates keeps a_j / 2 integral, and 2 b covers
-    # the offsets and shifts, which sit on the squared scale
-    b = max(_bits(z + c + a) + 1, (_bits(consts) + 1) // 2)
-    Z = _at(z, b)
-    consts = _at(consts, 2 * b)
-    centers, half_normals, values = [], [], []
-    for i in range(len(c) // n):
-        row = [u - w for u, w in zip(_at(c[i * n:(i + 1) * n], b), Z)]
-        centers.append(row)
-        values.append(sum(u * u for u in row) + consts[i])
-    for j in range(len(a) // n):
-        row = _at(a[j * n:(j + 1) * n], b)
-        half_normals.append([u >> 1 for u in row])
-        values.append(sum(u * w for u, w in zip(row, Z)) + consts[len(centers) + j])
-    return DyadicRows(centers, half_normals, values, b)
-
-
-def _dual_sums(rows: DyadicRows, weights) -> DualSums | None:
-    """``s``, ``S`` and ``v`` of ``rows`` under ``weights`` (ball rows, then affine rows).
-
-    None unless there is one finite, non-negative weight per row.
-    """
-    weights = [float(w) for w in weights]
-    if len(weights) != len(rows.values) or not all(w >= 0.0 and math.isfinite(w) for w in weights):
-        return None
-    ratios = _ratios(weights)
-    a = _bits(ratios)
-    W = _at(ratios, a)
-    m = len(rows.centers)
-    S = sum(w * q for w, q in zip(W, rows.values))
-    v = [0] * len((rows.centers or rows.half_normals)[0])
-    for w, row in zip(W, rows.centers):
-        if w:
-            v = [vk + w * u for vk, u in zip(v, row)]
-    for w, row in zip(W[m:], rows.half_normals):
-        if w:
-            v = [vk - w * u for vk, u in zip(v, row)]
-    return DualSums(sum(W[:m]), S, v, a, rows.b)
-
-
-def _proves_empty(cs: ConstraintSet, weights) -> bool:
-    """Exact check of the dual bound ``S - |v|^2 / s > 0`` over the float inputs.
-
-    With ``s = sum lambda_i``, ``S = sum lambda_i (|c_i|^2 + o_i) + sum mu_j b_j``
-    and ``v = sum lambda_i c_i - sum mu_j a_j / 2``, all computed by
-    ``_dual_sums`` as integers over powers of two, so no rounding enters the
-    verdict. Rows of zero weight take no part, whatever their kind.
-    """
-    if len(weights) != len(cs.constraints):
-        return False
-    used = [(g, float(w)) for g, w in zip(cs.constraints, weights) if not float(w) == 0.0]
-    if not used:
-        return False
-    rows = _dyadic_rows(ConstraintSet([g for g, _ in used]))
-    if rows is None:
-        return False
-    sums = _dual_sums(rows, [w for g, w in used if isinstance(g, BallQuad)]
-                     + [w for g, w in used if isinstance(g, Affine)])
-    return (sums is not None and sums.s > 0
-            and sums.S * sums.s > sum(u * u for u in sums.v))
-
-
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto ``{lambda >= 0, sum lambda = 1}``, by sorting.
-
-    The shift ``theta`` comes from the longest prefix of the sorted entries
-    that stays positive after it. The rows are few, so a Python sort serves.
-    ``np.sort`` and ``np.maximum``, unlike ``np.fmax``, each map their SIMD
-    kernels in on first use, which raised the peak RSS of a short feasibility
-    stream by 0.15-0.25 MB.
-    """
-    total = theta = 0.0
-    for k, u in enumerate(sorted(v.tolist(), reverse=True), 1):
-        total += u
-        if u * k > total - 1.0:
-            theta = (total - 1.0) / k
-    return np.fmax(v - theta, 0.0)
-
-
-def _dual_ascent(cs: ConstraintSet):
-    """Ascend the Lagrange dual of the rows of ``cs``: one ball at least, no other node.
-
-    Projected gradient from uniform ``lambda`` and ``mu = 0``, keeping
-    ``lambda`` in the simplex and ``mu >= 0``, with the step
-    ``1 / (2 ||M||_F^2)``, ``M = [C; -A/2]`` over the rows centred at the mean
-    ball centre. That step is at most the inverse Lipschitz constant
-    ``1 / (2 ||M||_2^2)`` of the dual gradient, so every step raises ``D``
-    until the multipliers are optimal, and it needs no SVD. Stops at the
-    first ``D > 0``, at the first step that does not raise ``D`` or after
-    ``CERTIFICATE_STEPS`` steps; returns ``(lambda, mu, x, D, steps)``
-    with ``x`` the primal point, the minimizer of the Lagrangian.
-    """
-    C, offsets, A, shifts, _ = cs.rows
-    # D does not change when the rows are translated together (b_j picks up
-    # a_j.z), but ||M||_F does: centring the balls at their mean lets the
-    # step follow the spread of the centres, not their distance from 0
-    z = C.mean(axis=0)
-    C = C - z
-    q = (C * C).sum(axis=1) + offsets
-    lam = np.full(len(q), 1.0 / len(q))
-    fro2 = float((C * C).sum())
-    if A is None:
-        A = np.zeros((0, cs.dimension))
-        b = np.zeros(0)
-    else:
-        b = np.array(shifts) + A @ z
-        fro2 += 0.25 * float((A * A).sum())
-    mu = np.zeros(len(b))
-    # one centre and no normal leaves D linear: any step ascends
-    t = 0.5 / fro2 if fro2 > 0.0 else 1.0
-    D_prev = -math.inf
-    for step in range(CERTIFICATE_STEPS + 1):
-        x = lam @ C - 0.5 * (mu @ A)
-        D = float(lam @ q + mu @ b - x @ x)
-        if D > 0.0 or D <= D_prev or step == CERTIFICATE_STEPS:
-            break
-        D_prev = D
-        # the gradient is the constraint values at x: g_i(x) - |x|^2 and h_j(x)
-        lam = _project_simplex(lam + t * (q - 2.0 * (C @ x)))
-        mu = np.fmax(mu + t * (b + A @ x), 0.0)
-    return lam, mu, x + z, D, step
-
-
-def _dual_certificate(cs: ConstraintSet) -> InfeasibilityCertificate | None:
-    """The ascent's multipliers when they prove ``cs`` empty in the exact check, else None."""
-    if cs.rows.others or cs.rows.centers is None:
-        return None
-    lam, mu, _, D, steps = _dual_ascent(cs)
-    lam_it, mu_it = iter(lam.tolist()), iter(mu.tolist())
-    weights = [next(lam_it) if isinstance(g, BallQuad) else next(mu_it) for g in cs.constraints]
-    if not (D > 0.0 and _proves_empty(cs, weights)):
-        return None
-    return InfeasibilityCertificate(weights=tuple(weights), bound=D, steps=steps)
-
-
 def default_start(cs: ConstraintSet) -> np.ndarray:
     """Centroid of ball centers when every constraint is a ball, else zero."""
     centers, _, normals, _, others = cs.rows
@@ -579,8 +356,10 @@ def check_feasibility(cs: ConstraintSet, x0=None, cfg: SolverConfig | None = Non
     certificate = None
 
     if first.f_best > cfg.tol:
-        certificate = _dual_certificate(cs)
-        if certificate is None:
+        found = certify_empty(cs)
+        if found is not None:
+            certificate = InfeasibilityCertificate(*found)
+        else:
             ref = refine_minimum(g_tilde, first.x_best, lower_bound=0.0, value_gap=cfg.tol,
                                  max_iters=cfg.max_iters - first.iters)
             iters += ref.iters

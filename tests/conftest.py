@@ -25,6 +25,11 @@ def problem_path(name: str) -> Path:
     return PROBLEMS_DIR / f"{name}.json"
 
 
+def value(fn, x) -> float:
+    """The value of a ``ConvexFn`` at ``x``: the first component of ``fn.eval``."""
+    return fn.eval(np.asarray(x, dtype=np.float64))[0]
+
+
 def random_disk_instance(rng: np.random.Generator, m: int) -> list[Ball]:
     """Random 2-D disks with radii in [0.5, 1.5] and centers in [-2, 2]^2."""
     return [Ball(rng.uniform(-2.0, 2.0, 2), rng.uniform(0.5, 1.5)) for _ in range(m)]

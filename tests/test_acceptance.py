@@ -19,7 +19,7 @@ from hullscope import (BisectionConfig, FeasibilityVerdict, InclusionVerdict, Ou
                        load_problem, solve_farthest)
 
 from conftest import (disk_grid_bounds, disks_to_constraints, far_center, problem_path,
-                      random_ball_intersection, random_disk_instance)
+                      random_ball_intersection, random_disk_instance, value)
 from oracles import (GridSpec, check_lemma_2_5, check_lemma_2_6, check_lemma_2_7, check_lemma_2_8,
                      grid_feasible, grid_max_distance)
 
@@ -43,7 +43,7 @@ def report(capsys):
 
 def _oracle_margin(cs, oracle) -> float:
     if oracle.feasible:
-        return -max(g.value(oracle.witness) for g in cs.constraints)
+        return -max(value(g, oracle.witness) for g in cs.constraints)
     return oracle.min_g_tilde
 
 
@@ -180,8 +180,8 @@ def test_criterion_6_convexity_and_subgradient(report):
             x = rng.normal(0.0, 3.0, fn.dim)
             y = rng.normal(0.0, 3.0, fn.dim)
             fx, g = fn.eval(x)
-            fy = fn.value(y)
-            if fn.value(0.5 * (x + y)) > 0.5 * (fx + fy) + 1e-9:
+            fy = value(fn, y)
+            if value(fn, 0.5 * (x + y)) > 0.5 * (fx + fy) + 1e-9:
                 bad.append((label, "midpoint", x, y))
                 break
             if fy < fx + float(g @ (y - x)) - 1e-9:
@@ -207,7 +207,7 @@ def test_criterion_7_sign_characterization(report):
         center = np.mean([c for c in bi.centers], axis=0)
         span = 2.5 * bi.radius + float(np.linalg.norm(ob.center - center))
         X = rng.uniform(center - span, center + span, (10_000, bi.dimension))
-        vals = np.array([G.value(x) for x in X])
+        vals = np.array([value(G, x) for x in X])
         in_c1 = np.ones(len(X), dtype=bool)
         for ck in bi.centers:
             D = X - ck

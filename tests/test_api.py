@@ -50,3 +50,17 @@ def test_package_does_not_import_test_code():
                 continue
             for module in modules:
                 assert module.split(".")[0] not in TEST_MODULES, f"{path.name} imports {module}"
+
+
+def test_package_modules_import_no_private_names():
+    # a name one module takes from another belongs to that module's interface,
+    # so it carries no leading underscore
+    sources = sorted(Path(hullscope.__file__).parent.rglob("*.py"))
+    private = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").split(".")[0] == "hullscope"):
+                private += [f"{path.name}: {alias.name}" for alias in node.names
+                            if alias.name.startswith("_")]
+    assert private == []

@@ -8,7 +8,7 @@ from hullscope import (Affine, Ball, BallIntersection, BallQuad, BisectionConfig
                        DimensionMismatch, HypothesisViolation, PositivePart, ProblemFileError,
                        ball_constraint, bound_max_distance, extract_boundary_point,
                        halfspace_constraint, load_problem, project_region)
-from hullscope.feasibility import _dual_ascent
+from hullscope.dual import _dual_ascent
 
 from oracles import GridSpec, grid_max_distance
 
@@ -106,7 +106,7 @@ def test_dimension_mismatch_raised_before_sampling(monkeypatch, region, bi, c):
     def fail(*args, **kwargs):
         raise AssertionError("sampled before checking dimensions")
 
-    monkeypatch.setattr(application, "_dual_ascent", fail)
+    monkeypatch.setattr(application, "deep_point", fail)
     monkeypatch.setattr(application, "_hit_and_run", fail)
     with pytest.raises(DimensionMismatch):
         bound_max_distance(region, bi, c, 0.42)
@@ -119,7 +119,7 @@ def test_non_finite_center_raised_before_sampling(monkeypatch, c):
     def fail(*args, **kwargs):
         raise AssertionError("sampled before checking the outer center")
 
-    monkeypatch.setattr(application, "_dual_ascent", fail)
+    monkeypatch.setattr(application, "deep_point", fail)
     monkeypatch.setattr(application, "_hit_and_run", fail)
     with pytest.raises(ValueError, match="finite"):
         bound_max_distance(unit_square_shifted(), inner_disk(), c, 0.42)

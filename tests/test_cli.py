@@ -63,6 +63,18 @@ def test_zero_region_normal_exits_65(tmp_path):
     assert "bad problem file" in proc.stderr
 
 
+def test_unbounded_region_exits_70(tmp_path):
+    doc = json.loads(problem_path("single-disk-far-c").read_text())
+    doc["region"] = {"halfspaces": [{"a": [1, 0], "b": 10}]}
+    doc["delta"] = 0.5
+    path = tmp_path / "half-plane.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("appbound", str(path))
+    assert proc.returncode == 70
+    assert "region is unbounded along direction [" in proc.stderr
+    assert "array(" not in proc.stderr
+
+
 def test_packaged_schema_is_valid():
     # loading trusts the packaged schema, so check it here once
     from hullscope.problemfile import _validator

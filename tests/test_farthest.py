@@ -4,7 +4,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import hullscope.farthest as farthest
 from hullscope import (BallIntersection, BisectionConfig, DimensionMismatch, InnerUndetermined,
                        PreconditionFailed, SolverConfig, solve_farthest)
 
@@ -37,7 +36,7 @@ def assert_exact_dual_bracket(bi, c, rep):
 @pytest.fixture
 def forced_bisection(monkeypatch):
     """No dual step: the uniform multipliers leave a bracket that bisection must close."""
-    monkeypatch.setattr(farthest, "DUAL_STEPS", 0)
+    monkeypatch.setattr("hullscope.dual.DUAL_STEPS", 0)
 
 
 def test_bracket_single_disk():
@@ -141,7 +140,7 @@ def test_dual_agrees_with_forced_bisection(monkeypatch):
         dual = solve_farthest(bi, c, cfg)
         assert_exact_dual_bracket(bi, c, dual)
         with monkeypatch.context() as patch:
-            patch.setattr(farthest, "DUAL_STEPS", 0)
+            patch.setattr("hullscope.dual.DUAL_STEPS", 0)
             bisected = solve_farthest(bi, c, cfg)
         assert bisected.bisection_steps > 0
         assert abs(dual.r_star - bisected.r_star) <= 2 * eps, f"instance {i}"

@@ -8,29 +8,29 @@ from hullscope import (Affine, Ball, BallQuad, ConstraintSet, DimensionMismatch,
                        ball_constraint, build_g_tilde, check_feasibility, default_start,
                        halfspace_constraint)
 
-from hullscope.feasibility import _dual_certificate, _dual_sums, _dyadic_rows, _proves_empty
+from hullscope.dual import _bound, _dual_sums, _dyadic_rows, certify_empty, proves_empty
 
 from conftest import (disk_grid_bounds, disks_to_constraints, mixed_instance,
-                      random_disk_instance)
+                      random_disk_instance, value)
 from oracles import GridSpec, grid_feasible
 
 
 def test_g_tilde_single_halfspace_interior():
     cs = ConstraintSet([halfspace_constraint([1.0, 0.0], 0.0)])  # x1 <= 0
     gt = build_g_tilde(cs)
-    assert gt.value([-1.0, 0.0]) == 0.0
+    assert value(gt, [-1.0, 0.0]) == 0.0
 
 
 def test_g_tilde_disjoint_disks_value():
     cs = ConstraintSet([ball_constraint(Ball([0, 0], 1.0)), ball_constraint(Ball([3, 0], 1.0))])
     gt = build_g_tilde(cs)
-    assert gt.value([1.5, 0.0]) == pytest.approx(2.5)
+    assert value(gt, [1.5, 0.0]) == pytest.approx(2.5)
 
 
 def test_g_tilde_point_in_both_disks():
     cs = ConstraintSet([ball_constraint(Ball([0, 0], 1.0)), ball_constraint(Ball([1, 0], 1.0))])
     gt = build_g_tilde(cs)
-    assert gt.value([0.5, 0.0]) == 0.0
+    assert value(gt, [0.5, 0.0]) == 0.0
 
 
 def test_feasible_overlapping_disks_from_far_start():
@@ -156,29 +156,42 @@ def test_dyadic_kernel_matches_fraction_formula():
             for _ in range(10):
                 weights = rng.uniform(0.0, 2.0, 5) * (rng.uniform(size=5) < 0.8)
                 cases.append((cs, weights.tolist(), rng.uniform(-3.0, 3.0, n).tolist()))
-            certificate = _dual_certificate(cs)
-            if certificate is not None:
-                cases.append((cs, list(certificate.weights), z.tolist()))
+            # weight on the halfspaces alone: s = 0
+            cases.append((cs, [1.0, 0.5, 0.0, 0.0, 0.0], z.tolist()))
+            found = certify_empty(cs)
+            if found is not None:
+                cases.append((cs, list(found[0]), z.tolist()))
     proofs = 0
+    bounds = {0: [0, 0], -1: [0, 0]}  # per sigma: [None, fraction] counts
     for cs, weights, origin in cases:
         s, S, v, values = _fraction_sums(cs, weights, origin)
-        rows = _dyadic_rows(cs, origin)
-        kinds = [isinstance(g, BallQuad) for g in cs.constraints]
-        ordered = ([w for w, ball in zip(weights, kinds) if ball]
-                   + [w for w, ball in zip(weights, kinds) if not ball])
-        sums = _dual_sums(rows, ordered)
+        rows = _dyadic_rows(cs.constraints, origin)
+        sums = _dual_sums(rows, weights)
         assert Fraction(sums.s, 2 ** sums.a) == s
         assert Fraction(sums.S, 2 ** (sums.a + 2 * sums.b)) == S
         assert [Fraction(u, 2 ** (sums.a + sums.b)) for u in sums.v] == v
-        assert [Fraction(u, 2 ** (2 * rows.b)) for u in rows.values] == (
-            [q for q, ball in zip(values, kinds) if ball] + [q for q, ball in zip(values, kinds) if not ball])
+        assert [Fraction(u, 2 ** (2 * rows.b)) for u in rows.values] == values
+        for sigma in (0, -1):
+            bound = _bound(rows, weights, sigma)
+            if s + sigma <= 0:
+                assert bound is None
+            else:
+                num, den = bound
+                assert den > 0 and Fraction(num, den) == S - sum(u * u for u in v) / (s + sigma)
+            bounds[sigma][bound is not None] += 1
         s0, S0, v0, _ = _fraction_sums(cs, weights, [0.0] * cs.dimension)
         expected = s0 > 0 and S0 * s0 > sum(u * u for u in v0)
-        assert _proves_empty(cs, weights) is expected
+        assert proves_empty(cs.constraints, weights) is expected
         proofs += expected
     assert 0 < proofs < len(cases)
+    assert all(min(counts) > 0 for counts in bounds.values())
     assert _fraction_sums(touching, [0.5, 0.5], [0.0, 0.0])[:3] == (1, 1, [1, 0])
-    assert not _proves_empty(touching, [0.5, 0.5])
+    rows = _dyadic_rows(touching.constraints, [0.0, 0.0])
+    assert _bound(rows, [0.5, 0.5], 0)[0] == 0
+    assert not proves_empty(touching.constraints, [0.5, 0.5])
+    # s + sigma = 0 and s + sigma < 0 leave the Lagrangian unbounded below
+    assert _bound(rows, [0.5, 0.5], -1) is None
+    assert _bound(rows, [0.25, 0.5], -1) is None
 
 
 def test_single_ball_start_already_feasible():
@@ -256,7 +269,7 @@ def test_oracle_agreement_quick():
         lo, hi = disk_grid_bounds(disks)
         oracle = grid_feasible(cs, GridSpec(lo, hi, 1e-2))
         if oracle.feasible:
-            margin = -max(g.value(oracle.witness) for g in cs.constraints)
+            margin = -max(value(g, oracle.witness) for g in cs.constraints)
         else:
             margin = oracle.min_g_tilde
         if margin <= 1e-4:
@@ -280,7 +293,7 @@ def test_merit_zero_on_oracle_feasible_points():
         if not oracle.feasible:
             continue
         gt = build_g_tilde(cs)
-        assert gt.value(oracle.witness) <= 1e-12
+        assert value(gt, oracle.witness) <= 1e-12
 
 
 def test_report_iters_positive():
@@ -351,7 +364,7 @@ def test_merit_subgradient_inequality():
         for x in merit_points(rng, z, 300):
             fx, g = merit.eval(x)
             y = x + rng.choice([1e-3, 0.1, 1.0, 3.0]) * rng.standard_normal(x.shape[0])
-            fy = merit.value(y)
+            fy = value(merit, y)
             assert fy >= fx + float(g @ (y - x)) - 1e-9 * max(1.0, fx, fy), (label, x, y)
 
 

@@ -10,7 +10,7 @@ from hullscope import (Ball, BallIntersection, ConstraintSet, DimensionMismatch,
 def project_onto_balls(balls, y):
     return dykstra_project_full(ConstraintSet([ball_constraint(b) for b in balls]), y).point
 
-from conftest import far_center, random_ball_intersection
+from conftest import far_center, random_ball_intersection, value
 from oracles import GridSpec, grid_max_distance
 
 
@@ -83,7 +83,7 @@ def test_G_matches_literal_formula():
         inside_all = inside_outer = 0
         for x in X:
             lit = literal_G(bi, ob, x)
-            assert G.value(x) == pytest.approx(lit, rel=1e-12, abs=1e-12), (n, m, x)
+            assert value(G, x) == pytest.approx(lit, rel=1e-12, abs=1e-12), (n, m, x)
             inside_all += bool(max(float((x - c) @ (x - c)) for c in bi.centers) <= bi.radius ** 2)
             inside_outer += bool(float((x - ob.center) @ (x - ob.center)) <= ob.radius ** 2)
         assert 0 < inside_all < len(X) and 0 < inside_outer < len(X), (n, m)
@@ -97,7 +97,7 @@ def test_G_subgradient_inequality():
         for x in X:
             gx, g = G.eval(x)
             y = x + rng.choice([1e-3, 0.1, 1.0, 3.0]) * bi.radius * rng.standard_normal(n)
-            gy = G.value(y)
+            gy = value(G, y)
             assert gy >= gx + float(g @ (y - x)) - 1e-9 * max(1.0, abs(gx), abs(gy)), (n, m)
 
 
@@ -118,7 +118,7 @@ def test_G_subgradient_at_kinks():
         assert gx == pytest.approx(literal_G(bi, ob, x), abs=1e-12)
         for scale in (1e-6, 1e-3, 0.1, 1.0, 4.0):
             for y in x + scale * rng.standard_normal((50, 2)):
-                assert G.value(y) >= gx + float(g @ (y - x)) - 1e-12, (x, y)
+                assert value(G, y) >= gx + float(g @ (y - x)) - 1e-12, (x, y)
     # at the centre tie inside both balls (and outside the outer ball) the
     # lowest index wins
     x = np.array([0.5, 0.5])
@@ -130,8 +130,8 @@ def test_build_G_single_ball_values():
     bi = BallIntersection([[0.0, 0.0]], 1.0)
     ob = OuterBall([5.0, 0.0], 5.0)
     G = build_G(bi, ob)
-    assert G.value([-1.0, 0.0]) == pytest.approx(0.0)
-    assert G.value([5.0, 0.0]) == pytest.approx(49.0)
+    assert value(G, [-1.0, 0.0]) == pytest.approx(0.0)
+    assert value(G, [5.0, 0.0]) == pytest.approx(49.0)
 
 
 def test_build_G_is_max_of_Gk():
@@ -154,7 +154,7 @@ def test_build_G_single_term():
     ob = OuterBall([5.0, 0.0], 5.0)
     G = build_G(bi, ob)
     for x in ([0.3, -0.4], [-1.0, 0.0], [5.0, 0.0]):
-        assert G.value(x) == pytest.approx(literal_Gk(bi, ob, 0, np.asarray(x)), rel=1e-12, abs=1e-12)
+        assert value(G, x) == pytest.approx(literal_Gk(bi, ob, 0, np.asarray(x)), rel=1e-12, abs=1e-12)
 
 
 def test_Gk_and_G_are_midpoint_convex():
@@ -162,7 +162,7 @@ def test_Gk_and_G_are_midpoint_convex():
     bi = BallIntersection([[0.0, 0.0], [1.0, 0.0]], 1.0)
     ob = OuterBall([4.0, 0.0], 3.5)
     G = build_G(bi, ob)
-    fns = [lambda x, k=k: literal_Gk(bi, ob, k, x) for k in range(len(bi.centers))] + [G.value]
+    fns = [lambda x, k=k: literal_Gk(bi, ob, k, x) for k in range(len(bi.centers))] + [lambda x: value(G, x)]
     for fn in fns:
         for _ in range(1000):
             x = rng.normal(0.0, 3.0, 2)
@@ -253,7 +253,7 @@ def test_sign_characterization_sampled():
     ob = OuterBall([4.0, 0.0], 3.5)
     G = build_G(bi, ob)
     X = rng.uniform(-2.0, 3.0, (4000, 2))
-    vals = np.array([G.value(x) for x in X])
+    vals = np.array([value(G, x) for x in X])
     R2 = bi.radius ** 2
     in_c1 = np.ones(len(X), dtype=bool)
     for c in bi.centers:

@@ -5,6 +5,8 @@ from hullscope import (Affine, Ball, BallQuad, ConstraintSet, Max,
                        NonFiniteValue, PolyakWithTarget, SolverConfig, ball_constraint,
                        build_g_tilde, minimize, refine_minimum)
 
+from conftest import value
+
 
 def abs_value():
     return Max([Affine([1.0], 0.0), Affine([-1.0], 0.0)])
@@ -43,7 +45,7 @@ def test_smooth_quadratic_polyak_high_accuracy():
 def test_f_best_matches_eval_at_x_best():
     fn = disjoint_disks_merit()
     res = minimize(fn, [0.2, -0.7], SolverConfig(max_iters=3000))
-    assert res.f_best == fn.value(res.x_best)
+    assert res.f_best == value(fn, res.x_best)
 
 
 def test_f_best_is_running_minimum():

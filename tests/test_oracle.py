@@ -4,6 +4,7 @@ import pytest
 from hullscope import (Ball, BallIntersection, ConstraintSet, PositivePart, ball_constraint,
                        halfspace_constraint)
 
+from conftest import value
 from oracles import (EmptySample, GridSpec, GridTooLarge, check_lemma_2_5, check_lemma_2_6,
                      check_lemma_2_7, check_lemma_2_8, grid_feasible, grid_max_distance)
 
@@ -49,7 +50,7 @@ def test_grid_feasible_halfspace_leaves():
     assert res.min_g_tilde == 0.0
     # the deepest points (worst residual -0.5) form the segment x1 = 0.5, |x2| <= 0.5
     assert res.witness[0] == pytest.approx(0.5, abs=1e-2)
-    assert max(g.value(res.witness) for g in cs.constraints) == pytest.approx(-0.5, abs=1e-2)
+    assert max(value(g, res.witness) for g in cs.constraints) == pytest.approx(-0.5, abs=1e-2)
 
 
 def test_grid_feasible_rejects_composite_nodes():
