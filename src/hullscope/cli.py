@@ -180,8 +180,8 @@ def build_arg_parser() -> _Parser:
     common.add_argument("--max-iters", type=int, default=50_000, dest="max_iters",
                         help="subgradient iteration budget of one feasibility check, "
                              "one inclusion check or one bisection step; the Newton steps "
-                             "of farthest's dual bracket are not subgradient iterations "
-                             "and have their own fixed cap")
+                             "of farthest's dual bracket and of inclusion's dual bound are "
+                             "not subgradient iterations and have their own fixed cap")
     common.add_argument("--json-indent", type=int, default=None, dest="json_indent",
                         help="pretty-print the JSON report with this indent")
 

@@ -15,7 +15,7 @@ sum mu_j a_j / 2`` and ``S = sum lambda_i g_i(z) + sum mu_j h_j(z)``, so for
     min_x L = S - |v|^2 / (s + sigma),  at  x = z + v / (s + sigma).
 
 Every weighted row is at most zero on ``C``, so this bound is at most
-``sigma |x - z|^2`` at every point ``x`` of ``C``. Two anchors are used:
+``sigma |x - z|^2`` at every point ``x`` of ``C``. Three anchors are used:
 
 - ``sigma = 0`` (the theorem of alternatives): a positive bound proves ``C``
   empty; these weights are the infeasibility certificate. ``_dual_ascent``
@@ -33,6 +33,18 @@ Every weighted row is at most zero on ``C``, so this bound is at most
   slackness leaves ``phi(lambda*) = |x(lambda*) - c|^2`` whenever
   ``x(lambda*)`` lies in ``C``, and for one ball the S-lemma makes it always
   so; the bracket is then as narrow as rounding allows.
+- ``sigma = -t`` at ``z = c``, ``0 <= t <= 1`` (the inclusion witness): with
+  ``f = |x - c|^2 - r^2``, the identities ``sum max(g_i, 0) + min(max_k g_k,
+  0) = max sum w_i g_i`` over ``w`` in ``[0, 1]^m`` with ``sum w >= 1``, and
+  ``-min(f, 0) = max (-t f)`` over ``t`` in ``[0, 1]``, make the witness ``G``
+  of the ``inclusion`` module at least ``sum w_i g_i - t f`` everywhere, so
+  ``t r^2`` plus the bound is at most ``min G``. It is concave in
+  ``theta = (w, t)``, with gradient ``(g_i(x), -f(x))`` at the primal point
+  and Hessian ``-2 E E^T / (s - t)``, where the rows of ``E`` are ``x - c_i``
+  and ``c - x``. ``G`` is coercive and the weights range over a compact
+  polytope, so by Sion's minimax theorem the best weights attain ``min G``
+  and their primal point is the minimiser of ``G``; ``_witness_weights``
+  finds them by primal-dual interior-point Newton steps.
 
 No verdict rests on rounded arithmetic. Every float is a dyadic rational,
 so ``_dyadic_rows`` writes the rows about ``z`` as integers over one power of
@@ -53,7 +65,8 @@ from .convexfn import Affine, BallQuad
 
 # steps of the dual ascent before the certificate attempt gives up
 CERTIFICATE_STEPS = 1_000
-# Newton steps of the farthest dual, rejected ones included, before the bracket is read
+# Newton steps of each of the farthest and the witness duals (the farthest dual's
+# rejected trials included) before the bracket or the bound is read
 DUAL_STEPS = 100
 
 
@@ -151,7 +164,7 @@ def _dual_sums(rows: DyadicRows, weights) -> DualSums | None:
     return DualSums(sum(w for w, k in zip(W, rows.quadratic) if k), S, v, a, rows.b)
 
 
-def _bound(rows: DyadicRows, weights, sigma: int) -> tuple[int, int] | None:
+def _bound(rows: DyadicRows, weights, sigma: float) -> tuple[int, int] | None:
     """``(num, den)``, ``den > 0``, with ``num / den = S - |v|^2 / (s + sigma)`` exactly.
 
     None when the weights are not valid for ``_dual_sums`` or ``s + sigma <= 0``.
@@ -159,10 +172,13 @@ def _bound(rows: DyadicRows, weights, sigma: int) -> tuple[int, int] | None:
     sums = _dual_sums(rows, weights)
     if sums is None:
         return None
-    t = sums.s + (sigma << sums.a)
+    # s + sigma over the finer of the two powers of two, 2**e
+    ratio = _ratios([float(sigma)])
+    e = max(sums.a, _bits(ratio))
+    t = (sums.s << (e - sums.a)) + _at(ratio, e)[0]
     if t <= 0:
         return None
-    return sums.S * t - sum(u * u for u in sums.v), t << (sums.a + 2 * sums.b)
+    return sums.S * t - (sum(u * u for u in sums.v) << (e - sums.a)), t << (sums.a + 2 * sums.b)
 
 
 def _sqrt(num: int, den: int, *, up: bool) -> float:
@@ -185,6 +201,13 @@ def _sqrt(num: int, den: int, *, up: bool) -> float:
     while r != back and holds(math.nextafter(r, back)):
         r = math.nextafter(r, back)
     return r
+
+
+def _floor(num: int, den: int) -> float:
+    """The greatest float at most ``num / den``; ``den > 0``."""
+    x = num / den  # int division rounds to the nearest float
+    p, q = x.as_integer_ratio()
+    return math.nextafter(x, -math.inf) if p * den > num * q else x
 
 
 def _inside(constraints, x: np.ndarray) -> bool:
@@ -310,7 +333,7 @@ class _DualPoint(NamedTuple):
 def _solve_spd(H: np.ndarray, g: np.ndarray) -> np.ndarray:
     """``H^-1 g`` for a symmetric positive definite ``H``: elimination needs no pivots.
 
-    Elementwise numpy only, as ``_dual_multipliers`` builds ``H``:
+    Elementwise numpy only, as the Newton steps build ``H``:
     ``np.linalg.solve`` and a matrix product map LAPACK and BLAS kernels in
     on first use, which raised the peak RSS of a ``farthest`` run by about
     0.6 MB.
@@ -409,3 +432,138 @@ def farthest_bracket(cs, c: np.ndarray, witness: np.ndarray, floor: float):
     # |member - c|^2 is the value at member of the row |x - c|^2 + 0
     rows = _dyadic_rows([BallQuad(c, 0.0)], member)
     return _sqrt(rows.values[0], 1 << (2 * rows.b), up=False), r_hi, member, lam
+
+
+class _WitnessPoint(NamedTuple):
+    """The witness bound at ``theta = (w, t)``: its gap to ``G`` and what a Newton step reads."""
+
+    gap: float  # G(x) minus the bound, both in floats
+    theta: np.ndarray
+    s: float
+    u: float  # s - t
+    y: np.ndarray  # x(theta) - c
+    E: np.ndarray  # rows x - c_i, then c - x
+    F: np.ndarray  # g_i(x), then -f(x): the gradient of the bound
+
+
+def _to_boundary(values: list[float], steps: list[float]) -> float:
+    """The largest ``a <= 1`` that keeps each ``value + a * step`` above 0.5% of ``value``."""
+    a = 1.0
+    for v, dv in zip(values, steps):
+        if dv < 0.0:
+            a = min(a, -0.995 * v / dv)
+    return a
+
+
+def _witness_weights(d: np.ndarray, o: np.ndarray, r2: float, gap: float) -> tuple[np.ndarray, np.ndarray]:
+    """Weights ``theta = (w, t)`` that maximise the witness bound, and ``x(theta) - c``.
+
+    The rows of ``d`` are the centres ``c_i - c``, ``o`` holds the offsets
+    and ``r2`` is ``r^2``. The bound ``t r^2 + sum w_i g_i(c) - |v|^2 / (s - t)``
+    is maximised over ``0 <= w_i <= 1``, ``sum w >= 1`` and ``0 <= t <= 1``;
+    at every ``theta``, ``G(x(theta))`` minus it bounds how far each is from
+    ``min G``. The start is ``w_i = (m + 1) / 2m`` and ``t = 1/2``. For one
+    ball ``w = 1`` is forced and the best ``t``, ``1 - |c_1 - c| / r``
+    clipped at 0, is the one step. Otherwise each primal-dual Newton step
+    aims at a twentieth of the mean product of slack and multiplier over
+    the ``2 m + 3`` bounds, and moves ``theta`` and the multipliers as far
+    towards it as keeps each slack and multiplier above 0.5% of its value.
+    Stops once the gap is at most ``gap``, at a step that would leave the
+    interior in floats, or after ``DUAL_STEPS`` steps; returns the iterate
+    of least gap.
+    """
+    m = len(d)
+    q = (d * d).sum(axis=1) + o  # g_i(c)
+
+    def at(theta) -> _WitnessPoint:
+        w, t = theta[:m], float(theta[m])
+        s = float(w.sum())
+        y = (w @ d) / (s - t)
+        E = np.vstack((y - d, -y))
+        F = (E * E).sum(axis=1)
+        F[:m] += o
+        F[m] = r2 - F[m]
+        g = F.tolist()
+        G = max(g[m], 0.0) + sum(v for v in g[:m] if v > 0.0) + min(max(g[:m]), 0.0)
+        bound = t * r2 + float(w @ q) - float(y @ y) * (s - t)
+        return _WitnessPoint(G - bound, theta, s, s - t, y, E, F)
+
+    theta = np.full(m + 1, (m + 1) / (2 * m))
+    theta[m] = 0.5
+    if m == 1:
+        t = 1.0 - math.sqrt(float(d[0] @ d[0]) / r2)
+        if DUAL_STEPS and t < 1.0:  # t = 1 only when c = c_1
+            theta[1] = max(t, 0.0)
+        cur = at(theta)
+        return cur.theta, cur.y
+    cur = best = at(theta)
+    k = 2 * m + 3
+    mu = cur.gap / k
+    zl, zh, zs = mu / theta, mu / (1.0 - theta), mu / (cur.s - 1.0)
+    for _ in range(DUAL_STEPS):
+        if best.gap <= gap:
+            break
+        lo, hi, cs = cur.theta, 1.0 - cur.theta, cur.s - 1.0
+        target = (float(lo @ zl + hi @ zh) + cs * zs) / (20.0 * k)
+        E = cur.E
+        H = (2.0 / cur.u) * (E[:, None, :] * E[None, :, :]).sum(axis=2)
+        H.flat[::m + 2] += zl / lo + zh / hi
+        H[:m, :m] += zs / cs
+        # a direction the rank-one sum term leaves flat (two equal centres)
+        # keeps a pivot above the rounding of that term
+        H.flat[:m * (m + 2):m + 2] += 1e-14 * zs / cs
+        rhs = cur.F + target / lo - target / hi
+        rhs[:m] += target / cs
+        step = _solve_spd(H, rhs)
+        ds = float(step[:m].sum())
+        dzl = target / lo - zl - zl * step / lo
+        dzh = target / hi - zh + zh * step / hi
+        dzs = target / cs - zs - zs * ds / cs
+        ap = _to_boundary(lo.tolist() + hi.tolist() + [cs], step.tolist() + (-step).tolist() + [ds])
+        ad = _to_boundary(zl.tolist() + zh.tolist() + [zs], dzl.tolist() + dzh.tolist() + [dzs])
+        theta = cur.theta + ap * step
+        th = theta.tolist()
+        if not (min(th) > 0.0 and max(th) < 1.0 and float(theta[:m].sum()) > 1.0):
+            break
+        cur = at(theta)
+        zl, zh, zs = zl + ad * dzl, zh + ad * dzh, zs + ad * dzs
+        if cur.gap < best.gap:
+            best = cur
+    return best.theta, best.y
+
+
+class WitnessDual(NamedTuple):
+    """A point for the minimum of ``G``, a lower bound on it, and the weights behind both.
+
+    ``x`` is the primal point ``x(w, t)`` and ``g_lower`` the bound at
+    ``multipliers = (w_1, ..., w_m, t)``, checked exactly and rounded down;
+    it is ``-inf`` when the weights leave the polytope in exact arithmetic.
+    """
+
+    x: np.ndarray
+    g_lower: float
+    multipliers: tuple[float, ...]
+
+
+def witness_dual(cs, c: np.ndarray, r: float, gap: float) -> WitnessDual:
+    """The witness dual of the balls of ``cs`` against ``B(c, r)``: ``x(w, t)``, ``g_lower`` and ``(w, t)``.
+
+    ``f`` is ``|x - c|^2`` minus the float ``r * r``, as the rows hold their
+    offsets. The weights come from ``_witness_weights``, which stops once
+    ``G(x)`` exceeds the bound by at most ``gap / 2`` in floats; the other
+    half of ``gap`` covers the rounding of ``g_lower``, which is
+    ``t r^2 + S - |v|^2 / (s - t)`` from ``_bound`` at ``sigma = -t``.
+    """
+    theta, y = _witness_weights(cs.rows.centers - c, np.array(cs.rows.offsets), r * r, gap / 2.0)
+    w, t = theta[:-1].tolist(), float(theta[-1])
+    ratios = _ratios(w)
+    a = _bits(ratios)
+    bound = None
+    if max(w) <= 1.0 and 0.0 <= t <= 1.0 and sum(_at(ratios, a)) >= 1 << a:
+        bound = _bound(_dyadic_rows(cs.constraints, c), w, -t)
+    g_lower = -math.inf
+    if bound is not None:
+        num, den = bound
+        (pt, qt), (pr, qr) = t.as_integer_ratio(), (r * r).as_integer_ratio()
+        g_lower = _floor(num * qt * qr + pt * pr * den, den * qt * qr)
+    return WitnessDual(c + y, g_lower, tuple(w) + (t,))

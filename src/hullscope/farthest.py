@@ -9,7 +9,9 @@ as narrow as rounding allows and no bisection step runs.
 
 Otherwise the bracket is closed the paper's way: ``C1 \\ B(c, r)`` (open ball
 removed) is nonempty for ``r < r_star`` and empty for ``r > r_star``, so one
-inclusion check per midpoint halves it. If no member of ``C1`` is found,
+inclusion check per midpoint halves it; each check starts from the witness
+dual's minimiser of ``G`` and its exact lower bound, which usually close the
+step with no subgradient iteration. If no member of ``C1`` is found,
 ``r_lo`` is ``R``, which the distance precondition ``d(c, C1) > R`` makes a
 lower bound.
 """
@@ -64,11 +66,10 @@ def solve_farthest(bi: BallIntersection, c, cfg: BisectionConfig | None = None) 
     Brackets ``r_star`` with the dual (module docstring) and returns at once
     when the bracket is at most ``2 eps`` wide, with no bisection step and
     no inner iteration. Otherwise bisects the bracket, running one inclusion
-    check per midpoint (the inclusion minimizer warm-starts from the
-    previous step's witness); ``cfg.inner.max_iters`` caps the iterations of
-    each step. An inner Undetermined verdict, including a step that ran out
-    of budget, is surfaced as ``InnerUndetermined`` rather than silently
-    resolved; callers may loosen ``eps`` or tighten the inner solver.
+    check per midpoint; ``cfg.inner.max_iters`` caps the subgradient
+    iterations of each step. An inner Undetermined verdict, including a step
+    that ran out of budget, is surfaced as ``InnerUndetermined`` rather than
+    silently resolved; callers may loosen ``eps`` or tighten the inner solver.
 
     Raises
     ------
@@ -81,17 +82,15 @@ def solve_farthest(bi: BallIntersection, c, cfg: BisectionConfig | None = None) 
     r_lo, r_hi, witness, lam = farthest_bracket(bi, c, witness, bi.radius)
     steps = 0
     total_inner = 0
-    warm = witness
 
     while r_hi - r_lo > 2.0 * cfg.eps:
         mid = 0.5 * (r_lo + r_hi)
-        report = check(mid, warm)
+        report = check(mid)
         steps += 1
         total_inner += report.iters
         if report.verdict is InclusionVerdict.NONEMPTY_DIFFERENCE:
             r_lo = mid
             witness = report.x_star
-            warm = report.x_star
         elif report.verdict is InclusionVerdict.INCLUDED:
             r_hi = mid
         else:

@@ -25,9 +25,19 @@ sum_{i != k} max(f_i, 0)``, where ``f_k - f`` is affine because both
 quadratics have the Hessian ``2 I``. The literal formula survives only in
 test oracles.
 
+``G`` is minimised through its Lagrange dual (``dual.witness_dual``):
+weights ``w`` in ``[0, 1]^m`` with ``sum w >= 1`` and ``t`` in ``[0, 1]``
+give ``G >= sum w_i f_i - t f`` everywhere, whose minimum over ``x`` has a
+closed form and a closed-form minimiser ``x(w, t)``. The best weights attain
+``min G`` (Sion's minimax theorem), so Newton steps on them give a point
+and an exact lower bound ``g_lower``; when ``G(x) - g_lower`` is within the
+value gap, the refinement of the paper (``refine_minimum``) is closed
+before any probe, and otherwise it runs from that point and that bound.
+
 ``C1`` is a ``BallIntersection``, a ``ConstraintSet`` of the ``f_k``: the
-witness search, the residuals and the distance precondition read it as it
-is. The precondition is checked by Dykstra's projection onto ``C1``.
+witness search, the residuals, the dual and the distance precondition read
+it as it is. The precondition is checked by Dykstra's projection onto
+``C1``.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convexfn import BallQuad, ConvexFn
+from .dual import witness_dual
 from .errors import DimensionMismatch, EmptyIntersection, PreconditionFailed
 from .feasibility import ConstraintSet, FeasibilityVerdict, ProjectionResult, check_feasibility
 from .geometry import Ball
@@ -90,10 +101,14 @@ class InclusionVerdict(enum.Enum):
 
 @dataclass
 class InclusionReport:
-    """Minimizer of G, its membership residuals, and the verdict.
+    """Minimizer of G, its membership residuals, the dual bound, and the verdict.
 
     ``precondition_margin`` is ``d(c, C1) - R``; it is strictly positive on
     every report (otherwise ``PreconditionFailed`` is raised instead).
+    ``g_lower`` is a proven lower bound on ``min G``, the larger of ``-R^2``
+    and the dual bound at ``multipliers`` (``w`` in centre order, then
+    ``t``); ``iters`` is 0 when ``g_at_xstar - g_lower`` was already within
+    the value gap.
     """
 
     verdict: InclusionVerdict
@@ -103,6 +118,8 @@ class InclusionReport:
     dist_xstar_to_c: float
     precondition_margin: float
     iters: int
+    g_lower: float
+    multipliers: tuple[float, ...]
 
 
 def dykstra_project_full(cs: ConstraintSet, y) -> ProjectionResult:
@@ -183,11 +200,13 @@ def _classify(fk: np.ndarray, ob: OuterBall, x: np.ndarray, tol: float) -> Inclu
 
 
 def _inclusion_at(bi: BallIntersection, ob: OuterBall, cfg: SolverConfig,
-                  start: np.ndarray, margin: float) -> InclusionReport:
+                  margin: float) -> InclusionReport:
     G = build_G(bi, ob)
     gap = max(cfg.tol / 100.0, 1e-12)
+    dual = witness_dual(bi, ob.center, ob.radius, gap)
+    g_lower = max(-(bi.radius * bi.radius), dual.g_lower)
     res: MinimizeResult = refine_minimum(
-        G, start, lower_bound=-(bi.radius * bi.radius), value_gap=gap, max_iters=cfg.max_iters)
+        G, dual.x, lower_bound=g_lower, value_gap=gap, max_iters=cfg.max_iters)
     x_star = res.x_best
     fk = bi.residuals(x_star)
     verdict = _classify(fk, ob, x_star, cfg.tol)
@@ -203,6 +222,8 @@ def _inclusion_at(bi: BallIntersection, ob: OuterBall, cfg: SolverConfig,
         dist_xstar_to_c=float(np.linalg.norm(x_star - ob.center)),
         precondition_margin=float(margin),
         iters=res.iters,
+        g_lower=g_lower,
+        multipliers=dual.multipliers,
     )
 
 
@@ -211,8 +232,8 @@ def inclusion_checker(bi: BallIntersection, c, cfg: SolverConfig):
 
     Finds a point of ``C1`` with ``check_feasibility`` and verifies the
     distance precondition ``d(c, C1) > R`` by Dykstra projection. Returns
-    ``(witness, check)``: ``check(r, start)`` runs the inclusion test against
-    ``B(c, r)``, minimizing ``G`` from ``start``.
+    ``(witness, check)``: ``check(r)`` runs the inclusion test against
+    ``B(c, r)``.
 
     Raises
     ------
@@ -240,8 +261,8 @@ def inclusion_checker(bi: BallIntersection, c, cfg: SolverConfig):
         raise PreconditionFailed(
             f"outer center too close to the intersection: d(c, C1) - R = {margin:.6e}")
 
-    def check(r: float, start: np.ndarray) -> InclusionReport:
-        return _inclusion_at(bi, OuterBall(c, r), cfg, start, margin)
+    def check(r: float) -> InclusionReport:
+        return _inclusion_at(bi, OuterBall(c, r), cfg, margin)
 
     return np.asarray(report.witness, dtype=np.float64), check
 
@@ -250,12 +271,14 @@ def check_inclusion(bi: BallIntersection, ob: OuterBall,
                     cfg: SolverConfig | None = None) -> InclusionReport:
     """Decide whether the ball intersection minus the open outer ball is empty.
 
-    Pipeline: certify the intersection nonempty (its witness is the start
-    point), verify the distance precondition ``d(c, C1) > R`` via Dykstra
-    projection, minimize ``G`` and classify the minimizer by membership.
-    ``cfg.max_iters`` caps the iterations of the witness search, and
-    separately those of the minimization of ``G``; a minimization that stops
-    before its bracket closes cannot report Included.
+    Pipeline: certify the intersection nonempty, verify the distance
+    precondition ``d(c, C1) > R`` via Dykstra projection, minimize ``G``
+    through its dual (module docstring), refine the minimum only while the
+    dual bound leaves a gap, and classify the minimizer by membership.
+    ``cfg.max_iters`` caps the subgradient iterations of the witness search,
+    and separately those of the refinement; the dual's Newton steps have the
+    fixed cap ``dual.DUAL_STEPS``. A refinement that stops before its bracket
+    closes cannot report Included.
 
     Raises
     ------
@@ -267,5 +290,5 @@ def check_inclusion(bi: BallIntersection, ob: OuterBall,
     """
     if cfg is None:
         cfg = SolverConfig()
-    witness, check = inclusion_checker(bi, ob.center, cfg)
-    return check(ob.radius, witness)
+    _, check = inclusion_checker(bi, ob.center, cfg)
+    return check(ob.radius)

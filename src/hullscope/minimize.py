@@ -12,8 +12,9 @@ identical outputs.
 
 ``refine_minimum`` sits on top: it bisects over Polyak target values to pin
 the optimal value down to a requested gap. Every caller knows a lower bound
-on the minimum (the merit function is at least 0, ``G`` at least ``-R^2``),
-so the lower end of the bracket starts at that bound. It rises to each
+on the minimum (the merit function is at least 0, ``G`` at least its exact
+dual bound, itself at least ``-R^2``), so the lower end of the bracket
+starts at that bound. It rises to each
 target a probe fails to reach, a heuristic: a stalled probe does not prove
 its target unattainable. Each probe is a plain ``PolyakWithTarget`` run, so
 the rule above is the only step rule in the library.
@@ -163,7 +164,8 @@ def refine_minimum(
     whose ``converged`` flag means the bracket closed to ``value_gap``;
     ``f_best`` is always an upper bound on the true minimum. Its two callers
     are ``check_feasibility``, when no dual certificate proves the set
-    empty, and the inclusion check, which pins down the minimum of ``G``.
+    empty, and the inclusion check, which starts it from the witness dual's
+    point and bound and so runs no probe when the dual has closed the gap.
     """
     if not (math.isfinite(value_gap) and value_gap > 0):
         raise ValueError("value_gap must be a finite positive number")

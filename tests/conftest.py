@@ -45,18 +45,19 @@ def disk_grid_bounds(disks: list[Ball], pad: float = 0.1) -> tuple[np.ndarray, n
     return lo, hi
 
 
-def random_ball_intersection(rng: np.random.Generator, m: int) -> tuple[BallIntersection, np.ndarray]:
-    """A nonempty 2-D ball intersection; the returned anchor is a deep point.
+def random_ball_intersection(rng: np.random.Generator, m: int,
+                             n: int = 2) -> tuple[BallIntersection, np.ndarray]:
+    """A nonempty ``n``-D ball intersection; the returned anchor is a deep point.
 
     Centers sit within 0.5 R of the anchor, so the anchor is at least 0.5 R
     interior and pairwise center distances stay below R (healthy wedge
     angles between the boundary spheres).
     """
     R = rng.uniform(0.6, 1.2)
-    z0 = rng.uniform(-1.0, 1.0, 2)
+    z0 = rng.uniform(-1.0, 1.0, n)
     centers = []
     for _ in range(m):
-        d = rng.standard_normal(2)
+        d = rng.standard_normal(n)
         d /= np.linalg.norm(d)
         centers.append(z0 + (0.5 * R * rng.uniform(0.0, 1.0)) * d)
     return BallIntersection(centers, R), z0
@@ -71,7 +72,7 @@ def far_center(rng: np.random.Generator, bi: BallIntersection, z0: np.ndarray,
     """
     max_off = max(float(np.linalg.norm(c - z0)) for c in bi.centers)
     u = rng.uniform(margin_min + 0.03, 1.5)
-    d = rng.standard_normal(2)
+    d = rng.standard_normal(len(z0))
     d /= np.linalg.norm(d)
     return z0 + (2.0 * bi.radius + max_off + u) * d
 

@@ -144,13 +144,31 @@ def test_appbound_big_square_rejected():
     assert doc["distance"] > 0.42
 
 
-def test_max_iters_caps_inclusion_and_farthest():
+def test_max_iters_caps_inclusion_and_farthest(monkeypatch, capsys):
+    import logging
+
+    from hullscope import cli
+
     args = ("inclusion", str(problem_path("lens-far-c")), "--r", "3.9")
     full = run_cli(*args)
+    # the dual closes the refinement with no subgradient iteration, so the
+    # cap leaves the verdict whole
     starved = run_cli(*args, "--max-iters", "1")
-    assert full.returncode == 0
-    assert starved.stdout != full.stdout
-    assert starved.returncode not in (0, 1)
+    assert full.returncode == starved.returncode == 0
+    assert json.loads(starved.stdout)["iters"] == 0
+    # with no Newton step the refinement runs, and the cap stops it short
+    monkeypatch.setattr("hullscope.dual.DUAL_STEPS", 0)
+    monkeypatch.setenv("HULLSCOPE_LOG", "off")
+    try:
+        code = cli.main([*args, "--max-iters", "1"])
+    finally:
+        # main gives the package logger a stderr handler and a level
+        logger = logging.getLogger("hullscope")
+        logger.handlers.clear()
+        logger.setLevel(logging.NOTSET)
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert doc["verdict"] == "undetermined" and doc["iters"] == 1
     # the dual closes the farthest bracket without a subgradient iteration, so
     # the cap binds only a bisection step (test_starved_step_is_inner_undetermined)
     starved = run_cli("farthest", str(problem_path("lens-far-c")), "--max-iters", "1")

@@ -100,10 +100,11 @@ def test_inner_undetermined_is_surfaced(monkeypatch, forced_bisection):
     from hullscope import InclusionVerdict
     from hullscope.inclusion import InclusionReport
 
-    def fake_inclusion(bi, ob, cfg, start, margin):
+    def fake_inclusion(bi, ob, cfg, margin):
         return InclusionReport(verdict=InclusionVerdict.UNDETERMINED,
                                x_star=np.zeros(2), g_at_xstar=0.0, residuals_fk=[0.0],
-                               dist_xstar_to_c=0.0, precondition_margin=margin, iters=1)
+                               dist_xstar_to_c=0.0, precondition_margin=margin, iters=1,
+                               g_lower=-1.0, multipliers=(1.0, 0.0))
 
     monkeypatch.setattr(incl_mod, "_inclusion_at", fake_inclusion)
     bi = BallIntersection([[0.0, 0.0]], 1.0)

@@ -1,10 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from hullscope import (Ball, BallIntersection, ConstraintSet, DimensionMismatch, EmptyIntersection,
-                       FeasibilityVerdict, InclusionVerdict, OuterBall, PreconditionFailed,
-                       SolverConfig, ball_constraint, build_G, check_feasibility, check_inclusion,
-                       dykstra_project_full)
+from hullscope import (Ball, BallIntersection, BisectionConfig, ConstraintSet, DimensionMismatch,
+                       EmptyIntersection, FeasibilityVerdict, InclusionVerdict, OuterBall,
+                       PreconditionFailed, SolverConfig, ball_constraint, build_G, check_feasibility,
+                       check_inclusion, dykstra_project_full, solve_farthest)
 
 
 def project_onto_balls(balls, y):
@@ -218,13 +220,69 @@ def test_inclusion_single_disk_included():
     assert rep.verdict is InclusionVerdict.INCLUDED
 
 
-def test_unconverged_refinement_is_not_included():
-    # with full budget this instance is Included (see above); a refinement
-    # starved of iterations cannot localize the minimizer of G
+def test_unconverged_refinement_is_not_included(monkeypatch):
+    # with full budget this instance is Included (see above) and the dual
+    # closes it with no iteration; with no Newton step the refinement runs,
+    # and one starved of iterations cannot localize the minimizer of G
+    monkeypatch.setattr("hullscope.dual.DUAL_STEPS", 0)
     bi = BallIntersection([[0.0, 0.0]], 1.0)
     rep = check_inclusion(bi, OuterBall([5.0, 0.0], 6.1), SolverConfig(max_iters=3))
     assert rep.verdict is InclusionVerdict.UNDETERMINED
     assert rep.iters <= 3
+
+
+def assert_exact_witness_bound(bi: BallIntersection, ob: OuterBall, rep) -> None:
+    """``rep.g_lower``, re-checked in ``Fraction`` arithmetic from ``rep.multipliers``.
+
+    The multipliers ``(w, t)`` lie in the polytope ``0 <= w_i <= 1``,
+    ``sum w >= 1``, ``0 <= t <= 1``, so ``G(x) >= sum w_i f_i(x) - t f(x)``
+    at every ``x``; the minimum of the right-hand side over ``x``,
+    ``t r^2 + S - |v|^2 / (s - t)`` about ``c``, or else ``-R^2``, which
+    bounds ``G`` from below by itself, must be at least ``g_lower``. ``R^2``
+    and ``r^2`` are the float squares, as ``G`` reads them.
+    """
+    *w, t = [Fraction(u) for u in rep.multipliers]
+    assert len(w) == len(bi.centers)
+    assert all(0 <= wi <= 1 for wi in w) and 0 <= t <= 1 <= sum(w) and sum(w) > t
+    cf = [Fraction(u) for u in ob.center.tolist()]
+    d = [[Fraction(u) - ci for u, ci in zip(ck.tolist(), cf)] for ck in bi.centers]
+    R2, r2 = Fraction(bi.radius * bi.radius), Fraction(ob.radius * ob.radius)
+    v = [sum(wi * di[j] for wi, di in zip(w, d)) for j in range(len(cf))]
+    S = sum(wi * (sum(u * u for u in di) - R2) for wi, di in zip(w, d))
+    bound = t * r2 + S - sum(vj * vj for vj in v) / (sum(w) - t)
+    assert Fraction(rep.g_lower) <= max(bound, -R2)
+
+
+def _witness_instances():
+    """Random intersections at n = 2-5, m = 1-5, with outer radii around ``r*``.
+
+    ``r*`` comes from ``solve_farthest``, whose bracket is proof for any
+    dimension; the radii are ``r*`` times 0.75, 0.97, 1.03 and 1.25.
+    """
+    rng = np.random.default_rng(41)
+    for i in range(16):
+        bi, z0 = random_ball_intersection(rng, 1 + i % 5, 2 + i % 4)
+        c = far_center(rng, bi, z0)
+        r_star = solve_farthest(bi, c, BisectionConfig(eps=1e-7)).r_star
+        for factor in (0.75, 0.97, 1.03, 1.25):
+            expected = (InclusionVerdict.NONEMPTY_DIFFERENCE if factor < 1.0
+                        else InclusionVerdict.INCLUDED)
+            yield f"instance {i}, factor {factor}", bi, OuterBall(c, factor * r_star), expected
+
+
+def test_witness_dual_bound_is_exact_and_agrees_with_forced_fallback(monkeypatch):
+    for label, bi, ob, expected in _witness_instances():
+        rep = check_inclusion(bi, ob)
+        assert rep.verdict is expected, label
+        assert rep.iters == 0, label
+        assert rep.g_at_xstar - rep.g_lower <= 1e-10, label
+        assert_exact_witness_bound(bi, ob, rep)
+        with monkeypatch.context() as patch:
+            patch.setattr("hullscope.dual.DUAL_STEPS", 0)
+            forced = check_inclusion(bi, ob)
+        assert forced.iters > 0, label
+        assert forced.verdict is rep.verdict, label
+        assert_exact_witness_bound(bi, ob, forced)
 
 
 def test_inclusion_precondition_failure():

@@ -18,7 +18,9 @@ bind at ``s`` in {1/4, 4}; far below 1/4 they start to.
 On a reflected, permuted, translated or scaled copy that is exactly the same
 instance (centres on a ``2^-20`` grid make the translation exact) the
 brackets must therefore overlap once scaled back, and the midpoints agree
-within ``2 eps``.
+within ``2 eps``. Likewise the witness dual's ``g_lower`` proves a bound on
+``min G`` that lies within the value gap of it, so on those copies the
+verdicts agree and the bounds differ by at most that gap.
 """
 
 import numpy as np
@@ -156,3 +158,26 @@ def test_farthest_bracket_invariant_under_exact_transforms():
             rep = solve_farthest(BallIntersection(centers, s * bi.radius), cc, BisectionConfig(eps=s * eps))
             assert rep.r_lo <= s * base.r_hi and s * base.r_lo <= rep.r_hi, f"instance {i}, {name}"
             assert abs(rep.r_star - s * base.r_star) <= 2 * s * eps, f"instance {i}, {name}"
+
+
+def test_witness_dual_invariant_under_exact_transforms():
+    # each g_lower is a proof that lies within the value gap (1e-10) of the
+    # same min G, so the copies' bounds agree within it
+    flip = np.array([1.0, -1.0])
+    shift = np.array([0.75, -1.5])
+    for i, (bi, c, order) in enumerate(_dyadic_farthest_instances()):
+        r_star = solve_farthest(bi, c, BisectionConfig(eps=1e-7)).r_star
+        for factor in (0.97, 1.03):
+            r = factor * r_star
+            base = check_inclusion(bi, OuterBall(c, r))
+            assert base.iters == 0, f"instance {i}, factor {factor}"
+            variants = {
+                "reflection": (bi.centers * flip, c * flip),
+                "permutation": (bi.centers[order], c),
+                "translation": (bi.centers + shift, c + shift),
+            }
+            for name, (centers, cc) in variants.items():
+                rep = check_inclusion(BallIntersection(centers, bi.radius), OuterBall(cc, r))
+                label = f"instance {i}, factor {factor}, {name}"
+                assert rep.verdict is base.verdict and rep.iters == 0, label
+                assert abs(rep.g_lower - base.g_lower) <= 1e-10, label
