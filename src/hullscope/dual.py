@@ -27,12 +27,12 @@ Every weighted row is at most zero on ``C``, so this bound is at most
 - ``sigma = -1`` at ``z = c`` (the S-lemma): the bound is at most
   ``-|x - c|^2`` on ``C``, so ``phi(lambda) = |v|^2 / (s - 1) - S`` bounds the
   farthest distance ``r_star^2`` from above whenever ``s > 1``. Over balls
-  ``phi`` is convex, with gradient ``-g_k(x(lambda))`` and Hessian
-  ``2 W W^T / (s - 1)``, where the rows of ``W`` are ``x(lambda) - c_k``;
-  ``_dual_multipliers`` minimises it by damped Newton steps. Complementary
-  slackness leaves ``phi(lambda*) = |x(lambda*) - c|^2`` whenever
-  ``x(lambda*)`` lies in ``C``, and for one ball the S-lemma makes it always
-  so; the bracket is then as narrow as rounding allows.
+  ``-phi`` is concave, with gradient ``g_k(x(lambda))`` and Hessian
+  ``-2 W W^T / (s - 1)``, where the rows of ``W`` are ``x(lambda) - c_k``;
+  ``_newton`` maximises it over ``lambda >= 0``, ``sum lambda >= 1``.
+  Complementary slackness leaves ``phi(lambda*) = |x(lambda*) - c|^2``
+  whenever ``x(lambda*)`` lies in ``C``, and for one ball the S-lemma makes
+  it always so; the bracket is then as narrow as rounding allows.
 - ``sigma = -t`` at ``z = c``, ``0 <= t <= 1`` (the inclusion witness): with
   ``f = |x - c|^2 - r^2``, the identities ``sum max(g_i, 0) + min(max_k g_k,
   0) = max sum w_i g_i`` over ``w`` in ``[0, 1]^m`` with ``sum w >= 1``, and
@@ -43,8 +43,15 @@ Every weighted row is at most zero on ``C``, so this bound is at most
   and Hessian ``-2 E E^T / (s - t)``, where the rows of ``E`` are ``x - c_i``
   and ``c - x``. ``G`` is coercive and the weights range over a compact
   polytope, so by Sion's minimax theorem the best weights attain ``min G``
-  and their primal point is the minimiser of ``G``; ``_witness_weights``
-  finds them by primal-dual interior-point Newton steps.
+  and their primal point is the minimiser of ``G``; ``_newton`` finds them.
+
+Both Newton problems are one: weights ``theta`` on rows
+``k_r |y|^2 - 2 d_r.y + q_r`` maximise ``q.theta - |D^T theta|^2 / (k.theta
++ sigma)`` over a polytope ``A theta >= b``. The farthest dual has ball rows
+(``k = 1``) at ``sigma = -1``; the witness dual adds the outer ball as a row
+with ``k = -1``, ``d = 0`` and ``q = r^2`` at ``sigma = 0``, which is the
+bound at ``sigma = -t`` plus ``t r^2``. ``_newton`` takes the rows, ``sigma``
+and the polytope as data and runs primal-dual interior-point steps on them.
 
 No verdict rests on rounded arithmetic. Every float is a dyadic rational,
 so ``_dyadic_rows`` writes the rows about ``z`` as integers over one power of
@@ -65,8 +72,8 @@ from .convexfn import Affine, BallQuad
 
 # steps of the dual ascent before the certificate attempt gives up
 CERTIFICATE_STEPS = 1_000
-# Newton steps of each of the farthest and the witness duals (the farthest dual's
-# rejected trials included) before the bracket or the bound is read
+# Newton steps of each solve of the farthest or the witness dual before the
+# bracket or the bound is read
 DUAL_STEPS = 100
 
 
@@ -316,20 +323,6 @@ def deep_point(cs) -> np.ndarray:
     return _dual_ascent(cs)[2]
 
 
-class _DualPoint(NamedTuple):
-    """``phi`` at ``lam`` with its rounding level, and what a Newton step reads there."""
-
-    phi: float
-    slack: float
-    kkt: float  # largest |gradient| over the free multipliers
-    lam: np.ndarray
-    s: float
-    x: np.ndarray  # x(lam) - c
-    W: np.ndarray
-    grad: np.ndarray
-    free: list[int]  # multipliers the Newton step moves
-
-
 def _solve_spd(H: np.ndarray, g: np.ndarray) -> np.ndarray:
     """``H^-1 g`` for a symmetric positive definite ``H``: elimination needs no pivots.
 
@@ -348,53 +341,78 @@ def _solve_spd(H: np.ndarray, g: np.ndarray) -> np.ndarray:
     return p
 
 
-def _dual_multipliers(d: np.ndarray, o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The multipliers ``lambda`` that minimise ``phi``, and ``x(lambda) - c``.
+def _to_boundary(values: list[float], steps: list[float]) -> float:
+    """The largest ``a <= 1`` that keeps each ``value + a * step`` above 0.5% of ``value``."""
+    a = 1.0
+    for v, dv in zip(values, steps):
+        if dv < 0.0:
+            a = min(a, -0.995 * v / dv)
+    return a
 
-    The rows of ``d`` are the centres ``c_k - c`` and ``o`` holds the offsets.
-    Projected Levenberg-Newton from uniform multipliers with ``s = 2``: a
-    multiplier at zero whose gradient is positive stays there, the others
-    take the damped Newton step and are clipped at zero. A trial is accepted
-    when it lowers ``phi``, or when it lowers the largest free gradient while
-    ``phi`` moves only by rounding; an accepted trial divides the damping by
-    ten and a refused one, or one with ``s <= 1``, multiplies it by ten.
-    Stops when the free gradient is at rounding level, when the damping
-    passes ``1e8`` or after ``DUAL_STEPS`` trials.
+
+def _primal(k: np.ndarray, D: np.ndarray, o: np.ndarray, sigma: float, theta: np.ndarray):
+    """``(u, y, E, F)`` at the weights ``theta`` of the rows ``k_r |d_r - k_r y|^2 + o_r``.
+
+    ``u = k.theta + sigma``, ``y = D^T theta / u`` is the primal point, the
+    rows of ``E`` are ``d_r - k_r y`` and ``F`` holds the row values at ``y``.
     """
-    q = (d * d).sum(axis=1) + o  # g_k(c)
-    tol = 1e-13 * float((d * d).sum(axis=1).max())
+    u = float(k @ theta) + sigma
+    y = (theta @ D) / u
+    E = D - k[:, None] * y
+    return u, y, E, k * (E * E).sum(axis=1) + o
 
-    def at(lam) -> _DualPoint:
-        s = float(lam.sum())
-        x = (lam @ d) / (s - 1.0)
-        W = x - d
-        grad = -((W * W).sum(axis=1) + o)  # -g_k(x)
-        # the free set is built in Python: a numpy float comparison maps its
-        # kernels in on first use (about 0.15 MB of peak RSS)
-        g = grad.tolist()
-        free = [k for k, lk in enumerate(lam.tolist()) if lk > 0.0 or g[k] < 0.0]
-        head, tail = float(x @ x) * (s - 1.0), float(lam @ q)
-        return _DualPoint(head - tail, 1e-15 * (head + abs(tail)),
-                          max((abs(g[k]) for k in free), default=0.0), lam, s, x, W, grad, free)
 
-    cur = at(np.full(len(d), 2.0 / len(d)))
-    damping = 1e-6
+def _newton(k: np.ndarray, D: np.ndarray, o: np.ndarray, sigma: float,
+            A: np.ndarray, b: np.ndarray, theta: np.ndarray, tol: float) -> np.ndarray:
+    """Weights in the polytope ``A theta >= b`` that maximise the bound ``B``.
+
+    Row ``r`` is ``k_r |y|^2 - 2 d_r.y + q_r = k_r |d_r - k_r y|^2 + o_r``
+    with ``k_r = +-1`` and ``d_r`` the rows of ``D``; ``B(theta) = q.theta -
+    |D^T theta|^2 / u`` with ``u = k.theta + sigma`` is the Lagrangian's
+    minimum over ``y`` (module docstring). Its gradient is ``F``, the row
+    values at ``y(theta)``, and its Hessian ``-2 E E^T / u`` (``_primal``).
+    Primal-dual interior-point Newton steps from ``theta``, strictly inside
+    the polytope with ``u > 0``, and one multiplier ``z_i`` per polytope row
+    that makes each product of slack and multiplier ``|F|_1 / p`` over the
+    ``p`` rows. Each step aims at a
+    twentieth of the mean product and moves ``theta`` and ``z`` as far
+    towards it as keeps each slack and multiplier above 0.5% of its value.
+    The error ``z.slack + |F + A^T z|_1`` adds complementarity and
+    stationarity; over a polytope in ``[0, 1]^N`` it bounds how far ``B``
+    is from its maximum. Stops once the error is at most ``tol``, at a step
+    that would leave the interior in floats, or after ``DUAL_STEPS`` steps;
+    returns the iterate of least error.
+    """
+    p = len(b)
+
+    def at(theta, z):
+        u, _, E, F = _primal(k, D, o, sigma, theta)
+        slack = A @ theta - b
+        if z is None:
+            z = sum(map(abs, F.tolist())) / p / slack
+        return float(z @ slack) + sum(map(abs, (F + z @ A).tolist())), theta, z, slack, u, E, F
+
+    cur = best = at(theta, None)
     for _ in range(DUAL_STEPS):
-        if cur.kkt <= tol or damping > 1e8:
+        if best[0] <= tol:
             break
-        Wf = cur.W[cur.free]
-        H = (2.0 / (cur.s - 1.0)) * (Wf[:, None, :] * Wf[None, :, :]).sum(axis=2)
-        H.flat[::len(H) + 1] += damping * max(float(H.diagonal().max()), tol)
-        lam = cur.lam.copy()
-        lam[cur.free] = np.fmax(lam[cur.free] + _solve_spd(H, -cur.grad[cur.free]), 0.0)
-        if float(lam.sum()) > 1.0:
-            new = at(lam)
-            if new.phi < cur.phi or (new.phi <= cur.phi + cur.slack and new.kkt < cur.kkt):
-                cur = new
-                damping /= 10.0
-                continue
-        damping *= 10.0
-    return cur.lam, cur.x
+        _, theta, z, slack, u, E, F = cur
+        target = float(z @ slack) / (20.0 * p)
+        Z = A * (z / slack)[:, None]
+        H = (2.0 / u) * (E[:, None, :] * E[None, :, :]).sum(axis=2) + (Z[:, :, None] * A[:, None, :]).sum(axis=0)
+        # two equal centres leave E E^T flat along their difference: a
+        # relative ridge keeps that pivot above the rounding of the other terms
+        H.flat[::len(H) + 1] *= 1.0 + 1e-14
+        step = _solve_spd(H, F + (target / slack) @ A)
+        ds = A @ step
+        dz = (target - z * ds) / slack - z
+        theta = theta + _to_boundary(slack.tolist(), ds.tolist()) * step
+        if not all(v > 0.0 for v in (A @ theta - b).tolist()):
+            break
+        cur = at(theta, z + _to_boundary(z.tolist(), dz.tolist()) * dz)
+        if cur[0] < best[0]:
+            best = cur
+    return best[1]
 
 
 def _member_near(constraints, x: np.ndarray, toward: np.ndarray) -> np.ndarray | None:
@@ -415,121 +433,36 @@ def farthest_bracket(cs, c: np.ndarray, witness: np.ndarray, floor: float):
     """``(r_lo, r_hi, witness, lambda)``: ``r_lo <= r_star <= r_hi`` over the balls of ``cs``.
 
     ``r_star`` is the farthest distance from ``c``; ``witness`` is a member of
-    C and ``floor`` a lower bound on ``r_star``. With ``lambda`` from
-    ``_dual_multipliers``, ``r_hi`` is the least float with
-    ``r_hi^2 >= phi(lambda)``. ``r_lo`` is the distance from ``c``, rounded
-    down, of ``x(lambda)`` when it lies exactly in C, or else of ``x(lambda)``
-    pulled toward ``witness`` by the first of ``2^-60, 2^-59, ..., 1`` that
-    does; that point becomes the returned witness. When none does, ``r_lo``
-    is ``floor`` and ``witness`` comes back as it was given.
+    C and ``floor`` a lower bound on ``r_star``. ``lambda`` maximises the
+    S-lemma bound ``-phi`` over ``lambda >= 0``, ``sum lambda >= 1`` by
+    ``_newton`` from uniform multipliers with ``sum lambda = 2``, to an
+    error of ``1e-14 max_k |c_k - c|^2``; one ball takes the optimum
+    ``lambda = 1 + |c_1 - c| / R`` instead. ``r_hi`` is the least float
+    with ``r_hi^2 >= phi(lambda)``. ``r_lo`` is the distance from ``c``,
+    rounded down, of ``x(lambda)`` when it lies exactly in C, or else of
+    ``x(lambda)`` pulled toward ``witness`` by the first of ``2^-60, 2^-59,
+    ..., 1`` that does; that point becomes the returned witness. When none
+    does, ``r_lo`` is ``floor`` and ``witness`` comes back as it was given.
     """
-    lam, x = _dual_multipliers(cs.rows.centers - c, np.array(cs.rows.offsets))
+    d = cs.rows.centers - c
+    o = np.array(cs.rows.offsets)
+    m = len(d)
+    k = np.ones(m)
+    lam = np.full(m, 2.0 / m)
+    if m > 1:
+        A, b = np.vstack((np.eye(m), k)), np.append(np.zeros(m), 1.0)
+        lam = _newton(k, d, o, -1.0, A, b, lam, 1e-14 * float((d * d).sum(axis=1).max()))
+    elif DUAL_STEPS:
+        lam[0] = 1.0 + math.sqrt(float(d[0] @ d[0]) / -o[0])
+    y = _primal(k, d, o, -1.0, lam)[1]
     num, den = _bound(_dyadic_rows(cs.constraints, c), lam.tolist(), -1)
     r_hi = _sqrt(-num, den, up=True)
-    member = _member_near(cs.constraints, c + x, witness)
+    member = _member_near(cs.constraints, c + y, witness)
     if member is None:
         return floor, r_hi, witness, lam
     # |member - c|^2 is the value at member of the row |x - c|^2 + 0
     rows = _dyadic_rows([BallQuad(c, 0.0)], member)
     return _sqrt(rows.values[0], 1 << (2 * rows.b), up=False), r_hi, member, lam
-
-
-class _WitnessPoint(NamedTuple):
-    """The witness bound at ``theta = (w, t)``: its gap to ``G`` and what a Newton step reads."""
-
-    gap: float  # G(x) minus the bound, both in floats
-    theta: np.ndarray
-    s: float
-    u: float  # s - t
-    y: np.ndarray  # x(theta) - c
-    E: np.ndarray  # rows x - c_i, then c - x
-    F: np.ndarray  # g_i(x), then -f(x): the gradient of the bound
-
-
-def _to_boundary(values: list[float], steps: list[float]) -> float:
-    """The largest ``a <= 1`` that keeps each ``value + a * step`` above 0.5% of ``value``."""
-    a = 1.0
-    for v, dv in zip(values, steps):
-        if dv < 0.0:
-            a = min(a, -0.995 * v / dv)
-    return a
-
-
-def _witness_weights(d: np.ndarray, o: np.ndarray, r2: float, gap: float) -> tuple[np.ndarray, np.ndarray]:
-    """Weights ``theta = (w, t)`` that maximise the witness bound, and ``x(theta) - c``.
-
-    The rows of ``d`` are the centres ``c_i - c``, ``o`` holds the offsets
-    and ``r2`` is ``r^2``. The bound ``t r^2 + sum w_i g_i(c) - |v|^2 / (s - t)``
-    is maximised over ``0 <= w_i <= 1``, ``sum w >= 1`` and ``0 <= t <= 1``;
-    at every ``theta``, ``G(x(theta))`` minus it bounds how far each is from
-    ``min G``. The start is ``w_i = (m + 1) / 2m`` and ``t = 1/2``. For one
-    ball ``w = 1`` is forced and the best ``t``, ``1 - |c_1 - c| / r``
-    clipped at 0, is the one step. Otherwise each primal-dual Newton step
-    aims at a twentieth of the mean product of slack and multiplier over
-    the ``2 m + 3`` bounds, and moves ``theta`` and the multipliers as far
-    towards it as keeps each slack and multiplier above 0.5% of its value.
-    Stops once the gap is at most ``gap``, at a step that would leave the
-    interior in floats, or after ``DUAL_STEPS`` steps; returns the iterate
-    of least gap.
-    """
-    m = len(d)
-    q = (d * d).sum(axis=1) + o  # g_i(c)
-
-    def at(theta) -> _WitnessPoint:
-        w, t = theta[:m], float(theta[m])
-        s = float(w.sum())
-        y = (w @ d) / (s - t)
-        E = np.vstack((y - d, -y))
-        F = (E * E).sum(axis=1)
-        F[:m] += o
-        F[m] = r2 - F[m]
-        g = F.tolist()
-        G = max(g[m], 0.0) + sum(v for v in g[:m] if v > 0.0) + min(max(g[:m]), 0.0)
-        bound = t * r2 + float(w @ q) - float(y @ y) * (s - t)
-        return _WitnessPoint(G - bound, theta, s, s - t, y, E, F)
-
-    theta = np.full(m + 1, (m + 1) / (2 * m))
-    theta[m] = 0.5
-    if m == 1:
-        t = 1.0 - math.sqrt(float(d[0] @ d[0]) / r2)
-        if DUAL_STEPS and t < 1.0:  # t = 1 only when c = c_1
-            theta[1] = max(t, 0.0)
-        cur = at(theta)
-        return cur.theta, cur.y
-    cur = best = at(theta)
-    k = 2 * m + 3
-    mu = cur.gap / k
-    zl, zh, zs = mu / theta, mu / (1.0 - theta), mu / (cur.s - 1.0)
-    for _ in range(DUAL_STEPS):
-        if best.gap <= gap:
-            break
-        lo, hi, cs = cur.theta, 1.0 - cur.theta, cur.s - 1.0
-        target = (float(lo @ zl + hi @ zh) + cs * zs) / (20.0 * k)
-        E = cur.E
-        H = (2.0 / cur.u) * (E[:, None, :] * E[None, :, :]).sum(axis=2)
-        H.flat[::m + 2] += zl / lo + zh / hi
-        H[:m, :m] += zs / cs
-        # a direction the rank-one sum term leaves flat (two equal centres)
-        # keeps a pivot above the rounding of that term
-        H.flat[:m * (m + 2):m + 2] += 1e-14 * zs / cs
-        rhs = cur.F + target / lo - target / hi
-        rhs[:m] += target / cs
-        step = _solve_spd(H, rhs)
-        ds = float(step[:m].sum())
-        dzl = target / lo - zl - zl * step / lo
-        dzh = target / hi - zh + zh * step / hi
-        dzs = target / cs - zs - zs * ds / cs
-        ap = _to_boundary(lo.tolist() + hi.tolist() + [cs], step.tolist() + (-step).tolist() + [ds])
-        ad = _to_boundary(zl.tolist() + zh.tolist() + [zs], dzl.tolist() + dzh.tolist() + [dzs])
-        theta = cur.theta + ap * step
-        th = theta.tolist()
-        if not (min(th) > 0.0 and max(th) < 1.0 and float(theta[:m].sum()) > 1.0):
-            break
-        cur = at(theta)
-        zl, zh, zs = zl + ad * dzl, zh + ad * dzh, zs + ad * dzs
-        if cur.gap < best.gap:
-            best = cur
-    return best.theta, best.y
 
 
 class WitnessDual(NamedTuple):
@@ -549,12 +482,31 @@ def witness_dual(cs, c: np.ndarray, r: float, gap: float) -> WitnessDual:
     """The witness dual of the balls of ``cs`` against ``B(c, r)``: ``x(w, t)``, ``g_lower`` and ``(w, t)``.
 
     ``f`` is ``|x - c|^2`` minus the float ``r * r``, as the rows hold their
-    offsets. The weights come from ``_witness_weights``, which stops once
-    ``G(x)`` exceeds the bound by at most ``gap / 2`` in floats; the other
-    half of ``gap`` covers the rounding of ``g_lower``, which is
-    ``t r^2 + S - |v|^2 / (s - t)`` from ``_bound`` at ``sigma = -t``.
+    offsets: the outer row has ``k = -1``, ``d = 0`` and ``o = r * r``, so
+    that ``B`` at ``sigma = 0`` is ``t r^2 + S - |v|^2 / (s - t)``. The
+    weights maximise it by ``_newton`` from ``w_i = (m + 1) / 2m`` and
+    ``t = 1/2`` to an error of ``gap / 2``, which bounds ``G(x)`` minus the
+    bound; the other half of ``gap`` covers the rounding of ``g_lower``, the
+    same bound from ``_bound`` at ``sigma = -t``. For one ball ``w = 1`` is
+    forced and the best ``t``, ``1 - |c_1 - c| / r`` clipped at 0, is taken.
     """
-    theta, y = _witness_weights(cs.rows.centers - c, np.array(cs.rows.offsets), r * r, gap / 2.0)
+    d = cs.rows.centers - c
+    m, n = d.shape
+    k = np.append(np.ones(m), -1.0)
+    D = np.vstack((d, np.zeros(n)))
+    o = np.append(cs.rows.offsets, r * r)
+    theta = np.full(m + 1, (m + 1) / (2 * m))
+    theta[m] = 0.5
+    if m > 1:
+        eye = np.eye(m + 1)
+        A = np.vstack((eye, -eye, np.append(np.ones(m), 0.0)))
+        b = np.concatenate((np.zeros(m + 1), -np.ones(m + 1), [1.0]))
+        theta = _newton(k, D, o, 0.0, A, b, theta, gap / 2.0)
+    else:
+        t = 1.0 - math.sqrt(float(d[0] @ d[0]) / (r * r))
+        if DUAL_STEPS and t < 1.0:  # t = 1 only when c = c_1
+            theta[1] = max(t, 0.0)
+    y = _primal(k, D, o, 0.0, theta)[1]
     w, t = theta[:-1].tolist(), float(theta[-1])
     ratios = _ratios(w)
     a = _bits(ratios)
@@ -567,3 +519,15 @@ def witness_dual(cs, c: np.ndarray, r: float, gap: float) -> WitnessDual:
         (pt, qt), (pr, qr) = t.as_integer_ratio(), (r * r).as_integer_ratio()
         g_lower = _floor(num * qt * qr + pt * pr * den, den * qt * qr)
     return WitnessDual(c + y, g_lower, tuple(w) + (t,))
+
+
+def witness_value(cs, c: np.ndarray, r: float, x: np.ndarray) -> float:
+    """``G(x)`` of the balls of ``cs`` against ``B(c, r)``, exactly from the rows about ``x``, rounded up.
+
+    ``G = -min(f, 0) + sum max(g_i, 0) + min(max g_i, 0)`` with ``f =
+    |x - c|^2`` minus the float ``r * r``, as ``witness_dual`` reads it.
+    """
+    rows = _dyadic_rows(cs.constraints + (BallQuad(c, -(r * r)),), x)
+    *g, f = rows.values
+    G = max(-f, 0) + sum(max(v, 0) for v in g) + min(max(g), 0)
+    return -_floor(-G, 1 << (2 * rows.b))

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convexfn import BallQuad, ConvexFn
-from .dual import witness_dual
+from .dual import witness_dual, witness_value
 from .errors import DimensionMismatch, EmptyIntersection, PreconditionFailed
 from .feasibility import ConstraintSet, FeasibilityVerdict, ProjectionResult, check_feasibility
 from .geometry import Ball
@@ -105,6 +105,9 @@ class InclusionReport:
 
     ``precondition_margin`` is ``d(c, C1) - R``; it is strictly positive on
     every report (otherwise ``PreconditionFailed`` is raised instead).
+    ``g_at_xstar`` is ``G(x_star)`` evaluated exactly and rounded up, so it
+    is a proven upper bound on ``min G``, while the refinement's float value
+    of ``G`` decides when it stops.
     ``g_lower`` is a proven lower bound on ``min G``, the larger of ``-R^2``
     and the dual bound at ``multipliers`` (``w`` in centre order, then
     ``t``); ``iters`` is 0 when ``g_at_xstar - g_lower`` was already within
@@ -217,7 +220,7 @@ def _inclusion_at(bi: BallIntersection, ob: OuterBall, cfg: SolverConfig,
     return InclusionReport(
         verdict=verdict,
         x_star=x_star,
-        g_at_xstar=float(res.f_best),
+        g_at_xstar=witness_value(bi, ob.center, ob.radius, x_star),
         residuals_fk=[float(v) for v in fk],
         dist_xstar_to_c=float(np.linalg.norm(x_star - ob.center)),
         precondition_margin=float(margin),

@@ -77,6 +77,14 @@ def far_center(rng: np.random.Generator, bi: BallIntersection, z0: np.ndarray,
     return z0 + (2.0 * bi.radius + max_off + u) * d
 
 
+def dual_sweep():
+    """120 labelled ``(label, bi, c)``: seed 77, ``n`` in {2, 3, 5, 8}, ``m`` = 1-6."""
+    rng = np.random.default_rng(77)
+    for i in range(120):
+        bi, z0 = random_ball_intersection(rng, 1 + (i // 4) % 6, (2, 3, 5, 8)[i % 4])
+        yield f"instance {i}", bi, far_center(rng, bi, z0)
+
+
 def _unit(rng: np.random.Generator, n: int) -> np.ndarray:
     u = rng.standard_normal(n)
     return u / np.linalg.norm(u)

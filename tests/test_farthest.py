@@ -4,10 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hullscope import (BallIntersection, BisectionConfig, DimensionMismatch, InnerUndetermined,
-                       PreconditionFailed, SolverConfig, solve_farthest)
+from hullscope import (BallIntersection, BisectionConfig, DimensionMismatch, InclusionVerdict,
+                       InnerUndetermined, OuterBall, PreconditionFailed, SolverConfig,
+                       check_inclusion, solve_farthest)
 
-from conftest import far_center, random_ball_intersection
+from conftest import dual_sweep, far_center, random_ball_intersection
 from oracles import GridSpec, grid_max_distance
 
 
@@ -146,6 +147,35 @@ def test_dual_agrees_with_forced_bisection(monkeypatch):
         assert bisected.bisection_steps > 0
         assert abs(dual.r_star - bisected.r_star) <= 2 * eps, f"instance {i}"
         assert bisected.r_lo <= dual.r_hi and dual.r_lo <= bisected.r_hi, f"instance {i}"
+
+
+def test_dual_solves_close_on_a_random_sweep():
+    # both duals close every instance: the farthest bracket to rounding level
+    # and the inclusion checks on either side of r_star with no iteration
+    for label, bi, c in dual_sweep():
+        rep = solve_farthest(bi, c)
+        assert_exact_dual_bracket(bi, c, rep)
+        assert rep.r_hi - rep.r_lo <= 1e-12 * rep.r_star, label
+        for factor in (0.8, 0.99, 1.01, 1.2):
+            check = check_inclusion(bi, OuterBall(c, factor * rep.r_star))
+            expected = (InclusionVerdict.NONEMPTY_DIFFERENCE if factor < 1.0
+                        else InclusionVerdict.INCLUDED)
+            assert check.verdict is expected and check.iters == 0, f"{label}, factor {factor}"
+
+
+@pytest.mark.parametrize("centers, c, r, expected", [
+    ([[0.0, 0.0], [0.0, 0.0]], [4.0, 0.0], 4.5, InclusionVerdict.NONEMPTY_DIFFERENCE),
+    ([[0.0, 0.0], [0.0, 0.0]], [4.0, 0.0], 5.5, InclusionVerdict.INCLUDED),
+    ([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], [4.0, 0.0], 3.5, InclusionVerdict.NONEMPTY_DIFFERENCE),
+    ([[0.3, 0.1]] * 3, [5.0, 2.0], 3.0, InclusionVerdict.NONEMPTY_DIFFERENCE)])
+def test_coincident_centres(centers, c, r, expected):
+    # equal centres leave the dual Hessians singular along their difference
+    bi = BallIntersection(centers, 1.0)
+    check = check_inclusion(bi, OuterBall(c, r))
+    assert check.verdict is expected and check.iters == 0
+    rep = solve_farthest(bi, c)
+    assert_exact_dual_bracket(bi, c, rep)
+    assert rep.r_hi - rep.r_lo <= 1e-12 * rep.r_star
 
 
 def test_witness_invariants():

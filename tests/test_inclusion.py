@@ -12,7 +12,7 @@ from hullscope import (Ball, BallIntersection, BisectionConfig, ConstraintSet, D
 def project_onto_balls(balls, y):
     return dykstra_project_full(ConstraintSet([ball_constraint(b) for b in balls]), y).point
 
-from conftest import far_center, random_ball_intersection, value
+from conftest import dual_sweep, far_center, random_ball_intersection, value
 from oracles import GridSpec, grid_max_distance
 
 
@@ -283,6 +283,29 @@ def test_witness_dual_bound_is_exact_and_agrees_with_forced_fallback(monkeypatch
         assert forced.iters > 0, label
         assert forced.verdict is rep.verdict, label
         assert_exact_witness_bound(bi, ob, forced)
+
+
+def exact_G(bi: BallIntersection, ob: OuterBall, x: np.ndarray) -> Fraction:
+    """``G(x)`` in ``Fraction`` arithmetic, with the float squares ``R^2`` and ``r^2``."""
+    xf = [Fraction(u) for u in x.tolist()]
+
+    def sq(p):
+        return sum((xi - Fraction(u)) ** 2 for xi, u in zip(xf, p.tolist()))
+
+    f = sq(ob.center) - Fraction(ob.radius * ob.radius)
+    fk = [sq(ck) - Fraction(bi.radius * bi.radius) for ck in bi.centers]
+    return -min(f, 0) + sum(max(v, 0) for v in fk) + min(max(fk), 0)
+
+
+def test_g_at_xstar_is_an_exact_upper_bound():
+    # g_lower <= min G <= G(x*) <= g_at_xstar, the middle evaluated exactly
+    for label, bi, c in dual_sweep():
+        r_star = solve_farthest(bi, c).r_star
+        for factor in (0.8, 0.99, 1.01, 1.2):
+            ob = OuterBall(c, factor * r_star)
+            rep = check_inclusion(bi, ob)
+            exact = exact_G(bi, ob, rep.x_star)
+            assert Fraction(rep.g_lower) <= exact <= Fraction(rep.g_at_xstar), f"{label}, factor {factor}"
 
 
 def test_inclusion_precondition_failure():
