@@ -70,26 +70,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _jsonable(obj):
+def _json_default(obj):
+    """``json.dumps`` hook for what JSON lacks: arrays, enums, dataclasses, numpy scalars."""
     if isinstance(obj, np.ndarray):
-        return [float(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
+        return obj.tolist()
     if isinstance(obj, enum.Enum):
         return obj.value
     if dataclasses.is_dataclass(obj):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    return obj
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit(doc, indent) -> None:
-    sys.stdout.write(json.dumps(_jsonable(doc), indent=indent) + "\n")
+    sys.stdout.write(json.dumps(doc, indent=indent, default=_json_default) + "\n")
 
 
 def _solver_config(args) -> SolverConfig:

@@ -96,7 +96,8 @@ def solve_farthest(bi: BallIntersection, c, cfg: BisectionConfig | None = None) 
         else:
             raise InnerUndetermined(
                 f"inclusion check at r = {mid!r} was undetermined "
-                f"(G minimum {report.g_at_xstar:.3e}); loosen eps or tighten the inner solver")
+                f"(min G in [{report.g_lower:.3e}, {report.g_at_xstar:.3e}]); "
+                "loosen eps or tighten the inner solver")
 
     return FarthestReport(
         r_star=0.5 * (r_lo + r_hi),

@@ -13,12 +13,14 @@ exactly zero adds the zero vector, which lies in the subdifferential of
 order of the floating-point additions, not the function.
 
 The checker minimizes the merit function with a Polyak step targeting zero
-(fast certificate for the feasible case). When that stalls above zero and
-every constraint is a ball or a halfspace, with at least one ball, it first
-tries to prove the intersection empty with the Lagrange dual certificate of
-the ``dual`` module (the bound at anchor weight ``sigma = 0``), checked in
-exact arithmetic, and only when none is found refines the minimum estimate
-to classify the instance.
+(fast certificate for the feasible case). When that ends above zero, even
+within ``tol`` of it, and every constraint is a ball or a halfspace, with at
+least one ball, it tries to prove the intersection empty with the Lagrange
+dual certificate of the ``dual`` module (the bound at anchor weight
+``sigma = 0``), checked in exact arithmetic; a proof outranks a point that
+misses every constraint by at most ``tol``. Only when none is found and the
+merit is above ``tol`` does it refine the minimum estimate to classify the
+instance.
 
 Verdicts are three-valued. Feasible comes with a witness and a certified
 Infeasible with its multipliers. Without a certificate, an Infeasible verdict
@@ -332,10 +334,11 @@ def default_start(cs: ConstraintSet) -> np.ndarray:
 def check_feasibility(cs: ConstraintSet, x0=None, cfg: SolverConfig | None = None) -> FeasibilityReport:
     """Certify the intersection of the sub-level sets nonempty or empty.
 
-    Runs a Polyak-step minimization of the merit function with target zero;
-    if the merit drops to ``tol`` the instance is Feasible with the iterate
-    as witness. Otherwise a verified dual certificate makes it Infeasible
-    at once. Failing that, the minimum estimate is refined (the merit is
+    Runs a Polyak-step minimization of the merit function with target zero.
+    When it ends above zero, a verified dual certificate makes the instance
+    Infeasible at once, even if the merit came within ``tol`` of zero.
+    Otherwise a merit of at most ``tol`` makes it Feasible with the iterate
+    as witness. Failing both, the minimum estimate is refined (the merit is
     bounded below by zero, so the refinement brackets are certified) and the
     instance is classified Infeasible when the refined value clears
     ``10 tol``, Undetermined in between or when the refinement could not
@@ -355,11 +358,12 @@ def check_feasibility(cs: ConstraintSet, x0=None, cfg: SolverConfig | None = Non
     refined_ok = True
     certificate = None
 
-    if first.f_best > cfg.tol:
+    if first.f_best > 0.0:
+        # a merit within tol of zero need not be feasible: a proof outranks it
         found = certify_empty(cs)
         if found is not None:
             certificate = InfeasibilityCertificate(*found)
-        else:
+        elif first.f_best > cfg.tol:
             ref = refine_minimum(g_tilde, first.x_best, lower_bound=0.0, value_gap=cfg.tol,
                                  max_iters=cfg.max_iters - first.iters)
             iters += ref.iters
@@ -371,12 +375,12 @@ def check_feasibility(cs: ConstraintSet, x0=None, cfg: SolverConfig | None = Non
     f_best = best.f_best
     residuals = cs.residuals(x_best).tolist()
 
-    if f_best <= cfg.tol:
-        verdict = FeasibilityVerdict.FEASIBLE
-        witness = x_best
-    elif certificate is not None or (f_best > 10.0 * cfg.tol and refined_ok):
+    if certificate is not None or (f_best > 10.0 * cfg.tol and refined_ok):
         verdict = FeasibilityVerdict.INFEASIBLE
         witness = None
+    elif f_best <= cfg.tol:
+        verdict = FeasibilityVerdict.FEASIBLE
+        witness = x_best
     else:
         verdict = FeasibilityVerdict.UNDETERMINED
         witness = None

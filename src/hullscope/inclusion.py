@@ -3,11 +3,11 @@
 Writing ``C1`` for the intersection of closed balls ``B(c_k, R)`` and ``C0``
 for the closed outer ball ``B(c, r)``, the question is whether
 ``C1 \\ int(C0)`` is empty, i.e. whether ``C1`` is included in the open outer
-ball. Provided the outer center keeps its distance, ``d(c, C1) > R``, the
-global minimizer of a convex piecewise function ``G`` lands inside
-``C1 \\ int(C0)`` exactly when that set is nonempty, which turns the
-non-convex membership question into one convex minimization plus a
-membership check.
+ball. A convex piecewise function ``G`` is positive off ``C1`` and at most
+zero on ``C1 \\ int(C0)``, and provided the outer center keeps its distance,
+``d(c, C1) > R``, it is positive everywhere when that set is empty. So the
+sign of ``min G`` answers the non-convex question, and one convex
+minimization decides it.
 
 The witness is ``G = max_k G_k`` with ``f_k = ||x - c_k||^2 - R^2``,
 ``f = ||x - c||^2 - r^2`` and, since ``f_k = max(f_k, 0) + min(f_k, 0)``,
@@ -34,10 +34,28 @@ and an exact lower bound ``g_lower``; when ``G(x) - g_lower`` is within the
 value gap, the refinement of the paper (``refine_minimum``) is closed
 before any probe, and otherwise it runs from that point and that bound.
 
+The verdict is the sign of the exact bracket ``g_lower <= min G <=
+g_at_xstar``, where ``g_at_xstar`` is ``G(x*)`` evaluated exactly and rounded
+up:
+
+- Included when ``g_lower > 0``, a proof with no precondition: on the
+  difference ``f >= 0`` and every ``f_k <= 0``, so ``G = max_k f_k <= 0``
+  there, and ``min G > 0`` leaves no point of it.
+- Nonempty difference when ``g_at_xstar <= 0``, a proof given ``d(c, C1) >
+  R``. Were the difference empty, ``C1`` would lie in ``int(C0)``. Off
+  ``C1``, ``G > 0``; on its boundary ``G = -f > 0``; inside it ``G = max_k
+  f_k - f``, a maximum of affine functions with gradients ``2 (c - c_k)``,
+  so a minimiser there would need ``c`` in ``conv{c_k}``, which puts ``c``
+  within ``R`` of every point of ``C1`` against the precondition. Then
+  ``min G > 0``, so ``min G <= 0`` exactly when the difference is nonempty.
+- Included as evidence, the paper's fallback, when the dual leaves a gap and
+  the refinement ran, closed its bracket and left ``G`` above the value gap.
+- Undetermined otherwise.
+
 ``C1`` is a ``BallIntersection``, a ``ConstraintSet`` of the ``f_k``: the
 witness search, the residuals, the dual and the distance precondition read
 it as it is. The precondition is checked by Dykstra's projection onto
-``C1``.
+``C1``, in floats.
 """
 
 from __future__ import annotations
@@ -53,12 +71,7 @@ from .dual import witness_dual, witness_value
 from .errors import DimensionMismatch, EmptyIntersection, PreconditionFailed
 from .feasibility import ConstraintSet, FeasibilityVerdict, ProjectionResult, check_feasibility
 from .geometry import Ball
-from .minimize import MinimizeResult, SolverConfig, refine_minimum
-
-# The minimizer of G generically sits on the boundary sphere of the outer
-# ball, so the boundary-side tolerance must absorb solver noise; verdicts are
-# discriminated by the ball residuals, not by the boundary slack.
-_BOUNDARY_TOL_FLOOR = 1e-6
+from .minimize import SolverConfig, refine_minimum
 
 
 @dataclass(frozen=True)
@@ -103,6 +116,10 @@ class InclusionVerdict(enum.Enum):
 class InclusionReport:
     """Minimizer of G, its membership residuals, the dual bound, and the verdict.
 
+    The verdict is read from the exact bracket ``g_lower <= min G <=
+    g_at_xstar`` (module docstring): Included when ``g_lower > 0``, Nonempty
+    difference when ``g_at_xstar <= 0``. ``residuals_fk`` and
+    ``dist_xstar_to_c`` describe ``x_star`` and decide nothing.
     ``precondition_margin`` is ``d(c, C1) - R``; it is strictly positive on
     every report (otherwise ``PreconditionFailed`` is raised instead).
     ``g_at_xstar`` is ``G(x_star)`` evaluated exactly and rounded up, so it
@@ -187,41 +204,30 @@ def build_G(bi: BallIntersection, ob: OuterBall) -> ConvexFn:
     return _WitnessG(bi, ob)
 
 
-def _classify(fk: np.ndarray, ob: OuterBall, x: np.ndarray, tol: float) -> InclusionVerdict:
-    a = float(np.max(fk))
-    b = ob.radius * ob.radius - float((x - ob.center) @ (x - ob.center))
-    tol_bnd = max(_BOUNDARY_TOL_FLOOR, 10.0 * tol)
-    if a <= tol and b <= tol_bnd:
-        # the minimizer certifies membership; boundary contact counts as
-        # membership because the set difference keeps the boundary sphere
-        return InclusionVerdict.NONEMPTY_DIFFERENCE
-    if a > 10.0 * tol or b > 10.0 * tol_bnd:
-        # definitely not a member, so by the localization result the
-        # difference is empty
-        return InclusionVerdict.INCLUDED
-    return InclusionVerdict.UNDETERMINED
-
-
 def _inclusion_at(bi: BallIntersection, ob: OuterBall, cfg: SolverConfig,
                   margin: float) -> InclusionReport:
     G = build_G(bi, ob)
     gap = max(cfg.tol / 100.0, 1e-12)
     dual = witness_dual(bi, ob.center, ob.radius, gap)
     g_lower = max(-(bi.radius * bi.radius), dual.g_lower)
-    res: MinimizeResult = refine_minimum(
-        G, dual.x, lower_bound=g_lower, value_gap=gap, max_iters=cfg.max_iters)
+    res = refine_minimum(G, dual.x, lower_bound=g_lower, value_gap=gap, max_iters=cfg.max_iters)
     x_star = res.x_best
-    fk = bi.residuals(x_star)
-    verdict = _classify(fk, ob, x_star, cfg.tol)
-    if verdict is InclusionVerdict.INCLUDED and not res.converged:
-        # only the minimizer of G localizes the difference; a point that is
-        # not a member proves nothing while the bracket is still open
+    g_at_xstar = witness_value(bi, ob.center, ob.radius, x_star)
+    if g_lower > 0.0:
+        verdict = InclusionVerdict.INCLUDED
+    elif g_at_xstar <= 0.0:
+        verdict = InclusionVerdict.NONEMPTY_DIFFERENCE
+    elif res.iters > 0 and res.converged and res.f_best > gap:
+        # the paper's evidence, read only after probes: when the dual closes
+        # the gap, the exact bracket alone decides
+        verdict = InclusionVerdict.INCLUDED
+    else:
         verdict = InclusionVerdict.UNDETERMINED
     return InclusionReport(
         verdict=verdict,
         x_star=x_star,
-        g_at_xstar=witness_value(bi, ob.center, ob.radius, x_star),
-        residuals_fk=[float(v) for v in fk],
+        g_at_xstar=g_at_xstar,
+        residuals_fk=bi.residuals(x_star).tolist(),
         dist_xstar_to_c=float(np.linalg.norm(x_star - ob.center)),
         precondition_margin=float(margin),
         iters=res.iters,
@@ -277,11 +283,12 @@ def check_inclusion(bi: BallIntersection, ob: OuterBall,
     Pipeline: certify the intersection nonempty, verify the distance
     precondition ``d(c, C1) > R`` via Dykstra projection, minimize ``G``
     through its dual (module docstring), refine the minimum only while the
-    dual bound leaves a gap, and classify the minimizer by membership.
-    ``cfg.max_iters`` caps the subgradient iterations of the witness search,
-    and separately those of the refinement; the dual's Newton steps have the
-    fixed cap ``dual.DUAL_STEPS``. A refinement that stops before its bracket
-    closes cannot report Included.
+    dual bound leaves a gap, and read the verdict from the sign of the exact
+    bracket on ``min G``. ``cfg.max_iters`` caps the subgradient iterations
+    of the witness search, and separately those of the refinement; the
+    dual's Newton steps have the fixed cap ``dual.DUAL_STEPS``. A refinement
+    that stops before its bracket closes can report Included only from
+    ``g_lower > 0``.
 
     Raises
     ------

@@ -151,16 +151,23 @@ def test_dual_agrees_with_forced_bisection(monkeypatch):
 
 def test_dual_solves_close_on_a_random_sweep():
     # both duals close every instance: the farthest bracket to rounding level
-    # and the inclusion checks on either side of r_star with no iteration
+    # and the inclusion checks on either side of r_star with no iteration,
+    # down to a relative 1e-8 outside the exact bracket; every verdict is the
+    # sign of the exact bracket on min G
     for label, bi, c in dual_sweep():
         rep = solve_farthest(bi, c)
         assert_exact_dual_bracket(bi, c, rep)
         assert rep.r_hi - rep.r_lo <= 1e-12 * rep.r_star, label
-        for factor in (0.8, 0.99, 1.01, 1.2):
-            check = check_inclusion(bi, OuterBall(c, factor * rep.r_star))
-            expected = (InclusionVerdict.NONEMPTY_DIFFERENCE if factor < 1.0
+        radii = [factor * rep.r_star for factor in (0.8, 0.99, 1.01, 1.2)]
+        for r in (*radii, rep.r_lo * (1.0 - 1e-8), rep.r_hi * (1.0 + 1e-8)):
+            check = check_inclusion(bi, OuterBall(c, r))
+            expected = (InclusionVerdict.NONEMPTY_DIFFERENCE if r < rep.r_star
                         else InclusionVerdict.INCLUDED)
-            assert check.verdict is expected and check.iters == 0, f"{label}, factor {factor}"
+            assert check.verdict is expected and check.iters == 0, f"{label}, r = {r!r}"
+            if expected is InclusionVerdict.INCLUDED:
+                assert check.g_lower > 0.0, f"{label}, r = {r!r}"
+            else:
+                assert check.g_at_xstar <= 0.0, f"{label}, r = {r!r}"
 
 
 @pytest.mark.parametrize("centers, c, r, expected", [

@@ -81,6 +81,22 @@ def test_certificate_proves_infeasible_within_the_budget():
     assert rep.certificate.steps == 0
 
 
+
+def test_certificate_outranks_a_point_within_tol():
+    # a gap of 1e-9 leaves a merit of 2e-9 at (1, 0), within tol, yet the
+    # centres' midpoint weights prove the pair empty; a tangent pair, whose
+    # touching point is feasible, has no such proof
+    near = ConstraintSet([ball_constraint(Ball([0, 0], 1.0)),
+                          ball_constraint(Ball([2.0 + 1e-9, 0], 1.0))])
+    rep = check_feasibility(near)
+    assert rep.verdict is FeasibilityVerdict.INFEASIBLE and rep.witness is None
+    assert 0.0 < rep.g_tilde_min <= 1e-8
+    assert rep.certificate is not None and rep.certificate.verify(near)
+    assert rep.certificate.weights == (0.5, 0.5) and rep.certificate.steps == 0
+    tangent = ConstraintSet([ball_constraint(Ball([0, 0], 1.0)), ball_constraint(Ball([2, 0], 1.0))])
+    rep = check_feasibility(tangent)
+    assert rep.verdict is FeasibilityVerdict.FEASIBLE and rep.certificate is None
+
 def _cert(weights):
     return InfeasibilityCertificate(weights=tuple(weights), bound=0.0, steps=0)
 
