@@ -1,57 +1,71 @@
-"""The Lagrange dual of ball and halfspace rows, and its exact checks.
+"""The Lagrangian of ball and halfspace rows, and its exact checks.
 
-The rows are balls ``g_i(x) = |x - c_i|^2 + o_i`` and halfspaces
-``h_j(x) = a_j.x + b_j``; ``C`` is the set where none is positive. For
-weights ``lambda_i, mu_j >= 0`` and an anchor ``z`` of weight ``sigma``, the
-Lagrangian
+About an origin ``z``, in ``y = x - z``, every row is ``k_r |y|^2 - 2 u_r.y
++ q_r``: a ball ``|x - c_r|^2 + o_r`` has ``k_r = 1`` and ``u_r = c_r - z``, a
+halfspace ``a_r.x + b_r`` has ``k_r = 0`` and ``u_r = -a_r / 2``, and ``q_r``
+is the row's value at ``z``. ``C`` is the set where the rows are at most zero.
+For weights ``w_r`` of either sign the Lagrangian ``L = sum w_r row_r`` has
+the Hessian ``2 s I``, ``s`` the sum of the ball weights, and with ``S = sum
+w_r q_r`` and ``v = sum w_r u_r`` its minimum over all ``x`` is, for ``s > 0``,
 
-    L(x) = sigma |x - z|^2 + sum lambda_i g_i(x) + sum mu_j h_j(x)
+    min_x L = S - |v|^2 / s,  at  x = z + v / s.
 
-has the Hessian ``2 (s + sigma) I``, ``s = sum lambda_i``. In ``y = x - z`` it
-is ``(s + sigma) |y|^2 - 2 v.y + S`` with ``v = sum lambda_i (c_i - z) -
-sum mu_j a_j / 2`` and ``S = sum lambda_i g_i(z) + sum mu_j h_j(z)``, so for
-``s + sigma > 0`` its minimum over all ``x`` is
+That is the one bound of this module. It is at most ``L(x)`` at every
+``x``, and where the rows of non-negative weight hold, their terms of ``L``
+are at most zero. So there the bound is at most the terms of the rows of
+negative weight. Such a row is an anchor: a ball row about a centre ``c``
+whose weight the caller fixes below zero. The module uses three cases:
 
-    min_x L = S - |v|^2 / (s + sigma),  at  x = z + v / (s + sigma).
-
-Every weighted row is at most zero on ``C``, so this bound is at most
-``sigma |x - z|^2`` at every point ``x`` of ``C``. Three anchors are used:
-
-- ``sigma = 0`` (the theorem of alternatives): a positive bound proves ``C``
-  empty; these weights are the infeasibility certificate. ``_dual_ascent``
-  looks for them by projected gradient on the bound with ``lambda`` on the
-  simplex, where it is a concave quadratic whose gradient is the row values
-  at the primal point. Over balls alone the best bound is
-  ``min_x max_i g_i(x)``, so the primal point of the optimal weights is the
-  deepest point of ``C``.
-- ``sigma = -1`` at ``z = c`` (the S-lemma): the bound is at most
-  ``-|x - c|^2`` on ``C``, so ``phi(lambda) = |v|^2 / (s - 1) - S`` bounds the
-  farthest distance ``r_star^2`` from above whenever ``s > 1``. Over balls
-  ``-phi`` is concave, with gradient ``g_k(x(lambda))`` and Hessian
-  ``-2 W W^T / (s - 1)``, where the rows of ``W`` are ``x(lambda) - c_k``;
-  ``_newton`` maximises it over ``lambda >= 0``, ``sum lambda >= 1``.
-  Complementary slackness leaves ``phi(lambda*) = |x(lambda*) - c|^2``
-  whenever ``x(lambda*)`` lies in ``C``, and for one ball the S-lemma makes
-  it always so; the bracket is then as narrow as rounding allows.
-- ``sigma = -t`` at ``z = c``, ``0 <= t <= 1`` (the inclusion witness): with
-  ``f = |x - c|^2 - r^2``, the identities ``sum max(g_i, 0) + min(max_k g_k,
-  0) = max sum w_i g_i`` over ``w`` in ``[0, 1]^m`` with ``sum w >= 1``, and
-  ``-min(f, 0) = max (-t f)`` over ``t`` in ``[0, 1]``, make the witness ``G``
-  of the ``inclusion`` module at least ``sum w_i g_i - t f`` everywhere, so
-  ``t r^2`` plus the bound is at most ``min G``. It is concave in
-  ``theta = (w, t)``, with gradient ``(g_i(x), -f(x))`` at the primal point
-  and Hessian ``-2 E E^T / (s - t)``, where the rows of ``E`` are ``x - c_i``
-  and ``c - x``. ``G`` is coercive and the weights range over a compact
+- No anchor (the theorem of alternatives): every weight is non-negative and a
+  positive bound proves ``C`` empty; these weights are the infeasibility
+  certificate. ``_dual_ascent`` looks for them by projected gradient on the
+  bound with the ball weights on the simplex, where it is a concave quadratic
+  whose gradient is the row values at the primal point. Over balls alone the
+  best bound is ``min_x max_i g_i(x)``, so the primal point of the optimal
+  weights is the deepest point of ``C``.
+- The anchor ``|x - c|^2`` at weight ``-1`` (the S-lemma): with weights
+  ``lambda`` on the balls ``g_k`` the bound is at most ``-|x - c|^2`` on
+  ``C``. With ``s``, ``S`` and ``v`` taken over the balls alone, its negative
+  ``phi(lambda) = |v|^2 / (s - 1) - S`` therefore bounds the farthest
+  distance ``r_star^2`` from above whenever ``s > 1``. ``-phi`` is concave,
+  with gradient ``g_k(x(lambda))`` and Hessian ``-2 W W^T / (s - 1)``, where
+  the rows of ``W`` are ``x(lambda) - c_k``; ``_newton`` maximises it over
+  ``lambda >= 0``, ``sum lambda >= 1``.
+- The anchor ``f = |x - c|^2 - r^2`` at weight ``-t``, ``0 <= t <= 1`` (the
+  inclusion witness): the identities ``sum max(g_i, 0) + min(max_k g_k, 0) =
+  max sum w_i g_i`` over ``w`` in ``[0, 1]^m`` with ``sum w >= 1``, and
+  ``-min(f, 0) = max (-t f)`` over ``t`` in ``[0, 1]``, make the witness
+  ``G`` of the ``inclusion`` module at least ``sum w_i g_i - t f``
+  everywhere, so the bound is at most ``min G``. It is concave in ``theta =
+  (w, t)``, with gradient ``(g_i(x), -f(x))`` at the primal point and
+  Hessian ``-2 E E^T / (s - t)``, where the rows of ``E`` are ``x - c_i`` and
+  ``c - x``. ``G`` is coercive and the weights range over a compact
   polytope, so by Sion's minimax theorem the best weights attain ``min G``
   and their primal point is the minimiser of ``G``; ``_newton`` finds them.
 
-Both Newton problems are one: weights ``theta`` on rows
-``k_r |y|^2 - 2 d_r.y + q_r`` maximise ``q.theta - |D^T theta|^2 / (k.theta
-+ sigma)`` over a polytope ``A theta >= b``. The farthest dual has ball rows
-(``k = 1``) at ``sigma = -1``; the witness dual adds the outer ball as a row
-with ``k = -1``, ``d = 0`` and ``q = r^2`` at ``sigma = 0``, which is the
-bound at ``sigma = -t`` plus ``t r^2``. ``_newton`` takes the rows, ``sigma``
-and the polytope as data and runs primal-dual interior-point steps on them.
+The S-lemma bound is exact under the distance precondition ``d(c, C) > R``
+of the ``inclusion`` module, for ``C`` an intersection of balls of radius
+``R``. Take any ``r > r_star``. ``C`` then lies in the open ball ``B(c, r)``,
+so ``min G > 0`` by the sign characterisation of the ``inclusion`` module, and
+by Sion's theorem some weights ``(w, t)`` make the witness bound positive.
+``t = 0`` would prove ``C`` empty, so ``t > 0``, and dividing the bound by
+``t`` shows that ``lambda = w / t`` has ``sum lambda > 1`` and
+``phi(lambda) < r^2``. Hence ``inf phi = r_star^2``. When the infimum is
+attained, at ``lambda*`` with ``sum lambda* > 1``, the Lagrangian of the
+S-lemma bound is strictly convex. The farthest point ``x*`` has ``L(x*) <=
+-r_star^2 = min L``, so ``x*`` is its unique minimiser ``x(lambda*)`` and
+lies in ``C``: the bracket is then as narrow as rounding allows. A wider one
+comes only from ``_newton`` stopping short, at ``DUAL_STEPS`` or at a step
+that would leave the interior in floats.
+
+Both Newton problems are one: weights ``theta`` on rows ``k_r |y|^2 - 2
+d_r.y + q_r`` with ``k_r = +-1``, and an anchor ``|y|^2`` of fixed weight
+``sigma``, maximise ``q.theta - |D^T theta|^2 / (k.theta + sigma)`` over a
+polytope ``A theta >= b``. The farthest dual has the ball rows and ``sigma =
+-1``. The witness dual varies the weight ``t`` of its anchor, so it holds
+``-f`` as one more row, with ``k = -1``, ``d = 0`` and ``q = r^2``, and
+``sigma = 0``. ``_newton`` takes the rows, ``sigma`` and the polytope as data
+and runs primal-dual interior-point steps on them.
 
 No verdict rests on rounded arithmetic. Every float is a dyadic rational,
 so ``_dyadic_rows`` writes the rows about ``z`` as integers over one power of
@@ -94,12 +108,10 @@ class DyadicRows(NamedTuple):
 
 
 class DualSums(NamedTuple):
-    """The Lagrangian sums of ``DyadicRows`` under weights, in integers.
+    """The Lagrangian sums of ``DyadicRows`` under weights ``w_r``, in integers.
 
-    ``s = sum lambda_i`` times ``2**a``, ``S = sum lambda_i q_i + sum mu_j h_j``
-    times ``2**(a + 2 b)`` and ``v = sum lambda_i c_i - sum mu_j a_j / 2``
-    times ``2**(a + b)``, where ``q_i`` and ``h_j`` are the row values at the
-    origin and ``c_i`` the centres about it.
+    ``s``, the sum of the ball weights, times ``2**a``, ``S = sum w_r q_r``
+    times ``2**(a + 2 b)`` and ``v = sum w_r u_r`` times ``2**(a + b)``.
     """
 
     s: int
@@ -155,10 +167,10 @@ def _dyadic_rows(constraints, origin) -> DyadicRows | None:
 def _dual_sums(rows: DyadicRows, weights) -> DualSums | None:
     """``s``, ``S`` and ``v`` of ``rows`` under ``weights``, one per row in row order.
 
-    None unless there is one finite, non-negative weight per row.
+    None unless there is one finite weight, of either sign, per row.
     """
     weights = [float(w) for w in weights]
-    if len(weights) != len(rows.values) or not all(w >= 0.0 and math.isfinite(w) for w in weights):
+    if len(weights) != len(rows.values) or not all(math.isfinite(w) for w in weights):
         return None
     ratios = _ratios(weights)
     a = _bits(ratios)
@@ -171,21 +183,16 @@ def _dual_sums(rows: DyadicRows, weights) -> DualSums | None:
     return DualSums(sum(w for w, k in zip(W, rows.quadratic) if k), S, v, a, rows.b)
 
 
-def _bound(rows: DyadicRows, weights, sigma: float) -> tuple[int, int] | None:
-    """``(num, den)``, ``den > 0``, with ``num / den = S - |v|^2 / (s + sigma)`` exactly.
+def _bound(rows: DyadicRows, weights) -> tuple[int, int] | None:
+    """``(num, den)``, ``den > 0``, with ``num / den = S - |v|^2 / s`` exactly.
 
-    None when the weights are not valid for ``_dual_sums`` or ``s + sigma <= 0``.
+    None when the weights are not valid for ``_dual_sums`` or ``s <= 0``,
+    where the Lagrangian is unbounded below.
     """
     sums = _dual_sums(rows, weights)
-    if sums is None:
+    if sums is None or sums.s <= 0:
         return None
-    # s + sigma over the finer of the two powers of two, 2**e
-    ratio = _ratios([float(sigma)])
-    e = max(sums.a, _bits(ratio))
-    t = (sums.s << (e - sums.a)) + _at(ratio, e)[0]
-    if t <= 0:
-        return None
-    return sums.S * t - (sum(u * u for u in sums.v) << (e - sums.a)), t << (sums.a + 2 * sums.b)
+    return sums.S * sums.s - sum(u * u for u in sums.v), sums.s << (sums.a + 2 * sums.b)
 
 
 def _sqrt(num: int, den: int, *, up: bool) -> float:
@@ -225,17 +232,18 @@ def _inside(constraints, x: np.ndarray) -> bool:
 def proves_empty(constraints, weights) -> bool:
     """``weights``, one per constraint, prove the intersection empty in exact arithmetic.
 
-    The check is ``S - |v|^2 / s > 0`` at the anchor weight ``sigma = 0``
-    about the origin. Rows of zero weight take no part, whatever their kind;
-    a weighted row that is neither a ball nor a halfspace proves nothing.
+    The check is ``S - |v|^2 / s > 0`` about the origin, with no anchor. Rows
+    of zero weight take no part, whatever their kind; a negative weight, or a
+    weighted row that is neither a ball nor a halfspace, proves nothing: the
+    bound holds on the intersection only under non-negative weights.
     """
-    if len(weights) != len(constraints):
+    if len(weights) != len(constraints) or not all(float(w) >= 0.0 for w in weights):
         return False
     used = [(g, w) for g, w in zip(constraints, weights) if float(w) != 0.0]
     if not used:
         return False
     rows = _dyadic_rows([g for g, _ in used], [0.0] * used[0][0].dim)
-    bound = None if rows is None else _bound(rows, [w for _, w in used], 0)
+    bound = None if rows is None else _bound(rows, [w for _, w in used])
     return bound is not None and bound[0] > 0
 
 
@@ -257,48 +265,48 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 
 
 def _dual_ascent(cs):
-    """Ascend the bound at ``sigma = 0`` over the rows of the ``ConstraintSet`` ``cs``.
+    """Ascend the bound over the rows of the ``ConstraintSet`` ``cs``, with no anchor.
 
-    ``cs`` holds one ball at least and no node of another kind. Projected
-    gradient from uniform ``lambda`` and ``mu = 0``, keeping ``lambda`` in the
-    simplex and ``mu >= 0``, with the step ``1 / (2 ||M||_F^2)``,
-    ``M = [C; -A/2]`` over the rows centred at the mean ball centre. That
-    step is at most the inverse Lipschitz constant ``1 / (2 ||M||_2^2)`` of the
-    dual gradient, so every step raises the dual value ``D`` until the
-    multipliers are optimal, and it needs no SVD. Stops at the first
-    ``D > 0``, at the first step that does not raise ``D`` or after
-    ``CERTIFICATE_STEPS`` steps; returns ``(lambda, mu, x, D, steps)`` with
-    ``x`` the primal point, the minimizer of the Lagrangian.
+    ``cs`` holds one ball at least and no node of another kind. About the
+    mean ball centre ``z`` the rows stack into one matrix ``U = [C - z;
+    -A/2]`` of the ``u_r`` and one vector ``q``, balls first as ``cs.rows``
+    groups them. Projected gradient from uniform ball weights and zero
+    halfspace weights, keeping the ball weights in the simplex (so ``s = 1``)
+    and the halfspace weights ``>= 0``, with the step ``1 / (2 ||U||_F^2)``.
+    That step is at most the inverse Lipschitz constant ``1 / (2 ||U||_2^2)``
+    of the dual gradient, so every step raises the dual value ``D`` until the
+    weights are optimal, and it needs no SVD. Stops at the first ``D > 0``,
+    at the first step that does not raise ``D`` or after
+    ``CERTIFICATE_STEPS`` steps; returns ``(theta, x, D, steps)`` with
+    ``theta`` the weights, balls first, and ``x`` the primal point, the
+    minimizer of the Lagrangian.
     """
-    C, offsets, A, shifts, _ = cs.rows
-    # D does not change when the rows are translated together (b_j picks up
-    # a_j.z), but ||M||_F does: centring the balls at their mean lets the
-    # step follow the spread of the centres, not their distance from 0
-    z = C.mean(axis=0)
-    C = C - z
-    q = (C * C).sum(axis=1) + offsets
-    lam = np.full(len(q), 1.0 / len(q))
-    fro2 = float((C * C).sum())
-    if A is None:
-        A = np.zeros((0, cs.dimension))
-        b = np.zeros(0)
-    else:
-        b = np.array(shifts) + A @ z
-        fro2 += 0.25 * float((A * A).sum())
-    mu = np.zeros(len(b))
+    m = len(cs.rows.centers)
+    rows = sorted(cs.constraints, key=lambda g: isinstance(g, Affine))
+    U = np.array([g.center if isinstance(g, BallQuad) else -0.5 * g.a for g in rows])
+    q = np.array([g.offset if isinstance(g, BallQuad) else g.b for g in rows])
+    # D does not change when the rows are translated together, but ||U||_F
+    # does: centring the balls at their mean lets the step follow the spread
+    # of the centres, not their distance from 0
+    z = U[:m].mean(axis=0)
+    U[:m] -= z
+    q[:m] += (U[:m] * U[:m]).sum(axis=1)
+    q[m:] -= 2.0 * (U[m:] @ z)
+    theta = np.append(np.full(m, 1.0 / m), np.zeros(len(q) - m))
+    fro2 = float((U * U).sum())
     # one centre and no normal leaves D linear: any step ascends
     t = 0.5 / fro2 if fro2 > 0.0 else 1.0
     D_prev = -math.inf
     for step in range(CERTIFICATE_STEPS + 1):
-        x = lam @ C - 0.5 * (mu @ A)
-        D = float(lam @ q + mu @ b - x @ x)
+        x = theta @ U
+        D = float(theta @ q - x @ x)
         if D > 0.0 or D <= D_prev or step == CERTIFICATE_STEPS:
             break
         D_prev = D
-        # the gradient is the constraint values at x: g_i(x) - |x|^2 and h_j(x)
-        lam = _project_simplex(lam + t * (q - 2.0 * (C @ x)))
-        mu = np.fmax(mu + t * (b + A @ x), 0.0)
-    return lam, mu, x + z, D, step
+        # the gradient is the row values at x, less |x|^2 on the balls
+        theta = theta + t * (q - 2.0 * (U @ x))
+        theta = np.append(_project_simplex(theta[:m]), np.fmax(theta[m:], 0.0))
+    return theta, x + z, D, step
 
 
 def certify_empty(cs) -> tuple[tuple[float, ...], float, int] | None:
@@ -310,9 +318,10 @@ def certify_empty(cs) -> tuple[tuple[float, ...], float, int] | None:
     """
     if cs.rows.others or cs.rows.centers is None:
         return None
-    lam, mu, _, D, steps = _dual_ascent(cs)
-    lam_it, mu_it = iter(lam.tolist()), iter(mu.tolist())
-    weights = [next(lam_it) if isinstance(g, BallQuad) else next(mu_it) for g in cs.constraints]
+    theta, _, D, steps = _dual_ascent(cs)
+    m = len(cs.rows.centers)
+    balls, halfspaces = iter(theta[:m].tolist()), iter(theta[m:].tolist())
+    weights = [next(balls) if isinstance(g, BallQuad) else next(halfspaces) for g in cs.constraints]
     if not (D > 0.0 and proves_empty(cs.constraints, weights)):
         return None
     return tuple(weights), D, steps
@@ -320,7 +329,7 @@ def certify_empty(cs) -> tuple[tuple[float, ...], float, int] | None:
 
 def deep_point(cs) -> np.ndarray:
     """The ascent's primal point over the balls of ``cs``: the deepest point once it converges."""
-    return _dual_ascent(cs)[2]
+    return _dual_ascent(cs)[1]
 
 
 def _solve_spd(H: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -353,8 +362,9 @@ def _to_boundary(values: list[float], steps: list[float]) -> float:
 def _primal(k: np.ndarray, D: np.ndarray, o: np.ndarray, sigma: float, theta: np.ndarray):
     """``(u, y, E, F)`` at the weights ``theta`` of the rows ``k_r |d_r - k_r y|^2 + o_r``.
 
-    ``u = k.theta + sigma``, ``y = D^T theta / u`` is the primal point, the
-    rows of ``E`` are ``d_r - k_r y`` and ``F`` holds the row values at ``y``.
+    ``u = k.theta + sigma``, with ``sigma`` the fixed weight of the anchor
+    ``|y|^2``; ``y = D^T theta / u`` is the primal point, the rows of ``E``
+    are ``d_r - k_r y`` and ``F`` holds the row values at ``y``.
     """
     u = float(k @ theta) + sigma
     y = (theta @ D) / u
@@ -367,9 +377,10 @@ def _newton(k: np.ndarray, D: np.ndarray, o: np.ndarray, sigma: float,
     """Weights in the polytope ``A theta >= b`` that maximise the bound ``B``.
 
     Row ``r`` is ``k_r |y|^2 - 2 d_r.y + q_r = k_r |d_r - k_r y|^2 + o_r``
-    with ``k_r = +-1`` and ``d_r`` the rows of ``D``; ``B(theta) = q.theta -
-    |D^T theta|^2 / u`` with ``u = k.theta + sigma`` is the Lagrangian's
-    minimum over ``y`` (module docstring). Its gradient is ``F``, the row
+    with ``k_r = +-1`` and ``d_r`` the rows of ``D``; ``sigma`` is the fixed
+    weight of the anchor row ``|y|^2``. ``B(theta) = q.theta - |D^T theta|^2
+    / u`` with ``u = k.theta + sigma`` is the Lagrangian's minimum over ``y``
+    (module docstring). Its gradient is ``F``, the row
     values at ``y(theta)``, and its Hessian ``-2 E E^T / u`` (``_primal``).
     Primal-dual interior-point Newton steps from ``theta``, strictly inside
     the polytope with ``u > 0``, and one multiplier ``z_i`` per polytope row
@@ -437,9 +448,12 @@ def farthest_bracket(cs, c: np.ndarray, witness: np.ndarray, floor: float):
     S-lemma bound ``-phi`` over ``lambda >= 0``, ``sum lambda >= 1`` by
     ``_newton`` from uniform multipliers with ``sum lambda = 2``, to an
     error of ``1e-14 max_k |c_k - c|^2``; one ball takes the optimum
-    ``lambda = 1 + |c_1 - c| / R`` instead. ``r_hi`` is the least float
-    with ``r_hi^2 >= phi(lambda)``. ``r_lo`` is the distance from ``c``,
-    rounded down, of ``x(lambda)`` when it lies exactly in C, or else of
+    ``lambda = 1 + |c_1 - c| / R`` instead, unless ``c = c_1``, where that
+    leaves ``s = 1`` and the start stays. ``phi(lambda)`` is minus the bound
+    over the balls and the anchor row ``|x - c|^2`` at weight ``-1``, and
+    ``r_hi`` the least float with ``r_hi^2 >= phi(lambda)``. ``r_lo`` reads
+    the anchor row about a member of C: the distance from ``c``, rounded
+    down, of ``x(lambda)`` when it lies exactly in C, or else of
     ``x(lambda)`` pulled toward ``witness`` by the first of ``2^-60, 2^-59,
     ..., 1`` that does; that point becomes the returned witness. When none
     does, ``r_lo`` is ``floor`` and ``witness`` comes back as it was given.
@@ -452,17 +466,19 @@ def farthest_bracket(cs, c: np.ndarray, witness: np.ndarray, floor: float):
     if m > 1:
         A, b = np.vstack((np.eye(m), k)), np.append(np.zeros(m), 1.0)
         lam = _newton(k, d, o, -1.0, A, b, lam, 1e-14 * float((d * d).sum(axis=1).max()))
-    elif DUAL_STEPS:
-        lam[0] = 1.0 + math.sqrt(float(d[0] @ d[0]) / -o[0])
+    else:
+        s = 1.0 + math.sqrt(float(d[0] @ d[0]) / -o[0])
+        if DUAL_STEPS and s > 1.0:  # s = 1 only when c = c_1
+            lam[0] = s
     y = _primal(k, d, o, -1.0, lam)[1]
-    num, den = _bound(_dyadic_rows(cs.constraints, c), lam.tolist(), -1)
+    rows = cs.constraints + (BallQuad(c, 0.0),)
+    num, den = _bound(_dyadic_rows(rows, c), lam.tolist() + [-1.0])
     r_hi = _sqrt(-num, den, up=True)
     member = _member_near(cs.constraints, c + y, witness)
     if member is None:
         return floor, r_hi, witness, lam
-    # |member - c|^2 is the value at member of the row |x - c|^2 + 0
-    rows = _dyadic_rows([BallQuad(c, 0.0)], member)
-    return _sqrt(rows.values[0], 1 << (2 * rows.b), up=False), r_hi, member, lam
+    about = _dyadic_rows(rows, member)
+    return _sqrt(about.values[-1], 1 << (2 * about.b), up=False), r_hi, member, lam
 
 
 class WitnessDual(NamedTuple):
@@ -478,17 +494,23 @@ class WitnessDual(NamedTuple):
     multipliers: tuple[float, ...]
 
 
+def _witness_rows(cs, c: np.ndarray, r: float) -> tuple:
+    """The balls of ``cs`` and the anchor ``f``: ``|x - c|^2`` minus the float ``r * r``."""
+    return cs.constraints + (BallQuad(c, -(r * r)),)
+
+
 def witness_dual(cs, c: np.ndarray, r: float, gap: float) -> WitnessDual:
     """The witness dual of the balls of ``cs`` against ``B(c, r)``: ``x(w, t)``, ``g_lower`` and ``(w, t)``.
 
-    ``f`` is ``|x - c|^2`` minus the float ``r * r``, as the rows hold their
-    offsets: the outer row has ``k = -1``, ``d = 0`` and ``o = r * r``, so
-    that ``B`` at ``sigma = 0`` is ``t r^2 + S - |v|^2 / (s - t)``. The
-    weights maximise it by ``_newton`` from ``w_i = (m + 1) / 2m`` and
-    ``t = 1/2`` to an error of ``gap / 2``, which bounds ``G(x)`` minus the
-    bound; the other half of ``gap`` covers the rounding of ``g_lower``, the
-    same bound from ``_bound`` at ``sigma = -t``. For one ball ``w = 1`` is
-    forced and the best ``t``, ``1 - |c_1 - c| / r`` clipped at 0, is taken.
+    ``f`` is ``|x - c|^2`` minus the float ``r * r``. ``_newton`` holds
+    ``-f`` as the row with ``k = -1``, ``d = 0`` and ``o = r * r``, so that
+    ``B`` at ``sigma = 0`` is ``t r^2 + S - |v|^2 / (s - t)``. The weights
+    maximise it from ``w_i = (m + 1) / 2m`` and ``t = 1/2`` to an error of
+    ``gap / 2``, which bounds ``G(x)`` minus the bound; the other half of
+    ``gap`` covers the rounding of ``g_lower``, the same bound from
+    ``_bound`` over the rows of ``_witness_rows`` at the weights ``(w,
+    -t)``. For one ball ``w = 1`` is forced and the best ``t``, ``1 - |c_1 -
+    c| / r`` clipped at 0, is taken.
     """
     d = cs.rows.centers - c
     m, n = d.shape
@@ -510,14 +532,9 @@ def witness_dual(cs, c: np.ndarray, r: float, gap: float) -> WitnessDual:
     w, t = theta[:-1].tolist(), float(theta[-1])
     ratios = _ratios(w)
     a = _bits(ratios)
-    bound = None
-    if max(w) <= 1.0 and 0.0 <= t <= 1.0 and sum(_at(ratios, a)) >= 1 << a:
-        bound = _bound(_dyadic_rows(cs.constraints, c), w, -t)
-    g_lower = -math.inf
-    if bound is not None:
-        num, den = bound
-        (pt, qt), (pr, qr) = t.as_integer_ratio(), (r * r).as_integer_ratio()
-        g_lower = _floor(num * qt * qr + pt * pr * den, den * qt * qr)
+    inside = 0.0 <= min(w) and max(w) <= 1.0 and 0.0 <= t <= 1.0 and sum(_at(ratios, a)) >= 1 << a
+    bound = _bound(_dyadic_rows(_witness_rows(cs, c, r), c), w + [-t]) if inside else None
+    g_lower = -math.inf if bound is None else _floor(*bound)
     return WitnessDual(c + y, g_lower, tuple(w) + (t,))
 
 
@@ -527,7 +544,7 @@ def witness_value(cs, c: np.ndarray, r: float, x: np.ndarray) -> float:
     ``G = -min(f, 0) + sum max(g_i, 0) + min(max g_i, 0)`` with ``f =
     |x - c|^2`` minus the float ``r * r``, as ``witness_dual`` reads it.
     """
-    rows = _dyadic_rows(cs.constraints + (BallQuad(c, -(r * r)),), x)
+    rows = _dyadic_rows(_witness_rows(cs, c, r), x)
     *g, f = rows.values
     G = max(-f, 0) + sum(max(v, 0) for v in g) + min(max(g), 0)
     return -_floor(-G, 1 << (2 * rows.b))

@@ -2,12 +2,21 @@
 
 ``r_star`` is the maximum of ``||x - c||`` over the intersection ``C1`` of the
 rows ``g_k(x) = ||x - c_k||^2 + o_k`` (``o_k = -R^2``). The S-lemma dual of
-the ``dual`` module (anchor weight ``sigma = -1`` at ``c``) brackets it first,
-both ends checked in exact arithmetic over the float inputs; when its
-multipliers are optimal and their primal point lies in ``C1`` the bracket is
-as narrow as rounding allows and no bisection step runs.
+the ``dual`` module (the anchor row ``||x - c||^2`` at weight ``-1``) brackets
+it first, both ends checked in exact arithmetic over the float inputs.
 
-Otherwise the bracket is closed the paper's way: ``C1 \\ B(c, r)`` (open ball
+Under the distance precondition ``d(c, C1) > R`` that relaxation is exact
+(the argument is in the ``dual`` module docstring). For any ``r > r_star``,
+``C1`` lies in the open ball ``B(c, r)``, so the witness dual of that ball
+has weights ``(w, t)`` with a positive bound; ``t = 0`` would prove ``C1``
+empty, so ``t > 0``, and ``lambda = w / t`` bounds ``r_star^2`` below ``r^2``.
+When the infimum is attained, the primal point of the optimal multipliers
+is the farthest point itself, so it lies in ``C1``, the bracket is as narrow
+as rounding allows and no bisection step runs.
+
+The bisection is therefore the fallback for a Newton solve that stops short,
+at ``dual.DUAL_STEPS`` steps or at a step that would leave the interior in
+floats. It closes the bracket the paper's way: ``C1 \\ B(c, r)`` (open ball
 removed) is nonempty for ``r < r_star`` and empty for ``r > r_star``, so one
 inclusion check per midpoint halves it; each check starts from the witness
 dual's minimiser of ``G`` and its exact lower bound, which usually close the

@@ -16,8 +16,8 @@ The checker minimizes the merit function with a Polyak step targeting zero
 (fast certificate for the feasible case). When that ends above zero, even
 within ``tol`` of it, and every constraint is a ball or a halfspace, with at
 least one ball, it tries to prove the intersection empty with the Lagrange
-dual certificate of the ``dual`` module (the bound at anchor weight
-``sigma = 0``), checked in exact arithmetic; a proof outranks a point that
+dual certificate of the ``dual`` module (its bound with no anchor row),
+checked in exact arithmetic; a proof outranks a point that
 misses every constraint by at most ``tol``. Only when none is found and the
 merit is above ``tol`` does it refine the minimum estimate to classify the
 instance.

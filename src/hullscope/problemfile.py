@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 
-import jsonschema
-
 from .convexfn import ConvexFn, ball_constraint, halfspace_constraint
 from .errors import HullscopeError
 from .feasibility import ConstraintSet
@@ -46,6 +44,8 @@ class ProblemFile:
 @cache
 def _validator():
     """Validator of the packaged schema, built once; the tests check the schema itself."""
+    import jsonschema  # here, not at module level: only a problem file needs it
+
     text = resources.files("hullscope").joinpath("schema/problem-v1.schema.json").read_text()
     schema = json.loads(text)
     return jsonschema.validators.validator_for(schema)(schema)
@@ -79,8 +79,10 @@ def load_problem(path) -> ProblemFile:
     except json.JSONDecodeError as exc:
         raise ProblemFileError(f"malformed JSON: {exc}") from exc
 
+    from jsonschema.exceptions import best_match
+
     # best_match picks the error jsonschema.validate would raise
-    error = jsonschema.exceptions.best_match(_validator().iter_errors(raw))
+    error = best_match(_validator().iter_errors(raw))
     if error is not None:
         raise ProblemFileError(f"schema violation: {error.message}")
 

@@ -2,6 +2,9 @@
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hullscope
@@ -64,3 +67,45 @@ def test_package_modules_import_no_private_names():
                 private += [f"{path.name}: {alias.name}" for alias in node.names
                             if alias.name.startswith("_")]
     assert private == []
+
+
+def test_package_has_no_unused_import_or_private_definition():
+    # a simplification that leaves dead code behind fails here: an import the
+    # module never reads (unless ``__all__`` re-exports it), or a module-level
+    # private function or class that no module of the package references
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(Path(hullscope.__file__).parent.rglob("*.py"))}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    dead = []
+    for name, tree in trees.items():
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        read |= {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                 for elt in node.value.elts}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            dead += [f"{name}: import {b}" for b in bound if b not in read]
+        dead += [f"{name}: {node.name}" for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                 and node.name.startswith("_") and node.name not in referenced]
+    assert dead == []
+
+
+def test_import_leaves_the_schema_validator_unloaded():
+    # only reading a problem file needs jsonschema, so importing the package
+    # must not pay for it
+    env = {**os.environ, "PYTHONPATH": str(Path(hullscope.__file__).parent.parent)}
+    code = "import sys, hullscope; print('jsonschema' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -154,7 +154,7 @@ def test_appbound_solves_one_deep_point(monkeypatch):
 
 def test_deep_point_ascent_stops_when_the_dual_stops_rising():
     bi = three_balls()
-    _, _, deep, D, steps = _dual_ascent(bi)
+    _, deep, D, steps = _dual_ascent(bi)
     assert steps < 100
     assert D <= -0.69
     assert bi.worst_residual(deep) <= -0.69

@@ -7,6 +7,7 @@ import pytest
 from hullscope import (BallIntersection, BisectionConfig, DimensionMismatch, InclusionVerdict,
                        InnerUndetermined, OuterBall, PreconditionFailed, SolverConfig,
                        check_inclusion, solve_farthest)
+from hullscope.dual import farthest_bracket
 
 from conftest import dual_sweep, far_center, random_ball_intersection
 from oracles import GridSpec, grid_max_distance
@@ -168,6 +169,46 @@ def test_dual_solves_close_on_a_random_sweep():
                 assert check.g_lower > 0.0, f"{label}, r = {r!r}"
             else:
                 assert check.g_at_xstar <= 0.0, f"{label}, r = {r!r}"
+
+
+def _boundary_point(rng, bi, z0):
+    """A point ``p`` of the boundary of ``bi`` on a random ray from its interior point ``z0``,
+    and the outward normal ``nu`` there, of the sphere the ray leaves through first."""
+    u = rng.standard_normal(len(z0))
+    u /= np.linalg.norm(u)
+    w = z0 - bi.centers
+    uw = w @ u
+    exits = -uw + np.sqrt(uw * uw - (w * w).sum(axis=1) + bi.radius ** 2)
+    k = int(np.argmin(exits))
+    p = z0 + exits[k] * u
+    return p, (p - bi.centers[k]) / np.linalg.norm(p - bi.centers[k])
+
+
+def test_dual_bracket_is_exact_near_the_precondition():
+    # more balls than dimensions, c at distance R + delta from C1: nu lies in
+    # the normal cone of C1 at p, so p is the nearest point of C1 to c. Under
+    # the precondition the S-lemma relaxation is exact (dual module
+    # docstring), so the dual closes every bracket before any bisection step
+    rng = np.random.default_rng(5)
+    for n in (2, 3):
+        for m in range(n + 1, n + 7):
+            for delta in (1e-4, 1e-2, 1.0):
+                bi, z0 = random_ball_intersection(rng, m, n)
+                p, nu = _boundary_point(rng, bi, z0)
+                c = p + (bi.radius + delta) * nu
+                rep = solve_farthest(bi, c)
+                assert_exact_dual_bracket(bi, c, rep)
+                assert rep.r_hi - rep.r_lo <= 1e-12 * rep.r_star, (n, m, delta)
+
+
+def test_bracket_of_one_ball_centred_at_c():
+    # the one-ball optimum lambda = 1 + |c_1 - c| / R is 1 here, which leaves
+    # the Lagrangian flat; the uniform start lambda = 2 gives [0, sqrt(2) R]
+    bi = BallIntersection([[0.0, 0.0]], 1.0)
+    c = np.zeros(2)
+    r_lo, r_hi, _, lam = farthest_bracket(bi, c, c, 0.0)
+    assert r_lo <= 1.0 <= r_hi
+    assert r_hi == pytest.approx(math.sqrt(2.0)) and lam.tolist() == [2.0]
 
 
 @pytest.mark.parametrize("centers, c, r, expected", [

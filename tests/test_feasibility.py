@@ -178,23 +178,26 @@ def test_dyadic_kernel_matches_fraction_formula():
             if found is not None:
                 cases.append((cs, list(found[0]), z.tolist()))
     proofs = 0
-    bounds = {0: [0, 0], -1: [0, 0]}  # per sigma: [None, fraction] counts
+    bounds = {0: [0, 0], -1: [0, 0]}  # per anchor weight: [None, fraction] counts
     for cs, weights, origin in cases:
-        s, S, v, values = _fraction_sums(cs, weights, origin)
-        rows = _dyadic_rows(cs.constraints, origin)
-        sums = _dual_sums(rows, weights)
-        assert Fraction(sums.s, 2 ** sums.a) == s
-        assert Fraction(sums.S, 2 ** (sums.a + 2 * sums.b)) == S
-        assert [Fraction(u, 2 ** (sums.a + sums.b)) for u in sums.v] == v
-        assert [Fraction(u, 2 ** (2 * rows.b)) for u in rows.values] == values
-        for sigma in (0, -1):
-            bound = _bound(rows, weights, sigma)
-            if s + sigma <= 0:
+        # the anchor row |x - origin|^2 at weight -1 adds -1 to s and nothing to S or v
+        anchored = ConstraintSet(cs.constraints + (BallQuad(origin, 0.0),))
+        for anchor, rows_cs, row_weights in ((0, cs, list(weights)),
+                                             (-1, anchored, list(weights) + [-1.0])):
+            s, S, v, values = _fraction_sums(rows_cs, row_weights, origin)
+            rows = _dyadic_rows(rows_cs.constraints, origin)
+            sums = _dual_sums(rows, row_weights)
+            assert Fraction(sums.s, 2 ** sums.a) == s
+            assert Fraction(sums.S, 2 ** (sums.a + 2 * sums.b)) == S
+            assert [Fraction(u, 2 ** (sums.a + sums.b)) for u in sums.v] == v
+            assert [Fraction(u, 2 ** (2 * rows.b)) for u in rows.values] == values
+            bound = _bound(rows, row_weights)
+            if s <= 0:
                 assert bound is None
             else:
                 num, den = bound
-                assert den > 0 and Fraction(num, den) == S - sum(u * u for u in v) / (s + sigma)
-            bounds[sigma][bound is not None] += 1
+                assert den > 0 and Fraction(num, den) == S - sum(u * u for u in v) / s
+            bounds[anchor][bound is not None] += 1
         s0, S0, v0, _ = _fraction_sums(cs, weights, [0.0] * cs.dimension)
         expected = s0 > 0 and S0 * s0 > sum(u * u for u in v0)
         assert proves_empty(cs.constraints, weights) is expected
@@ -203,11 +206,12 @@ def test_dyadic_kernel_matches_fraction_formula():
     assert all(min(counts) > 0 for counts in bounds.values())
     assert _fraction_sums(touching, [0.5, 0.5], [0.0, 0.0])[:3] == (1, 1, [1, 0])
     rows = _dyadic_rows(touching.constraints, [0.0, 0.0])
-    assert _bound(rows, [0.5, 0.5], 0)[0] == 0
+    assert _bound(rows, [0.5, 0.5])[0] == 0
     assert not proves_empty(touching.constraints, [0.5, 0.5])
-    # s + sigma = 0 and s + sigma < 0 leave the Lagrangian unbounded below
-    assert _bound(rows, [0.5, 0.5], -1) is None
-    assert _bound(rows, [0.25, 0.5], -1) is None
+    # with the anchor at weight -1, s = 0 and s < 0 leave the Lagrangian unbounded below
+    anchored = _dyadic_rows(touching.constraints + (BallQuad([0.0, 0.0], 0.0),), [0.0, 0.0])
+    assert _bound(anchored, [0.5, 0.5, -1.0]) is None
+    assert _bound(anchored, [0.25, 0.5, -1.0]) is None
 
 
 def test_single_ball_start_already_feasible():
