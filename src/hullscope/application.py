@@ -18,14 +18,21 @@ constraints. The objective is linear, so constant steps raise it until it
 stops rising; any maximizer satisfies the sandwich, and face ties resolve
 to whatever point the iteration reaches.
 
-The two covering hypotheses are spot-checked by sampling (hit-and-run plus
+The two covering hypotheses are spot-checked by sampling (ray exits plus
 deterministic candidates); this is a heuristic guard against misuse, not a
-proof. Both hit-and-run chains start from one deep point, the primal point
-of the optimal multipliers found by the certificate's dual ascent over the
-balls of ``C1``; the guard reads its true depth. That point lies
-strictly inside ``C1``, and the interior of ``C1`` lies inside the interior
-of ``S`` whenever ``C1`` is inside ``S``, so it is strictly inside ``S`` too;
-when it is not, it is itself a counterexample to the containment hypothesis.
+proof. The samples are where random rays from one deep point ``x0`` leave
+the set being checked. That point is the primal point of the optimal
+multipliers found by the certificate's dual ascent over the balls of
+``C1``; the guard reads its true depth. It lies strictly inside ``C1``, and
+the interior of ``C1`` lies inside the interior of ``S`` whenever ``C1`` is
+inside ``S``, so it is strictly inside ``S`` too; when it is not, it is
+itself a counterexample to the containment hypothesis. Both checked
+quantities, the region's worst residual over ``C1`` and the distance to
+``C1`` over ``S``, are convex, and for a convex ``f``, a point ``x`` and
+the exit ``e`` of the ray from ``x0`` through ``x``, ``f(x) <= max(f(x0),
+f(e))``. Once ``x0`` passes both checks, a violation anywhere on a ray
+therefore shows at its exit; the directions are drawn symmetrically, so
+the exits also stand for the other end of each chord.
 """
 
 from __future__ import annotations
@@ -70,49 +77,32 @@ def _halfspaces(region: ConstraintSet):
     return () if rows.normals is None else zip(rows.normals, rows.shifts)
 
 
-def _chord(region: ConstraintSet, x: np.ndarray, d: np.ndarray) -> tuple[float, float]:
-    """Parameter range of {x + t d} inside the region; d is a unit vector."""
-    t_lo, t_hi = -math.inf, math.inf
-    for a, b in _halfspaces(region):
-        ad = float(a @ d)
-        slack = -b - float(a @ x)
-        if abs(ad) < 1e-14:
-            continue
-        t = slack / ad
-        if ad > 0:
-            t_hi = min(t_hi, t)
-        else:
-            t_lo = max(t_lo, t)
-    for center, offset in _balls(region):
-        w = x - center
-        # ||w + t d||^2 = r^2 with ||d|| = 1
-        beta = float(w @ d)
-        gamma = float(w @ w) + offset
-        disc = beta * beta - gamma
-        if disc < 0.0:
-            disc = 0.0
-        root = math.sqrt(disc)
-        t_lo = max(t_lo, -beta - root)
-        t_hi = min(t_hi, -beta + root)
-    if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
-        raise UnboundedRegion(f"region is unbounded along direction {d.tolist()}")
-    return t_lo, t_hi
+def _boundary_points(region: ConstraintSet, x0: np.ndarray, count: int, rng) -> np.ndarray:
+    """Where ``count`` random rays from the strictly interior ``x0`` leave the region.
 
-
-def _hit_and_run(region: ConstraintSet, x0: np.ndarray, count: int, rng) -> list[np.ndarray]:
-    """Uniform-ish interior samples by hit-and-run from a strictly interior point."""
-    x = np.array(x0, dtype=np.float64)
-    n = region.dimension
-    out = []
-    for _ in range(count):
-        d = rng.standard_normal(n)
-        d /= float(np.linalg.norm(d))
-        t_lo, t_hi = _chord(region, x, d)
-        if t_hi < t_lo:
-            t_lo = t_hi = 0.0
-        x = x + rng.uniform(t_lo, t_hi) * d
-        out.append(x.copy())
-    return out
+    Returns a ``(count, n)`` array. The directions are uniform on the unit
+    sphere; each exit is ``x0 + t d`` with ``t`` the least exit over the
+    region's rows. A halfspace row with ``a.d`` at most ``1e-14`` bounds
+    nothing along ``d``; a ray that no row bounds raises ``UnboundedRegion``.
+    """
+    d = rng.standard_normal((count, region.dimension))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    rows = region.region_rows
+    t = np.full(count, np.inf)
+    if rows.normals is not None:
+        ad = d @ rows.normals.T
+        slack = -(rows.normals @ x0 + rows.shifts)
+        t = np.divide(slack, ad, out=np.full(ad.shape, np.inf), where=ad > 1e-14).min(axis=1)
+    if rows.centers is not None:
+        # ||w + t d||^2 + offset = 0 with ||d|| = 1
+        w = x0 - rows.centers
+        beta = d @ w.T
+        gamma = np.einsum("ij,ij->i", w, w) + rows.offsets
+        t = np.minimum(t, (np.sqrt(np.maximum(beta * beta - gamma, 0.0)) - beta).min(axis=1))
+    free = np.isinf(t)
+    if free.any():
+        raise UnboundedRegion(f"region is unbounded along direction {d[free.argmax()].tolist()}")
+    return x0 + t[:, None] * d
 
 
 def _covering_candidates(region: ConstraintSet, interior: np.ndarray) -> list[np.ndarray]:
@@ -170,12 +160,12 @@ def bound_max_distance(region: ConstraintSet, bi: BallIntersection, c, delta: fl
                        cfg: BisectionConfig | None = None, *, seed: int = 0) -> AppBoundReport:
     """Sandwich the maximum distance over the region between V_c and V_c + delta.
 
-    Spot-checks the two hypotheses first (the deep point and 200 samples of
-    the inner intersection inside the region; 1,000 samples and the
-    deterministic candidates of the region within ``delta`` of the
-    intersection), then computes the inner maximum with ``solve_farthest``
-    (the dual bracket, bisected only when the dual leaves it wider than
-    ``2 eps``) and extracts a boundary point realizing the sandwich.
+    Spot-checks the two hypotheses first (the deep point and 200 exits of
+    the inner intersection inside the region; 1,000 exits of the region and
+    the deterministic candidates within ``delta`` of the intersection),
+    then computes the inner maximum with ``solve_farthest`` (the dual
+    bracket, bisected only when the dual leaves it wider than ``2 eps``)
+    and extracts a boundary point realizing the sandwich.
 
     Raises
     ------
@@ -205,7 +195,7 @@ def bound_max_distance(region: ConstraintSet, bi: BallIntersection, c, delta: fl
     rng = np.random.default_rng(seed)
     cover_slack = 1e-7
 
-    # one strictly interior point of C1 starts both chains
+    # the rays of both checks start from one strictly interior point of C1
     deep = deep_point(bi)
     depth = bi.worst_residual(deep)
     if depth >= -1e-9:
@@ -218,16 +208,14 @@ def bound_max_distance(region: ConstraintSet, bi: BallIntersection, c, delta: fl
     if depth >= -1e-9:
         raise HypothesisViolation("inner intersection is not contained in the region",
                                   counterexample=deep, distance=depth)
-    for x in _hit_and_run(bi, deep, 200, rng):
+    for x in _boundary_points(bi, deep, 200, rng):
         if region.worst_residual(x) > 1e-7:
             raise HypothesisViolation(
                 "inner intersection is not contained in the region",
                 counterexample=x, distance=region.worst_residual(x))
 
     # delta-covering of the region by the inner intersection
-    check_points = _hit_and_run(region, deep, 1000, rng)
-    check_points.extend(_covering_candidates(region, deep))
-    for x in check_points:
+    for x in [*_boundary_points(region, deep, 1000, rng), *_covering_candidates(region, deep)]:
         p = bi.project(x).point
         d_to_c1 = float(np.linalg.norm(x - p))
         if d_to_c1 > delta + cover_slack:

@@ -120,8 +120,9 @@ class InclusionReport:
     g_at_xstar`` (module docstring): Included when ``g_lower > 0``, Nonempty
     difference when ``g_at_xstar <= 0``. ``residuals_fk`` and
     ``dist_xstar_to_c`` describe ``x_star`` and decide nothing.
-    ``precondition_margin`` is ``d(c, C1) - R``; it is strictly positive on
-    every report (otherwise ``PreconditionFailed`` is raised instead).
+    ``precondition_margin`` is ``d(c, C1) - R``; ``inclusion_checker``
+    raises ``PreconditionFailed`` unless it is above the solver's ``tol``, so
+    it is above ``tol`` on every report.
     ``g_at_xstar`` is ``G(x_star)`` evaluated exactly and rounded up, so it
     is a proven upper bound on ``min G``, while the refinement's float value
     of ``G`` decides when it stops.

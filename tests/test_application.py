@@ -6,8 +6,9 @@ import pytest
 
 from hullscope import (Affine, Ball, BallIntersection, BallQuad, BisectionConfig, ConstraintSet,
                        DimensionMismatch, HypothesisViolation, PositivePart, ProblemFileError,
-                       ball_constraint, bound_max_distance, extract_boundary_point,
-                       halfspace_constraint, load_problem, project_region)
+                       UnboundedRegion, ball_constraint, bound_max_distance,
+                       extract_boundary_point, halfspace_constraint, load_problem, project_region)
+from hullscope.application import _boundary_points
 from hullscope.dual import _dual_ascent
 
 from oracles import GridSpec, grid_max_distance
@@ -93,6 +94,16 @@ def test_containment_violation_detected():
     assert err.distance == pytest.approx(0.1, abs=1e-12)
 
 
+def test_disk_leaving_the_square_by_a_hundredth_is_caught_on_every_seed():
+    # the disk pokes 0.01 past the face x = 1.5 along an arc of 0.28 rad, so a
+    # ray from its centre exits there with probability 0.045 and all 200 rays
+    # miss it with probability about 1e-4
+    shifted_disk = BallIntersection([[0.51, 0.5]], 1.0)
+    for seed in range(20):
+        with pytest.raises(HypothesisViolation, match="not contained"):
+            bound_max_distance(unit_square_shifted(), shifted_disk, C, 0.42, seed=seed)
+
+
 @pytest.mark.parametrize("region,bi,c", [
     (unit_square_shifted(), BallIntersection([[0.5, 0.5, 0.0]], 1.0), [4.0, 0.5, 0.0]),
     (ConstraintSet([ball_constraint(Ball([0.0, 0.0, 0.0], 2.0))]),
@@ -107,7 +118,7 @@ def test_dimension_mismatch_raised_before_sampling(monkeypatch, region, bi, c):
         raise AssertionError("sampled before checking dimensions")
 
     monkeypatch.setattr(application, "deep_point", fail)
-    monkeypatch.setattr(application, "_hit_and_run", fail)
+    monkeypatch.setattr(application, "_boundary_points", fail)
     with pytest.raises(DimensionMismatch):
         bound_max_distance(region, bi, c, 0.42)
 
@@ -120,7 +131,7 @@ def test_non_finite_center_raised_before_sampling(monkeypatch, c):
         raise AssertionError("sampled before checking the outer center")
 
     monkeypatch.setattr(application, "deep_point", fail)
-    monkeypatch.setattr(application, "_hit_and_run", fail)
+    monkeypatch.setattr(application, "_boundary_points", fail)
     with pytest.raises(ValueError, match="finite"):
         bound_max_distance(unit_square_shifted(), inner_disk(), c, 0.42)
 
@@ -134,22 +145,52 @@ def test_appbound_solves_one_deep_point(monkeypatch):
     # towards the centre of the smallest circle enclosing the three centers
     import hullscope.application as application
 
-    hit_and_run = application._hit_and_run
+    boundary_points = application._boundary_points
     starts = []
 
     def recording(region, x0, count, rng):
         starts.append(np.array(x0))
-        return hit_and_run(region, x0, count, rng)
+        return boundary_points(region, x0, count, rng)
 
-    monkeypatch.setattr(application, "_hit_and_run", recording)
+    monkeypatch.setattr(application, "_boundary_points", recording)
     bi = three_balls()
     c1 = bi.constraint_set()
     assert c1.worst_residual(np.mean(bi.centers, axis=0)) > -0.68
     bound_max_distance(c1, bi, [5.0, 0.3], 0.0, BisectionConfig(eps=1e-2))
-    # both chains start from the one deep point
+    # both samples start from the one deep point
     assert len(starts) == 2
     np.testing.assert_array_equal(starts[0], starts[1])
     assert c1.worst_residual(starts[0]) <= -0.69
+
+
+def balls_and_halfspaces(n: int) -> ConstraintSet:
+    """Three radius-2 balls near the origin and four halfspaces at distance 1 from it."""
+    rng = np.random.default_rng(n)
+    balls = [ball_constraint(Ball(0.3 * rng.standard_normal(n), 2.0)) for _ in range(3)]
+    normals = rng.standard_normal((4, n))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    return ConstraintSet(balls + [halfspace_constraint(a, 1.0) for a in normals])
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_boundary_points_are_ray_exits(n):
+    region = balls_and_halfspaces(n)
+    x0 = np.full(n, 0.05)
+    assert region.worst_residual(x0) < -0.5
+    d = np.random.default_rng(3).standard_normal((300, n))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    points = _boundary_points(region, x0, 300, np.random.default_rng(3))
+    t = np.einsum("ij,ij->i", points - x0, d)
+    assert (t > 0).all()
+    np.testing.assert_allclose(points, x0 + t[:, None] * d, rtol=0, atol=1e-12)
+    assert max(abs(region.worst_residual(x)) for x in points) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_boundary_points_refuse_a_half_space(n):
+    half = ConstraintSet([halfspace_constraint(np.eye(n)[0], 1.0)])
+    with pytest.raises(UnboundedRegion, match=r"unbounded along direction \["):
+        _boundary_points(half, np.zeros(n), 50, np.random.default_rng(0))
 
 
 def test_deep_point_ascent_stops_when_the_dual_stops_rising():

@@ -308,6 +308,24 @@ def test_g_at_xstar_is_an_exact_upper_bound():
             assert Fraction(rep.g_lower) <= exact <= Fraction(rep.g_at_xstar), f"{label}, factor {factor}"
 
 
+def test_refinement_after_a_witness_dual_gap_keeps_a_proven_verdict():
+    # c at R + delta from C1 with m > n: three of the five weights go to 0 and
+    # the witness dual can stop short of g_at_xstar, leaving the bracket to the
+    # subgradient refinement with no patched budget; the verdict stays proven
+    bi = BallIntersection([[-0.9290171170020123, -0.7130423623225867, -0.8504678713864561],
+                           [-1.003780944531152, -0.6136985645965134, -0.8552461471830556],
+                           [-0.9487368762657822, -0.6535380630427401, -0.8989088135223052],
+                           [-0.9414965331333754, -0.7349867242016758, -0.8767397956194812],
+                           [-1.0269262779600619, -0.5387903984441883, -0.9130841218088739]],
+                          0.8204027477525963)
+    ob = OuterBall([0.5102275675404979, 1.1582264089613727, -2.009036061193122], 2.687096417899654)
+    rep = check_inclusion(bi, ob)
+    assert rep.verdict is InclusionVerdict.NONEMPTY_DIFFERENCE
+    assert rep.g_at_xstar <= 0
+    assert Fraction(rep.g_lower) <= exact_G(bi, ob, rep.x_star) <= Fraction(rep.g_at_xstar)
+    assert_exact_witness_bound(bi, ob, rep)
+
+
 def test_inclusion_precondition_failure():
     bi = BallIntersection([[0.0, 0.0]], 1.0)
     with pytest.raises(PreconditionFailed):
