@@ -18,21 +18,24 @@ constraints. The objective is linear, so constant steps raise it until it
 stops rising; any maximizer satisfies the sandwich, and face ties resolve
 to whatever point the iteration reaches.
 
-The two covering hypotheses are spot-checked by sampling (ray exits plus
-deterministic candidates); this is a heuristic guard against misuse, not a
-proof. The samples are where random rays from one deep point ``x0`` leave
-the set being checked. That point is the primal point of the optimal
-multipliers found by the certificate's dual ascent over the balls of
-``C1``; the guard reads its true depth. It lies strictly inside ``C1``, and
-the interior of ``C1`` lies inside the interior of ``S`` whenever ``C1`` is
-inside ``S``, so it is strictly inside ``S`` too; when it is not, it is
-itself a counterexample to the containment hypothesis. Both checked
-quantities, the region's worst residual over ``C1`` and the distance to
-``C1`` over ``S``, are convex, and for a convex ``f``, a point ``x`` and
-the exit ``e`` of the ray from ``x0`` through ``x``, ``f(x) <= max(f(x0),
-f(e))``. Once ``x0`` passes both checks, a violation anywhere on a ray
-therefore shows at its exit; the directions are drawn symmetrically, so
-the exits also stand for the other end of each chord.
+The two covering hypotheses are spot-checked along rays; this is a
+heuristic guard against misuse, not a proof. The rays start from one deep
+point ``x0``: the primal point of the optimal multipliers found by the
+certificate's dual ascent over the balls of ``C1``; the guard reads its
+true depth. It lies strictly inside ``C1``, and the interior of ``C1`` lies
+inside the interior of ``S`` whenever ``C1`` is inside ``S``, so it is
+strictly inside ``S`` too; when it is not, it is itself a counterexample to
+the containment hypothesis. From such a point, ``C1`` lies inside ``S``
+exactly when no ray leaves ``C1`` later than it leaves ``S``. The check
+compares these lengths, not the region's residual at the exit of ``C1``: on
+a ball shared by both sets that residual, ``||x - c||^2 - R^2``, is
+rounding of the size of ``R^2`` times the machine epsilon, while the two
+lengths agree to a relative rounding at any scale. The distance to ``C1``
+over ``S`` is convex, and for a convex ``f``, a point ``x`` and the exit
+``e`` of the ray from ``x0`` through ``x``, ``f(x) <= max(f(x0), f(e))``,
+so a covering violation anywhere on a ray shows at its exit. The
+directions are drawn symmetrically, so the exits also stand for the other
+end of each chord.
 """
 
 from __future__ import annotations
@@ -77,18 +80,16 @@ def _halfspaces(region: ConstraintSet):
     return () if rows.normals is None else zip(rows.normals, rows.shifts)
 
 
-def _boundary_points(region: ConstraintSet, x0: np.ndarray, count: int, rng) -> np.ndarray:
-    """Where ``count`` random rays from the strictly interior ``x0`` leave the region.
+def _exits(region: ConstraintSet, x0: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """How far the rays from the strictly interior ``x0`` along the unit rows of ``d`` run.
 
-    Returns a ``(count, n)`` array. The directions are uniform on the unit
-    sphere; each exit is ``x0 + t d`` with ``t`` the least exit over the
-    region's rows. A halfspace row with ``a.d`` at most ``1e-14`` bounds
-    nothing along ``d``; a ray that no row bounds raises ``UnboundedRegion``.
+    Returns ``t`` with ``x0 + t d`` where each ray leaves the region: the
+    least exit over the region's rows. A halfspace row with ``a.d`` at most
+    ``1e-14`` bounds nothing along ``d``; a ray that no row bounds gets
+    ``inf``.
     """
-    d = rng.standard_normal((count, region.dimension))
-    d /= np.linalg.norm(d, axis=1, keepdims=True)
     rows = region.region_rows
-    t = np.full(count, np.inf)
+    t = np.full(len(d), np.inf)
     if rows.normals is not None:
         ad = d @ rows.normals.T
         slack = -(rows.normals @ x0 + rows.shifts)
@@ -99,18 +100,7 @@ def _boundary_points(region: ConstraintSet, x0: np.ndarray, count: int, rng) -> 
         beta = d @ w.T
         gamma = np.einsum("ij,ij->i", w, w) + rows.offsets
         t = np.minimum(t, (np.sqrt(np.maximum(beta * beta - gamma, 0.0)) - beta).min(axis=1))
-    free = np.isinf(t)
-    if free.any():
-        raise UnboundedRegion(f"region is unbounded along direction {d[free.argmax()].tolist()}")
-    return x0 + t[:, None] * d
-
-
-def _covering_candidates(region: ConstraintSet, interior: np.ndarray) -> list[np.ndarray]:
-    """Deterministic spot-check points: ball centers and halfspace feet."""
-    cands = [center for center, _ in _balls(region)]
-    cands += [interior + ((-b - float(a @ interior)) / float(a @ a)) * a
-              for a, b in _halfspaces(region)]
-    return [c for c in cands if region.worst_residual(c) <= 1e-9]
+    return t
 
 
 def extract_boundary_point(region: ConstraintSet, x_star_c, c) -> np.ndarray:
@@ -160,9 +150,11 @@ def bound_max_distance(region: ConstraintSet, bi: BallIntersection, c, delta: fl
                        cfg: BisectionConfig | None = None, *, seed: int = 0) -> AppBoundReport:
     """Sandwich the maximum distance over the region between V_c and V_c + delta.
 
-    Spot-checks the two hypotheses first (the deep point and 200 exits of
-    the inner intersection inside the region; 1,000 exits of the region and
-    the deterministic candidates within ``delta`` of the intersection),
+    Spot-checks the two hypotheses first (the deep point inside the region,
+    and 200 random rays from it that leave the inner intersection no later
+    than the region, to within a relative ``1e-7``; then where 1,000 more
+    random rays, the rays along the halfspace normals and those towards the
+    ball centers leave the region, each within ``delta`` of the intersection),
     then computes the inner maximum with ``solve_farthest`` (the dual
     bracket, bisected only when the dual leaves it wider than ``2 eps``)
     and extracts a boundary point realizing the sandwich.
@@ -177,6 +169,8 @@ def bound_max_distance(region: ConstraintSet, bi: BallIntersection, c, delta: fl
         region constraint is not a ball or a halfspace with a nonzero normal.
     HypothesisViolation
         With the offending sample attached, when a spot check fails.
+    UnboundedRegion
+        When a ray never leaves the region.
     EmptyIntersection, PreconditionFailed, InnerUndetermined
         Propagated from the farthest-point solve.
     """
@@ -208,17 +202,30 @@ def bound_max_distance(region: ConstraintSet, bi: BallIntersection, c, delta: fl
     if depth >= -1e-9:
         raise HypothesisViolation("inner intersection is not contained in the region",
                                   counterexample=deep, distance=depth)
-    for x in _boundary_points(bi, deep, 200, rng):
-        if region.worst_residual(x) > 1e-7:
-            raise HypothesisViolation(
-                "inner intersection is not contained in the region",
-                counterexample=x, distance=region.worst_residual(x))
 
-    # delta-covering of the region by the inner intersection
-    for x in [*_boundary_points(region, deep, 1000, rng), *_covering_candidates(region, deep)]:
+    # 200 random rays check the containment; 1,000 more and the rays along
+    # each halfspace normal and towards each ball center check the covering
+    d = np.vstack([rng.standard_normal((1200, region.dimension)),
+                   *(center - deep for center, _ in _balls(region) if (center != deep).any()),
+                   *(a for a, _ in _halfspaces(region))])
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    reach = _exits(region, deep, d)
+    t = _exits(bi, deep, d[:200])
+    late = np.flatnonzero(t > (1 + 1e-7) * reach[:200])
+    if late.size:
+        x = deep + t[late[0]] * d[late[0]]
+        raise HypothesisViolation("inner intersection is not contained in the region",
+                                  counterexample=x, distance=region.worst_residual(x))
+    free = np.flatnonzero(np.isinf(reach))
+    if free.size:
+        raise UnboundedRegion(f"region is unbounded along direction {d[free[0]].tolist()}")
+
+    # delta-covering of the region by the inner intersection; an exit on a
+    # ball shared with C1 lies off it by the rounding of its coordinates
+    for x in deep + reach[200:, None] * d[200:]:
         p = bi.project(x).point
         d_to_c1 = float(np.linalg.norm(x - p))
-        if d_to_c1 > delta + cover_slack:
+        if d_to_c1 > delta + cover_slack * max(1.0, float(np.linalg.norm(x))):
             raise HypothesisViolation(
                 f"region point at distance {d_to_c1:.6f} from the inner intersection "
                 f"exceeds the covering constant {delta}",

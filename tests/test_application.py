@@ -8,7 +8,7 @@ from hullscope import (Affine, Ball, BallIntersection, BallQuad, BisectionConfig
                        DimensionMismatch, HypothesisViolation, PositivePart, ProblemFileError,
                        UnboundedRegion, ball_constraint, bound_max_distance,
                        extract_boundary_point, halfspace_constraint, load_problem, project_region)
-from hullscope.application import _boundary_points
+from hullscope.application import _exits
 from hullscope.dual import _dual_ascent
 
 from oracles import GridSpec, grid_max_distance
@@ -118,7 +118,7 @@ def test_dimension_mismatch_raised_before_sampling(monkeypatch, region, bi, c):
         raise AssertionError("sampled before checking dimensions")
 
     monkeypatch.setattr(application, "deep_point", fail)
-    monkeypatch.setattr(application, "_boundary_points", fail)
+    monkeypatch.setattr(application, "_exits", fail)
     with pytest.raises(DimensionMismatch):
         bound_max_distance(region, bi, c, 0.42)
 
@@ -131,7 +131,7 @@ def test_non_finite_center_raised_before_sampling(monkeypatch, c):
         raise AssertionError("sampled before checking the outer center")
 
     monkeypatch.setattr(application, "deep_point", fail)
-    monkeypatch.setattr(application, "_boundary_points", fail)
+    monkeypatch.setattr(application, "_exits", fail)
     with pytest.raises(ValueError, match="finite"):
         bound_max_distance(unit_square_shifted(), inner_disk(), c, 0.42)
 
@@ -145,14 +145,14 @@ def test_appbound_solves_one_deep_point(monkeypatch):
     # towards the centre of the smallest circle enclosing the three centers
     import hullscope.application as application
 
-    boundary_points = application._boundary_points
+    exits = application._exits
     starts = []
 
-    def recording(region, x0, count, rng):
+    def recording(region, x0, d):
         starts.append(np.array(x0))
-        return boundary_points(region, x0, count, rng)
+        return exits(region, x0, d)
 
-    monkeypatch.setattr(application, "_boundary_points", recording)
+    monkeypatch.setattr(application, "_exits", recording)
     bi = three_balls()
     c1 = bi.constraint_set()
     assert c1.worst_residual(np.mean(bi.centers, axis=0)) > -0.68
@@ -172,25 +172,45 @@ def balls_and_halfspaces(n: int) -> ConstraintSet:
     return ConstraintSet(balls + [halfspace_constraint(a, 1.0) for a in normals])
 
 
+def unit_rays(count: int, n: int, seed: int) -> np.ndarray:
+    d = np.random.default_rng(seed).standard_normal((count, n))
+    return d / np.linalg.norm(d, axis=1, keepdims=True)
+
+
 @pytest.mark.parametrize("n", [2, 5])
-def test_boundary_points_are_ray_exits(n):
+def test_exits_are_where_the_rays_leave(n):
     region = balls_and_halfspaces(n)
     x0 = np.full(n, 0.05)
     assert region.worst_residual(x0) < -0.5
-    d = np.random.default_rng(3).standard_normal((300, n))
-    d /= np.linalg.norm(d, axis=1, keepdims=True)
-    points = _boundary_points(region, x0, 300, np.random.default_rng(3))
-    t = np.einsum("ij,ij->i", points - x0, d)
+    d = unit_rays(300, n, 3)
+    t = _exits(region, x0, d)
     assert (t > 0).all()
-    np.testing.assert_allclose(points, x0 + t[:, None] * d, rtol=0, atol=1e-12)
-    assert max(abs(region.worst_residual(x)) for x in points) <= 1e-12
+    assert max(abs(region.worst_residual(x)) for x in x0 + t[:, None] * d) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 5])
-def test_boundary_points_refuse_a_half_space(n):
+def test_half_space_is_refused_as_unbounded(n):
     half = ConstraintSet([halfspace_constraint(np.eye(n)[0], 1.0)])
+    d = unit_rays(50, n, 0)
+    t = _exits(half, np.zeros(n), d)
+    np.testing.assert_array_equal(np.isinf(t), d[:, 0] <= 1e-14)
+    np.testing.assert_allclose(t[d[:, 0] > 1e-14], 1.0 / d[d[:, 0] > 1e-14, 0], rtol=1e-15)
     with pytest.raises(UnboundedRegion, match=r"unbounded along direction \["):
-        _boundary_points(half, np.zeros(n), 50, np.random.default_rng(0))
+        bound_max_distance(half, BallIntersection([-np.eye(n)[0]], 1.0), np.full(n, 4.0), 0.42)
+
+
+@pytest.mark.parametrize("scale", [1e5, 1e9])
+@pytest.mark.parametrize("centers", [[[1.5, 0.5]], [[1.0, 0.0], [2.0, 0.0], [1.5, 0.8]]],
+                         ids=["disk", "three-balls"])
+def test_ball_shared_with_the_region_passes_both_checks_at_large_scale(centers, scale):
+    # every exit lies on a ball of both sets: there the residual
+    # |x - c|^2 - R^2 reads rounding of about ulp(R^2) (2e-6 at R = 1e5),
+    # and the distance to C1 rounding of about ulp(|x|) (2e-7 at 1e9)
+    bi = BallIntersection(scale * np.array(centers), scale)
+    for seed in range(5):
+        rep = bound_max_distance(bi.constraint_set(), bi, [5 * scale, 0.3 * scale], 0.0,
+                                 BisectionConfig(eps=1e-2 * scale), seed=seed)
+        assert rep.dist_x_hat == pytest.approx(rep.v_c, rel=1e-6)
 
 
 def test_deep_point_ascent_stops_when_the_dual_stops_rising():
