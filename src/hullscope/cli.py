@@ -183,7 +183,9 @@ def build_arg_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("feas", parents=[common], help="feasibility of a constraint intersection")
-    p.add_argument("--x0", type=str, default=None, help="start point, comma-separated coordinates")
+    p.add_argument("--x0", type=str, default=None,
+                   help="start point of the merit fallback, comma-separated coordinates "
+                        "(unused when the dual decides a ball and halfspace system)")
     p.set_defaults(func=cmd_feas)
 
     p = sub.add_parser("inclusion", parents=[common],

@@ -22,7 +22,9 @@ whose weight the caller fixes below zero. The module uses three cases:
   bound with the ball weights on the simplex, where it is a concave quadratic
   whose gradient is the row values at the primal point. Over balls alone the
   best bound is ``min_x max_i g_i(x)``, so the primal point of the optimal
-  weights is the deepest point of ``C``.
+  weights is the deepest point of ``C``. A primal point on the way that
+  lies in ``C`` proves ``C`` nonempty instead, so ``certify_empty`` stops
+  the ascent at the first one.
 - The anchor ``|x - c|^2`` at weight ``-1`` (the S-lemma): with weights
   ``lambda`` on the balls ``g_k`` the bound is at most ``-|x - c|^2`` on
   ``C``. With ``s``, ``S`` and ``v`` taken over the balls alone, its negative
@@ -78,6 +80,7 @@ checked in integers.
 from __future__ import annotations
 
 import math
+from operator import lshift, mul, sub
 from typing import NamedTuple
 
 import numpy as np
@@ -121,18 +124,27 @@ class DualSums(NamedTuple):
     b: int
 
 
-def _ratios(values) -> list[tuple[int, int]]:
-    return [v.as_integer_ratio() for v in values]
+def _dyadic(values) -> tuple[np.ndarray, np.ndarray]:
+    """Each float of ``values`` as ``mant * 2**exp``, in two int64 arrays.
+
+    ``frexp``'s fraction has at most 53 bits, so times ``2**53`` it is an
+    exact integer. A value that is not finite raises ``ValueError``.
+    """
+    frac, exp = np.frexp(np.asarray(values, dtype=np.float64))
+    if not np.isfinite(frac).all():
+        raise ValueError("only finite floats are dyadic rationals")
+    return (frac * 2.0 ** 53).astype(np.int64), exp - 53
 
 
-def _bits(ratios) -> int:
-    """The least ``k >= 0`` that makes every ratio times ``2**k`` an integer."""
-    return max((q.bit_length() for _, q in ratios), default=1) - 1
+def _bits(parts) -> int:
+    """A ``k >= 0`` that makes every value of ``_dyadic`` times ``2**k`` an integer."""
+    return max(0, -min(parts[1].tolist(), default=0))
 
 
-def _at(ratios, k: int) -> list[int]:
-    """Each ratio times ``2**k``; ``k`` is at least ``_bits(ratios)``."""
-    return [p << (k + 1 - q.bit_length()) for p, q in ratios]
+def _at(parts, k: int) -> list[int]:
+    """Each value of ``_dyadic`` times ``2**k``; ``k`` is at least ``_bits(parts)``."""
+    mant, exp = parts
+    return list(map(lshift, mant.tolist(), (exp + k).tolist()))
 
 
 def _dyadic_rows(constraints, origin) -> DyadicRows | None:
@@ -144,22 +156,24 @@ def _dyadic_rows(constraints, origin) -> DyadicRows | None:
     if not all(isinstance(g, (BallQuad, Affine)) for g in constraints):
         return None
     quadratic = [isinstance(g, BallQuad) for g in constraints]
-    coords = [_ratios((g.center if ball else g.a).tolist()) for g, ball in zip(constraints, quadratic)]
-    consts = _ratios([g.offset if ball else g.b for g, ball in zip(constraints, quadratic)])
-    z = _ratios([float(u) for u in origin])
+    n = len(origin)
+    points = _dyadic(np.concatenate([origin] + [g.center if ball else g.a
+                                                for g, ball in zip(constraints, quadratic)]))
+    consts = _dyadic([g.offset if ball else g.b for g, ball in zip(constraints, quadratic)])
     # one bit beyond the coordinates keeps a_j / 2 integral, and 2 b covers
     # the offsets and shifts, which sit on the squared scale
-    b = max(_bits(z + [r for row in coords for r in row]) + 1, (_bits(consts) + 1) // 2)
-    Z = _at(z, b)
+    b = max(_bits(points) + 1, (_bits(consts) + 1) // 2)
+    flat = _at(points, b)
+    Z = flat[:n]
     linear, values = [], []
-    for ball, row, const in zip(quadratic, coords, _at(consts, 2 * b)):
-        row = _at(row, b)
+    for r, (ball, const) in enumerate(zip(quadratic, _at(consts, 2 * b)), 1):
+        row = flat[r * n:(r + 1) * n]
         if ball:
-            u = [p - w for p, w in zip(row, Z)]
-            values.append(sum(p * p for p in u) + const)
+            u = list(map(sub, row, Z))
+            values.append(sum(map(mul, u, u)) + const)
         else:
             u = [-(p >> 1) for p in row]
-            values.append(sum(p * w for p, w in zip(row, Z)) + const)
+            values.append(sum(map(mul, row, Z)) + const)
         linear.append(u)
     return DyadicRows(quadratic, linear, values, b)
 
@@ -172,9 +186,9 @@ def _dual_sums(rows: DyadicRows, weights) -> DualSums | None:
     weights = [float(w) for w in weights]
     if len(weights) != len(rows.values) or not all(math.isfinite(w) for w in weights):
         return None
-    ratios = _ratios(weights)
-    a = _bits(ratios)
-    W = _at(ratios, a)
+    parts = _dyadic(weights)
+    a = _bits(parts)
+    W = _at(parts, a)
     S = sum(w * q for w, q in zip(W, rows.values))
     v = [0] * len(rows.linear[0])
     for w, u in zip(W, rows.linear):
@@ -264,7 +278,7 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.fmax(v - theta, 0.0)
 
 
-def _dual_ascent(cs):
+def _dual_ascent(cs, *, stop_inside: bool = False):
     """Ascend the bound over the rows of the ``ConstraintSet`` ``cs``, with no anchor.
 
     ``cs`` holds one ball at least and no node of another kind. About the
@@ -277,21 +291,23 @@ def _dual_ascent(cs):
     of the dual gradient, so every step raises the dual value ``D`` until the
     weights are optimal, and it needs no SVD. Stops at the first ``D > 0``,
     at the first step that does not raise ``D`` or after
-    ``CERTIFICATE_STEPS`` steps; returns ``(theta, x, D, steps)`` with
-    ``theta`` the weights, balls first, and ``x`` the primal point, the
-    minimizer of the Lagrangian.
+    ``CERTIFICATE_STEPS`` steps; with ``stop_inside``, also at the first
+    primal point whose row values, read off the gradient, are all at most
+    zero in floats. Returns ``(theta, x, D, steps)`` with ``theta`` the
+    weights, balls first, and ``x`` the primal point, the minimizer of the
+    Lagrangian.
     """
-    m = len(cs.rows.centers)
-    rows = sorted(cs.constraints, key=lambda g: isinstance(g, Affine))
-    U = np.array([g.center if isinstance(g, BallQuad) else -0.5 * g.a for g in rows])
-    q = np.array([g.offset if isinstance(g, BallQuad) else g.b for g in rows])
+    centers, offsets, normals, shifts, _ = cs.rows
+    m = len(centers)
     # D does not change when the rows are translated together, but ||U||_F
     # does: centring the balls at their mean lets the step follow the spread
     # of the centres, not their distance from 0
-    z = U[:m].mean(axis=0)
-    U[:m] -= z
-    q[:m] += (U[:m] * U[:m]).sum(axis=1)
-    q[m:] -= 2.0 * (U[m:] @ z)
+    z = centers.mean(axis=0)
+    U = centers - z
+    q = offsets + (U * U).sum(axis=1)
+    if normals is not None:
+        U = np.vstack((U, -0.5 * normals))
+        q = np.append(q, shifts + normals @ z)
     theta = np.append(np.full(m, 1.0 / m), np.zeros(len(q) - m))
     fro2 = float((U * U).sum())
     # one centre and no normal leaves D linear: any step ascends
@@ -299,32 +315,57 @@ def _dual_ascent(cs):
     D_prev = -math.inf
     for step in range(CERTIFICATE_STEPS + 1):
         x = theta @ U
-        D = float(theta @ q - x @ x)
+        xx = float(x @ x)
+        D = float(theta @ q) - xx
         if D > 0.0 or D <= D_prev or step == CERTIFICATE_STEPS:
             break
-        D_prev = D
         # the gradient is the row values at x, less |x|^2 on the balls
-        theta = theta + t * (q - 2.0 * (U @ x))
+        grad = q - 2.0 * (U @ x)
+        if stop_inside:
+            values = grad.tolist()
+            if max(values[:m]) + xx <= 0.0 and max(values[m:], default=0.0) <= 0.0:
+                break
+        D_prev = D
+        theta = theta + t * grad
         theta = np.append(_project_simplex(theta[:m]), np.fmax(theta[m:], 0.0))
     return theta, x + z, D, step
 
 
-def certify_empty(cs) -> tuple[tuple[float, ...], float, int] | None:
-    """Multipliers that prove the ``ConstraintSet`` ``cs`` empty, checked exactly, or None.
+class DualDecision(NamedTuple):
+    """A certificate ascent that settled whether ``C`` is empty, and how.
 
-    Returns the ascent's weights in constraint order, its dual value and its
-    step count. None when the ascent finds no proof, or when ``cs`` has no
-    ball or a node that is neither a ball nor a halfspace.
+    ``weights`` are the ascent's weights in constraint order, ``bound`` its
+    dual value ``D`` in floats, ``steps`` its step count and ``x`` its primal
+    point. With ``empty`` the weights prove ``C`` empty; without it ``x``
+    lies in ``C``. Both are checked exactly.
+    """
+
+    weights: tuple[float, ...]
+    bound: float
+    steps: int
+    x: np.ndarray
+    empty: bool
+
+
+def certify_empty(cs) -> DualDecision | None:
+    """One certificate ascent over the ``ConstraintSet`` ``cs``: a proof that it is empty, or a point of it.
+
+    The ascent stops at its first primal point inside ``C`` in floats, so on
+    a nonempty set it takes no step past the first point it can offer. None
+    when it settles neither, or when ``cs`` has no ball or a node that is
+    neither a ball nor a halfspace.
     """
     if cs.rows.others or cs.rows.centers is None:
         return None
-    theta, _, D, steps = _dual_ascent(cs)
+    theta, x, D, steps = _dual_ascent(cs, stop_inside=True)
     m = len(cs.rows.centers)
     balls, halfspaces = iter(theta[:m].tolist()), iter(theta[m:].tolist())
-    weights = [next(balls) if isinstance(g, BallQuad) else next(halfspaces) for g in cs.constraints]
-    if not (D > 0.0 and proves_empty(cs.constraints, weights)):
-        return None
-    return tuple(weights), D, steps
+    weights = tuple(next(balls) if isinstance(g, BallQuad) else next(halfspaces) for g in cs.constraints)
+    if D > 0.0 and proves_empty(cs.constraints, weights):
+        return DualDecision(weights, D, steps, x, True)
+    if _inside(cs.constraints, x):
+        return DualDecision(weights, D, steps, x, False)
+    return None
 
 
 def deep_point(cs) -> np.ndarray:
@@ -530,9 +571,9 @@ def witness_dual(cs, c: np.ndarray, r: float, gap: float) -> WitnessDual:
             theta[1] = max(t, 0.0)
     y = _primal(k, D, o, 0.0, theta)[1]
     w, t = theta[:-1].tolist(), float(theta[-1])
-    ratios = _ratios(w)
-    a = _bits(ratios)
-    inside = 0.0 <= min(w) and max(w) <= 1.0 and 0.0 <= t <= 1.0 and sum(_at(ratios, a)) >= 1 << a
+    parts = _dyadic(w)
+    a = _bits(parts)
+    inside = 0.0 <= min(w) and max(w) <= 1.0 and 0.0 <= t <= 1.0 and sum(_at(parts, a)) >= 1 << a
     bound = _bound(_dyadic_rows(_witness_rows(cs, c, r), c), w + [-t]) if inside else None
     g_lower = -math.inf if bound is None else _floor(*bound)
     return WitnessDual(c + y, g_lower, tuple(w) + (t,))

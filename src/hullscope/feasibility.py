@@ -12,19 +12,22 @@ exactly zero adds the zero vector, which lies in the subdifferential of
 ``max(g_k, 0)`` there. Grouping the constraints by kind changes only the
 order of the floating-point additions, not the function.
 
-The checker minimizes the merit function with a Polyak step targeting zero
-(fast certificate for the feasible case). When that ends above zero, even
-within ``tol`` of it, and every constraint is a ball or a halfspace, with at
-least one ball, it tries to prove the intersection empty with the Lagrange
-dual certificate of the ``dual`` module (its bound with no anchor row),
-checked in exact arithmetic; a proof outranks a point that
-misses every constraint by at most ``tol``. Only when none is found and the
-merit is above ``tol`` does it refine the minimum estimate to classify the
-instance.
+The checker decides from the Lagrange dual of the ``dual`` module first.
+When every constraint is a ball or a halfspace, with at least one ball, one
+certificate ascent (``dual.certify_empty``, the bound with no anchor row)
+either finds weights that prove the intersection empty, checked in exact
+arithmetic, or stops at its first primal point inside the set in floats and
+checks that point exactly. Either outcome decides the instance. Only when the
+ascent settles neither, or a constraint is of another kind, or none is a
+ball, does the checker fall back to the merit function: it minimizes it with
+a Polyak step targeting zero and, when that ends above ``tol``, refines the
+minimum estimate to classify the instance.
 
-Verdicts are three-valued. Feasible comes with a witness and a certified
-Infeasible with its multipliers. Without a certificate, an Infeasible verdict
-rests on a stalled subgradient run, which is evidence, not proof, so values
+Verdicts are three-valued. On the dual route both verdicts are proofs:
+Feasible comes with a witness exactly in the set, Infeasible with multipliers
+that ``InfeasibilityCertificate.verify`` accepts. On the merit route
+Feasible comes with a point whose merit is at most ``tol`` and Infeasible
+rests on a stalled subgradient run; both are evidence, not proof, so values
 landing in the gray band ``[tol, 10 tol]`` come back Undetermined.
 Tolerances are absolute; callers should pre-scale badly scaled problems.
 """
@@ -44,7 +47,7 @@ from .convexfn import Affine, BallQuad, ConvexFn
 from .dual import certify_empty, proves_empty
 from .errors import DimensionMismatch
 from .geometry import Vector
-from .minimize import MinimizeResult, PolyakWithTarget, SolverConfig, minimize, refine_minimum
+from .minimize import PolyakWithTarget, SolverConfig, minimize, refine_minimum
 
 log = logging.getLogger("hullscope.feasibility")
 
@@ -251,12 +254,14 @@ class InfeasibilityCertificate:
 class FeasibilityReport:
     """Verdict plus the evidence backing it.
 
-    ``witness`` is a feasible point when the verdict is Feasible, else None.
-    ``residuals`` are constraint values at the best iterate found and
-    ``g_tilde_min`` is the best (smallest) merit value observed, an upper
-    bound on the true minimum. ``certificate`` is the proof of an Infeasible
-    verdict when one was found and verified; an Infeasible verdict without
-    one rests on the refined merit value, which is evidence, not proof.
+    ``witness`` is a feasible point when the verdict is Feasible, else None;
+    when the dual decided (``iters == 0``) it lies in the set exactly.
+    ``residuals`` are the constraint values at the reported point: the
+    witness, the certificate's primal point, or the best merit iterate.
+    ``g_tilde_min`` is the merit at that point, an upper bound on the true
+    minimum. ``certificate`` is the proof of an Infeasible verdict when one
+    was found and verified; an Infeasible verdict without one rests on the
+    refined merit value, which is evidence, not proof.
     """
 
     verdict: FeasibilityVerdict
@@ -334,16 +339,19 @@ def default_start(cs: ConstraintSet) -> np.ndarray:
 def check_feasibility(cs: ConstraintSet, x0=None, cfg: SolverConfig | None = None) -> FeasibilityReport:
     """Certify the intersection of the sub-level sets nonempty or empty.
 
-    Runs a Polyak-step minimization of the merit function with target zero.
-    When it ends above zero, a verified dual certificate makes the instance
-    Infeasible at once, even if the merit came within ``tol`` of zero.
-    Otherwise a merit of at most ``tol`` makes it Feasible with the iterate
-    as witness. Failing both, the minimum estimate is refined (the merit is
-    bounded below by zero, so the refinement brackets are certified) and the
-    instance is classified Infeasible when the refined value clears
-    ``10 tol``, Undetermined in between or when the refinement could not
-    close its bracket. ``iters`` counts subgradient iterations only; the
-    dual ascent reports its steps in the certificate.
+    First, when ``dual.certify_empty`` applies (only balls and halfspaces, at
+    least one ball), its one ascent decides: weights that prove the set
+    empty, checked exactly, make it Infeasible with that certificate, and a
+    primal point exactly in the set makes it Feasible with that point as
+    witness. Otherwise a Polyak-step minimization of the merit function with
+    target zero runs from ``x0`` (``default_start`` when None); a merit of at
+    most ``tol`` makes the instance Feasible with the iterate as witness.
+    Failing that, the minimum estimate is refined (the merit is bounded below
+    by zero, so the refinement brackets are certified) and the instance is
+    classified Infeasible when the refined value clears ``10 tol``,
+    Undetermined in between or when the refinement could not close its
+    bracket. ``iters`` counts subgradient iterations only, so it is 0 when
+    the dual decided; the ascent reports its steps in the certificate.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -352,38 +360,35 @@ def check_feasibility(cs: ConstraintSet, x0=None, cfg: SolverConfig | None = Non
         raise DimensionMismatch(f"x0 has shape {start.shape}, constraints have dimension {cs.dimension}")
 
     g_tilde = build_g_tilde(cs)
-    first = minimize(g_tilde, start, replace(cfg, step_rule=PolyakWithTarget(0.0)))
-    best: MinimizeResult = first
-    iters = first.iters
-    refined_ok = True
+    decided = certify_empty(cs)
     certificate = None
-
-    if first.f_best > 0.0:
-        # a merit within tol of zero need not be feasible: a proof outranks it
-        found = certify_empty(cs)
-        if found is not None:
-            certificate = InfeasibilityCertificate(*found)
-        elif first.f_best > cfg.tol:
-            ref = refine_minimum(g_tilde, first.x_best, lower_bound=0.0, value_gap=cfg.tol,
-                                 max_iters=cfg.max_iters - first.iters)
+    if decided is not None:
+        x, iters = decided.x, 0
+        f = float(g_tilde.eval(x)[0])
+        if decided.empty:
+            verdict = FeasibilityVerdict.INFEASIBLE
+            certificate = InfeasibilityCertificate(decided.weights, decided.bound, decided.steps)
+        else:
+            verdict = FeasibilityVerdict.FEASIBLE
+    else:
+        best = minimize(g_tilde, start, replace(cfg, step_rule=PolyakWithTarget(0.0)))
+        iters = best.iters
+        refined_ok = True
+        if best.f_best > cfg.tol:
+            ref = refine_minimum(g_tilde, best.x_best, lower_bound=0.0, value_gap=cfg.tol,
+                                 max_iters=cfg.max_iters - best.iters)
             iters += ref.iters
             refined_ok = ref.converged
             if ref.f_best < best.f_best:
                 best = ref
+        x, f = best.x_best, float(best.f_best)
+        if f > 10.0 * cfg.tol and refined_ok:
+            verdict = FeasibilityVerdict.INFEASIBLE
+        elif f <= cfg.tol:
+            verdict = FeasibilityVerdict.FEASIBLE
+        else:
+            verdict = FeasibilityVerdict.UNDETERMINED
 
-    x_best = best.x_best
-    f_best = best.f_best
-    residuals = cs.residuals(x_best).tolist()
-
-    if certificate is not None or (f_best > 10.0 * cfg.tol and refined_ok):
-        verdict = FeasibilityVerdict.INFEASIBLE
-        witness = None
-    elif f_best <= cfg.tol:
-        verdict = FeasibilityVerdict.FEASIBLE
-        witness = x_best
-    else:
-        verdict = FeasibilityVerdict.UNDETERMINED
-        witness = None
-
-    return FeasibilityReport(verdict=verdict, witness=witness, residuals=residuals,
-                             g_tilde_min=float(f_best), iters=iters, certificate=certificate)
+    witness = x if verdict is FeasibilityVerdict.FEASIBLE else None
+    return FeasibilityReport(verdict=verdict, witness=witness, residuals=cs.residuals(x).tolist(),
+                             g_tilde_min=f, iters=iters, certificate=certificate)

@@ -163,9 +163,10 @@ def refine_minimum(
     least one, so it also bounds the number of probes. Returns a result
     whose ``converged`` flag means the bracket closed to ``value_gap``;
     ``f_best`` is always an upper bound on the true minimum. Its two callers
-    are ``check_feasibility``, when no dual certificate proves the set
-    empty, and the inclusion check, which starts it from the witness dual's
-    point and bound and so runs no probe when the dual has closed the gap.
+    are ``check_feasibility``, on its merit fallback when the dual ascent
+    has neither proved the set empty nor found a point of it, and the
+    inclusion check, which starts it from the witness dual's point and bound
+    and so runs no probe when the dual has closed the gap.
     """
     if not (math.isfinite(value_gap) and value_gap > 0):
         raise ValueError("value_gap must be a finite positive number")

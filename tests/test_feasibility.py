@@ -316,10 +316,84 @@ def test_merit_zero_on_oracle_feasible_points():
         assert value(gt, oracle.witness) <= 1e-12
 
 
-def test_report_iters_positive():
+def exactly_inside(cs, x) -> bool:
+    """Every constraint of ``cs`` holds at ``x``, in ``Fraction`` arithmetic."""
+    return max(_fraction_sums(cs, [0.0] * len(cs.constraints), x)[3]) <= 0
+
+
+def test_dual_decides_a_single_ball_with_no_iteration():
     cs = ConstraintSet([ball_constraint(Ball([0, 0], 1.0))])
     rep = check_feasibility(cs)
+    assert rep.verdict is FeasibilityVerdict.FEASIBLE
+    assert rep.iters == 0
+    assert exactly_inside(cs, rep.witness)
+
+
+def test_report_iters_positive():
+    # a Max node is not a ball row, so the merit route decides and counts
+    # its subgradient iterations
+    cs = ConstraintSet([Max([ball_constraint(Ball([0, 0], 1.0))])])
+    rep = check_feasibility(cs)
+    assert rep.verdict is FeasibilityVerdict.FEASIBLE
     assert rep.iters >= 1
+
+
+def dual_route_systems():
+    """Random disk systems, and mixed ball and halfspace systems in both row orders."""
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        yield disks_to_constraints(random_disk_instance(rng, 2 + int(rng.integers(0, 2))))
+    # the ascent passes points where a ball row lies between 0 and |x - z|^2,
+    # so a stop that left out the |x - z|^2 of the ball rows would end there
+    for disks in ([([-0.1, -0.29], 0.92), ([0.35, -1.51], 1.43), ([0.74, 1.3], 1.4)],
+                  [([0.11, 1.41], 0.68), ([-0.1, 0.33], 1.27), ([1.76, 0.2], 1.42)]):
+        yield disks_to_constraints([Ball(c, r) for c, r in disks])
+    rng = np.random.default_rng(61)
+    for n, mb, mh in ((2, 3, 2), (5, 3, 2), (20, 15, 14), (50, 16, 16)):
+        for feasible in (True, False):
+            constraints, _ = mixed_instance(rng, n, mb, mh, feasible)
+            yield ConstraintSet(constraints)
+            yield ConstraintSet(constraints[::-1])
+
+
+def test_dual_route_verdicts_are_proofs():
+    # every ball and halfspace system here is decided by the ascent alone:
+    # a witness exactly in C, or a certificate that verifies
+    verdicts = []
+    for cs in dual_route_systems():
+        rep = check_feasibility(cs)
+        assert rep.iters == 0
+        if rep.verdict is FeasibilityVerdict.FEASIBLE:
+            assert rep.certificate is None
+            assert exactly_inside(cs, rep.witness)
+        else:
+            assert rep.verdict is FeasibilityVerdict.INFEASIBLE and rep.witness is None
+            assert rep.certificate.verify(cs)
+        verdicts.append(rep.verdict)
+    assert 10 <= verdicts.count(FeasibilityVerdict.FEASIBLE) <= len(verdicts) - 10
+
+
+def test_ascent_point_outside_is_no_witness(monkeypatch):
+    # the unit disk and x1 >= 0.5: with no ascent step the primal point is the
+    # disk's centre, which the halfspace cuts off, so the merit route decides
+    cs = ConstraintSet([ball_constraint(Ball([0, 0], 1.0)), halfspace_constraint([-1.0, 0.0], -0.5)])
+    rep = check_feasibility(cs)
+    assert rep.verdict is FeasibilityVerdict.FEASIBLE and rep.iters == 0
+    assert exactly_inside(cs, rep.witness)
+    monkeypatch.setattr("hullscope.dual.CERTIFICATE_STEPS", 0)
+    rep = check_feasibility(cs)
+    assert rep.verdict is FeasibilityVerdict.FEASIBLE and rep.iters > 0
+    assert max(rep.residuals) <= 1e-8
+
+
+def test_dual_route_agrees_with_forced_fallback(monkeypatch):
+    systems = list(dual_route_systems())
+    decided = [check_feasibility(cs) for cs in systems]
+    monkeypatch.setattr("hullscope.feasibility.certify_empty", lambda cs: None)
+    for cs, rep in zip(systems, decided):
+        forced = check_feasibility(cs)
+        assert forced.iters > 0 and forced.certificate is None
+        assert forced.verdict is rep.verdict
 
 
 # (n, balls, halfspaces) for the closed-form merit against the literal tree
