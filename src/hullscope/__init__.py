@@ -23,7 +23,7 @@ from .feasibility import (ConstraintSet, FeasibilityReport, FeasibilityVerdict,
 from .geometry import Ball, Vector, as_vector
 from .inclusion import (BallIntersection, InclusionReport, InclusionVerdict,
                         OuterBall, build_G, check_inclusion, dykstra_project_full)
-from .minimize import MinimizeResult, PolyakWithTarget, SolverConfig, minimize, refine_minimum
+from .minimize import MinimizeResult, SolverConfig, minimize, refine_minimum
 from .problemfile import ProblemFile, ProblemFileError, load_problem
 
 __version__ = "0.1.0"
@@ -34,8 +34,8 @@ __all__ = [
     "EmptyIntersection", "FarthestReport", "FeasibilityReport",
     "FeasibilityVerdict", "HullscopeError", "HypothesisViolation",
     "InclusionReport", "InclusionVerdict", "InfeasibilityCertificate", "InnerUndetermined", "Max",
-    "MinimizeResult", "NonFiniteValue", "OuterBall", "PolyakWithTarget",
-    "PositivePart", "PreconditionFailed", "ProblemFile", "ProblemFileError",
+    "MinimizeResult", "NonFiniteValue", "OuterBall", "PositivePart",
+    "PreconditionFailed", "ProblemFile", "ProblemFileError",
     "ProjectionResult", "SolverConfig", "Sum", "UnboundedRegion", "Vector",
     "as_vector", "ball_constraint", "bound_max_distance", "build_G",
     "build_g_tilde", "check_feasibility", "check_inclusion", "default_start",

@@ -373,24 +373,6 @@ def deep_point(cs) -> np.ndarray:
     return _dual_ascent(cs)[1]
 
 
-def _solve_spd(H: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``H^-1 g`` for a symmetric positive definite ``H``: elimination needs no pivots.
-
-    Elementwise numpy only, as the Newton steps build ``H``:
-    ``np.linalg.solve`` and a matrix product map LAPACK and BLAS kernels in
-    on first use, which raised the peak RSS of a ``farthest`` run by about
-    0.6 MB.
-    """
-    k = len(g)
-    A = np.column_stack((H, g))
-    for i in range(k - 1):
-        A[i + 1:] -= (A[i + 1:, i] / A[i, i])[:, None] * A[i]
-    p = np.zeros(k)
-    for i in range(k - 1, -1, -1):
-        p[i] = (A[i, k] - A[i, i + 1:k] @ p[i + 1:]) / A[i, i]
-    return p
-
-
 def _to_boundary(values: list[float], steps: list[float]) -> float:
     """The largest ``a <= 1`` that keeps each ``value + a * step`` above 0.5% of ``value``."""
     a = 1.0
@@ -450,12 +432,12 @@ def _newton(k: np.ndarray, D: np.ndarray, o: np.ndarray, sigma: float,
             break
         _, theta, z, slack, u, E, F = cur
         target = float(z @ slack) / (20.0 * p)
-        Z = A * (z / slack)[:, None]
-        H = (2.0 / u) * (E[:, None, :] * E[None, :, :]).sum(axis=2) + (Z[:, :, None] * A[:, None, :]).sum(axis=0)
-        # two equal centres leave E E^T flat along their difference: a
-        # relative ridge keeps that pivot above the rounding of the other terms
+        H = (2.0 / u) * (E @ E.T) + A.T @ (A * (z / slack)[:, None])
+        # two equal centres leave E E^T flat along their difference, where the
+        # barrier terms can round away against a large one on sum w >= 1 and
+        # leave H singular in floats: a relative ridge keeps it definite
         H.flat[::len(H) + 1] *= 1.0 + 1e-14
-        step = _solve_spd(H, F + (target / slack) @ A)
+        step = np.linalg.solve(H, F + (target / slack) @ A)
         ds = A @ step
         dz = (target - z * ds) / slack - z
         theta = theta + _to_boundary(slack.tolist(), ds.tolist()) * step

@@ -37,7 +37,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -47,7 +47,7 @@ from .convexfn import Affine, BallQuad, ConvexFn
 from .dual import certify_empty, proves_empty
 from .errors import DimensionMismatch
 from .geometry import Vector
-from .minimize import PolyakWithTarget, SolverConfig, minimize, refine_minimum
+from .minimize import SolverConfig, minimize, refine_minimum
 
 log = logging.getLogger("hullscope.feasibility")
 
@@ -371,7 +371,7 @@ def check_feasibility(cs: ConstraintSet, x0=None, cfg: SolverConfig | None = Non
         else:
             verdict = FeasibilityVerdict.FEASIBLE
     else:
-        best = minimize(g_tilde, start, replace(cfg, step_rule=PolyakWithTarget(0.0)))
+        best = minimize(g_tilde, start, cfg)
         iters = best.iters
         refined_ok = True
         if best.f_best > cfg.tol:

@@ -1,10 +1,11 @@
 """Unconstrained subgradient minimization with best-iterate tracking.
 
-One step rule: ``PolyakWithTarget(t)`` steps ``(f(x_k) - t) / ||g_k||^2``
-along ``-g_k``, stopping once ``f(x_k) <= t + tol``. It is fast when the
-target value is attainable (e.g. 0 for a feasible merit function); an
-unattainable target is detected by stalling above it. Every run has the same
-stall window: ``STALL_ITERS`` iterations without a ``tol`` improvement.
+One step rule: the Polyak step toward ``minimize``'s ``target`` ``t`` (0 by
+default) steps ``(f(x_k) - t) / ||g_k||^2`` along ``-g_k``, stopping once
+``f(x_k) <= t + tol``. It is fast when the target value is attainable (e.g.
+0 for a feasible merit function); an unattainable target is detected by
+stalling above it. Every run has the same stall window: ``STALL_ITERS``
+iterations without a ``tol`` improvement.
 
 Subgradient methods are not descent methods, so the best iterate seen so far
 is tracked and returned. A run is deterministic: identical inputs give
@@ -16,8 +17,8 @@ on the minimum (the merit function is at least 0, ``G`` at least its exact
 dual bound, itself at least ``-R^2``), so the lower end of the bracket
 starts at that bound. It rises to each
 target a probe fails to reach, a heuristic: a stalled probe does not prove
-its target unattainable. Each probe is a plain ``PolyakWithTarget`` run, so
-the rule above is the only step rule in the library.
+its target unattainable. Each probe is a plain ``minimize`` run toward its
+target, so the rule above is the only step rule in the library.
 """
 
 from __future__ import annotations
@@ -36,39 +37,25 @@ STALL_ITERS = 400
 
 
 @dataclass(frozen=True)
-class PolyakWithTarget:
-    """Polyak step rule for a known (or hoped-for) target value."""
-
-    target: float = 0.0
-
-    def __post_init__(self):
-        if not math.isfinite(float(self.target)):
-            raise ValueError("target must be finite")
-
-
-@dataclass(frozen=True)
 class SolverConfig:
-    """Iteration budget, tolerance and step rule; the stall window is ``STALL_ITERS``."""
+    """Iteration budget and tolerance; the stall window is ``STALL_ITERS``."""
 
     max_iters: int = 50_000
     tol: float = 1e-8
-    step_rule: PolyakWithTarget = PolyakWithTarget(0.0)
 
     def __post_init__(self):
         if operator.index(self.max_iters) < 1:
             raise ValueError("max_iters must be >= 1")
         if not (math.isfinite(float(self.tol)) and self.tol > 0):
             raise ValueError("tol must be a finite positive number")
-        if not isinstance(self.step_rule, PolyakWithTarget):
-            raise TypeError(f"unknown step rule {self.step_rule!r}")
 
 
 @dataclass
 class MinimizeResult:
     """Best iterate, its value, and run counters.
 
-    ``converged`` is True when the step-rule stop test fired, a zero
-    subgradient certified global optimality, or the best value stopped
+    ``converged`` is True when the run reached its target within ``tol``, a
+    zero subgradient certified global optimality, or the best value stopped
     improving by ``tol`` over ``STALL_ITERS`` iterations.
     """
 
@@ -78,8 +65,9 @@ class MinimizeResult:
     converged: bool
 
 
-def minimize(fn: ConvexFn, x0, cfg: SolverConfig | None = None) -> MinimizeResult:
-    """Minimize a convex function by subgradient iteration.
+def minimize(fn: ConvexFn, x0, cfg: SolverConfig | None = None, *,
+             target: float = 0.0) -> MinimizeResult:
+    """Minimize a convex function by Polyak steps toward ``target``.
 
     Parameters
     ----------
@@ -88,13 +76,21 @@ def minimize(fn: ConvexFn, x0, cfg: SolverConfig | None = None) -> MinimizeResul
     x0 : array_like
         Start point, dimension must match ``fn.dim``.
     cfg : SolverConfig, optional
-        Budget, tolerance and step rule; defaults to ``SolverConfig()``.
+        Budget and tolerance; defaults to ``SolverConfig()``.
+    target : float
+        The value the Polyak steps aim at; the run stops once it is reached
+        within ``tol``. 0, the default, is the minimum of a feasible merit
+        function.
 
     Raises
     ------
+    ValueError
+        If ``target`` is not finite.
     NonFiniteValue
         If an evaluation returns NaN or infinity.
     """
+    if not math.isfinite(float(target)):
+        raise ValueError("target must be finite")
     if cfg is None:
         cfg = SolverConfig()
     x = np.array(x0, dtype=np.float64)
@@ -103,7 +99,6 @@ def minimize(fn: ConvexFn, x0, cfg: SolverConfig | None = None) -> MinimizeResul
     if not np.all(np.isfinite(x)):
         raise NonFiniteValue("start point has non-finite coordinates")
 
-    target = cfg.step_rule.target
     tol = cfg.tol
     fn_eval = fn.eval
 
@@ -184,8 +179,8 @@ def refine_minimum(
 
     while ub - lb > value_gap and total_iters < max_iters:
         t = 0.5 * (ub + lb)
-        cfg = SolverConfig(min(PROBE_ITERS, max_iters - total_iters), probe_tol, PolyakWithTarget(t))
-        r = minimize(fn, xb, cfg)
+        cfg = SolverConfig(min(PROBE_ITERS, max_iters - total_iters), probe_tol)
+        r = minimize(fn, xb, cfg, target=t)
         total_iters += r.iters
         if r.f_best < ub:
             ub, xb = r.f_best, r.x_best

@@ -21,8 +21,6 @@ from .feasibility import ConstraintSet
 from .geometry import Ball
 from .inclusion import BallIntersection, OuterBall
 
-SCHEMA_VERSION = 1
-
 
 class ProblemFileError(HullscopeError, ValueError):
     """The problem file does not parse or does not validate."""

@@ -85,6 +85,19 @@ def dual_sweep():
         yield f"instance {i}", bi, far_center(rng, bi, z0)
 
 
+def wide_dual_sweep():
+    """40 labelled ``(label, bi, c)`` at the wide workload's inclusion shapes.
+
+    Seed 78; ``(n, m)`` alternates between (10, 8) and (16, 6), so ``m > 1``
+    and both duals run their Newton solve.
+    """
+    rng = np.random.default_rng(78)
+    for i in range(40):
+        n, m = ((10, 8), (16, 6))[i % 2]
+        bi, z0 = random_ball_intersection(rng, m, n)
+        yield f"wide instance {i} (n = {n}, m = {m})", bi, far_center(rng, bi, z0)
+
+
 def _unit(rng: np.random.Generator, n: int) -> np.ndarray:
     u = rng.standard_normal(n)
     return u / np.linalg.norm(u)

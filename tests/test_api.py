@@ -15,7 +15,7 @@ PUBLIC = [
     "FeasibilityReport", "FeasibilityVerdict", "HullscopeError", "HypothesisViolation",
     "InclusionReport", "InclusionVerdict", "InfeasibilityCertificate", "InnerUndetermined", "Max",
     "MinimizeResult",
-    "NonFiniteValue", "OuterBall", "PolyakWithTarget", "PositivePart", "PreconditionFailed",
+    "NonFiniteValue", "OuterBall", "PositivePart", "PreconditionFailed",
     "ProblemFile", "ProblemFileError", "ProjectionResult", "SolverConfig", "Sum",
     "UnboundedRegion", "Vector", "as_vector", "ball_constraint", "bound_max_distance", "build_G",
     "build_g_tilde", "check_feasibility", "check_inclusion", "default_start",
@@ -27,7 +27,7 @@ TEST_MODULES = {"tests", "conftest", "oracles"}
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 49
+    assert len(PUBLIC) == 48
     assert sorted(hullscope.__all__) == PUBLIC
 
 
@@ -71,23 +71,30 @@ def test_package_modules_import_no_private_names():
 
 def test_package_has_no_unused_import_or_private_definition():
     # a simplification that leaves dead code behind fails here: an import the
-    # module never reads (unless ``__all__`` re-exports it), or a module-level
-    # private function or class that no module of the package references
+    # module never reads (unless ``__all__`` re-exports it), a module-level
+    # private function or class that no module of the package references, or
+    # a module-level assignment that no module reads and ``__all__`` does not
+    # export (dunder names aside)
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(Path(hullscope.__file__).parent.rglob("*.py"))}
-    referenced = set()
+    referenced, loaded = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
+                if isinstance(node.ctx, ast.Load):
+                    loaded.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
+                loaded.add(node.attr)
+    exports = {name: {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                      and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                      for elt in node.value.elts}
+               for name, tree in trees.items()}
+    exported = set().union(*exports.values())
     dead = []
     for name, tree in trees.items():
-        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        read |= {elt.value for node in tree.body if isinstance(node, ast.Assign)
-                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
-                 for elt in node.value.elts}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | exports[name]
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
@@ -99,6 +106,11 @@ def test_package_has_no_unused_import_or_private_definition():
         dead += [f"{name}: {node.name}" for node in tree.body
                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                  and node.name.startswith("_") and node.name not in referenced]
+        dead += [f"{name}: {target.id}" for node in tree.body
+                 if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                 if isinstance(target, ast.Name) and target.id not in loaded | exported
+                 and not (target.id.startswith("__") and target.id.endswith("__"))]
     assert dead == []
 
 

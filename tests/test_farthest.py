@@ -9,7 +9,7 @@ from hullscope import (BallIntersection, BisectionConfig, DimensionMismatch, Inc
                        check_inclusion, solve_farthest)
 from hullscope.dual import farthest_bracket
 
-from conftest import dual_sweep, far_center, random_ball_intersection
+from conftest import dual_sweep, far_center, random_ball_intersection, wide_dual_sweep
 from oracles import GridSpec, grid_max_distance
 
 
@@ -150,17 +150,22 @@ def test_dual_agrees_with_forced_bisection(monkeypatch):
         assert bisected.r_lo <= dual.r_hi and dual.r_lo <= bisected.r_hi, f"instance {i}"
 
 
-def test_dual_solves_close_on_a_random_sweep():
-    # both duals close every instance: the farthest bracket to rounding level
-    # and the inclusion checks on either side of r_star with no iteration,
-    # down to a relative 1e-8 outside the exact bracket; every verdict is the
-    # sign of the exact bracket on min G
-    for label, bi, c in dual_sweep():
+def assert_dual_solves_close(sweep):
+    """Both duals close every instance of ``sweep``.
+
+    The farthest bracket closes to rounding level, and the inclusion checks
+    on either side of ``r_star`` close with no iteration, down to a relative
+    1e-8 outside the exact bracket; every verdict is the sign of the exact
+    bracket on ``min G``.
+    """
+    for label, bi, c in sweep:
         rep = solve_farthest(bi, c)
         assert_exact_dual_bracket(bi, c, rep)
         assert rep.r_hi - rep.r_lo <= 1e-12 * rep.r_star, label
         radii = [factor * rep.r_star for factor in (0.8, 0.99, 1.01, 1.2)]
-        for r in (*radii, rep.r_lo * (1.0 - 1e-8), rep.r_hi * (1.0 + 1e-8)):
+        radii += [rep.r_lo * factor for factor in (0.97, 1.0 - 1e-8)]
+        radii += [rep.r_hi * factor for factor in (1.0 + 1e-8, 1.03)]
+        for r in radii:
             check = check_inclusion(bi, OuterBall(c, r))
             expected = (InclusionVerdict.NONEMPTY_DIFFERENCE if r < rep.r_star
                         else InclusionVerdict.INCLUDED)
@@ -169,6 +174,15 @@ def test_dual_solves_close_on_a_random_sweep():
                 assert check.g_lower > 0.0, f"{label}, r = {r!r}"
             else:
                 assert check.g_at_xstar <= 0.0, f"{label}, r = {r!r}"
+
+
+def test_dual_solves_close_on_a_random_sweep():
+    assert_dual_solves_close(dual_sweep())
+
+
+def test_dual_solves_close_at_the_wide_shapes():
+    # m > 1 at every instance, so each solve runs the Newton steps
+    assert_dual_solves_close(wide_dual_sweep())
 
 
 def _boundary_point(rng, bi, z0):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hullscope import (Affine, Ball, BallQuad, ConstraintSet, Max,
-                       NonFiniteValue, PolyakWithTarget, SolverConfig, ball_constraint,
+                       NonFiniteValue, SolverConfig, ball_constraint,
                        build_g_tilde, minimize, refine_minimum)
 
 from conftest import value
@@ -30,14 +30,14 @@ def scan_disjoint_disks_merit() -> float:
 
 
 def test_abs_value_polyak():
-    res = minimize(abs_value(), [5.0], SolverConfig(step_rule=PolyakWithTarget(0.0)))
+    res = minimize(abs_value(), [5.0], SolverConfig(), target=0.0)
     assert res.converged
     assert abs(res.x_best[0]) <= 1e-8
 
 
 def test_smooth_quadratic_polyak_high_accuracy():
     fn = BallQuad([1.0, 2.0], 0.0)
-    res = minimize(fn, [0.0, 0.0], SolverConfig(step_rule=PolyakWithTarget(0.0)))
+    res = minimize(fn, [0.0, 0.0], SolverConfig(), target=0.0)
     assert res.converged
     np.testing.assert_allclose(res.x_best, [1.0, 2.0], atol=1e-4)
 
@@ -70,7 +70,7 @@ def test_f_best_is_running_minimum():
 def test_polyak_never_overshoots_exact_target():
     # both functions have optimal value exactly 0
     for fn, x0 in ((abs_value(), [7.0]), (BallQuad([1.0, 2.0], 0.0), [-3.0, 0.5])):
-        res = minimize(fn, x0, SolverConfig(step_rule=PolyakWithTarget(0.0)))
+        res = minimize(fn, x0, SolverConfig(), target=0.0)
         assert res.f_best >= -1e-8
 
 
@@ -97,14 +97,14 @@ def test_stall_marks_converged():
     # unattainable target: the run stalls above it and reports converged
     fn = disjoint_disks_merit()
     res = minimize(fn, [0.0, 0.0],
-                   SolverConfig(step_rule=PolyakWithTarget(0.0), max_iters=30_000))
+                   SolverConfig(max_iters=30_000), target=0.0)
     assert res.converged
     assert res.f_best > 1.0
 
 
 def test_refine_minimum_reaches_known_value():
     fn = disjoint_disks_merit()
-    first = minimize(fn, [0.0, 0.0], SolverConfig(step_rule=PolyakWithTarget(0.0)))
+    first = minimize(fn, [0.0, 0.0], SolverConfig(), target=0.0)
     ref = refine_minimum(fn, first.x_best, lower_bound=0.0, value_gap=1e-8, max_iters=50_000)
     assert ref.converged
     oracle = scan_disjoint_disks_merit()
@@ -126,9 +126,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
-        PolyakWithTarget(float("inf"))
-    with pytest.raises(TypeError):
-        SolverConfig(step_rule=0.0)
+        minimize(abs_value(), [0.0], target=float("inf"))
     # a float budget is refused when the config is built, not later in range()
     for bad in (1e5, 2.5):
         with pytest.raises(TypeError):
