@@ -11,10 +11,11 @@ w_r q_r`` and ``v = sum w_r u_r`` its minimum over all ``x`` is, for ``s > 0``,
     min_x L = S - |v|^2 / s,  at  x = z + v / s.
 
 That is the one bound of this module. It is at most ``L(x)`` at every
-``x``, and where the rows of non-negative weight hold, their terms of ``L``
-are at most zero. So there the bound is at most the terms of the rows of
-negative weight. Such a row is an anchor: a ball row about a centre ``c``
-whose weight the caller fixes below zero. The module uses three cases:
+``x``, and at a point of ``C`` the terms of the rows of ``C``, under
+non-negative weights, are at most zero. So there the bound is at most the
+term of the one other row, if there is one: an anchor, a ball row about a
+centre ``c`` that is no row of ``C`` and whose weight the caller fixes. The
+module uses four cases:
 
 - No anchor (the theorem of alternatives): every weight is non-negative and a
   positive bound proves ``C`` empty; these weights are the infeasibility
@@ -33,6 +34,14 @@ whose weight the caller fixes below zero. The module uses three cases:
   with gradient ``g_k(x(lambda))`` and Hessian ``-2 W W^T / (s - 1)``, where
   the rows of ``W`` are ``x(lambda) - c_k``; ``_newton`` maximises it over
   ``lambda >= 0``, ``sum lambda >= 1``.
+- The anchor ``|x - c|^2`` at weight ``+1`` (the distance floor): with
+  weights ``lambda >= 0`` on the balls the bound is at most ``|x - c|^2`` on
+  ``C``, so at most ``d(c, C)^2``. It is the Lagrange dual of projecting
+  ``c`` onto ``C``, a convex problem, so its best weights attain ``d(c,
+  C)^2`` when ``C`` has an interior point. ``distance_margin`` proves the
+  distance precondition of the ``inclusion`` module with it: from equal
+  weights at their best scale, a closed form, and where those fall short
+  from the best weights, which ``_newton`` finds.
 - The anchor ``f = |x - c|^2 - r^2`` at weight ``-t``, ``0 <= t <= 1`` (the
   inclusion witness): the identities ``sum max(g_i, 0) + min(max_k g_k, 0) =
   max sum w_i g_i`` over ``w`` in ``[0, 1]^m`` with ``sum w >= 1``, and
@@ -60,14 +69,15 @@ lies in ``C``: the bracket is then as narrow as rounding allows. A wider one
 comes only from ``_newton`` stopping short, at ``DUAL_STEPS`` or at a step
 that would leave the interior in floats.
 
-Both Newton problems are one: weights ``theta`` on rows ``k_r |y|^2 - 2
+The three Newton problems are one: weights ``theta`` on rows ``k_r |y|^2 - 2
 d_r.y + q_r`` with ``k_r = +-1``, and an anchor ``|y|^2`` of fixed weight
 ``sigma``, maximise ``q.theta - |D^T theta|^2 / (k.theta + sigma)`` over a
 polytope ``A theta >= b``. The farthest dual has the ball rows and ``sigma =
--1``. The witness dual varies the weight ``t`` of its anchor, so it holds
-``-f`` as one more row, with ``k = -1``, ``d = 0`` and ``q = r^2``, and
-``sigma = 0``. ``_newton`` takes the rows, ``sigma`` and the polytope as data
-and runs primal-dual interior-point steps on them.
+-1``, the distance dual the same rows and ``sigma = +1``. The witness dual
+varies the weight ``t`` of its anchor, so it holds ``-f`` as one more row,
+with ``k = -1``, ``d = 0`` and ``q = r^2``, and ``sigma = 0``. ``_newton``
+takes the rows, ``sigma`` and the polytope as data and runs primal-dual
+interior-point steps on them.
 
 No verdict rests on rounded arithmetic. Every float is a dyadic rational,
 so ``_dyadic_rows`` writes the rows about ``z`` as integers over one power of
@@ -89,8 +99,8 @@ from .convexfn import Affine, BallQuad
 
 # steps of the dual ascent before the certificate attempt gives up
 CERTIFICATE_STEPS = 1_000
-# Newton steps of each solve of the farthest or the witness dual before the
-# bracket or the bound is read
+# Newton steps of each solve of the farthest, the distance or the witness
+# dual before the bracket or the bound is read
 DUAL_STEPS = 100
 
 
@@ -213,8 +223,11 @@ def _sqrt(num: int, den: int, *, up: bool) -> float:
     """``sqrt(num / den)`` rounded to a float in one direction, checked exactly; ``den > 0``.
 
     ``up`` gives the least float ``r >= 0`` with ``r^2 >= num / den``;
-    otherwise the greatest float with ``r^2 <= num / den``, for ``num >= 0``.
+    otherwise the greatest float with ``r^2 <= num / den``. For ``num <= 0``
+    both are 0.0: a negative ``num / den`` reads as 0.
     """
+    if num <= 0:
+        return 0.0
 
     def holds(r: float) -> bool:
         p, q = r.as_integer_ratio()
@@ -223,7 +236,7 @@ def _sqrt(num: int, den: int, *, up: bool) -> float:
 
     # move out until the bound holds, then back while it still does
     out, back = (math.inf, 0.0) if up else (0.0, math.inf)
-    r = math.sqrt(max(num, 0) / den)
+    r = math.sqrt(num / den)
     while not holds(r):
         r = math.nextafter(r, out)
     while r != back and holds(math.nextafter(r, back)):
@@ -463,23 +476,18 @@ def _member_near(constraints, x: np.ndarray, toward: np.ndarray) -> np.ndarray |
     return None
 
 
-def farthest_bracket(cs, c: np.ndarray, witness: np.ndarray, floor: float):
-    """``(r_lo, r_hi, witness, lambda)``: ``r_lo <= r_star <= r_hi`` over the balls of ``cs``.
+def _anchored(cs, c: np.ndarray, sigma: float):
+    """``(lambda, y, num, den)`` of the balls of ``cs`` and the anchor ``|x - c|^2`` at weight ``sigma``.
 
-    ``r_star`` is the farthest distance from ``c``; ``witness`` is a member of
-    C and ``floor`` a lower bound on ``r_star``. ``lambda`` maximises the
-    S-lemma bound ``-phi`` over ``lambda >= 0``, ``sum lambda >= 1`` by
-    ``_newton`` from uniform multipliers with ``sum lambda = 2``, to an
-    error of ``1e-14 max_k |c_k - c|^2``; one ball takes the optimum
-    ``lambda = 1 + |c_1 - c| / R`` instead, unless ``c = c_1``, where that
-    leaves ``s = 1`` and the start stays. ``phi(lambda)`` is minus the bound
-    over the balls and the anchor row ``|x - c|^2`` at weight ``-1``, and
-    ``r_hi`` the least float with ``r_hi^2 >= phi(lambda)``. ``r_lo`` reads
-    the anchor row about a member of C: the distance from ``c``, rounded
-    down, of ``x(lambda)`` when it lies exactly in C, or else of
-    ``x(lambda)`` pulled toward ``witness`` by the first of ``2^-60, 2^-59,
-    ..., 1`` that does; that point becomes the returned witness. When none
-    does, ``r_lo`` is ``floor`` and ``witness`` comes back as it was given.
+    ``sigma`` is -1 for the farthest dual and +1 for the distance dual.
+    ``lambda`` maximises the bound over ``lambda >= 0``, and ``sum lambda >=
+    1`` when ``sigma = -1``, by ``_newton`` from uniform multipliers with
+    ``sum lambda = 2``, to an error of ``1e-14 max_k |c_k - c|^2``. One ball
+    takes the optimum ``lambda = |c_1 - c| / R - sigma`` instead, unless it
+    leaves ``lambda`` or ``lambda + sigma`` at 0 or below (``c = c_1`` in the
+    farthest dual, ``c`` in the ball in the distance dual), where the start
+    stays. ``y`` is the primal point less ``c``, and ``num / den`` the bound,
+    exactly, from ``_bound`` about ``c``.
     """
     d = cs.rows.centers - c
     o = np.array(cs.rows.offsets)
@@ -487,21 +495,77 @@ def farthest_bracket(cs, c: np.ndarray, witness: np.ndarray, floor: float):
     k = np.ones(m)
     lam = np.full(m, 2.0 / m)
     if m > 1:
-        A, b = np.vstack((np.eye(m), k)), np.append(np.zeros(m), 1.0)
-        lam = _newton(k, d, o, -1.0, A, b, lam, 1e-14 * float((d * d).sum(axis=1).max()))
+        A, b = np.eye(m), np.zeros(m)
+        if sigma < 0.0:  # the farthest dual needs s > 1
+            A, b = np.vstack((A, k)), np.append(b, 1.0)
+        lam = _newton(k, d, o, sigma, A, b, lam, 1e-14 * float((d * d).sum(axis=1).max()))
     else:
-        s = 1.0 + math.sqrt(float(d[0] @ d[0]) / -o[0])
-        if DUAL_STEPS and s > 1.0:  # s = 1 only when c = c_1
+        s = math.sqrt(float(d[0] @ d[0]) / -o[0]) - sigma
+        if DUAL_STEPS and min(s, s + sigma) > 0.0:
             lam[0] = s
-    y = _primal(k, d, o, -1.0, lam)[1]
-    rows = cs.constraints + (BallQuad(c, 0.0),)
-    num, den = _bound(_dyadic_rows(rows, c), lam.tolist() + [-1.0])
+    return (lam, _primal(k, d, o, sigma, lam)[1]) + _about(cs, c, lam.tolist() + [sigma])
+
+
+def _about(cs, c: np.ndarray, weights: list[float]) -> tuple[int, int]:
+    """``(num, den)``: the bound of the balls of ``cs`` and the anchor ``|x - c|^2``, exactly, about ``c``.
+
+    ``weights`` holds one weight per ball, then the anchor's.
+    """
+    return _bound(_dyadic_rows(cs.constraints + (BallQuad(c, 0.0),), c), weights)
+
+
+def farthest_bracket(cs, c: np.ndarray, witness: np.ndarray, floor: float):
+    """``(r_lo, r_hi, witness, lambda)``: ``r_lo <= r_star <= r_hi`` over the balls of ``cs``.
+
+    ``r_star`` is the farthest distance from ``c``; ``witness`` is a member of
+    C and ``floor`` a lower bound on ``r_star``. ``lambda`` maximises the
+    S-lemma bound ``-phi`` (``_anchored`` at ``sigma = -1``); for one ball
+    centred at ``c`` it stays at 2. ``phi(lambda)`` is minus the bound over
+    the balls and the anchor row ``|x - c|^2`` at weight ``-1``, and ``r_hi``
+    the least float with ``r_hi^2 >= phi(lambda)``. ``r_lo`` reads the
+    anchor row about a member of C: the distance from ``c``, rounded down,
+    of ``x(lambda)`` when it lies exactly in C, or else of ``x(lambda)``
+    pulled toward ``witness`` by the first of ``2^-60, 2^-59, ..., 1`` that
+    does; that point becomes the returned witness. When none does, ``r_lo``
+    is ``floor`` and ``witness`` comes back as it was given.
+    """
+    lam, y, num, den = _anchored(cs, c, -1.0)
     r_hi = _sqrt(-num, den, up=True)
     member = _member_near(cs.constraints, c + y, witness)
     if member is None:
         return floor, r_hi, witness, lam
-    about = _dyadic_rows(rows, member)
-    return _sqrt(about.values[-1], 1 << (2 * about.b), up=False), r_hi, member, lam
+    about = _dyadic_rows((BallQuad(c, 0.0),), member)
+    return _sqrt(about.values[0], 1 << (2 * about.b), up=False), r_hi, member, lam
+
+
+def distance_margin(cs, c: np.ndarray, R: float, tol: float) -> float:
+    """A lower bound on ``d(c, C) - R`` over the balls of ``cs``, checked exactly and rounded down.
+
+    On ``C`` every ball row is at most zero, so for ``lambda >= 0`` the bound
+    over the balls and the anchor ``|x - c|^2`` at weight ``+1`` is at most
+    ``d(c, C)^2``; ``_sqrt`` rounds its square root down, to 0 when the bound
+    is not positive, and ``R`` comes off rounding down. The first weights
+    tried are equal, ``lambda_i = t``, at the best scale in closed form: with
+    ``v = sum (c_i - c)`` and ``Q = sum g_i(c)``, ``1 + t m = (1 - Q m /
+    |v|^2)^(-1/2)``, and ``t = 0`` where that degenerates in floats. That is
+    exact for one ball and proves a centre well outside ``C`` in one
+    reading. Only a margin at most ``tol`` reads the bound again at the
+    weights of ``_anchored``, the dual of projecting ``c`` onto ``C``, whose
+    optimum is ``d(c, C)^2`` when ``C`` has an interior point.
+    """
+
+    def margin(num: int, den: int) -> float:
+        p, q = _sqrt(num, den, up=False).as_integer_ratio()
+        a, b = float(R).as_integer_ratio()
+        return _floor(p * b - a * q, q * b)
+
+    d = cs.rows.centers - c
+    m, v = len(d), d.sum(axis=0)
+    Q, vv = float(((d * d).sum(axis=1) + cs.rows.offsets).sum()), float(v @ v)
+    ratio = 1.0 - Q * m / vv if vv > 0.0 else 1.0
+    t = (ratio ** -0.5 - 1.0) / m if 0.0 < ratio < 1.0 else 0.0
+    first = margin(*_about(cs, c, [t] * m + [1.0]))
+    return first if first > tol else margin(*_anchored(cs, c, 1.0)[2:])
 
 
 class WitnessDual(NamedTuple):

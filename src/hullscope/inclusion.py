@@ -54,8 +54,11 @@ up:
 
 ``C1`` is a ``BallIntersection``, a ``ConstraintSet`` of the ``f_k``: the
 witness search, the residuals, the dual and the distance precondition read
-it as it is. The precondition is checked by Dykstra's projection onto
-``C1``, in floats.
+it as it is. The precondition rests on a proof too: ``dual.distance_margin``
+bounds ``d(c, C1)`` from below through the dual of projecting ``c`` onto
+``C1``, checked in exact arithmetic, and the gate passes only when that bound
+exceeds ``R`` by more than the tolerance. So a Nonempty verdict is a proof,
+and no projection runs on the inclusion path.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convexfn import BallQuad, ConvexFn
-from .dual import witness_dual, witness_value
+from .dual import distance_margin, witness_dual, witness_value
 from .errors import DimensionMismatch, EmptyIntersection, PreconditionFailed
 from .feasibility import ConstraintSet, FeasibilityVerdict, ProjectionResult, check_feasibility
 from .geometry import Ball
@@ -120,9 +123,14 @@ class InclusionReport:
     g_at_xstar`` (module docstring): Included when ``g_lower > 0``, Nonempty
     difference when ``g_at_xstar <= 0``. ``residuals_fk`` and
     ``dist_xstar_to_c`` describe ``x_star`` and decide nothing.
-    ``precondition_margin`` is ``d(c, C1) - R``; ``inclusion_checker``
-    raises ``PreconditionFailed`` unless it is above the solver's ``tol``, so
-    it is above ``tol`` on every report.
+    ``precondition_margin`` is a proven lower bound on ``d(c, C1) - R``,
+    rounded down (``dual.distance_margin``): for one ball the margin itself
+    to rounding; for more, the bound at equal multipliers when that is above
+    ``tol``, which can sit well below the margin, and otherwise the bound at
+    the Newton solve's multipliers, which the margin exceeds only as far as
+    the solve stopped short of its optimum.
+    ``inclusion_checker`` raises ``PreconditionFailed`` unless it is above
+    the solver's ``tol``, so it is above ``tol`` on every report.
     ``g_at_xstar`` is ``G(x_star)`` evaluated exactly and rounded up, so it
     is a proven upper bound on ``min G``, while the refinement's float value
     of ``G`` decides when it stops.
@@ -146,9 +154,9 @@ class InclusionReport:
 def dykstra_project_full(cs: ConstraintSet, y) -> ProjectionResult:
     """Project ``y`` onto the intersection of ``cs``, with diagnostics.
 
-    The distance precondition projects through this name, so a tracer that
-    wraps it (as ``bench/tracing.py`` does) counts those projections apart
-    from the covering check's, which call ``ConstraintSet.project``.
+    No code of the package calls it any more: the distance precondition
+    reads ``dual.distance_margin``. It stays only because
+    ``bench/tracing.py`` wraps it by name.
     """
     return cs.project(y)
 
@@ -240,10 +248,10 @@ def _inclusion_at(bi: BallIntersection, ob: OuterBall, cfg: SolverConfig,
 def inclusion_checker(bi: BallIntersection, c, cfg: SolverConfig):
     """Certify the preconditions for center ``c`` once; return a witness and a checker.
 
-    Finds a point of ``C1`` with ``check_feasibility`` and verifies the
-    distance precondition ``d(c, C1) > R`` by Dykstra projection. Returns
-    ``(witness, check)``: ``check(r)`` runs the inclusion test against
-    ``B(c, r)``.
+    Finds a point of ``C1`` with ``check_feasibility`` and proves the
+    distance precondition ``d(c, C1) > R + tol`` with
+    ``dual.distance_margin``, an exact lower bound. Returns ``(witness,
+    check)``: ``check(r)`` runs the inclusion test against ``B(c, r)``.
 
     Raises
     ------
@@ -252,8 +260,8 @@ def inclusion_checker(bi: BallIntersection, c, cfg: SolverConfig):
     EmptyIntersection
         If the intersection cannot be certified nonempty.
     PreconditionFailed
-        If ``d(c, C1) - R`` is not above the configured tolerance; no sound
-        verdict exists in that regime.
+        If ``d(c, C1) - R`` is not proven above the configured tolerance;
+        no sound verdict exists in that regime.
     """
     c = np.asarray(c, dtype=np.float64)
     if c.shape != (bi.dimension,):
@@ -265,8 +273,7 @@ def inclusion_checker(bi: BallIntersection, c, cfg: SolverConfig):
         raise EmptyIntersection(
             f"ball intersection not certified nonempty (verdict {report.verdict.value}, "
             f"merit minimum {report.g_tilde_min:.3e})")
-    proj = dykstra_project_full(bi, c)
-    margin = float(np.linalg.norm(c - proj.point)) - bi.radius
+    margin = distance_margin(bi, c, bi.radius, cfg.tol)
     if not margin > cfg.tol:
         raise PreconditionFailed(
             f"outer center too close to the intersection: d(c, C1) - R = {margin:.6e}")
@@ -281,8 +288,8 @@ def check_inclusion(bi: BallIntersection, ob: OuterBall,
                     cfg: SolverConfig | None = None) -> InclusionReport:
     """Decide whether the ball intersection minus the open outer ball is empty.
 
-    Pipeline: certify the intersection nonempty, verify the distance
-    precondition ``d(c, C1) > R`` via Dykstra projection, minimize ``G``
+    Pipeline: certify the intersection nonempty, prove the distance
+    precondition ``d(c, C1) > R`` by an exact dual bound, minimize ``G``
     through its dual (module docstring), refine the minimum only while the
     dual bound leaves a gap, and read the verdict from the sign of the exact
     bracket on ``min G``. ``cfg.max_iters`` caps the subgradient iterations
@@ -296,8 +303,8 @@ def check_inclusion(bi: BallIntersection, ob: OuterBall,
     EmptyIntersection
         If the intersection cannot be certified nonempty.
     PreconditionFailed
-        If ``d(c, C1) - R`` is not above the configured tolerance; no sound
-        verdict exists in that regime.
+        If ``d(c, C1) - R`` is not proven above the configured tolerance;
+        no sound verdict exists in that regime.
     """
     if cfg is None:
         cfg = SolverConfig()

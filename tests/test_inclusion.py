@@ -1,12 +1,17 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hullscope
 from hullscope import (Ball, BallIntersection, BisectionConfig, ConstraintSet, DimensionMismatch,
                        EmptyIntersection, FeasibilityVerdict, InclusionVerdict, OuterBall,
                        PreconditionFailed, SolverConfig, ball_constraint, build_G, check_feasibility,
-                       check_inclusion, dykstra_project_full, solve_farthest)
+                       check_inclusion, dykstra_project_full, load_problem, solve_farthest)
 
 
 def project_onto_balls(balls, y):
@@ -14,6 +19,7 @@ def project_onto_balls(balls, y):
 
 from conftest import dual_sweep, far_center, random_ball_intersection, value
 from oracles import GridSpec, grid_max_distance
+from test_farthest import _boundary_point
 
 
 def literal_residuals(bi: BallIntersection, ob: OuterBall, x: np.ndarray) -> tuple[float, list[float]]:
@@ -330,6 +336,59 @@ def test_inclusion_precondition_failure():
     bi = BallIntersection([[0.0, 0.0]], 1.0)
     with pytest.raises(PreconditionFailed):
         check_inclusion(bi, OuterBall([1.5, 0.0], 1.0))
+
+
+def test_precondition_gate_at_a_known_margin():
+    # c sits R + delta beyond a boundary point p of C1 along the outward normal
+    # there, so delta is d(c, C1) - R exactly; the gate's margin is a proven
+    # lower bound, so it passes above tol and refuses below it
+    rng = np.random.default_rng(20)
+    tol = SolverConfig().tol
+    passing, refused = (1.0, 1e-2, 1e-4, 1e-6, 3e-8), (5e-9, -1e-3)
+    for n in (2, 3, 5):
+        for m in range(1, 8):
+            for _ in range(5):
+                bi, z0 = random_ball_intersection(rng, m, n)
+                p, nu = _boundary_point(rng, bi, z0)
+                for delta in passing + refused:
+                    ob = OuterBall(p + (bi.radius + delta) * nu, bi.radius + delta + 1.0)
+                    if delta in refused:
+                        with pytest.raises(PreconditionFailed):
+                            check_inclusion(bi, ob)
+                        continue
+                    margin = check_inclusion(bi, ob).precondition_margin
+                    assert tol < margin <= delta + 1e-12, (n, m, delta, margin)
+
+
+def test_inclusion_path_runs_no_projection(monkeypatch, problems_dir):
+    # the distance precondition rests on the dual bound, not on a projection
+    def refuse(self, y):
+        raise AssertionError("ConstraintSet.project called on the inclusion path")
+
+    monkeypatch.setattr(ConstraintSet, "project", refuse)
+    ran = 0
+    for path in sorted(problems_dir.glob("*.json")):
+        problem = load_problem(path)
+        if problem.ball_intersection is None or problem.outer is None:
+            continue
+        try:
+            check_inclusion(problem.ball_intersection, problem.outer)
+            solve_farthest(problem.ball_intersection, problem.outer.center)
+        except PreconditionFailed:
+            assert path.stem == "c-inside"
+        ran += 1
+    assert ran >= 4
+
+
+def test_sqrt_of_a_negative_numerator_rounds_to_zero():
+    # run apart with a timeout, since a hang would stall the suite: rounding
+    # down from a first guess of 0.0 must not search below it, where
+    # nextafter(0.0, 0.0) stays 0.0
+    code = "from hullscope.dual import _sqrt; print(_sqrt(-1, 1, up=False), _sqrt(-1, 1, up=True))"
+    env = {**os.environ, "PYTHONPATH": str(Path(hullscope.__file__).parent.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.split() == ["0.0", "0.0"]
 
 
 def test_inclusion_empty_intersection():
