@@ -41,7 +41,11 @@ module uses four cases:
   C)^2`` when ``C`` has an interior point. ``distance_margin`` proves the
   distance precondition of the ``inclusion`` module with it: from equal
   weights at their best scale, a closed form, and where those fall short
-  from the best weights, which ``_newton`` finds.
+  from the best weights, which ``_newton`` finds. ``distance_above`` reads
+  the other side: the primal point of the best weights, the projection of
+  ``c`` once they are optimal, pulled into ``C`` is a member whose distance
+  from ``c`` bounds ``d(c, C)`` above. The covering check of the
+  ``application`` module reads both.
 - The anchor ``f = |x - c|^2 - r^2`` at weight ``-t``, ``0 <= t <= 1`` (the
   inclusion witness): the identities ``sum max(g_i, 0) + min(max_k g_k, 0) =
   max sum w_i g_i`` over ``w`` in ``[0, 1]^m`` with ``sum w >= 1``, and
@@ -534,8 +538,13 @@ def farthest_bracket(cs, c: np.ndarray, witness: np.ndarray, floor: float):
     member = _member_near(cs.constraints, c + y, witness)
     if member is None:
         return floor, r_hi, witness, lam
-    about = _dyadic_rows((BallQuad(c, 0.0),), member)
-    return _sqrt(about.values[0], 1 << (2 * about.b), up=False), r_hi, member, lam
+    return _distance(c, member, up=False), r_hi, member, lam
+
+
+def _distance(c: np.ndarray, x: np.ndarray, *, up: bool) -> float:
+    """``|x - c|``, read off the anchor row ``|y - c|^2`` about ``x`` exactly, rounded up or down."""
+    about = _dyadic_rows((BallQuad(c, 0.0),), x)
+    return _sqrt(about.values[0], 1 << (2 * about.b), up=up)
 
 
 def distance_margin(cs, c: np.ndarray, R: float, tol: float) -> float:
@@ -566,6 +575,19 @@ def distance_margin(cs, c: np.ndarray, R: float, tol: float) -> float:
     t = (ratio ** -0.5 - 1.0) / m if 0.0 < ratio < 1.0 else 0.0
     first = margin(*_about(cs, c, [t] * m + [1.0]))
     return first if first > tol else margin(*_anchored(cs, c, 1.0)[2:])
+
+
+def distance_above(cs, c: np.ndarray, toward: np.ndarray) -> float:
+    """An upper bound on ``d(c, C)`` over the balls of ``cs``, checked exactly and rounded up.
+
+    The distance from ``c`` of a member of ``C``: the primal point of the
+    distance dual's best weights (``_anchored`` at ``sigma = +1``), which is
+    the projection of ``c`` onto ``C`` once they are optimal, pulled toward
+    the member ``toward`` by ``_member_near`` when it is not exactly in
+    ``C``. ``inf`` when no pull lands in ``C``.
+    """
+    member = _member_near(cs.constraints, c + _anchored(cs, c, 1.0)[1], toward)
+    return math.inf if member is None else _distance(c, member, up=True)
 
 
 class WitnessDual(NamedTuple):

@@ -32,7 +32,11 @@ class UnboundedRegion(HullscopeError):
 class HypothesisViolation(HullscopeError):
     """A sampled point violates a caller-asserted hypothesis.
 
-    Carries the offending point so callers can report a counterexample.
+    Carries the offending point so callers can report a counterexample, and
+    ``distance``: for a covering violation, an exact lower bound on the
+    point's distance to the inner intersection, rounded down and above the
+    covering threshold; for a containment violation, the region's worst
+    residual at the point.
     """
 
     def __init__(self, message, counterexample=None, distance=None):

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from hullscope import (Affine, Ball, BallIntersection, BallQuad, BisectionConfig
                        UnboundedRegion, ball_constraint, bound_max_distance,
                        extract_boundary_point, halfspace_constraint, load_problem, project_region)
 from hullscope.application import _exits
-from hullscope.dual import _dual_ascent
+from hullscope.dual import _dual_ascent, distance_above, distance_margin
+from hullscope.inclusion import dykstra_project_full
 
 from oracles import GridSpec, grid_max_distance
 
@@ -94,6 +96,19 @@ def test_containment_violation_detected():
     assert err.distance == pytest.approx(0.1, abs=1e-12)
 
 
+def test_farthest_point_past_the_region_is_a_containment_counterexample():
+    # the disk pokes 1e-5 past the faces x = -0.49999 and y = -0.49999, each
+    # along an arc of 9e-3 rad, which the 200 rays of seed 0 miss; the
+    # farthest point from c lies on the first arc, and it is refused there
+    # rather than cast a ray from
+    region = box(-0.49999, 1.5)
+    with pytest.raises(HypothesisViolation, match="not contained") as exc_info:
+        bound_max_distance(region, inner_disk(), C, 0.42, seed=0)
+    err = exc_info.value
+    assert inner_disk().worst_residual(err.counterexample) <= 0.0
+    assert err.distance == pytest.approx(1e-5, rel=1e-3)
+
+
 def test_disk_leaving_the_square_by_a_hundredth_is_caught_on_every_seed():
     # the disk pokes 0.01 past the face x = 1.5 along an arc of 0.28 rad, so a
     # ray from its centre exits there with probability 0.045 and all 200 rays
@@ -156,11 +171,12 @@ def test_appbound_solves_one_deep_point(monkeypatch):
     bi = three_balls()
     c1 = bi.constraint_set()
     assert c1.worst_residual(np.mean(bi.centers, axis=0)) > -0.68
-    bound_max_distance(c1, bi, [5.0, 0.3], 0.0, BisectionConfig(eps=1e-2))
-    # both samples start from the one deep point
-    assert len(starts) == 2
+    rep = bound_max_distance(c1, bi, [5.0, 0.3], 0.0, BisectionConfig(eps=1e-2))
+    # both checks start from the one deep point, the boundary point from x_star_c
+    assert len(starts) == 3
     np.testing.assert_array_equal(starts[0], starts[1])
     assert c1.worst_residual(starts[0]) <= -0.69
+    np.testing.assert_array_equal(starts[2], rep.x_star_c)
 
 
 def balls_and_halfspaces(n: int) -> ConstraintSet:
@@ -221,19 +237,45 @@ def test_deep_point_ascent_stops_when_the_dual_stops_rising():
     assert bi.worst_residual(deep) <= -0.69
 
 
-def test_three_ball_boundary_ascent_stops_when_the_objective_stops_rising(monkeypatch):
-    calls = []
+def test_three_ball_boundary_point_is_on_the_boundary_and_no_nearer_c():
+    region = three_balls()
+    c = np.array([5.0, 0.3])
+    for x_star_c in ([0.5, 0.0], [0.2, 0.1], [0.0, 0.0]):
+        x_hat = extract_boundary_point(region, x_star_c, c)
+        assert abs(region.worst_residual(x_hat)) <= 1e-12
+        assert np.linalg.norm(x_hat - c) >= np.linalg.norm(np.asarray(x_star_c) - c)
 
-    def counting(region, y):
-        calls.append(1)
-        return project_region(region, y)
 
-    monkeypatch.setattr("hullscope.application.project_region", counting)
-    x_star_c, c = np.array([0.5, -0.3]), np.array([5.0, 0.3])
-    x_hat = extract_boundary_point(three_balls(), x_star_c, c)
-    assert len(calls) <= 10
-    d = (x_star_c - c) / np.linalg.norm(x_star_c - c)
-    assert float(d @ x_hat) == pytest.approx(0.006649358161, abs=1e-9)
+def test_boundary_point_of_x_star_c_on_the_boundary_is_no_nearer_c():
+    # x_star_c on a circle of radius 1e6 that passes near the origin, the ray
+    # pointing out of it: |x - center|^2 - R^2 reads rounding of ulp(1e12),
+    # so about a quarter of the exits read -1e-10 to -4e-10, far above the
+    # ulps of x, and would move x_hat towards c unless clamped
+    R = 1e6
+    center = np.array([R, 0.0])
+    region = ConstraintSet([ball_constraint(Ball(center, R))])
+    c = np.array([3.0, 0.3])
+    rng = np.random.default_rng(0)
+    exits = []
+    for phi in math.pi + rng.uniform(-1e-5, 1e-5, 200):
+        x_star_c = center + R * np.array([math.cos(phi), math.sin(phi)])
+        d = (x_star_c - c) / np.linalg.norm(x_star_c - c)
+        exits.append(_exits(region, x_star_c, d[None])[0])
+        x_hat = extract_boundary_point(region, x_star_c, c)
+        assert np.linalg.norm(x_hat - c) >= np.linalg.norm(x_star_c - c)
+    assert sum(t < 0.0 for t in exits) >= 20
+
+
+def test_boundary_point_refuses_an_x_star_c_outside_the_region(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("cast a ray from a point outside the region")
+
+    monkeypatch.setattr("hullscope.application._exits", fail)
+    # 0.1 outside the disk about (0.5, 0.8), and 1e-6 outside the square
+    with pytest.raises(ValueError, match="not in the region"):
+        extract_boundary_point(three_balls(), [0.5, -0.3], [5.0, 0.3])
+    with pytest.raises(ValueError, match="not in the region"):
+        extract_boundary_point(unit_square_shifted(), [-0.500001, 0.5], C)
 
 
 def test_three_ball_sandwich():
@@ -246,6 +288,129 @@ def test_three_ball_sandwich():
     assert rep.v_c == pytest.approx(oracle, abs=2 * eps)
     assert rep.v_c - 2 * eps <= rep.dist_x_hat <= rep.v_c + rep.delta + 2 * eps
     assert region.worst_residual(rep.x_hat) <= 1e-8
+
+
+def three_disks():
+    """C1: unit disks about (0, 0), (1, 0) and (0.5, 0.8); the region: the same disks at radius 1.3."""
+    bi = three_balls()
+    return ConstraintSet([ball_constraint(Ball(center, 1.3)) for center in bi.centers]), bi
+
+
+THREE_DISK_C = [5.0, 0.3]
+# the farthest region point from C1 is the region's top vertex (0.5, 1.2),
+# and its nearest point of C1 is C1's top vertex (0.5, sqrt(0.75))
+THREE_DISK_WORST = 1.2 - math.sqrt(0.75)
+
+
+def dykstra_distance(bi, x) -> float:
+    return float(np.linalg.norm(x - dykstra_project_full(bi, x).point))
+
+
+def covering_exits(monkeypatch, region, bi, c, delta, seed):
+    """The covering exits of one ``bound_max_distance`` run and their ray gaps."""
+    import hullscope.application as application
+
+    exits = application._exits
+    calls = []
+
+    def recording(reg, x0, d):
+        calls.append((x0, d, exits(reg, x0, d)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(application, "_exits", recording)
+    try:
+        bound_max_distance(region, bi, c, delta, seed=seed)
+    except HypothesisViolation:
+        pass
+    (deep, d, reach), (_, _, t) = calls[:2]
+    return deep + reach[200:, None] * d[200:], reach[200:] - t[200:]
+
+
+@pytest.mark.parametrize("case, seed", [("square-and-disk", seed) for seed in range(5)]
+                         + [("three-disk", 0)])
+def test_covering_bounds_hold_against_dykstra(monkeypatch, case, seed):
+    # the ray gap bounds an exit's distance to C1 from above and the dual
+    # bound from below. Dykstra stops at a sweep that moves the point by at
+    # most 1e-11, and at the three-disk vertex it reads 3.9e-12 above the
+    # exact distance, where the gap is exact: the margin is its stopping rule
+    if case == "square-and-disk":
+        region, bi, c, delta = unit_square_shifted(), inner_disk(), C, 0.42
+    else:
+        (region, bi), c, delta = three_disks(), THREE_DISK_C, 0.34
+    exits, gaps = covering_exits(monkeypatch, region, bi, c, delta, seed)
+    assert len(exits) >= 1000
+    for x, gap in zip(exits, gaps):
+        dyk = dykstra_distance(bi, x)
+        assert gap >= dyk - 1e-11
+        limit = delta + 1e-7 * max(1.0, float(np.linalg.norm(x)))
+        assert distance_margin(bi, x, 0.0, limit) <= dyk + 1e-12
+
+
+@pytest.mark.parametrize("delta, refused", [(0.34, False), (0.5, False),
+                                            (0.33, True), (0.3313, True), (0.332, True)])
+def test_three_disk_covering_verdicts(delta, refused):
+    region, bi = three_disks()
+    if not refused:
+        rep = bound_max_distance(region, bi, THREE_DISK_C, delta)
+        assert rep.dist_x_hat >= rep.v_c
+        return
+    with pytest.raises(HypothesisViolation, match="covering constant") as exc_info:
+        bound_max_distance(region, bi, THREE_DISK_C, delta)
+    err = exc_info.value
+    np.testing.assert_allclose(err.counterexample, [0.5, 1.2], rtol=0, atol=1e-15)
+    assert delta < err.distance <= dykstra_distance(bi, err.counterexample)
+    assert err.distance == pytest.approx(THREE_DISK_WORST, abs=1e-14)
+
+
+def test_covering_refusal_rests_on_an_exact_lower_bound(monkeypatch, caplog):
+    import hullscope.application as application
+
+    readings = []
+
+    def reading(cs, x, R, tol):
+        readings.append((np.array(x), tol, distance_margin(cs, x, R, tol)))
+        return readings[-1][2]
+
+    monkeypatch.setattr(application, "distance_margin", reading)
+    region, bi = three_disks()
+    with pytest.raises(HypothesisViolation) as exc_info:
+        bound_max_distance(region, bi, THREE_DISK_C, 0.33)
+    err = exc_info.value
+    x, tol, lower = readings[-1]
+    np.testing.assert_array_equal(err.counterexample, x)
+    assert err.distance == lower > tol
+    assert all(lo <= limit for _, limit, lo in readings[:-1])
+    # with the Newton solve stopped before its first step the lower bounds
+    # read 0: no exit is refused, and each one left between its bounds
+    # passes with a warning
+    monkeypatch.setattr("hullscope.dual.DUAL_STEPS", 0)
+    readings.clear()
+    with caplog.at_level(logging.WARNING, logger="hullscope.application"):
+        bound_max_distance(region, bi, THREE_DISK_C, 0.33)
+    assert readings and max(lo for _, _, lo in readings) <= 0.33
+    assert "lies between 0 and" in caplog.text
+
+
+def test_covering_exit_within_the_threshold_passes_on_a_member_of_c1(monkeypatch, caplog):
+    # at 0.33 the first random exits whose gaps exceed the threshold lie
+    # within it: the member of C1 the distance dual finds shows it
+    import hullscope.application as application
+
+    uppers = []
+
+    def reading(cs, x, toward):
+        uppers.append((np.array(x), distance_above(cs, x, toward)))
+        return uppers[-1][1]
+
+    monkeypatch.setattr(application, "distance_above", reading)
+    region, bi = three_disks()
+    with caplog.at_level(logging.WARNING, logger="hullscope.application"):
+        with pytest.raises(HypothesisViolation):
+            bound_max_distance(region, bi, THREE_DISK_C, 0.33)
+    assert uppers
+    for x, upper in uppers:
+        assert dykstra_distance(bi, x) - 1e-11 <= upper <= 0.33
+    assert caplog.text == ""
 
 
 def test_thin_inner_intersection_has_a_deep_point():
@@ -273,8 +438,8 @@ def test_extract_boundary_point_square_face():
 
 
 def test_extract_boundary_point_stops_at_fixed_point(monkeypatch):
-    # the square face x = -0.5 is normal to the direction: once a step
-    # projects back onto its start, the ascent is over
+    # the square face x = -0.5 is normal to the direction: the ray from a
+    # point on it leaves at once, and nothing is projected
     calls = []
 
     def counting(region, y, **kwargs):
@@ -283,8 +448,8 @@ def test_extract_boundary_point_stops_at_fixed_point(monkeypatch):
 
     monkeypatch.setattr("hullscope.application.project_region", counting)
     x_hat = extract_boundary_point(unit_square_shifted(), [-0.5, 0.5], C)
-    np.testing.assert_allclose(x_hat, [-0.5, 0.5], atol=1e-12)
-    assert len(calls) <= 5
+    np.testing.assert_array_equal(x_hat, [-0.5, 0.5])
+    assert calls == []
 
 
 def test_extract_boundary_point_zero_direction():
@@ -310,7 +475,7 @@ def test_extract_boundary_point_non_finite_raised_before_projecting(monkeypatch,
     def fail(*args, **kwargs):
         raise AssertionError("projected before checking finiteness")
 
-    monkeypatch.setattr("hullscope.application.project_region", fail)
+    monkeypatch.setattr("hullscope.application._exits", fail)
     with pytest.raises(ValueError, match="finite"):
         extract_boundary_point(unit_square_shifted(), x_star_c, c)
 
@@ -326,9 +491,9 @@ def test_project_non_finite_raised_before_sweeping(monkeypatch):
 
 
 def test_extract_boundary_point_single_ball():
-    # direction (0, 1.1): the maximizer is center + radius * d / ||d||
-    x_hat = extract_boundary_point(disk_region(), [0.5, 1.6], [0.5, 0.5])
-    np.testing.assert_allclose(x_hat, [0.5, 1.5], atol=1e-4)
+    # direction (0, 0.7): the exit is center + radius * d / ||d||
+    x_hat = extract_boundary_point(disk_region(), [0.5, 1.2], [0.5, 0.5])
+    np.testing.assert_allclose(x_hat, [0.5, 1.5], atol=1e-12)
 
 
 def test_x_hat_feasible_and_objective_dominates_start():

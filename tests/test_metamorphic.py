@@ -21,16 +21,24 @@ brackets must therefore overlap once scaled back, and the midpoints agree
 within ``2 eps``. Likewise the witness dual's ``g_lower`` proves a bound on
 ``min G`` that lies within the value gap of it, so on those copies the
 verdicts agree and the bounds differ by at most that gap.
+
+``appbound`` draws its ray directions from the seed alone, so a copy with
+its constraints or centres permuted, translated or scaled casts the same
+rays from the moved deep point: the exit code must agree, and ``v_c``,
+``dist_x_hat`` and a refusal's ``distance``, scaled back, up to rounding.
 """
 
+import json
+
 import numpy as np
+import pytest
 
 from hullscope import (Ball, BallIntersection, BisectionConfig, ConstraintSet, FeasibilityVerdict,
                        InclusionVerdict, OuterBall, SolverConfig, check_feasibility, check_inclusion,
                        solve_farthest)
 
-from conftest import (disks_to_constraints, far_center, mixed_instance, random_ball_intersection,
-                      random_disk_instance)
+from conftest import (disks_to_constraints, far_center, mixed_instance, problem_path,
+                      random_ball_intersection, random_disk_instance)
 from oracles import GridSpec, grid_max_distance
 
 
@@ -181,3 +189,61 @@ def test_witness_dual_invariant_under_exact_transforms():
                 label = f"instance {i}, factor {factor}, {name}"
                 assert rep.verdict is base.verdict and rep.iters == 0, label
                 assert abs(rep.g_lower - base.g_lower) <= 1e-10, label
+
+
+THREE_DISK = {"version": 1, "dimension": 2,
+              "region": {"balls": [{"center": [0.0, 0.0], "radius": 1.3},
+                                   {"center": [1.0, 0.0], "radius": 1.3},
+                                   {"center": [0.5, 0.8], "radius": 1.3}]},
+              "ball_intersection": {"centers": [[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]], "radius": 1.0},
+              "outer": {"center": [5.0, 0.3], "radius": 6.0}, "delta": 0.34}
+
+
+def _appbound_variants(doc):
+    """``(label, scale, doc)``: the problem with its region's constraints and C1's centres reversed, translated and scaled."""
+    region, inner = doc["region"], doc["ball_intersection"]
+    shift = np.array([0.3, -1.7])
+
+    def moved(scale, offset):
+        def point(p):
+            return (scale * np.asarray(p) + offset).tolist()
+        return {**doc,
+                "region": {"halfspaces": [{"a": h["a"], "b": scale * h["b"] + float(np.dot(h["a"], offset))}
+                                          for h in region.get("halfspaces", [])],
+                           "balls": [{"center": point(b["center"]), "radius": scale * b["radius"]}
+                                     for b in region.get("balls", [])]},
+                "ball_intersection": {"centers": [point(p) for p in inner["centers"]],
+                                      "radius": scale * inner["radius"]},
+                "outer": {"center": point(doc["outer"]["center"]), "radius": scale * doc["outer"]["radius"]},
+                "delta": scale * doc["delta"]}
+
+    yield "region permuted", 1.0, {**doc, "region": {kind: rows[::-1] for kind, rows in region.items()}}
+    yield "centres permuted", 1.0, {**doc, "ball_intersection": {**inner, "centers": inner["centers"][::-1]}}
+    yield "translated", 1.0, moved(1.0, shift)
+    for k in (-3, 5):
+        yield f"scaled by 2^{k}", 2.0 ** k, moved(2.0 ** k, np.zeros(2))
+
+
+def _appbound(tmp_path, doc, capsys):
+    from hullscope.cli import main
+
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    code = main(["appbound", str(path)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("name", ["square-and-disk", "big-square", "three-disk"])
+def test_appbound_invariant_under_permutation_translation_and_scaling(tmp_path, capsys, monkeypatch, name):
+    monkeypatch.setenv("HULLSCOPE_LOG", "off")
+    doc = THREE_DISK if name == "three-disk" else json.loads(problem_path(name).read_text())
+    code, base = _appbound(tmp_path, doc, capsys)
+    assert code == (4 if name == "big-square" else 0)
+    for label, s, variant in _appbound_variants(doc):
+        got, out = _appbound(tmp_path, variant, capsys)
+        assert got == code, f"{name}, {label}: {out}"
+        if code == 0:
+            assert out["v_c"] == pytest.approx(s * base["v_c"], rel=1e-12), f"{name}, {label}"
+            assert out["dist_x_hat"] == pytest.approx(s * base["dist_x_hat"], rel=1e-12), f"{name}, {label}"
+        else:
+            assert out["distance"] == pytest.approx(s * base["distance"], rel=1e-12), f"{name}, {label}"
