@@ -45,11 +45,12 @@ t d``, is a point of ``C1``, so the gap ``reach - t`` to where it leaves
 ``S`` bounds the distance from that exit to ``C1`` from above, and an exit
 whose gap is within the threshold ``delta + 1e-7 max(1, ||x||)`` passes.
 For one ball the gap is the distance itself. An exit whose gap exceeds the
-threshold is refused only on a proof: the exact lower bound on its distance
-from ``dual.distance_margin``, which becomes the violation's ``distance``,
-must clear the threshold. Otherwise ``dual.distance_above`` reads an upper
-bound from a member of ``C1``; within the threshold the exit passes, and an
-exit left between the two bounds lies within the Newton solve's gap of the
+threshold is refused only on a proof: ``dual.distance_bounds`` reads the
+exact lower bound of ``dual.distance_margin`` on its distance, which
+becomes the violation's ``distance`` and must clear the threshold.
+Otherwise the same solve of the distance dual gives an upper bound from a
+member of ``C1``; within the threshold the exit passes, and an exit left
+between the two bounds lies within the Newton solve's gap of the
 threshold and passes with a warning that names both.
 """
 
@@ -61,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import deep_point, distance_above, distance_margin
+from .dual import deep_point, distance_bounds
 from .errors import DimensionMismatch, HypothesisViolation, UnboundedRegion
 from .farthest import BisectionConfig, solve_farthest
 from .feasibility import ConstraintSet
@@ -266,13 +267,12 @@ def bound_max_distance(region: ConstraintSet, bi: BallIntersection, c, delta: fl
         limit = delta + cover_slack * max(1.0, float(np.linalg.norm(x)))
         if gap[i] <= limit:
             continue
-        lower = distance_margin(bi, x, 0.0, limit)
+        lower, upper = distance_bounds(bi, x, limit, deep)
         if lower > limit:
             raise HypothesisViolation(
                 f"region point at distance {lower:.6f} from the inner intersection "
                 f"exceeds the covering constant {delta}",
                 counterexample=x, distance=lower)
-        upper = distance_above(bi, x, deep)
         if upper > limit:
             log.warning("region point %s lies between %.17g and %.17g from the inner intersection, "
                         "across the covering threshold %.17g: passed", x.tolist(), lower, upper, limit)

@@ -17,6 +17,10 @@ non-finite value, or an ``appbound`` region that sampling found unbounded.
 Reports are deterministic given identical flags and seed; floats are
 serialized with Python's shortest round-trip representation, so a report
 parses back bit-identically.
+
+The argument parser is built once per process, by the first ``main`` call,
+and reused: each ``parse_args`` returns a fresh namespace, so no call's
+flags carry over to the next.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import json
 import logging
 import os
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -165,7 +170,9 @@ def cmd_appbound(args) -> int:
     return 0
 
 
+@cache
 def build_arg_parser() -> _Parser:
+    """The ``hullscope`` parser, built on the first call and shared by every later one."""
     parser = _Parser(prog="hullscope",
                      description="Feasibility and ball-intersection inclusion certificates.")
     common = argparse.ArgumentParser(add_help=False)

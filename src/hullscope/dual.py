@@ -41,11 +41,11 @@ module uses four cases:
   C)^2`` when ``C`` has an interior point. ``distance_margin`` proves the
   distance precondition of the ``inclusion`` module with it: from equal
   weights at their best scale, a closed form, and where those fall short
-  from the best weights, which ``_newton`` finds. ``distance_above`` reads
-  the other side: the primal point of the best weights, the projection of
-  ``c`` once they are optimal, pulled into ``C`` is a member whose distance
-  from ``c`` bounds ``d(c, C)`` above. The covering check of the
-  ``application`` module reads both.
+  from the best weights, which ``_newton`` finds. The covering check of the
+  ``application`` module reads the other side too, from the same solve
+  (``distance_bounds``): the primal point of the best weights, the
+  projection of ``c`` once they are optimal, pulled into ``C`` is a member
+  whose distance from ``c`` bounds ``d(c, C)`` above.
 - The anchor ``f = |x - c|^2 - r^2`` at weight ``-t``, ``0 <= t <= 1`` (the
   inclusion witness): the identities ``sum max(g_i, 0) + min(max_k g_k, 0) =
   max sum w_i g_i`` over ``w`` in ``[0, 1]^m`` with ``sum w >= 1``, and
@@ -547,6 +547,13 @@ def _distance(c: np.ndarray, x: np.ndarray, *, up: bool) -> float:
     return _sqrt(about.values[0], 1 << (2 * about.b), up=up)
 
 
+def _margin(num: int, den: int, R: float) -> float:
+    """``sqrt(num / den) - R``, the root rounded down and then the difference."""
+    p, q = _sqrt(num, den, up=False).as_integer_ratio()
+    a, b = float(R).as_integer_ratio()
+    return _floor(p * b - a * q, q * b)
+
+
 def distance_margin(cs, c: np.ndarray, R: float, tol: float) -> float:
     """A lower bound on ``d(c, C) - R`` over the balls of ``cs``, checked exactly and rounded down.
 
@@ -562,32 +569,43 @@ def distance_margin(cs, c: np.ndarray, R: float, tol: float) -> float:
     weights of ``_anchored``, the dual of projecting ``c`` onto ``C``, whose
     optimum is ``d(c, C)^2`` when ``C`` has an interior point.
     """
+    return _margin_and_point(cs, c, R, tol)[0]
 
-    def margin(num: int, den: int) -> float:
-        p, q = _sqrt(num, den, up=False).as_integer_ratio()
-        a, b = float(R).as_integer_ratio()
-        return _floor(p * b - a * q, q * b)
 
+def _margin_and_point(cs, c: np.ndarray, R: float, tol: float) -> tuple[float, np.ndarray | None]:
+    """``(margin, y)``: the reading of ``distance_margin`` and the point behind it.
+
+    ``y`` is the primal point less ``c`` of the weights of ``_anchored`` when
+    the margin was read there, and None when the closed form decided.
+    """
     d = cs.rows.centers - c
     m, v = len(d), d.sum(axis=0)
     Q, vv = float(((d * d).sum(axis=1) + cs.rows.offsets).sum()), float(v @ v)
     ratio = 1.0 - Q * m / vv if vv > 0.0 else 1.0
     t = (ratio ** -0.5 - 1.0) / m if 0.0 < ratio < 1.0 else 0.0
-    first = margin(*_about(cs, c, [t] * m + [1.0]))
-    return first if first > tol else margin(*_anchored(cs, c, 1.0)[2:])
+    first = _margin(*_about(cs, c, [t] * m + [1.0]), R)
+    if first > tol:
+        return first, None
+    _, y, num, den = _anchored(cs, c, 1.0)
+    return _margin(num, den, R), y
 
 
-def distance_above(cs, c: np.ndarray, toward: np.ndarray) -> float:
-    """An upper bound on ``d(c, C)`` over the balls of ``cs``, checked exactly and rounded up.
+def distance_bounds(cs, c: np.ndarray, tol: float, toward: np.ndarray) -> tuple[float, float | None]:
+    """``(lower, upper)`` on ``d(c, C)`` over the balls of ``cs``, from at most one solve of the distance dual.
 
-    The distance from ``c`` of a member of ``C``: the primal point of the
-    distance dual's best weights (``_anchored`` at ``sigma = +1``), which is
-    the projection of ``c`` onto ``C`` once they are optimal, pulled toward
-    the member ``toward`` by ``_member_near`` when it is not exactly in
-    ``C``. ``inf`` when no pull lands in ``C``.
+    ``lower`` is ``distance_margin(cs, c, 0.0, tol)``. Only when it is at most
+    ``tol`` is ``upper`` read, and it is None otherwise: the distance from
+    ``c``, checked exactly and rounded up, of a member of ``C``. That member
+    is the primal point of the weights behind ``lower``, which is the
+    projection of ``c`` onto ``C`` once they are optimal, pulled toward the
+    member ``toward`` by ``_member_near`` when it is not exactly in ``C``;
+    ``upper`` is ``inf`` when no pull lands in ``C``.
     """
-    member = _member_near(cs.constraints, c + _anchored(cs, c, 1.0)[1], toward)
-    return math.inf if member is None else _distance(c, member, up=True)
+    lower, y = _margin_and_point(cs, c, 0.0, tol)
+    if lower > tol:
+        return lower, None
+    member = _member_near(cs.constraints, c + y, toward)
+    return lower, math.inf if member is None else _distance(c, member, up=True)
 
 
 class WitnessDual(NamedTuple):

@@ -39,14 +39,31 @@ class ProblemFile:
     delta: float | None
 
 
+def _inline(node, defs):
+    """``node`` with each ``{"$ref": "#/$defs/<name>"}`` replaced by ``defs[name]``, recursively."""
+    if isinstance(node, dict):
+        if "$ref" in node:
+            return _inline(defs[node["$ref"].removeprefix("#/$defs/")], defs)
+        return {key: _inline(value, defs) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_inline(value, defs) for value in node]
+    return node
+
+
 @cache
 def _validator():
-    """Validator of the packaged schema, built once; the tests check the schema itself."""
+    """Validator of the packaged schema, built once per process; the tests check the schema itself.
+
+    The schema's ``$ref``s point into its own acyclic ``$defs``, so they are
+    resolved once, here, by inlining each definition where it is used, rather
+    than again at every visit of every load.
+    """
     import jsonschema  # here, not at module level: only a problem file needs it
 
     text = resources.files("hullscope").joinpath("schema/problem-v1.schema.json").read_text()
     schema = json.loads(text)
-    return jsonschema.validators.validator_for(schema)(schema)
+    defs = schema.pop("$defs")
+    return jsonschema.validators.validator_for(schema)(_inline(schema, defs))
 
 
 def _check_dim(name: str, vec, n: int) -> None:

@@ -10,7 +10,7 @@ from hullscope import (Affine, Ball, BallIntersection, BallQuad, BisectionConfig
                        UnboundedRegion, ball_constraint, bound_max_distance,
                        extract_boundary_point, halfspace_constraint, load_problem, project_region)
 from hullscope.application import _exits
-from hullscope.dual import _dual_ascent, distance_above, distance_margin
+from hullscope.dual import _dual_ascent, distance_bounds, distance_margin
 from hullscope.inclusion import dykstra_project_full
 
 from oracles import GridSpec, grid_max_distance
@@ -367,11 +367,12 @@ def test_covering_refusal_rests_on_an_exact_lower_bound(monkeypatch, caplog):
 
     readings = []
 
-    def reading(cs, x, R, tol):
-        readings.append((np.array(x), tol, distance_margin(cs, x, R, tol)))
-        return readings[-1][2]
+    def reading(cs, x, tol, toward):
+        lower, upper = distance_bounds(cs, x, tol, toward)
+        readings.append((np.array(x), tol, lower))
+        return lower, upper
 
-    monkeypatch.setattr(application, "distance_margin", reading)
+    monkeypatch.setattr(application, "distance_bounds", reading)
     region, bi = three_disks()
     with pytest.raises(HypothesisViolation) as exc_info:
         bound_max_distance(region, bi, THREE_DISK_C, 0.33)
@@ -391,6 +392,33 @@ def test_covering_refusal_rests_on_an_exact_lower_bound(monkeypatch, caplog):
     assert "lies between 0 and" in caplog.text
 
 
+def test_covering_solves_the_distance_dual_once_per_exit(monkeypatch):
+    # at 0.33 with seed 0, 25 exits whose gaps exceed the threshold pass on
+    # an upper bound and the 26th is refused on a lower bound; each reads
+    # both bounds from one Newton solve, and the readings are pinned bit for
+    # bit, the refusal's and those of the pass at 0.34
+    import hullscope.dual as dual
+
+    solves = []
+    anchored = dual._anchored
+
+    def counting(cs, c, sigma):
+        solves.append(sigma)
+        return anchored(cs, c, sigma)
+
+    monkeypatch.setattr(dual, "_anchored", counting)
+    region, bi = three_disks()
+    with pytest.raises(HypothesisViolation) as exc_info:
+        bound_max_distance(region, bi, THREE_DISK_C, 0.33, seed=0)
+    assert solves == [1.0] * 26
+    assert exc_info.value.distance == 0.33397459621555986
+    rep = bound_max_distance(region, bi, THREE_DISK_C, 0.34, seed=0)
+    assert rep.v_c == 5.011211848063067
+    assert rep.x_star_c.tolist() == [0.002269350905326206, -0.06733165568372196]
+    assert rep.x_hat.tolist() == [-0.29692770908841787, -0.08932254697817635]
+    assert rep.dist_x_hat == 5.311215981382629
+
+
 def test_covering_exit_within_the_threshold_passes_on_a_member_of_c1(monkeypatch, caplog):
     # at 0.33 the first random exits whose gaps exceed the threshold lie
     # within it: the member of C1 the distance dual finds shows it
@@ -398,11 +426,13 @@ def test_covering_exit_within_the_threshold_passes_on_a_member_of_c1(monkeypatch
 
     uppers = []
 
-    def reading(cs, x, toward):
-        uppers.append((np.array(x), distance_above(cs, x, toward)))
-        return uppers[-1][1]
+    def reading(cs, x, tol, toward):
+        lower, upper = distance_bounds(cs, x, tol, toward)
+        if upper is not None:
+            uppers.append((np.array(x), upper))
+        return lower, upper
 
-    monkeypatch.setattr(application, "distance_above", reading)
+    monkeypatch.setattr(application, "distance_bounds", reading)
     region, bi = three_disks()
     with caplog.at_level(logging.WARNING, logger="hullscope.application"):
         with pytest.raises(HypothesisViolation):

@@ -1,3 +1,4 @@
+import copy
 import json
 import subprocess
 import sys
@@ -75,12 +76,74 @@ def test_unbounded_region_exits_70(tmp_path):
     assert "array(" not in proc.stderr
 
 
+def packaged_schema() -> dict:
+    """The schema file as shipped in the package, ``$ref``s and all."""
+    from importlib import resources
+
+    return json.loads(resources.files("hullscope").joinpath("schema/problem-v1.schema.json").read_text())
+
+
 def test_packaged_schema_is_valid():
-    # loading trusts the packaged schema, so check it here once
+    # loading trusts the packaged schema, so check the shipped file here once;
+    # the loader's own validator holds an inlined copy of it
     from hullscope.problemfile import _validator
 
-    validator = _validator()
-    validator.check_schema(validator.schema)
+    _validator().check_schema(packaged_schema())
+
+
+def mutated(rng, doc):
+    """``doc`` with one to three random edits: a node deleted, replaced, or given an extra key."""
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.randint(1, 3)):
+        slots, stack = [], [doc]
+        while stack:
+            node = stack.pop()
+            keys = node if isinstance(node, dict) else range(len(node))
+            for key in keys:
+                slots.append((node, key))
+                if isinstance(node[key], (dict, list)):
+                    stack.append(node[key])
+        node, key = rng.choice(slots)
+        edit = rng.randrange(3)
+        if edit == 0:
+            del node[key]
+        elif edit == 1:
+            node[key] = rng.choice([0, -1, 0.5, 2, "x", None, True, [], {}, [1, "a"], [[0, 0]],
+                                    {"radius": 1}, {"type": "ball", "center": [0], "radius": 0}])
+        elif isinstance(node[key], dict):
+            node[key]["extra"] = 1
+        else:
+            doc[rng.choice(["extra", "delta", "outer", "region", "constraints"])] = node[key]
+    return doc
+
+
+def test_inlined_validator_matches_the_packaged_schema(problems_dir):
+    # the loader inlines the schema's $refs; on the fixtures and 600 seeded
+    # mutations of them it must pick the same error as the schema as shipped
+    import random
+
+    import jsonschema
+    from jsonschema.exceptions import best_match
+
+    from hullscope.problemfile import _validator
+
+    schema = packaged_schema()
+    shipped = jsonschema.validators.validator_for(schema)(schema)
+    inlined = _validator()
+    assert "$ref" not in json.dumps(inlined.schema)
+    fixtures = [json.loads(path.read_text()) for path in sorted(problems_dir.glob("*.json"))]
+    for doc in fixtures:
+        assert shipped.is_valid(doc) and inlined.is_valid(doc)
+    rng = random.Random(23)
+    invalid = 0
+    for _ in range(600):
+        doc = mutated(rng, rng.choice(fixtures))
+        want, got = best_match(shipped.iter_errors(doc)), best_match(inlined.iter_errors(doc))
+        assert (want is None) == (got is None), doc
+        if want is not None:
+            invalid += 1
+            assert got.message == want.message, doc
+    assert invalid >= 300
 
 
 def test_missing_block_exits_65():
@@ -226,3 +289,51 @@ def test_log_env_controls_stderr():
     off = run_cli("feas", str(problem_path("overlapping-disks")), env_extra={"HULLSCOPE_LOG": "off"})
     assert "verdict" in info.stderr
     assert off.stderr == ""
+
+
+def test_the_parser_is_built_once_and_keeps_no_flags(monkeypatch, capsys, tmp_path):
+    # one process runs a sequence of commands on one parser, flags and then
+    # none: each call must print what it prints on a parser of its own
+    import logging
+
+    from hullscope import cli
+
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    feas = ["feas", str(problem_path("overlapping-disks"))]
+    sequence = [
+        ["bogus", "x.json"],
+        ["inclusion", str(problem_path("single-disk-far-c")), "--r", "6.1"],
+        ["inclusion", str(problem_path("single-disk-far-c"))],
+        ["appbound", str(problem_path("square-and-disk")), "--delta", "0.5"],
+        ["appbound", str(problem_path("square-and-disk"))],
+        [*feas, "--x0", "1,2"],
+        feas,
+        [*feas, "--json-indent", "2"],
+        feas,
+        ["feas", str(bad)],
+    ]
+    monkeypatch.setenv("HULLSCOPE_LOG", "off")
+
+    def run(argv):
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    try:
+        cli.build_arg_parser.cache_clear()
+        shared = [run(argv) for argv in sequence]
+        assert cli.build_arg_parser.cache_info().misses == 1
+        assert cli.build_arg_parser().parse_args(feas).x0 is None
+        fresh = []
+        for argv in sequence:
+            cli.build_arg_parser.cache_clear()
+            fresh.append(run(argv))
+    finally:
+        logger = logging.getLogger("hullscope")
+        logger.handlers.clear()
+        logger.setLevel(logging.NOTSET)
+    assert [code for code, _, _ in shared] == [64, 1, 0, 0, 0, 0, 0, 0, 0, 65]
+    assert shared == fresh
+    assert shared[1][1] != shared[2][1] and shared[3][1] != shared[4][1]
+    assert shared[7][1] != shared[8][1]
