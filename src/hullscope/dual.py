@@ -83,12 +83,21 @@ with ``k = -1``, ``d = 0`` and ``q = r^2``, and ``sigma = 0``. ``_newton``
 takes the rows, ``sigma`` and the polytope as data and runs primal-dual
 interior-point steps on them.
 
-No verdict rests on rounded arithmetic. Every float is a dyadic rational,
-so ``_dyadic_rows`` writes the rows about ``z`` as integers over one power of
-two, ``_dual_sums`` the weighted sums and ``_bound`` the bound as an exact
-fraction. A point lies in ``C`` exactly when none of its row values about it
-is positive, and ``_sqrt`` rounds a square root in a chosen direction,
-checked in integers.
+No verdict rests on an unbounded rounding error. Every float is a dyadic
+rational, so ``_dyadic_rows`` writes the rows about ``z`` as integers over one
+power of two, ``_dual_sums`` the weighted sums and ``_bound`` the bound as an
+exact fraction, and ``_sqrt`` rounds a square root in a chosen direction,
+checked in integers. The two checks whose answer is only a sign, that a
+point lies in ``C`` (none of its row values is positive) and that weights
+prove ``C`` empty, first run in floats (``_inside_in_floats``,
+``_proves_empty_in_floats``). A float answer counts only when the value is
+farther from zero than an error bound proven for it, with every input in the
+range where nothing underflows or overflows; any other case is settled in
+the integers, so the answer is the same either way. The witness weights'
+``sum w >= 1`` is exact in floats (``_reaches_one``). The values the module
+reports (``g_lower``, ``witness_value``, the margins and the farthest
+bracket) are read in integers, since each is the nearest float on one side
+of an exact value.
 """
 
 from __future__ import annotations
@@ -255,27 +264,153 @@ def _floor(num: int, den: int) -> float:
     return math.nextafter(x, -math.inf) if p * den > num * q else x
 
 
-def _inside(constraints, x: np.ndarray) -> bool:
-    """``x`` lies in the intersection of the rows, checked exactly."""
-    return max(_dyadic_rows(constraints, x).values) <= 0
+# the unit roundoff of float64, and the magnitudes of the float filters' range
+_U = 2.0 ** -53
+_TINY, _HUGE = 2.0 ** -200, 2.0 ** 200
 
 
-def proves_empty(constraints, weights) -> bool:
-    """``weights``, one per constraint, prove the intersection empty in exact arithmetic.
+def _in_range(*parts) -> bool:
+    """Every value of ``parts`` (arrays, lists or None) is 0 or of magnitude in ``[2^-200, 2^200)``.
 
-    The check is ``S - |v|^2 / s > 0`` about the origin, with no anchor. Rows
-    of zero weight take no part, whatever their kind; a negative weight, or a
-    weighted row that is neither a ball nor a halfspace, proves nothing: the
-    bound holds on the intersection only under non-negative weights.
+    That is the range of the float filters. A nonzero input is then a
+    multiple of ``2^-252``, and so is a difference of two, so every value a
+    filter forms from them by sums, squares and products is 0 or lies
+    between ``2^-1010`` and ``2^1000`` in magnitude: none underflows or
+    overflows, and every operation errs by at most ``u = 2^-53`` relative
+    to its exact result. The lists (weights, offsets and shifts) must also be
+    finite. The arrays (a point, centres and normals) pass on their exponents
+    alone, and ``frexp`` gives a non-finite value the exponent 0: the
+    constraint data are finite by construction, and a non-finite point makes
+    every row value or its bound non-finite, which settles no sign.
     """
-    if len(weights) != len(constraints) or not all(float(w) >= 0.0 for w in weights):
-        return False
-    used = [(g, w) for g, w in zip(constraints, weights) if float(w) != 0.0]
+    exp = np.frexp(np.concatenate([p for p in parts if isinstance(p, np.ndarray)], axis=None))[1]
+    return (-199 <= exp.min() and exp.max() <= 200
+            and all(_TINY <= abs(v) < _HUGE or v == 0.0
+                    for p in parts if isinstance(p, list) for v in p))
+
+
+def _inside_in_floats(cs, x: np.ndarray) -> bool | None:
+    """Whether ``x`` lies in the ``ConstraintSet`` ``cs``, from float row values; None when they cannot tell.
+
+    With ``gamma_k = k u / (1 - k u)``, a ball row ``|x - c|^2 + o``, from
+    ``x - c``, its square, a sum of ``n`` terms in any order and one more
+    addition, errs by at most ``gamma_{n+3} (|x - c|^2 + |o|)``, and a
+    halfspace row ``a.x + b``, from ``n`` products, their sum and one more
+    addition, by at most ``gamma_{n+1} (|a|.|x| + |b|)``, with ``|a|.|x| <=
+    |a| |x|``. Each row is taken at twice that, ``2 (n + 4) u`` and ``2 (n +
+    2) u`` times the float reading of the sum, which also covers the rounding
+    of the bound itself. A row above its bound puts ``x`` outside, and
+    ``x`` is inside when every row is below minus its bound. None for a row
+    within its bound of 0, a node of another kind, or an input out of
+    ``_in_range``.
+    """
+    centers, offsets, normals, shifts, others = cs.rows
+    if others or not _in_range(x, centers, offsets, normals, shifts):
+        return None
+    n = len(x)
+    settled = True
+    if centers is not None:
+        D = x - centers
+        k = 2 * (n + 4) * _U
+        for s, o in zip((D * D).sum(axis=1).tolist(), offsets):
+            value, err = s + o, k * (s + abs(o))
+            if value > err:
+                return False
+            settled = settled and value < -err
+    if normals is not None:
+        xx = float(x @ x)
+        k = 2 * (n + 2) * _U
+        for ax, aa, b in zip((normals @ x).tolist(), (normals * normals).sum(axis=1).tolist(), shifts):
+            value, err = ax + b, k * (math.sqrt(aa * xx) + abs(b))
+            if value > err:
+                return False
+            settled = settled and value < -err
+    return True if settled else None
+
+
+def _inside_exactly(cs, x: np.ndarray) -> bool:
+    """``x`` lies in the intersection of the rows of ``cs``, checked in integers."""
+    return max(_dyadic_rows(cs.constraints, x).values) <= 0
+
+
+def _inside(cs, x: np.ndarray) -> bool:
+    """``x`` lies in the intersection of the rows of ``cs``, exactly: in floats when they settle it."""
+    inside = _inside_in_floats(cs, x)
+    return _inside_exactly(cs, x) if inside is None else inside
+
+
+def _proves_empty_in_floats(cs, weights: list[float]) -> bool | None:
+    """Whether ``weights`` prove ``cs`` empty, from the bound in floats; None when it cannot tell.
+
+    ``weights`` are non-negative floats, one per constraint. About the
+    origin a ball has ``u = c`` and ``q = |c|^2 + o``, a halfspace ``u = -a /
+    2`` and ``q = b``; the bound is positive when ``T = S s - |v|^2`` is. Over
+    ``N`` rows, with ``gamma_k`` as in ``_inside_in_floats``, ``S`` (row
+    values from ``n + 1`` roundings, then ``N`` products and their sum) errs by
+    at most ``gamma_{n+N+1} S'``, where ``S'`` is ``S`` with every ``q``
+    replaced by ``|c|^2 + |o|`` or ``|b|``; ``s`` (rounded once) by ``u s``;
+    and each entry of ``v`` (at most ``N`` products, their sum and one
+    subtraction) by ``gamma_{N+1}`` times the same sum over ``|u|``, whose
+    norm is at most ``V = sum w |u|``. With the products and the difference
+    ``T`` errs by at most ``gamma_{n+2N+5} (S' s + V^2)``, taken at ``2 (n +
+    2 N + 8) u`` times the float reading of ``S' s + V^2``. None unless every
+    constraint is a ball or a halfspace, every input is in ``_in_range`` and
+    ``T`` is farther from 0 than that.
+    """
+    centers, offsets, normals, shifts, others = cs.rows
+    if others or not _in_range(weights, centers, offsets, normals, shifts):
+        return None
+    kinds = [isinstance(g, BallQuad) for g in cs.constraints]
+    n = cs.dimension
+    s = S = S_abs = V = 0.0
+    v = np.zeros(n)
+    if centers is not None:
+        wb = [w for w, ball in zip(weights, kinds) if ball]
+        s = math.fsum(wb)
+        for w, cc, o in zip(wb, (centers * centers).sum(axis=1).tolist(), offsets):
+            S += w * (cc + o)
+            S_abs += w * (cc + abs(o))
+            V += w * math.sqrt(cc)
+        v = np.dot(wb, centers)
+    if normals is not None:
+        wh = [w for w, ball in zip(weights, kinds) if not ball]
+        for w, aa, b in zip(wh, (normals * normals).sum(axis=1).tolist(), shifts):
+            S += w * b
+            S_abs += w * abs(b)
+            V += 0.5 * w * math.sqrt(aa)
+        v = v - 0.5 * np.dot(wh, normals)
+    T = S * s - float(v @ v)
+    err = 2 * (n + 2 * len(kinds) + 8) * _U * (S_abs * s + V * V)
+    return True if T > err else False if T < -err else None
+
+
+def _proves_empty_exactly(cs, weights: list[float]) -> bool:
+    """``weights``, non-negative and one per constraint, prove ``cs`` empty, checked in integers."""
+    used = [(g, w) for g, w in zip(cs.constraints, weights) if w != 0.0]
     if not used:
         return False
     rows = _dyadic_rows([g for g, _ in used], [0.0] * used[0][0].dim)
     bound = None if rows is None else _bound(rows, [w for _, w in used])
     return bound is not None and bound[0] > 0
+
+
+def proves_empty(cs, weights) -> bool:
+    """``weights``, one per constraint of the ``ConstraintSet`` ``cs``, prove it empty, exactly.
+
+    The check is ``S - |v|^2 / s > 0`` about the origin, with no anchor,
+    settled in floats when the error bound of ``_proves_empty_in_floats``
+    allows and otherwise in integers. Rows of zero weight take no part,
+    whatever their kind; a negative or non-finite weight, or a weighted row
+    that is neither a ball nor a halfspace, proves nothing: the bound holds
+    on the intersection only under finite non-negative weights.
+    """
+    if len(weights) != len(cs.constraints):
+        return False
+    weights = [float(w) for w in weights]
+    if not all(w >= 0.0 for w in weights):
+        return False
+    empty = _proves_empty_in_floats(cs, weights)
+    return _proves_empty_exactly(cs, weights) if empty is None else empty
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -378,9 +513,9 @@ def certify_empty(cs) -> DualDecision | None:
     m = len(cs.rows.centers)
     balls, halfspaces = iter(theta[:m].tolist()), iter(theta[m:].tolist())
     weights = tuple(next(balls) if isinstance(g, BallQuad) else next(halfspaces) for g in cs.constraints)
-    if D > 0.0 and proves_empty(cs.constraints, weights):
+    if D > 0.0 and proves_empty(cs, weights):
         return DualDecision(weights, D, steps, x, True)
-    if _inside(cs.constraints, x):
+    if _inside(cs, x):
         return DualDecision(weights, D, steps, x, False)
     return None
 
@@ -466,15 +601,15 @@ def _newton(k: np.ndarray, D: np.ndarray, o: np.ndarray, sigma: float,
     return best[1]
 
 
-def _member_near(constraints, x: np.ndarray, toward: np.ndarray) -> np.ndarray | None:
-    """``x``, or ``x`` pulled toward ``toward`` by the first of ``2^-60, ..., 1`` exactly in C."""
-    if _inside(constraints, x):
+def _member_near(cs, x: np.ndarray, toward: np.ndarray) -> np.ndarray | None:
+    """``x``, or ``x`` pulled toward ``toward`` by the first of ``2^-60, ..., 1`` exactly in ``cs``."""
+    if _inside(cs, x):
         return x
     last = x
     for k in range(60, -1, -1):
         y = x + 2.0 ** -k * (toward - x)
         if not np.array_equal(y, last):
-            if _inside(constraints, y):
+            if _inside(cs, y):
                 return y
             last = y
     return None
@@ -535,7 +670,7 @@ def farthest_bracket(cs, c: np.ndarray, witness: np.ndarray, floor: float):
     """
     lam, y, num, den = _anchored(cs, c, -1.0)
     r_hi = _sqrt(-num, den, up=True)
-    member = _member_near(cs.constraints, c + y, witness)
+    member = _member_near(cs, c + y, witness)
     if member is None:
         return floor, r_hi, witness, lam
     return _distance(c, member, up=False), r_hi, member, lam
@@ -604,7 +739,7 @@ def distance_bounds(cs, c: np.ndarray, tol: float, toward: np.ndarray) -> tuple[
     lower, y = _margin_and_point(cs, c, 0.0, tol)
     if lower > tol:
         return lower, None
-    member = _member_near(cs.constraints, c + y, toward)
+    member = _member_near(cs, c + y, toward)
     return lower, math.inf if member is None else _distance(c, member, up=True)
 
 
@@ -624,6 +759,16 @@ class WitnessDual(NamedTuple):
 def _witness_rows(cs, c: np.ndarray, r: float) -> tuple:
     """The balls of ``cs`` and the anchor ``f``: ``|x - c|^2`` minus the float ``r * r``."""
     return cs.constraints + (BallQuad(c, -(r * r)),)
+
+
+def _reaches_one(w: list[float]) -> bool:
+    """``sum w >= 1``, exactly, for finite ``w``.
+
+    ``math.fsum`` rounds the exact sum of ``w`` and -1 correctly, and that
+    sum is a multiple of the least subnormal, so it rounds to a float of its
+    own sign, or to 0 when it is 0.
+    """
+    return math.fsum(w + [-1.0]) >= 0.0
 
 
 def witness_dual(cs, c: np.ndarray, r: float, gap: float) -> WitnessDual:
@@ -657,9 +802,7 @@ def witness_dual(cs, c: np.ndarray, r: float, gap: float) -> WitnessDual:
             theta[1] = max(t, 0.0)
     y = _primal(k, D, o, 0.0, theta)[1]
     w, t = theta[:-1].tolist(), float(theta[-1])
-    parts = _dyadic(w)
-    a = _bits(parts)
-    inside = 0.0 <= min(w) and max(w) <= 1.0 and 0.0 <= t <= 1.0 and sum(_at(parts, a)) >= 1 << a
+    inside = 0.0 <= min(w) and max(w) <= 1.0 and 0.0 <= t <= 1.0 and _reaches_one(w)
     bound = _bound(_dyadic_rows(_witness_rows(cs, c, r), c), w + [-t]) if inside else None
     g_lower = -math.inf if bound is None else _floor(*bound)
     return WitnessDual(c + y, g_lower, tuple(w) + (t,))

@@ -246,8 +246,12 @@ class InfeasibilityCertificate:
     steps: int
 
     def verify(self, cs: ConstraintSet) -> bool:
-        """True when ``weights`` prove ``cs`` empty, checked in exact rational arithmetic."""
-        return proves_empty(cs.constraints, self.weights)
+        """True when ``weights`` prove ``cs`` empty, checked exactly.
+
+        The sign of the bound is settled in floats when a proven error bound
+        decides it, and otherwise in integers (``dual.proves_empty``).
+        """
+        return proves_empty(cs, self.weights)
 
 
 @dataclass
@@ -255,7 +259,9 @@ class FeasibilityReport:
     """Verdict plus the evidence backing it.
 
     ``witness`` is a feasible point when the verdict is Feasible, else None;
-    when the dual decided (``iters == 0``) it lies in the set exactly.
+    when the dual decided (``iters == 0``) it lies in the set exactly: each
+    row's sign is read in floats where a proven error bound settles it, and
+    otherwise in integers.
     ``residuals`` are the constraint values at the reported point: the
     witness, the certificate's primal point, or the best merit iterate.
     ``g_tilde_min`` is the merit at that point, an upper bound on the true

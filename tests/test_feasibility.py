@@ -200,14 +200,14 @@ def test_dyadic_kernel_matches_fraction_formula():
             bounds[anchor][bound is not None] += 1
         s0, S0, v0, _ = _fraction_sums(cs, weights, [0.0] * cs.dimension)
         expected = s0 > 0 and S0 * s0 > sum(u * u for u in v0)
-        assert proves_empty(cs.constraints, weights) is expected
+        assert proves_empty(cs, weights) is expected
         proofs += expected
     assert 0 < proofs < len(cases)
     assert all(min(counts) > 0 for counts in bounds.values())
     assert _fraction_sums(touching, [0.5, 0.5], [0.0, 0.0])[:3] == (1, 1, [1, 0])
     rows = _dyadic_rows(touching.constraints, [0.0, 0.0])
     assert _bound(rows, [0.5, 0.5])[0] == 0
-    assert not proves_empty(touching.constraints, [0.5, 0.5])
+    assert not proves_empty(touching, [0.5, 0.5])
     # with the anchor at weight -1, s = 0 and s < 0 leave the Lagrangian unbounded below
     anchored = _dyadic_rows(touching.constraints + (BallQuad([0.0, 0.0], 0.0),), [0.0, 0.0])
     assert _bound(anchored, [0.5, 0.5, -1.0]) is None

@@ -318,6 +318,8 @@ def test_refinement_after_a_witness_dual_gap_keeps_a_proven_verdict():
     # c at R + delta from C1 with m > n: three of the five weights go to 0 and
     # the witness dual can stop short of g_at_xstar, leaving the bracket to the
     # subgradient refinement with no patched budget; the verdict stays proven
+    # and the bracket closes. The iteration count is not pinned: a dual that
+    # closes this bracket alone would take it to 0
     bi = BallIntersection([[-0.9290171170020123, -0.7130423623225867, -0.8504678713864561],
                            [-1.003780944531152, -0.6136985645965134, -0.8552461471830556],
                            [-0.9487368762657822, -0.6535380630427401, -0.8989088135223052],
@@ -328,8 +330,10 @@ def test_refinement_after_a_witness_dual_gap_keeps_a_proven_verdict():
     rep = check_inclusion(bi, ob)
     assert rep.verdict is InclusionVerdict.NONEMPTY_DIFFERENCE
     assert rep.g_at_xstar <= 0
+    assert rep.g_lower <= rep.g_at_xstar <= rep.g_lower + 1e-10
     assert Fraction(rep.g_lower) <= exact_G(bi, ob, rep.x_star) <= Fraction(rep.g_at_xstar)
     assert_exact_witness_bound(bi, ob, rep)
+    assert solve_farthest(bi, ob.center).bisection_steps == 0
 
 
 def test_inclusion_precondition_failure():

@@ -12,7 +12,10 @@ Scaling the centers and radii by a power of two ``s`` and the tolerance by
 ``s``, values by ``s^2``. So the verdict and the iteration count must both
 be unchanged. The absolute floors of the solvers (``1e-12`` and ``1e-13`` in
 the refinement gaps, the ``1e-6`` boundary tolerance of inclusion) do not
-bind at ``s`` in {1/4, 4}; far below 1/4 they start to.
+bind at ``s`` in {1/4, 4}; far below 1/4 they start to. Both scales also
+stay inside the range of the float filters of the ``dual`` module; at
+``2^300`` and ``2^-300`` the certificate ascent, which has no floor, must
+still give the same weights and steps, its checks now settled in integers.
 
 ``solve_farthest`` returns a bracket that is a proof for its own instance.
 On a reflected, permuted, translated or scaled copy that is exactly the same
@@ -36,6 +39,7 @@ import pytest
 from hullscope import (Ball, BallIntersection, BisectionConfig, ConstraintSet, FeasibilityVerdict,
                        InclusionVerdict, OuterBall, SolverConfig, check_feasibility, check_inclusion,
                        solve_farthest)
+from hullscope.dual import _inside_in_floats, _proves_empty_in_floats, certify_empty
 
 from conftest import (disks_to_constraints, far_center, mixed_instance, problem_path,
                       random_ball_intersection, random_disk_instance)
@@ -126,6 +130,26 @@ def test_feasibility_verdict_and_iterations_invariant_under_scaling():
             reports.append(rep)
         assert runs == [runs[0]] * 3, f"instance {i}: {runs}"
         _assert_certified_iff_infeasible(reports, f"instance {i}")
+
+
+def test_certificate_ascent_invariant_under_scaling_past_the_float_filters():
+    seen = set()
+    for i, (disks, _, _) in enumerate(_disk_instances()):
+        base = certify_empty(disks_to_constraints(disks))
+        assert base is not None, f"instance {i}"
+        for s in (2.0 ** 300, 2.0 ** -300):
+            cs = disks_to_constraints([Ball(s * b.center, s * b.radius) for b in disks])
+            got = certify_empty(cs)
+            label = f"instance {i}, scale {s}"
+            assert got is not None and got.empty is base.empty, label
+            assert got.weights == base.weights and got.steps == base.steps, label
+            assert np.array_equal(got.x, s * base.x), label
+            if got.empty:
+                assert _proves_empty_in_floats(cs, list(got.weights)) is None, label
+            else:
+                assert _inside_in_floats(cs, got.x) is None, label
+        seen.add(base.empty)
+    assert seen == {True, False}
 
 
 def test_inclusion_verdict_and_iterations_invariant_under_scaling():
