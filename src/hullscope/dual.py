@@ -87,17 +87,25 @@ No verdict rests on an unbounded rounding error. Every float is a dyadic
 rational, so ``_dyadic_rows`` writes the rows about ``z`` as integers over one
 power of two, ``_dual_sums`` the weighted sums and ``_bound`` the bound as an
 exact fraction, and ``_sqrt`` rounds a square root in a chosen direction,
-checked in integers. The two checks whose answer is only a sign, that a
+checked in integers. That integer code is the reference; every check and
+reading first runs in floats and counts only where a proven bound settles
+it, with every input in the range where nothing underflows or overflows
+(``_in_range``), and any other case goes to the integers, so the answer is
+the same either way. The two checks whose answer is only a sign, that a
 point lies in ``C`` (none of its row values is positive) and that weights
-prove ``C`` empty, first run in floats (``_inside_in_floats``,
-``_proves_empty_in_floats``). A float answer counts only when the value is
-farther from zero than an error bound proven for it, with every input in the
-range where nothing underflows or overflows; any other case is settled in
-the integers, so the answer is the same either way. The witness weights'
-``sum w >= 1`` is exact in floats (``_reaches_one``). The values the module
-reports (``g_lower``, ``witness_value``, the margins and the farthest
-bracket) are read in integers, since each is the nearest float on one side
-of an exact value.
+prove ``C`` empty, read plain float values (``_inside_in_floats``,
+``_proves_empty_in_floats``) and count when the value is farther from zero
+than its error bound. The witness weights' ``sum w >= 1`` is exact in
+floats (``_reaches_one``). The values the module reports (``g_lower``,
+``witness_value``, the margins and both ends of the farthest bracket) are
+each the nearest float on one side of an exact value, so they are read in
+double-double: row values as unevaluated sums ``hi + lo`` from error-free
+transformations (TwoSum and, with no fused multiply-add, products of
+Veltkamp's parts; Dekker 1971), within a proven bound (``_rows_at``, and
+``_bound_in_floats`` for the bound). ``math.fsum`` adds such pieces exactly
+rounded, so the sign of a value less a candidate float, or less its square,
+settles the rounding direction whenever the value is farther from that
+float than its bound (``_floor_of``, ``_sqrt_of``).
 """
 
 from __future__ import annotations
@@ -232,12 +240,31 @@ def _bound(rows: DyadicRows, weights) -> tuple[int, int] | None:
     return sums.S * sums.s - sum(u * u for u in sums.v), sums.s << (sums.a + 2 * sums.b)
 
 
+def _walk(holds, x: float, out: float, back: float) -> float | None:
+    """The float where the monotone check ``holds`` turns, searched from ``x``.
+
+    Steps toward ``out`` until ``holds`` is true, then toward ``back`` while
+    the next float still holds, stopping at ``back``. None as soon as
+    ``holds`` returns None, which a check that cannot tell does.
+    """
+    h = holds(x)
+    while h is False:
+        x = math.nextafter(x, out)
+        h = holds(x)
+    while h and x != back:
+        h = holds(math.nextafter(x, back))
+        if h:
+            x = math.nextafter(x, back)
+    return None if h is None else x
+
+
 def _sqrt(num: int, den: int, *, up: bool) -> float:
-    """``sqrt(num / den)`` rounded to a float in one direction, checked exactly; ``den > 0``.
+    """``sqrt(num / den)`` rounded to a float in one direction, checked in integers; ``den > 0``.
 
     ``up`` gives the least float ``r >= 0`` with ``r^2 >= num / den``;
     otherwise the greatest float with ``r^2 <= num / den``. For ``num <= 0``
-    both are 0.0: a negative ``num / den`` reads as 0.
+    both are 0.0: a negative ``num / den`` reads as 0. This is the reference
+    that ``_sqrt_of`` falls back to where its bound leaves the rounding open.
     """
     if num <= 0:
         return 0.0
@@ -247,46 +274,48 @@ def _sqrt(num: int, den: int, *, up: bool) -> float:
         lhs, rhs = p * p * den, num * q * q
         return lhs >= rhs if up else lhs <= rhs
 
-    # move out until the bound holds, then back while it still does
-    out, back = (math.inf, 0.0) if up else (0.0, math.inf)
-    r = math.sqrt(num / den)
-    while not holds(r):
-        r = math.nextafter(r, out)
-    while r != back and holds(math.nextafter(r, back)):
-        r = math.nextafter(r, back)
-    return r
+    return _walk(holds, math.sqrt(num / den), *((math.inf, 0.0) if up else (0.0, math.inf)))
 
 
 def _floor(num: int, den: int) -> float:
-    """The greatest float at most ``num / den``; ``den > 0``."""
+    """The greatest float at most ``num / den``, checked in integers; ``den > 0``.
+
+    This is the reference that ``_floor_of`` falls back to where its bound
+    leaves the rounding open.
+    """
     x = num / den  # int division rounds to the nearest float
     p, q = x.as_integer_ratio()
     return math.nextafter(x, -math.inf) if p * den > num * q else x
 
 
-# the unit roundoff of float64, and the magnitudes of the float filters' range
+def _minus(r: float, R: float) -> float:
+    """The greatest float at most ``r - R``, exactly: TwoSum's error term gives the side of the rounding."""
+    s = r - R
+    t = s - r
+    return s if (r - (s - t)) - (R + t) >= 0.0 else math.nextafter(s, -math.inf)
+
+
+# the unit roundoff of float64
 _U = 2.0 ** -53
-_TINY, _HUGE = 2.0 ** -200, 2.0 ** 200
 
 
 def _in_range(*parts) -> bool:
-    """Every value of ``parts`` (arrays, lists or None) is 0 or of magnitude in ``[2^-200, 2^200)``.
+    """Every value of ``parts`` (arrays, lists or None) is finite, and 0 or of magnitude in ``[2^-200, 2^200)``.
 
-    That is the range of the float filters. A nonzero input is then a
+    That is the range of the float paths. A nonzero input is then a
     multiple of ``2^-252``, and so is a difference of two, so every value a
-    filter forms from them by sums, squares and products is 0 or lies
-    between ``2^-1010`` and ``2^1000`` in magnitude: none underflows or
-    overflows, and every operation errs by at most ``u = 2^-53`` relative
-    to its exact result. The lists (weights, offsets and shifts) must also be
-    finite. The arrays (a point, centres and normals) pass on their exponents
-    alone, and ``frexp`` gives a non-finite value the exponent 0: the
-    constraint data are finite by construction, and a non-finite point makes
-    every row value or its bound non-finite, which settles no sign.
+    float path forms from them by sums, squares and products, up to degree
+    four and times Veltkamp's ``2^27 + 1``, is 0 or lies between ``2^-1010``
+    and ``2^1000`` in magnitude: none underflows or overflows, every
+    operation errs by at most ``u = 2^-53`` relative to its exact result,
+    and every error-free transformation is exact. A quotient can still
+    overflow, which leaves a bound non-finite, and that settles nothing.
+    ``frexp`` gives each value a fraction in ``(-1, 1)``, or a non-finite
+    one, so one sum of the fractions checks that all are finite.
     """
-    exp = np.frexp(np.concatenate([p for p in parts if isinstance(p, np.ndarray)], axis=None))[1]
-    return (-199 <= exp.min() and exp.max() <= 200
-            and all(_TINY <= abs(v) < _HUGE or v == 0.0
-                    for p in parts if isinstance(p, list) for v in p))
+    frac, exp = np.frexp(np.concatenate([p for p in parts if p is not None], axis=None))
+    return (math.isfinite(np.add.reduce(frac))
+            and -199 <= np.minimum.reduce(exp) and np.maximum.reduce(exp) <= 200)
 
 
 def _inside_in_floats(cs, x: np.ndarray) -> bool | None:
@@ -413,6 +442,198 @@ def proves_empty(cs, weights) -> bool:
     return _proves_empty_exactly(cs, weights) if empty is None else empty
 
 
+# Veltkamp's splitter, 2^27 + 1
+_SPLIT = 134217729.0
+
+
+def _split(a):
+    """``(hi, lo)`` with ``a = hi + lo`` exactly and each part of at most 26 significant bits.
+
+    Veltkamp's split (Dekker 1971), of a float or of each entry of an array:
+    the product of two such parts is exact, so ``a b`` is exactly the sum of
+    the four products of the parts of ``a`` and ``b``.
+    """
+    t = _SPLIT * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _rows_at(points: np.ndarray, offsets: list[float], x: np.ndarray):
+    """``(hi, lo, err)``, lists over the rows ``|x - c_r|^2 + o_r``: each value lies within ``err_r`` of ``hi_r + lo_r``.
+
+    The rows are the ``points`` ``c_r`` with the ``offsets`` ``o_r``, each in
+    ``_in_range`` with ``x``, so nothing below underflows or overflows. With
+    ``u = 2^-53``, per coordinate:
+
+    - TwoSum gives ``c - x = d + e`` exactly, with ``|e| <= u |d|``.
+    - Veltkamp's parts ``h + l`` of ``d`` give ``d^2 = h^2 + 2 h l + l^2``,
+      three exact products.
+    - The rest, ``2 d e + e^2 = e (2 d + e)``, is read in floats, within
+      ``2.01 u`` of its reading ``s``.
+
+    ``hi`` is the float sum of a row's pieces and ``o_r``, and ``math.fsum``
+    rounds the exact sum of the pieces and ``o_r`` less ``hi`` correctly to
+    ``lo``, within ``u |lo|``. So ``err`` is ``2.01 u sum |s| + u |lo|``,
+    taken at twice that, which covers the roundings of a float sum of such
+    bounds. Where every ``c - x`` is exact, so every ``e`` is 0, ``hi + lo``
+    is within ``u |lo|`` of the row; a point at a row's centre has ``err =
+    0`` there.
+    """
+    d = points - x
+    t = d - points
+    e = (points - (d - t)) - (x + t)
+    h, l = _split(d)
+    pieces = np.concatenate((h * h, (h + h) * l, l * l, e * (d + d + e)), axis=1)
+    n = len(x)
+    hi, lo, err = [], [], []
+    for row, a, o in zip(pieces.tolist(), np.add.reduce(pieces, axis=1).tolist(), offsets):
+        a += o
+        spread = sum(map(abs, row[-n:]))
+        row += (o, -a)
+        b = math.fsum(row)
+        hi.append(a)
+        lo.append(b)
+        err.append(5.0 * _U * spread + 2.0 * _U * abs(b))
+    return hi, lo, err
+
+
+def _sign(pieces: list[float], err: float) -> int | None:
+    """The sign, 1, 0 or -1, of a value within ``err`` of the exact sum of ``pieces``; None when ``err`` leaves it open.
+
+    ``math.fsum`` rounds the exact sum correctly and rounding is monotone, so
+    a rounded sum above the float ``err`` puts the exact sum above ``err``
+    too, and the value above 0. With ``err = 0`` the value is the sum, and
+    its sign is that of its rounding.
+    """
+    f = math.fsum(pieces)
+    return 1 if f > err else -1 if f < -err else 0 if err == 0.0 else None
+
+
+def _floor_of(pieces: list[float], err: float) -> float | None:
+    """``_floor`` of a value within ``err`` of the sum of ``pieces``; None when ``err`` leaves it open."""
+    def holds(x: float) -> bool | None:
+        s = _sign(pieces + [-x], err)
+        return None if s is None else s >= 0
+
+    return _walk(holds, math.fsum(pieces), -math.inf, math.inf)
+
+
+def _sqrt_of(pieces: list[float], err: float, *, up: bool) -> float | None:
+    """``_sqrt`` of a value within ``err`` of the sum of ``pieces``; None when ``err`` leaves it open.
+
+    ``r^2`` is exactly the sum of three products of Veltkamp's parts of
+    ``r``, so each check of the walk is the sign of the value less those.
+    """
+    s = _sign(pieces, err)
+    if s is None or s <= 0:
+        return None if s is None else 0.0
+
+    def holds(r: float) -> bool | None:
+        h, l = _split(r)
+        s = _sign(pieces + [-h * h, -(h + h) * l, -l * l], err)
+        return None if s is None else s <= 0 if up else s >= 0
+
+    return _walk(holds, math.sqrt(math.fsum(pieces)), *((math.inf, 0.0) if up else (0.0, math.inf)))
+
+
+class BallsAbout:
+    """The balls of a ``ConstraintSet`` ``cs`` seen from a centre ``c``: what every reading about ``c`` shares.
+
+    A reading takes the bound of the balls and one anchor ``|x - c|^2 +
+    offset``. ``d`` holds the centres less ``c``, ``points`` the centres and
+    then ``c``, ``offsets`` the balls' offsets, and ``floats`` whether the
+    float path may run at all: ``cs`` holds only balls, and each centre,
+    offset and ``c`` is in ``_in_range``. The integer rows of the balls about
+    ``c`` are built once, by the first reading that the floats leave open.
+    """
+
+    def __init__(self, cs, c: np.ndarray):
+        centers, offsets, normals, _, others = cs.rows
+        self.cs, self.c = cs, c
+        self.d = centers - c
+        self.points = np.concatenate((centers, c[None, :]))
+        self.offsets = offsets
+        self.floats = normals is None and not others and _in_range(self.points, offsets)
+        self._balls = None
+
+    def dyadic(self, offset: float) -> DyadicRows:
+        """The rows of the balls and the anchor about ``c``, in integers."""
+        if self._balls is None:
+            self._balls = _dyadic_rows(self.cs.constraints, self.c)
+        quadratic, linear, values, b = self._balls
+        parts = _dyadic([offset])
+        k = max(0, (_bits(parts) + 1) // 2 - b)  # the anchor's offset may need more bits
+        return DyadicRows(quadratic + [True], [[u << k for u in row] for row in linear] + [[0] * len(self.c)],
+                          [v << 2 * k for v in values] + _at(parts, 2 * (b + k)), b + k)
+
+    def read(self, offset: float, weights: list[float], floats, exact) -> float:
+        """A value of the bound at ``weights``, one per ball and then the anchor's.
+
+        ``floats(pieces, err)`` reads it from ``_bound_in_floats``; where that
+        gives None, ``exact`` reads it from ``_bound``'s ``(num, den)``, or
+        from None.
+        """
+        read = _bound_in_floats(self, offset, weights)
+        value = None if read is None else floats(*read)
+        return exact(_bound(self.dyadic(offset), weights)) if value is None else value
+
+
+def _bound_in_floats(about: BallsAbout, offset: float, weights: list[float]):
+    """``(pieces, err)``: the bound of the balls and the anchor of ``about`` lies within ``err`` of the sum of ``pieces``.
+
+    ``weights`` hold one weight per ball and then the anchor's. With ``s``
+    their sum, the bound is ``L(z) - |v'|^2 / s`` about any point ``z``,
+    where ``v' = sum w_r (c_r - z)``, since ``L(x) = min L + s |x -
+    x(w)|^2`` and ``s (x(w) - z) = v'``. ``z`` is the primal point ``x(w) =
+    sum w_r c_r / s`` in floats, where ``v'`` is of the order of ``u`` and
+    exactly 0 when the weights pick out one centre.
+
+    - Over the ``N`` rows, ``L(z) = sum w_r (hi_r + lo_r)`` to within ``sum
+      |w_r| err_r`` (``_rows_at``). Each ``w_r hi_r`` is exactly the sum of
+      four products of Veltkamp's parts, and each ``w_r lo_r`` is read in
+      floats, within ``u |w_r lo_r|``.
+    - ``v'`` in floats, from the float ``c_r - z``, errs by at most ``eps =
+      (N + 2) u sum_r |w_r| |fl(c_r - z)|`` in norm, where ``|fl(c_r - z)|
+      <= (1 + u) |c_r - z|`` and the row gives ``|c_r - z|^2 <= hi_r - o_r +
+      |lo_r| + err_r``. So ``0 <= |v'|^2 / s <= 2 (|fl(v')|^2 + eps^2) /
+      s``; both terms are of the order of ``u^2`` near the primal point, and
+      0 when every weighted row has ``z`` at its centre. With ``kappa``
+      twice that bound, the pieces take ``-kappa / 2`` and the error ``kappa
+      / 2``.
+
+    Each term of ``err`` is taken at twice its bound, which covers the
+    roundings of ``err`` itself. None unless ``s``, whose sign ``math.fsum``
+    gives exactly, is positive (the integer path has no bound there either),
+    ``about.floats`` holds, ``z``, the weights and ``offset`` are in
+    ``_in_range`` and ``err`` is finite.
+    """
+    if not (about.floats and all(map(math.isfinite, weights))):
+        return None
+    s = math.fsum(weights)
+    if not s > 0.0:
+        return None
+    w = np.array(weights)
+    z = (w @ about.points) / s
+    if not _in_range(z, [offset] + weights):
+        return None
+    offsets = about.offsets + [offset]
+    pieces, bound, spread = [], 0.0, 0.0
+    for wr, a, b, e, o in zip(weights, *_rows_at(about.points, offsets, z), offsets):
+        wh, wl = _split(wr)
+        ah, al = _split(a)
+        wb = wr * b
+        pieces += (wh * ah, wh * al, wl * ah, wl * al, wb)
+        bound += abs(wr) * e + 2.0 * _U * abs(wb)
+        spread += abs(wr) * math.sqrt(max(a - o + abs(b) + e, 0.0))
+    v = w @ (about.points - z)
+    kappa = 4.0 * (float(v @ v) + ((len(w) + 2) * _U * spread) ** 2) / s
+    bound += 0.5 * kappa
+    if not math.isfinite(bound):
+        return None
+    pieces.append(-0.5 * kappa)
+    return pieces, bound
+
+
 def _project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto ``{lambda >= 0, sum lambda = 1}``, by sorting.
 
@@ -530,21 +751,24 @@ def _to_boundary(values: list[float], steps: list[float]) -> float:
     a = 1.0
     for v, dv in zip(values, steps):
         if dv < 0.0:
-            a = min(a, -0.995 * v / dv)
+            r = -0.995 * v / dv
+            if r < a:
+                a = r
     return a
 
 
-def _primal(k: np.ndarray, D: np.ndarray, o: np.ndarray, sigma: float, theta: np.ndarray):
+def _primal(k: np.ndarray, kc: np.ndarray, D: np.ndarray, o: np.ndarray, sigma: float, theta: np.ndarray):
     """``(u, y, E, F)`` at the weights ``theta`` of the rows ``k_r |d_r - k_r y|^2 + o_r``.
 
-    ``u = k.theta + sigma``, with ``sigma`` the fixed weight of the anchor
-    ``|y|^2``; ``y = D^T theta / u`` is the primal point, the rows of ``E``
-    are ``d_r - k_r y`` and ``F`` holds the row values at ``y``.
+    ``kc`` is ``k`` as a column. ``u = k.theta + sigma``, with ``sigma`` the
+    fixed weight of the anchor ``|y|^2``; ``y = D^T theta / u`` is the primal
+    point, the rows of ``E`` are ``d_r - k_r y`` and ``F`` holds the row
+    values at ``y``.
     """
     u = float(k @ theta) + sigma
     y = (theta @ D) / u
-    E = D - k[:, None] * y
-    return u, y, E, k * (E * E).sum(axis=1) + o
+    E = D - kc * y
+    return u, y, E, k * np.add.reduce(E * E, axis=1) + o
 
 
 def _newton(k: np.ndarray, D: np.ndarray, o: np.ndarray, sigma: float,
@@ -570,32 +794,35 @@ def _newton(k: np.ndarray, D: np.ndarray, o: np.ndarray, sigma: float,
     returns the iterate of least error.
     """
     p = len(b)
+    kc, AT = k[:, None], A.T
 
-    def at(theta, z):
-        u, _, E, F = _primal(k, D, o, sigma, theta)
-        slack = A @ theta - b
+    def at(theta, slack, z):
+        # slack is A theta - b, which the interior check has just formed
+        u, _, E, F = _primal(k, kc, D, o, sigma, theta)
         if z is None:
             z = sum(map(abs, F.tolist())) / p / slack
-        return float(z @ slack) + sum(map(abs, (F + z @ A).tolist())), theta, z, slack, u, E, F
+        zs = float(z @ slack)
+        return zs + sum(map(abs, (F + z @ A).tolist())), theta, z, slack, zs, u, E, F
 
-    cur = best = at(theta, None)
+    cur = best = at(theta, A @ theta - b, None)
     for _ in range(DUAL_STEPS):
         if best[0] <= tol:
             break
-        _, theta, z, slack, u, E, F = cur
-        target = float(z @ slack) / (20.0 * p)
-        H = (2.0 / u) * (E @ E.T) + A.T @ (A * (z / slack)[:, None])
+        _, theta, z, slack, zs, u, E, F = cur
+        target = zs / (20.0 * p)
+        H = (2.0 / u) * (E @ E.T) + AT @ (A * (z / slack)[:, None])
         # two equal centres leave E E^T flat along their difference, where the
         # barrier terms can round away against a large one on sum w >= 1 and
         # leave H singular in floats: a relative ridge keeps it definite
-        H.flat[::len(H) + 1] *= 1.0 + 1e-14
+        H.reshape(-1)[::len(H) + 1] *= 1.0 + 1e-14
         step = np.linalg.solve(H, F + (target / slack) @ A)
         ds = A @ step
         dz = (target - z * ds) / slack - z
         theta = theta + _to_boundary(slack.tolist(), ds.tolist()) * step
-        if not all(v > 0.0 for v in (A @ theta - b).tolist()):
+        slack = A @ theta - b
+        if not (slack > 0.0).all():  # a NaN slack stops the solve too
             break
-        cur = at(theta, z + _to_boundary(z.tolist(), dz.tolist()) * dz)
+        cur = at(theta, slack, z + _to_boundary(z.tolist(), dz.tolist()) * dz)
         if cur[0] < best[0]:
             best = cur
     return best[1]
@@ -616,7 +843,7 @@ def _member_near(cs, x: np.ndarray, toward: np.ndarray) -> np.ndarray | None:
 
 
 def _anchored(cs, c: np.ndarray, sigma: float):
-    """``(lambda, y, num, den)`` of the balls of ``cs`` and the anchor ``|x - c|^2`` at weight ``sigma``.
+    """``(lambda, y)`` of the balls of ``cs`` and the anchor ``|x - c|^2`` at weight ``sigma``.
 
     ``sigma`` is -1 for the farthest dual and +1 for the distance dual.
     ``lambda`` maximises the bound over ``lambda >= 0``, and ``sum lambda >=
@@ -625,8 +852,7 @@ def _anchored(cs, c: np.ndarray, sigma: float):
     takes the optimum ``lambda = |c_1 - c| / R - sigma`` instead, unless it
     leaves ``lambda`` or ``lambda + sigma`` at 0 or below (``c = c_1`` in the
     farthest dual, ``c`` in the ball in the distance dual), where the start
-    stays. ``y`` is the primal point less ``c``, and ``num / den`` the bound,
-    exactly, from ``_bound`` about ``c``.
+    stays. ``y`` is the primal point less ``c``.
     """
     d = cs.rows.centers - c
     o = np.array(cs.rows.offsets)
@@ -642,15 +868,7 @@ def _anchored(cs, c: np.ndarray, sigma: float):
         s = math.sqrt(float(d[0] @ d[0]) / -o[0]) - sigma
         if DUAL_STEPS and min(s, s + sigma) > 0.0:
             lam[0] = s
-    return (lam, _primal(k, d, o, sigma, lam)[1]) + _about(cs, c, lam.tolist() + [sigma])
-
-
-def _about(cs, c: np.ndarray, weights: list[float]) -> tuple[int, int]:
-    """``(num, den)``: the bound of the balls of ``cs`` and the anchor ``|x - c|^2``, exactly, about ``c``.
-
-    ``weights`` holds one weight per ball, then the anchor's.
-    """
-    return _bound(_dyadic_rows(cs.constraints + (BallQuad(c, 0.0),), c), weights)
+    return lam, _primal(k, k[:, None], d, o, sigma, lam)[1]
 
 
 def farthest_bracket(cs, c: np.ndarray, witness: np.ndarray, floor: float):
@@ -668,34 +886,49 @@ def farthest_bracket(cs, c: np.ndarray, witness: np.ndarray, floor: float):
     does; that point becomes the returned witness. When none does, ``r_lo``
     is ``floor`` and ``witness`` comes back as it was given.
     """
-    lam, y, num, den = _anchored(cs, c, -1.0)
-    r_hi = _sqrt(-num, den, up=True)
+    lam, y = _anchored(cs, c, -1.0)
+    r_hi = BallsAbout(cs, c).read(0.0, lam.tolist() + [-1.0],
+                                  lambda pieces, err: _sqrt_of([-v for v in pieces], err, up=True),
+                                  lambda bound: _sqrt(-bound[0], bound[1], up=True))
     member = _member_near(cs, c + y, witness)
     if member is None:
         return floor, r_hi, witness, lam
     return _distance(c, member, up=False), r_hi, member, lam
 
 
-def _distance(c: np.ndarray, x: np.ndarray, *, up: bool) -> float:
-    """``|x - c|``, read off the anchor row ``|y - c|^2`` about ``x`` exactly, rounded up or down."""
+def _distance_in_floats(c: np.ndarray, x: np.ndarray, up: bool) -> float | None:
+    """``_distance`` from the anchor row about ``x`` in double-double; None when its bound leaves it open."""
+    if not _in_range(x, c):
+        return None
+    (hi,), (lo,), (err,) = _rows_at(c[None, :], [0.0], x)
+    return _sqrt_of([hi, lo], err, up=up)
+
+
+def _distance_exactly(c: np.ndarray, x: np.ndarray, up: bool) -> float:
+    """``_distance`` from the anchor row ``|y - c|^2`` about ``x`` in integers."""
     about = _dyadic_rows((BallQuad(c, 0.0),), x)
     return _sqrt(about.values[0], 1 << (2 * about.b), up=up)
 
 
-def _margin(num: int, den: int, R: float) -> float:
-    """``sqrt(num / den) - R``, the root rounded down and then the difference."""
-    p, q = _sqrt(num, den, up=False).as_integer_ratio()
-    a, b = float(R).as_integer_ratio()
-    return _floor(p * b - a * q, q * b)
+def _distance(c: np.ndarray, x: np.ndarray, *, up: bool) -> float:
+    """``|x - c|``, proven and rounded up or down: in floats where their bound settles it, else in integers."""
+    r = _distance_in_floats(c, x, up)
+    return _distance_exactly(c, x, up) if r is None else r
 
 
-def distance_margin(cs, c: np.ndarray, R: float, tol: float) -> float:
-    """A lower bound on ``d(c, C) - R`` over the balls of ``cs``, checked exactly and rounded down.
+def _root(about: BallsAbout, weights: list[float]) -> float:
+    """The square root, rounded down, of the distance dual's bound at ``weights``: a lower bound on ``d(c, C)``."""
+    return about.read(0.0, weights, lambda pieces, err: _sqrt_of(pieces, err, up=False),
+                      lambda bound: _sqrt(*bound, up=False))
+
+
+def distance_margin(about: BallsAbout, R: float, tol: float) -> float:
+    """A lower bound on ``d(c, C) - R`` over the balls of ``about``, proven and rounded down.
 
     On ``C`` every ball row is at most zero, so for ``lambda >= 0`` the bound
     over the balls and the anchor ``|x - c|^2`` at weight ``+1`` is at most
-    ``d(c, C)^2``; ``_sqrt`` rounds its square root down, to 0 when the bound
-    is not positive, and ``R`` comes off rounding down. The first weights
+    ``d(c, C)^2``; its square root is rounded down, to 0 when the bound is
+    not positive, and ``R`` comes off rounding down. The first weights
     tried are equal, ``lambda_i = t``, at the best scale in closed form: with
     ``v = sum (c_i - c)`` and ``Q = sum g_i(c)``, ``1 + t m = (1 - Q m /
     |v|^2)^(-1/2)``, and ``t = 0`` where that degenerates in floats. That is
@@ -704,39 +937,39 @@ def distance_margin(cs, c: np.ndarray, R: float, tol: float) -> float:
     weights of ``_anchored``, the dual of projecting ``c`` onto ``C``, whose
     optimum is ``d(c, C)^2`` when ``C`` has an interior point.
     """
-    return _margin_and_point(cs, c, R, tol)[0]
+    return _margin_and_point(about, R, tol)[0]
 
 
-def _margin_and_point(cs, c: np.ndarray, R: float, tol: float) -> tuple[float, np.ndarray | None]:
+def _margin_and_point(about: BallsAbout, R: float, tol: float) -> tuple[float, np.ndarray | None]:
     """``(margin, y)``: the reading of ``distance_margin`` and the point behind it.
 
     ``y`` is the primal point less ``c`` of the weights of ``_anchored`` when
     the margin was read there, and None when the closed form decided.
     """
-    d = cs.rows.centers - c
+    d, c = about.d, about.c
     m, v = len(d), d.sum(axis=0)
-    Q, vv = float(((d * d).sum(axis=1) + cs.rows.offsets).sum()), float(v @ v)
+    Q, vv = float(((d * d).sum(axis=1) + about.offsets).sum()), float(v @ v)
     ratio = 1.0 - Q * m / vv if vv > 0.0 else 1.0
     t = (ratio ** -0.5 - 1.0) / m if 0.0 < ratio < 1.0 else 0.0
-    first = _margin(*_about(cs, c, [t] * m + [1.0]), R)
+    first = _minus(_root(about, [t] * m + [1.0]), R)
     if first > tol:
         return first, None
-    _, y, num, den = _anchored(cs, c, 1.0)
-    return _margin(num, den, R), y
+    lam, y = _anchored(about.cs, c, 1.0)
+    return _minus(_root(about, lam.tolist() + [1.0]), R), y
 
 
 def distance_bounds(cs, c: np.ndarray, tol: float, toward: np.ndarray) -> tuple[float, float | None]:
     """``(lower, upper)`` on ``d(c, C)`` over the balls of ``cs``, from at most one solve of the distance dual.
 
-    ``lower`` is ``distance_margin(cs, c, 0.0, tol)``. Only when it is at most
+    ``lower`` is ``distance_margin`` at ``R = 0``. Only when it is at most
     ``tol`` is ``upper`` read, and it is None otherwise: the distance from
-    ``c``, checked exactly and rounded up, of a member of ``C``. That member
+    ``c``, proven and rounded up, of a member of ``C``. That member
     is the primal point of the weights behind ``lower``, which is the
     projection of ``c`` onto ``C`` once they are optimal, pulled toward the
     member ``toward`` by ``_member_near`` when it is not exactly in ``C``;
     ``upper`` is ``inf`` when no pull lands in ``C``.
     """
-    lower, y = _margin_and_point(cs, c, 0.0, tol)
+    lower, y = _margin_and_point(BallsAbout(cs, c), 0.0, tol)
     if lower > tol:
         return lower, None
     member = _member_near(cs, c + y, toward)
@@ -756,11 +989,6 @@ class WitnessDual(NamedTuple):
     multipliers: tuple[float, ...]
 
 
-def _witness_rows(cs, c: np.ndarray, r: float) -> tuple:
-    """The balls of ``cs`` and the anchor ``f``: ``|x - c|^2`` minus the float ``r * r``."""
-    return cs.constraints + (BallQuad(c, -(r * r)),)
-
-
 def _reaches_one(w: list[float]) -> bool:
     """``sum w >= 1``, exactly, for finite ``w``.
 
@@ -771,50 +999,93 @@ def _reaches_one(w: list[float]) -> bool:
     return math.fsum(w + [-1.0]) >= 0.0
 
 
-def witness_dual(cs, c: np.ndarray, r: float, gap: float) -> WitnessDual:
-    """The witness dual of the balls of ``cs`` against ``B(c, r)``: ``x(w, t)``, ``g_lower`` and ``(w, t)``.
+def witness_dual(about: BallsAbout, r: float, gap: float) -> WitnessDual:
+    """The witness dual of the balls of ``about`` against ``B(c, r)``: ``x(w, t)``, ``g_lower`` and ``(w, t)``.
 
     ``f`` is ``|x - c|^2`` minus the float ``r * r``. ``_newton`` holds
     ``-f`` as the row with ``k = -1``, ``d = 0`` and ``o = r * r``, so that
     ``B`` at ``sigma = 0`` is ``t r^2 + S - |v|^2 / (s - t)``. The weights
     maximise it from ``w_i = (m + 1) / 2m`` and ``t = 1/2`` to an error of
     ``gap / 2``, which bounds ``G(x)`` minus the bound; the other half of
-    ``gap`` covers the rounding of ``g_lower``, the same bound from
-    ``_bound`` over the rows of ``_witness_rows`` at the weights ``(w,
-    -t)``. For one ball ``w = 1`` is forced and the best ``t``, ``1 - |c_1 -
-    c| / r`` clipped at 0, is taken.
+    ``gap`` covers the rounding of ``g_lower``, the same bound over the balls
+    and the anchor ``f`` at the weights ``(w, -t)``. For one ball ``w = 1``
+    is forced and the best ``t``, ``1 - |c_1 - c| / r`` clipped at 0, is
+    taken.
     """
-    d = cs.rows.centers - c
+    d, c = about.d, about.c
     m, n = d.shape
-    k = np.append(np.ones(m), -1.0)
-    D = np.vstack((d, np.zeros(n)))
-    o = np.append(cs.rows.offsets, r * r)
+    k = np.ones(m + 1)
+    k[m] = -1.0
+    D = np.concatenate((d, np.zeros((1, n))))
+    o = np.array(about.offsets + [r * r])
     theta = np.full(m + 1, (m + 1) / (2 * m))
     theta[m] = 0.5
     if m > 1:
+        # w and t in [0, 1], then sum w >= 1
         eye = np.eye(m + 1)
-        A = np.vstack((eye, -eye, np.append(np.ones(m), 0.0)))
-        b = np.concatenate((np.zeros(m + 1), -np.ones(m + 1), [1.0]))
+        total = np.ones((1, m + 1))
+        total[0, m] = 0.0
+        A = np.concatenate((eye, -eye, total))
+        b = np.zeros(2 * m + 3)
+        b[m + 1:] = -1.0
+        b[-1] = 1.0
         theta = _newton(k, D, o, 0.0, A, b, theta, gap / 2.0)
     else:
         t = 1.0 - math.sqrt(float(d[0] @ d[0]) / (r * r))
         if DUAL_STEPS and t < 1.0:  # t = 1 only when c = c_1
             theta[1] = max(t, 0.0)
-    y = _primal(k, D, o, 0.0, theta)[1]
+    x = c + _primal(k, k[:, None], D, o, 0.0, theta)[1]
     w, t = theta[:-1].tolist(), float(theta[-1])
-    inside = 0.0 <= min(w) and max(w) <= 1.0 and 0.0 <= t <= 1.0 and _reaches_one(w)
-    bound = _bound(_dyadic_rows(_witness_rows(cs, c, r), c), w + [-t]) if inside else None
-    g_lower = -math.inf if bound is None else _floor(*bound)
-    return WitnessDual(c + y, g_lower, tuple(w) + (t,))
+    g_lower = -math.inf
+    if 0.0 <= min(w) and max(w) <= 1.0 and 0.0 <= t <= 1.0 and _reaches_one(w):
+        g_lower = about.read(-(r * r), w + [-t], _floor_of,
+                             lambda bound: -math.inf if bound is None else _floor(*bound))
+    return WitnessDual(x, g_lower, tuple(w) + (t,))
 
 
-def witness_value(cs, c: np.ndarray, r: float, x: np.ndarray) -> float:
-    """``G(x)`` of the balls of ``cs`` against ``B(c, r)``, exactly from the rows about ``x``, rounded up.
+def _witness_value_in_floats(about: BallsAbout, r: float, x: np.ndarray) -> float | None:
+    """``witness_value`` from the rows about ``x`` in double-double; None when their bounds leave it open.
+
+    The sign of every row, and which ball row is greatest when none is
+    positive, must be settled by ``_rows_at``'s bounds; ``G`` is then a sum
+    of rows, each with its sign, within the sum of their bounds.
+    """
+    rr = r * r
+    if not about.floats or not _in_range(x, [rr]):
+        return None
+    rows = list(zip(*_rows_at(about.points, about.offsets + [-rr], x)))
+    signs = [_sign(row[:2], row[2]) for row in rows]
+    if None in signs:
+        return None
+    *g, f = rows
+    terms = [(-f[0], -f[1], f[2])] if signs[-1] < 0 else []
+    terms += [row for row, s in zip(g, signs) if s > 0]
+    if max(signs[:-1]) <= 0:  # then G takes the greatest ball row
+        top = max(g, key=lambda row: row[0] + row[1])
+        for row in g:
+            s = 1 if row is top else _sign([top[0], top[1], -row[0], -row[1]], top[2] + row[2])
+            if s is None or s < 0:
+                return None
+        terms.append(top)
+    G = _floor_of([-v for h, l, _ in terms for v in (h, l)], sum(e for *_, e in terms))
+    return None if G is None else -G
+
+
+def witness_value(about: BallsAbout, r: float, x: np.ndarray) -> float:
+    """``G(x)`` of the balls of ``about`` against ``B(c, r)``, proven and rounded up.
 
     ``G = -min(f, 0) + sum max(g_i, 0) + min(max g_i, 0)`` with ``f =
-    |x - c|^2`` minus the float ``r * r``, as ``witness_dual`` reads it.
+    |x - c|^2`` minus the float ``r * r``, as ``witness_dual`` reads it:
+    from the rows about ``x`` in double-double where their bounds settle it,
+    and otherwise exactly, in integers.
     """
-    rows = _dyadic_rows(_witness_rows(cs, c, r), x)
+    value = _witness_value_in_floats(about, r, x)
+    return _witness_value_exactly(about, r, x) if value is None else value
+
+
+def _witness_value_exactly(about: BallsAbout, r: float, x: np.ndarray) -> float:
+    """``witness_value`` from the rows about ``x`` in integers."""
+    rows = _dyadic_rows(about.cs.constraints + (BallQuad(about.c, -(r * r)),), x)
     *g, f = rows.values
     G = max(-f, 0) + sum(max(v, 0) for v in g) + min(max(g), 0)
     return -_floor(-G, 1 << (2 * rows.b))

@@ -3,7 +3,8 @@
 ``r_star`` is the maximum of ``||x - c||`` over the intersection ``C1`` of the
 rows ``g_k(x) = ||x - c_k||^2 + o_k`` (``o_k = -R^2``). The S-lemma dual of
 the ``dual`` module (the anchor row ``||x - c||^2`` at weight ``-1``) brackets
-it first, both ends checked in exact arithmetic over the float inputs.
+it first, both ends proven over the float inputs: read in floats where a
+proven error bound settles their rounding, and otherwise in integers.
 
 Under the distance precondition ``d(c, C1) > R`` that relaxation is exact
 (the argument is in the ``dual`` module docstring). For any ``r > r_star``,

@@ -35,8 +35,7 @@ value gap, the refinement of the paper (``refine_minimum``) is closed
 before any probe, and otherwise it runs from that point and that bound.
 
 The verdict is the sign of the exact bracket ``g_lower <= min G <=
-g_at_xstar``, where ``g_at_xstar`` is ``G(x*)`` evaluated exactly and rounded
-up:
+g_at_xstar``, where ``g_at_xstar`` is ``G(x*)`` proven and rounded up:
 
 - Included when ``g_lower > 0``, a proof with no precondition: on the
   difference ``f >= 0`` and every ``f_k <= 0``, so ``G = max_k f_k <= 0``
@@ -56,7 +55,7 @@ up:
 witness search, the residuals, the dual and the distance precondition read
 it as it is. The precondition rests on a proof too: ``dual.distance_margin``
 bounds ``d(c, C1)`` from below through the dual of projecting ``c`` onto
-``C1``, checked in exact arithmetic, and the gate passes only when that bound
+``C1``, proven and rounded down, and the gate passes only when that bound
 exceeds ``R`` by more than the tolerance. So a Nonempty verdict is a proof,
 and no projection runs on the inclusion path.
 """
@@ -70,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convexfn import BallQuad, ConvexFn
-from .dual import distance_margin, witness_dual, witness_value
+from .dual import BallsAbout, distance_margin, witness_dual, witness_value
 from .errors import DimensionMismatch, EmptyIntersection, PreconditionFailed
 from .feasibility import ConstraintSet, FeasibilityVerdict, ProjectionResult, check_feasibility
 from .geometry import Ball
@@ -123,6 +122,10 @@ class InclusionReport:
     g_at_xstar`` (module docstring): Included when ``g_lower > 0``, Nonempty
     difference when ``g_at_xstar <= 0``. ``residuals_fk`` and
     ``dist_xstar_to_c`` describe ``x_star`` and decide nothing.
+    Each of ``precondition_margin``, ``g_at_xstar`` and ``g_lower`` is the
+    nearest float on one side of an exact value; the ``dual`` module reads it
+    in floats only where a proven error bound settles that rounding, and
+    otherwise in integers, so it is the same float either way.
     ``precondition_margin`` is a proven lower bound on ``d(c, C1) - R``,
     rounded down (``dual.distance_margin``): for one ball the margin itself
     to rounding; for more, the bound at equal multipliers when that is above
@@ -131,8 +134,8 @@ class InclusionReport:
     the solve stopped short of its optimum.
     ``inclusion_checker`` raises ``PreconditionFailed`` unless it is above
     the solver's ``tol``, so it is above ``tol`` on every report.
-    ``g_at_xstar`` is ``G(x_star)`` evaluated exactly and rounded up, so it
-    is a proven upper bound on ``min G``, while the refinement's float value
+    ``g_at_xstar`` is ``G(x_star)`` rounded up, so it is a proven upper
+    bound on ``min G``, while the refinement's float value
     of ``G`` decides when it stops.
     ``g_lower`` is a proven lower bound on ``min G``, the larger of ``-R^2``
     and the dual bound at ``multipliers`` (``w`` in centre order, then
@@ -213,15 +216,16 @@ def build_G(bi: BallIntersection, ob: OuterBall) -> ConvexFn:
     return _WitnessG(bi, ob)
 
 
-def _inclusion_at(bi: BallIntersection, ob: OuterBall, cfg: SolverConfig,
+def _inclusion_at(about: BallsAbout, ob: OuterBall, cfg: SolverConfig,
                   margin: float) -> InclusionReport:
+    bi = about.cs
     G = build_G(bi, ob)
     gap = max(cfg.tol / 100.0, 1e-12)
-    dual = witness_dual(bi, ob.center, ob.radius, gap)
+    dual = witness_dual(about, ob.radius, gap)
     g_lower = max(-(bi.radius * bi.radius), dual.g_lower)
     res = refine_minimum(G, dual.x, lower_bound=g_lower, value_gap=gap, max_iters=cfg.max_iters)
     x_star = res.x_best
-    g_at_xstar = witness_value(bi, ob.center, ob.radius, x_star)
+    g_at_xstar = witness_value(about, ob.radius, x_star)
     if g_lower > 0.0:
         verdict = InclusionVerdict.INCLUDED
     elif g_at_xstar <= 0.0:
@@ -273,13 +277,15 @@ def inclusion_checker(bi: BallIntersection, c, cfg: SolverConfig):
         raise EmptyIntersection(
             f"ball intersection not certified nonempty (verdict {report.verdict.value}, "
             f"merit minimum {report.g_tilde_min:.3e})")
-    margin = distance_margin(bi, c, bi.radius, cfg.tol)
+    # the balls seen from c, shared by the precondition and every check
+    about = BallsAbout(bi, c)
+    margin = distance_margin(about, bi.radius, cfg.tol)
     if not margin > cfg.tol:
         raise PreconditionFailed(
             f"outer center too close to the intersection: d(c, C1) - R = {margin:.6e}")
 
     def check(r: float) -> InclusionReport:
-        return _inclusion_at(bi, OuterBall(c, r), cfg, margin)
+        return _inclusion_at(about, OuterBall(c, r), cfg, margin)
 
     return np.asarray(report.witness, dtype=np.float64), check
 

@@ -9,8 +9,11 @@ import pytest
 from hypothesis import settings
 
 from hullscope import Ball, BallIntersection, ConstraintSet, ball_constraint, halfspace_constraint
+from hullscope import dual
 
 settings.register_profile("suite", max_examples=200, deadline=None)
+# a longer run of the same properties, chosen with --hypothesis-profile=ci
+settings.register_profile("ci", max_examples=2_000, deadline=None)
 settings.load_profile("suite")
 
 PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
@@ -75,6 +78,21 @@ def far_center(rng: np.random.Generator, bi: BallIntersection, z0: np.ndarray,
     d = rng.standard_normal(len(z0))
     d /= np.linalg.norm(d)
     return z0 + (2.0 * bi.radius + max_off + u) * d
+
+
+def without_newton(solve):
+    """``solve`` run with no Newton step (``dual.DUAL_STEPS = 0``), while every other solve keeps its steps.
+
+    Patching ``DUAL_STEPS`` itself would also starve the distance gate's
+    solve, which then refuses instances near its threshold.
+    """
+    def starved(*args, **kwargs):
+        steps, dual.DUAL_STEPS = dual.DUAL_STEPS, 0
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            dual.DUAL_STEPS = steps
+    return starved
 
 
 def dual_sweep():

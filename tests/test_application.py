@@ -10,7 +10,7 @@ from hullscope import (Affine, Ball, BallIntersection, BallQuad, BisectionConfig
                        UnboundedRegion, ball_constraint, bound_max_distance,
                        extract_boundary_point, halfspace_constraint, load_problem, project_region)
 from hullscope.application import _exits
-from hullscope.dual import _dual_ascent, distance_bounds, distance_margin
+from hullscope.dual import BallsAbout, _dual_ascent, distance_bounds, distance_margin
 from hullscope.inclusion import dykstra_project_full
 
 from oracles import GridSpec, grid_max_distance
@@ -343,7 +343,7 @@ def test_covering_bounds_hold_against_dykstra(monkeypatch, case, seed):
         dyk = dykstra_distance(bi, x)
         assert gap >= dyk - 1e-11
         limit = delta + 1e-7 * max(1.0, float(np.linalg.norm(x)))
-        assert distance_margin(bi, x, 0.0, limit) <= dyk + 1e-12
+        assert distance_margin(BallsAbout(bi, x), 0.0, limit) <= dyk + 1e-12
 
 
 @pytest.mark.parametrize("delta, refused", [(0.34, False), (0.5, False),

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
-from conftest import problem_path
+from hullscope.dual import witness_dual
+
+from conftest import problem_path, without_newton
 
 
 def run_cli(*args, env_extra=None):
@@ -219,8 +221,9 @@ def test_max_iters_caps_inclusion_and_farthest(monkeypatch, capsys):
     starved = run_cli(*args, "--max-iters", "1")
     assert full.returncode == starved.returncode == 0
     assert json.loads(starved.stdout)["iters"] == 0
-    # with no Newton step the refinement runs, and the cap stops it short
-    monkeypatch.setattr("hullscope.dual.DUAL_STEPS", 0)
+    # with no Newton step in the witness dual the refinement runs, and the
+    # cap stops it short
+    monkeypatch.setattr("hullscope.inclusion.witness_dual", without_newton(witness_dual))
     monkeypatch.setenv("HULLSCOPE_LOG", "off")
     try:
         code = cli.main([*args, "--max-iters", "1"])

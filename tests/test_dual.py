@@ -11,6 +11,14 @@ the float value is often wrong, must not mislead them either.
 ``Fraction``. On the benchmark's inclusion shapes the filters must decide
 every check of the feasibility checker's ascent: a filter that always fell
 back would pass every other test.
+
+The readings of the reported values in double-double (the floor and both
+square roots of the Lagrangian bound, ``witness_value`` and ``_distance``)
+may likewise return None, and otherwise must return the float the integer
+path returns. On the grid the bounds and row values often sit exactly on a
+float; a weight or a point one ulp off puts them within a hair of one. The
+float path reads both, scaled by ``2^300`` or ``2^-300`` it must give None,
+and on the dual sweeps it must settle every reading.
 """
 
 import itertools
@@ -21,10 +29,16 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hullscope import Affine, BallQuad, ConstraintSet, FeasibilityVerdict, check_feasibility
+from hullscope import (Affine, BallIntersection, BallQuad, ConstraintSet, FeasibilityVerdict,
+                       SolverConfig, check_feasibility)
 from hullscope import dual
-from hullscope.dual import (_inside_exactly, _inside_in_floats, _proves_empty_exactly,
-                            _proves_empty_in_floats, _reaches_one, certify_empty, proves_empty)
+from hullscope.dual import (BallsAbout, _bound, _bound_in_floats, _distance_exactly,
+                            _distance_in_floats, _dyadic_rows, _floor, _floor_of, _inside_exactly,
+                            _inside_in_floats, _proves_empty_exactly, _proves_empty_in_floats,
+                            _reaches_one, _sqrt, _sqrt_of, _witness_value_exactly,
+                            _witness_value_in_floats, certify_empty, distance_bounds,
+                            farthest_bracket, proves_empty)
+from hullscope.inclusion import inclusion_checker
 
 from conftest import dual_sweep, wide_dual_sweep
 from test_feasibility import _fraction_sums
@@ -192,3 +206,131 @@ def test_filters_decide_every_ascent_check_on_the_sweep_shapes(monkeypatch):
         decided = certify_empty(cut)
         assert decided is not None and decided.empty, label
     assert answers.count(True) == len(answers) == 2 * (120 + 40)
+
+
+@st.composite
+def balls_about(draw):
+    """``(cs, c, x)``: one to four balls on the grid in R^n, an anchor centre ``c`` and a point ``x``."""
+    n = draw(st.integers(1, 4))
+    point = st.lists(GRID, min_size=n, max_size=n).map(np.array)
+    cs = ConstraintSet([BallQuad(draw(point), draw(GRID)) for _ in range(draw(st.integers(1, 4)))])
+    return cs, draw(point), draw(point)
+
+
+def nudged(a, j: int, side: int):
+    """``a`` with its entry ``j`` moved one ulp toward ``side * inf``."""
+    b = np.array(a, dtype=np.float64)
+    b[j % len(b)] = math.nextafter(b[j % len(b)], side * math.inf)
+    return b
+
+
+def bound_readings(pieces, err) -> list:
+    """The floor and both square roots of a value and of its negative, read from its pieces."""
+    out = []
+    for sign in (1, -1):
+        signed = [sign * v for v in pieces]
+        out += [_floor_of(signed, err), _sqrt_of(signed, err, up=False), _sqrt_of(signed, err, up=True)]
+    return out
+
+
+def exact_readings(num: int, den: int) -> list:
+    out = []
+    for sign in (1, -1):
+        out += [_floor(sign * num, den), _sqrt(sign * num, den, up=False), _sqrt(sign * num, den, up=True)]
+    return out
+
+
+def scaled_about(cs, c, s: float) -> BallsAbout:
+    return BallsAbout(scaled(cs, s), s * c)
+
+
+@given(balls_about(), st.lists(st.integers(0, 64).map(lambda k: k / 16), min_size=4, max_size=4),
+       st.integers(-32, 32).map(lambda k: k / 16), GRID, st.integers(0, 4), st.sampled_from([-1, 1]))
+def test_bound_readings_answer_only_as_the_integers_do(system, pool, anchor, offset, j, side):
+    cs, c, _ = system
+    about = BallsAbout(cs, c)
+    m = len(cs.constraints)
+    base = pool[:m] + [anchor]
+    # all on one ball, the bound is that ball's offset exactly
+    single = [0.0] * m + [1.0] if j >= m else [0.0] * j + [1.0] + [0.0] * (m - j)
+    for weights in (base, nudged(base, j, side).tolist(), single):
+        exact = _bound(about.dyadic(offset), weights)
+        # the rows of the balls about c, built once, and the anchor appended
+        # give the bound of the rows built together
+        together = _bound(_dyadic_rows(cs.constraints + (BallQuad(c, offset),), c), weights)
+        assert exact == together or Fraction(*exact) == Fraction(*together)
+        read = _bound_in_floats(about, offset, weights)
+        if exact is None:
+            assert read is None
+            continue
+        if read is not None:
+            got, want = bound_readings(*read), exact_readings(*exact)
+            assert all(g is None or g == w for g, w in zip(got, want)), (got, want)
+        if not blank(cs) or c.any():
+            for s in (2.0 ** 300, 2.0 ** -300):
+                assert _bound_in_floats(scaled_about(cs, c, s), s * s * offset, weights) is None
+    # the float path reads it exactly, with no bound to leave it open
+    assert _floor_of(*_bound_in_floats(about, offset, single)) == (offset if j >= m else cs.constraints[j].offset)
+
+
+@given(balls_about(), st.integers(1, 64).map(lambda k: k / 16), st.integers(0, 4), st.sampled_from([-1, 1]))
+def test_value_readings_answer_only_as_the_integers_do(system, r, j, side):
+    cs, c, x = system
+    about = BallsAbout(cs, c)
+    for y in (x, nudged(x, j, side)):
+        got = _witness_value_in_floats(about, r, y)
+        assert got is None or got == _witness_value_exactly(about, r, y)
+        for up in (False, True):
+            got = _distance_in_floats(c, y, up)
+            assert got is None or got == _distance_exactly(c, y, up)
+    # on the grid every difference and sum is exact, so the float path reads
+    # each row exactly and must settle every value, even one that is a float
+    assert _witness_value_in_floats(about, r, x) == _witness_value_exactly(about, r, x)
+    assert _distance_in_floats(c, x, True) == _distance_exactly(c, x, True)
+    for s in (2.0 ** 300, 2.0 ** -300):
+        if not blank(cs) or c.any() or x.any():
+            assert _witness_value_in_floats(scaled_about(cs, c, s), s * r, s * x) is None
+        if c.any() or x.any():
+            assert _distance_in_floats(s * c, s * x, True) is None
+
+
+def test_float_readings_settle_every_reading_of_the_sweeps(monkeypatch):
+    # the precondition margin, both ends of the farthest bracket, g_lower and
+    # G(x*) on either side of r_star, and both distance bounds
+    results = []
+    for name in ("_bound_in_floats", "_floor_of", "_sqrt_of", "_witness_value_in_floats",
+                 "_distance_in_floats"):
+        def record(*args, _reading=getattr(dual, name), **kwargs):
+            results.append(_reading(*args, **kwargs))
+            return results[-1]
+        monkeypatch.setattr(dual, name, record)
+    for label, bi, c in itertools.chain(dual_sweep(), wide_dual_sweep()):
+        witness, check = inclusion_checker(bi, c, SolverConfig())
+        r_lo, r_hi, member, _ = farthest_bracket(bi, c, witness, bi.radius)
+        assert check(0.9 * r_lo).verdict.value == "nonempty_difference", label
+        assert check(1.1 * r_hi).verdict.value == "included", label
+        assert distance_bounds(bi, c, math.inf, member)[1] < math.inf, label
+    assert len(results) > 160 * 10 and None not in results
+
+
+def test_bound_readings_stay_open_where_only_their_bounds_separate_them():
+    # each bound is a float, or within 2^-170 of one, and the float path's
+    # pieces sum to a value off it by less than their own error: a reading
+    # that dropped either error term would round the wrong way
+    cases = [
+        # z = 1 + 2^-52 is the primal point exactly, but the first row's
+        # residual needs more bits than a float holds: the bound is 2 + 2^-50
+        # + 2^-170
+        (ConstraintSet([BallQuad([0.0], 2.0 ** -170), BallQuad([2.0 + 2.0 ** -51], -(2.0 ** -103))]),
+         [1.0, 1.0, 0.0]),
+        # the primal point (2/3, 2/3, 2/3) is no float, so L(z) exceeds the
+        # bound by about 1e-32; the bound is 2 - fl(4/3) - 2 fl(1/3) = 2^-53
+        (ConstraintSet([BallQuad([0.0] * 3, -(4.0 / 3.0)), BallQuad([1.0] * 3, -(1.0 / 3.0))]),
+         [1.0, 2.0, 0.0]),
+    ]
+    for cs, weights in cases:
+        about = BallsAbout(cs, np.full(cs.dimension, 5.0))
+        exact = _bound(about.dyadic(0.0), weights)
+        got, want = bound_readings(*_bound_in_floats(about, 0.0, weights)), exact_readings(*exact)
+        assert all(g is None or g == w for g, w in zip(got, want)), (got, want)
+        assert None in got

@@ -7,9 +7,9 @@ import pytest
 from hullscope import (BallIntersection, BisectionConfig, DimensionMismatch, InclusionVerdict,
                        InnerUndetermined, OuterBall, PreconditionFailed, SolverConfig,
                        check_inclusion, solve_farthest)
-from hullscope.dual import farthest_bracket
+from hullscope.dual import farthest_bracket, witness_dual
 
-from conftest import dual_sweep, far_center, random_ball_intersection, wide_dual_sweep
+from conftest import dual_sweep, far_center, random_ball_intersection, wide_dual_sweep, without_newton
 from oracles import GridSpec, grid_max_distance
 
 
@@ -37,8 +37,13 @@ def assert_exact_dual_bracket(bi, c, rep):
 
 @pytest.fixture
 def forced_bisection(monkeypatch):
-    """No dual step: the uniform multipliers leave a bracket that bisection must close."""
-    monkeypatch.setattr("hullscope.dual.DUAL_STEPS", 0)
+    """No farthest or witness Newton step: the uniform multipliers leave a bracket that bisection must close.
+
+    Each bisection step then runs its refinement, while the distance gate
+    keeps its own solve.
+    """
+    monkeypatch.setattr("hullscope.farthest.farthest_bracket", without_newton(farthest_bracket))
+    monkeypatch.setattr("hullscope.inclusion.witness_dual", without_newton(witness_dual))
 
 
 def test_bracket_single_disk():
@@ -143,7 +148,7 @@ def test_dual_agrees_with_forced_bisection(monkeypatch):
         dual = solve_farthest(bi, c, cfg)
         assert_exact_dual_bracket(bi, c, dual)
         with monkeypatch.context() as patch:
-            patch.setattr("hullscope.dual.DUAL_STEPS", 0)
+            patch.setattr("hullscope.farthest.farthest_bracket", without_newton(farthest_bracket))
             bisected = solve_farthest(bi, c, cfg)
         assert bisected.bisection_steps > 0
         assert abs(dual.r_star - bisected.r_star) <= 2 * eps, f"instance {i}"

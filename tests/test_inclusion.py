@@ -12,12 +12,13 @@ from hullscope import (Ball, BallIntersection, BisectionConfig, ConstraintSet, D
                        EmptyIntersection, FeasibilityVerdict, InclusionVerdict, OuterBall,
                        PreconditionFailed, SolverConfig, ball_constraint, build_G, check_feasibility,
                        check_inclusion, dykstra_project_full, load_problem, solve_farthest)
+from hullscope.dual import witness_dual
 
 
 def project_onto_balls(balls, y):
     return dykstra_project_full(ConstraintSet([ball_constraint(b) for b in balls]), y).point
 
-from conftest import dual_sweep, far_center, random_ball_intersection, value
+from conftest import dual_sweep, far_center, random_ball_intersection, value, without_newton
 from oracles import GridSpec, grid_max_distance
 from test_farthest import _boundary_point
 
@@ -230,7 +231,7 @@ def test_unconverged_refinement_is_not_included(monkeypatch):
     # with full budget this instance is Included (see above) and the dual
     # closes it with no iteration; with no Newton step the refinement runs,
     # and one starved of iterations cannot localize the minimizer of G
-    monkeypatch.setattr("hullscope.dual.DUAL_STEPS", 0)
+    monkeypatch.setattr("hullscope.inclusion.witness_dual", without_newton(witness_dual))
     bi = BallIntersection([[0.0, 0.0]], 1.0)
     rep = check_inclusion(bi, OuterBall([5.0, 0.0], 6.1), SolverConfig(max_iters=3))
     assert rep.verdict is InclusionVerdict.UNDETERMINED
@@ -284,7 +285,7 @@ def test_witness_dual_bound_is_exact_and_agrees_with_forced_fallback(monkeypatch
         assert rep.g_at_xstar - rep.g_lower <= 1e-10, label
         assert_exact_witness_bound(bi, ob, rep)
         with monkeypatch.context() as patch:
-            patch.setattr("hullscope.dual.DUAL_STEPS", 0)
+            patch.setattr("hullscope.inclusion.witness_dual", without_newton(witness_dual))
             forced = check_inclusion(bi, ob)
         assert forced.iters > 0, label
         assert forced.verdict is rep.verdict, label

@@ -17,6 +17,12 @@ stay inside the range of the float filters of the ``dual`` module; at
 ``2^300`` and ``2^-300`` the certificate ascent, which has no floor, must
 still give the same weights and steps, its checks now settled in integers.
 
+The reported values are nearest floats on one side of exact values, so at
+fixed points and weights they scale exactly: ``witness_value`` and the
+``g_lower`` reading by ``s^2``, the margin and both ends of the farthest
+bracket by ``s``. At ``s`` in {1/4, 4} the double-double path reads them, and
+at ``2^300`` the integers do, so the two paths are checked against each other.
+
 ``solve_farthest`` returns a bracket that is a proof for its own instance.
 On a reflected, permuted, translated or scaled copy that is exactly the same
 instance (centres on a ``2^-20`` grid make the translation exact) the
@@ -39,7 +45,10 @@ import pytest
 from hullscope import (Ball, BallIntersection, BisectionConfig, ConstraintSet, FeasibilityVerdict,
                        InclusionVerdict, OuterBall, SolverConfig, check_feasibility, check_inclusion,
                        solve_farthest)
-from hullscope.dual import _inside_in_floats, _proves_empty_in_floats, certify_empty
+from hullscope.dual import (BallsAbout, _anchored, _distance, _floor, _floor_of, _inside_in_floats,
+                            _minus, _proves_empty_in_floats, _root, _sqrt, _sqrt_of,
+                            _witness_value_in_floats, certify_empty, farthest_bracket, witness_dual,
+                            witness_value)
 
 from conftest import (disks_to_constraints, far_center, mixed_instance, problem_path,
                       random_ball_intersection, random_disk_instance)
@@ -160,6 +169,39 @@ def test_inclusion_verdict_and_iterations_invariant_under_scaling():
             rep = check_inclusion(scaled, OuterBall(s * c, s * r), SolverConfig(tol=TOL * s * s))
             runs.append((rep.verdict, rep.iters))
         assert runs == [runs[0]] * 3, f"instance {i}: {runs}"
+
+
+def _readings(bi, c, r, x, witness, multipliers, lam, dist_lam) -> list[float]:
+    """``g_lower``, ``G(x)``, the margin, ``r_lo`` and ``r_hi`` of ``bi`` about ``c``, at the given points and weights."""
+    about = BallsAbout(bi, c)
+    *w, t = multipliers
+    return [about.read(-(r * r), w + [-t], _floor_of, lambda bound: _floor(*bound)),
+            witness_value(about, r, x),
+            _minus(_root(about, dist_lam + [1.0]), bi.radius),
+            _distance(c, witness, up=False),
+            about.read(0.0, lam + [-1.0], lambda pieces, err: _sqrt_of([-v for v in pieces], err, up=True),
+                       lambda bound: _sqrt(-bound[0], bound[1], up=True))]
+
+
+def test_readings_scale_exactly_in_floats_and_in_integers():
+    rng = np.random.default_rng(35)
+    for i in range(6):
+        bi, z0 = random_ball_intersection(rng, 1 + 2 * (i % 3), 2 + i % 2)
+        c = far_center(rng, bi, z0)
+        about = BallsAbout(bi, c)
+        lo, hi, witness, lam = farthest_bracket(bi, c, z0, bi.radius)
+        r = 0.5 * (lo + hi) * (0.95, 1.05)[i % 2]
+        dual = witness_dual(about, r, 1e-10)
+        fixed = (dual.multipliers, lam.tolist(), _anchored(bi, c, 1.0)[0].tolist())
+        base = _readings(bi, c, r, dual.x, witness, *fixed)
+        assert all(np.isfinite(base)), f"instance {i}: {base}"
+        for s in (*SCALES, 2.0 ** 300):
+            scaled = BallIntersection(s * bi.centers, s * bi.radius)
+            got = _readings(scaled, s * c, s * r, s * dual.x, s * witness, *fixed)
+            label = f"instance {i}, scale {s}"
+            assert got == [s * s * base[0], s * s * base[1]] + [s * v for v in base[2:]], label
+            decided = _witness_value_in_floats(BallsAbout(scaled, s * c), s * r, s * dual.x)
+            assert (decided is None) is (s > 4.0), label
 
 
 def _dyadic_farthest_instances():
