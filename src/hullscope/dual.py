@@ -85,32 +85,26 @@ interior-point steps on them.
 
 No verdict rests on an unbounded rounding error. Every float is a dyadic
 rational, so ``_dyadic_rows`` writes the rows about ``z`` as integers over one
-power of two, ``_dual_sums`` the weighted sums and ``_bound`` the bound as an
-exact fraction, and ``_sqrt`` rounds a square root in a chosen direction,
-checked in integers. That integer code is the reference; every check and
-reading first runs in floats and counts only where a proven bound settles
-it, with every input in the range where nothing underflows or overflows
-(``_in_range``), and any other case goes to the integers, so the answer is
-the same either way. The two checks whose answer is only a sign, that a
-point lies in ``C`` (none of its row values is positive) and that weights
-prove ``C`` empty, read plain float values (``_inside_in_floats``,
+power of two and ``_bound`` the bound as an exact fraction; ``_floor`` rounds
+a fraction down and ``_sqrt`` a square root in a chosen direction, checked in
+integers. The values the module reports (``g_lower``, ``witness_value``, the
+margins and both ends of the farthest bracket) are each the nearest float on
+one side of an exact value, and each is read exactly in integers, from the
+rows of the balls about the centre ``c`` that ``BallsAbout`` builds once.
+Only the two checks whose answer is a sign, that a point lies in ``C`` (none
+of its row values is positive) and that weights prove ``C`` empty, run in
+floats first: they read plain float values (``_inside_in_floats``,
 ``_proves_empty_in_floats``) and count when the value is farther from zero
-than its error bound. The witness weights' ``sum w >= 1`` is exact in
-floats (``_reaches_one``). The values the module reports (``g_lower``,
-``witness_value``, the margins and both ends of the farthest bracket) are
-each the nearest float on one side of an exact value, so they are read in
-double-double: row values as unevaluated sums ``hi + lo`` from error-free
-transformations (TwoSum and, with no fused multiply-add, products of
-Veltkamp's parts; Dekker 1971), within a proven bound (``_rows_at``, and
-``_bound_in_floats`` for the bound). ``math.fsum`` adds such pieces exactly
-rounded, so the sign of a value less a candidate float, or less its square,
-settles the rounding direction whenever the value is farther from that
-float than its bound (``_floor_of``, ``_sqrt_of``).
+than its error bound, with every input in the range where nothing underflows
+or overflows (``_in_range``). Any other case goes to the integers, so the
+answer is the same either way. The witness weights' ``sum w >= 1`` is exact
+in floats (``_reaches_one``).
 """
 
 from __future__ import annotations
 
 import math
+from itertools import compress
 from operator import lshift, mul, sub
 from typing import NamedTuple
 
@@ -130,28 +124,16 @@ class DyadicRows(NamedTuple):
 
     Each row is ``k |y|^2 - 2 u.y + q`` in ``y = x - z``: a ball has ``k = 1``
     and ``u = c_i - z``, a halfspace ``k = 0`` and ``u = -a_j / 2``, and ``q``
-    is the row's value at ``z``. ``linear[r]`` is ``u`` times ``2**b`` and
-    ``values[r]`` is ``q`` times ``2**(2 b)``; every float is a dyadic
-    rational, so one power of two makes all of them integers with no rounding.
+    is the row's value at ``z``. ``linear[r]`` is ``u`` times ``2**b``,
+    ``values[r]`` is ``q`` times ``2**(2 b)`` and ``origin`` is ``z`` times
+    ``2**b``; every float is a dyadic rational, so one power of two makes all
+    of them integers with no rounding.
     """
 
     quadratic: list[bool]
     linear: list[list[int]]
     values: list[int]
-    b: int
-
-
-class DualSums(NamedTuple):
-    """The Lagrangian sums of ``DyadicRows`` under weights ``w_r``, in integers.
-
-    ``s``, the sum of the ball weights, times ``2**a``, ``S = sum w_r q_r``
-    times ``2**(a + 2 b)`` and ``v = sum w_r u_r`` times ``2**(a + b)``.
-    """
-
-    s: int
-    S: int
-    v: list[int]
-    a: int
+    origin: list[int]
     b: int
 
 
@@ -206,56 +188,47 @@ def _dyadic_rows(constraints, origin) -> DyadicRows | None:
             u = [-(p >> 1) for p in row]
             values.append(sum(map(mul, row, Z)) + const)
         linear.append(u)
-    return DyadicRows(quadratic, linear, values, b)
+    return DyadicRows(quadratic, linear, values, Z, b)
 
 
-def _dual_sums(rows: DyadicRows, weights) -> DualSums | None:
-    """``s``, ``S`` and ``v`` of ``rows`` under ``weights``, one per row in row order.
+def _bound(rows: DyadicRows, offset: float, weights: list[float]) -> tuple[int, int] | None:
+    """``(num, den)``, ``den > 0``, with ``num / den = S - |v|^2 / s`` exactly, over ``rows`` and an anchor.
 
-    None unless there is one finite weight, of either sign, per row.
+    ``weights`` hold one weight per row and then the anchor's, of either
+    sign. The anchor is the ball row ``|y|^2 + offset`` about the rows'
+    origin, so it adds its weight to ``s`` and its weight times ``offset`` to
+    ``S``, and nothing to ``v``. The weights and ``offset`` are taken times
+    one power of two, ``2**a``, so ``s`` is summed times ``2**a``, ``v``
+    times ``2**(a + b)`` and ``S`` times ``2**(a + e)``, ``e = max(2 b,
+    a)``: an offset finer than the rows shifts two sums, not the rows. None
+    unless every weight is finite and ``s > 0``; at ``s <= 0`` the
+    Lagrangian is unbounded below.
     """
-    weights = [float(w) for w in weights]
-    if len(weights) != len(rows.values) or not all(math.isfinite(w) for w in weights):
+    if not all(map(math.isfinite, weights)):
         return None
-    parts = _dyadic(weights)
+    parts = _dyadic(weights + [offset])
     a = _bits(parts)
-    W = _at(parts, a)
-    S = sum(w * q for w, q in zip(W, rows.values))
-    v = [0] * len(rows.linear[0])
-    for w, u in zip(W, rows.linear):
-        if w:
-            v = [vk + w * uk for vk, uk in zip(v, u)]
-    return DualSums(sum(w for w, k in zip(W, rows.quadratic) if k), S, v, a, rows.b)
-
-
-def _bound(rows: DyadicRows, weights) -> tuple[int, int] | None:
-    """``(num, den)``, ``den > 0``, with ``num / den = S - |v|^2 / s`` exactly.
-
-    None when the weights are not valid for ``_dual_sums`` or ``s <= 0``,
-    where the Lagrangian is unbounded below.
-    """
-    sums = _dual_sums(rows, weights)
-    if sums is None or sums.s <= 0:
+    *W, w, o = _at(parts, a)
+    s = sum(compress(W, rows.quadratic), w)
+    if s <= 0:
         return None
-    return sums.S * sums.s - sum(u * u for u in sums.v), sums.s << (sums.a + 2 * sums.b)
+    e = max(2 * rows.b, a)
+    S = (sum(map(mul, W, rows.values)) << (e - 2 * rows.b)) + (w * o << (e - a))
+    v = [sum(map(mul, W, column)) for column in zip(*rows.linear)]
+    return S * s - (sum(map(mul, v, v)) << (e - 2 * rows.b)), s << (a + e)
 
 
-def _walk(holds, x: float, out: float, back: float) -> float | None:
+def _walk(holds, x: float, out: float, back: float) -> float:
     """The float where the monotone check ``holds`` turns, searched from ``x``.
 
     Steps toward ``out`` until ``holds`` is true, then toward ``back`` while
-    the next float still holds, stopping at ``back``. None as soon as
-    ``holds`` returns None, which a check that cannot tell does.
+    the next float still holds, stopping at ``back``.
     """
-    h = holds(x)
-    while h is False:
+    while not holds(x):
         x = math.nextafter(x, out)
-        h = holds(x)
-    while h and x != back:
-        h = holds(math.nextafter(x, back))
-        if h:
-            x = math.nextafter(x, back)
-    return None if h is None else x
+    while x != back and holds(math.nextafter(x, back)):
+        x = math.nextafter(x, back)
+    return x
 
 
 def _sqrt(num: int, den: int, *, up: bool) -> float:
@@ -263,8 +236,10 @@ def _sqrt(num: int, den: int, *, up: bool) -> float:
 
     ``up`` gives the least float ``r >= 0`` with ``r^2 >= num / den``;
     otherwise the greatest float with ``r^2 <= num / den``. For ``num <= 0``
-    both are 0.0: a negative ``num / den`` reads as 0. This is the reference
-    that ``_sqrt_of`` falls back to where its bound leaves the rounding open.
+    both are 0.0: a negative ``num / den`` reads as 0. The walk starts from
+    the integer square root of ``num / den`` to 56 bits, an ulp or two from
+    the answer even where ``num / den`` underflows, so that it never steps
+    up from 0 one subnormal at a time.
     """
     if num <= 0:
         return 0.0
@@ -274,15 +249,13 @@ def _sqrt(num: int, den: int, *, up: bool) -> float:
         lhs, rhs = p * p * den, num * q * q
         return lhs >= rhs if up else lhs <= rhs
 
-    return _walk(holds, math.sqrt(num / den), *((math.inf, 0.0) if up else (0.0, math.inf)))
+    k = (den.bit_length() - num.bit_length()) // 2 + 56
+    root = math.isqrt((num << 2 * k) // den if k >= 0 else num // (den << -2 * k))
+    return _walk(holds, math.ldexp(root, -k), *((math.inf, 0.0) if up else (0.0, math.inf)))
 
 
 def _floor(num: int, den: int) -> float:
-    """The greatest float at most ``num / den``, checked in integers; ``den > 0``.
-
-    This is the reference that ``_floor_of`` falls back to where its bound
-    leaves the rounding open.
-    """
+    """The greatest float at most ``num / den``, checked in integers; ``den > 0``."""
     x = num / den  # int division rounds to the nearest float
     p, q = x.as_integer_ratio()
     return math.nextafter(x, -math.inf) if p * den > num * q else x
@@ -302,14 +275,12 @@ _U = 2.0 ** -53
 def _in_range(*parts) -> bool:
     """Every value of ``parts`` (arrays, lists or None) is finite, and 0 or of magnitude in ``[2^-200, 2^200)``.
 
-    That is the range of the float paths. A nonzero input is then a
+    That is the range of the two sign filters. A nonzero input is then a
     multiple of ``2^-252``, and so is a difference of two, so every value a
-    float path forms from them by sums, squares and products, up to degree
-    four and times Veltkamp's ``2^27 + 1``, is 0 or lies between ``2^-1010``
-    and ``2^1000`` in magnitude: none underflows or overflows, every
-    operation errs by at most ``u = 2^-53`` relative to its exact result,
-    and every error-free transformation is exact. A quotient can still
-    overflow, which leaves a bound non-finite, and that settles nothing.
+    filter forms from them by sums, squares and products, up to degree four,
+    is 0 or lies between ``2^-1010`` and ``2^1000`` in magnitude: none
+    underflows or overflows, and every operation errs by at most ``u =
+    2^-53`` relative to its exact result.
     ``frexp`` gives each value a fraction in ``(-1, 1)``, or a non-finite
     one, so one sum of the fractions checks that all are finite.
     """
@@ -419,7 +390,8 @@ def _proves_empty_exactly(cs, weights: list[float]) -> bool:
     if not used:
         return False
     rows = _dyadic_rows([g for g, _ in used], [0.0] * used[0][0].dim)
-    bound = None if rows is None else _bound(rows, [w for _, w in used])
+    # no anchor: it takes the weight 0
+    bound = None if rows is None else _bound(rows, 0.0, [w for _, w in used] + [0.0])
     return bound is not None and bound[0] > 0
 
 
@@ -442,196 +414,64 @@ def proves_empty(cs, weights) -> bool:
     return _proves_empty_exactly(cs, weights) if empty is None else empty
 
 
-# Veltkamp's splitter, 2^27 + 1
-_SPLIT = 134217729.0
-
-
-def _split(a):
-    """``(hi, lo)`` with ``a = hi + lo`` exactly and each part of at most 26 significant bits.
-
-    Veltkamp's split (Dekker 1971), of a float or of each entry of an array:
-    the product of two such parts is exact, so ``a b`` is exactly the sum of
-    the four products of the parts of ``a`` and ``b``.
-    """
-    t = _SPLIT * a
-    hi = t - (t - a)
-    return hi, a - hi
-
-
-def _rows_at(points: np.ndarray, offsets: list[float], x: np.ndarray):
-    """``(hi, lo, err)``, lists over the rows ``|x - c_r|^2 + o_r``: each value lies within ``err_r`` of ``hi_r + lo_r``.
-
-    The rows are the ``points`` ``c_r`` with the ``offsets`` ``o_r``, each in
-    ``_in_range`` with ``x``, so nothing below underflows or overflows. With
-    ``u = 2^-53``, per coordinate:
-
-    - TwoSum gives ``c - x = d + e`` exactly, with ``|e| <= u |d|``.
-    - Veltkamp's parts ``h + l`` of ``d`` give ``d^2 = h^2 + 2 h l + l^2``,
-      three exact products.
-    - The rest, ``2 d e + e^2 = e (2 d + e)``, is read in floats, within
-      ``2.01 u`` of its reading ``s``.
-
-    ``hi`` is the float sum of a row's pieces and ``o_r``, and ``math.fsum``
-    rounds the exact sum of the pieces and ``o_r`` less ``hi`` correctly to
-    ``lo``, within ``u |lo|``. So ``err`` is ``2.01 u sum |s| + u |lo|``,
-    taken at twice that, which covers the roundings of a float sum of such
-    bounds. Where every ``c - x`` is exact, so every ``e`` is 0, ``hi + lo``
-    is within ``u |lo|`` of the row; a point at a row's centre has ``err =
-    0`` there.
-    """
-    d = points - x
-    t = d - points
-    e = (points - (d - t)) - (x + t)
-    h, l = _split(d)
-    pieces = np.concatenate((h * h, (h + h) * l, l * l, e * (d + d + e)), axis=1)
-    n = len(x)
-    hi, lo, err = [], [], []
-    for row, a, o in zip(pieces.tolist(), np.add.reduce(pieces, axis=1).tolist(), offsets):
-        a += o
-        spread = sum(map(abs, row[-n:]))
-        row += (o, -a)
-        b = math.fsum(row)
-        hi.append(a)
-        lo.append(b)
-        err.append(5.0 * _U * spread + 2.0 * _U * abs(b))
-    return hi, lo, err
-
-
-def _sign(pieces: list[float], err: float) -> int | None:
-    """The sign, 1, 0 or -1, of a value within ``err`` of the exact sum of ``pieces``; None when ``err`` leaves it open.
-
-    ``math.fsum`` rounds the exact sum correctly and rounding is monotone, so
-    a rounded sum above the float ``err`` puts the exact sum above ``err``
-    too, and the value above 0. With ``err = 0`` the value is the sum, and
-    its sign is that of its rounding.
-    """
-    f = math.fsum(pieces)
-    return 1 if f > err else -1 if f < -err else 0 if err == 0.0 else None
-
-
-def _floor_of(pieces: list[float], err: float) -> float | None:
-    """``_floor`` of a value within ``err`` of the sum of ``pieces``; None when ``err`` leaves it open."""
-    def holds(x: float) -> bool | None:
-        s = _sign(pieces + [-x], err)
-        return None if s is None else s >= 0
-
-    return _walk(holds, math.fsum(pieces), -math.inf, math.inf)
-
-
-def _sqrt_of(pieces: list[float], err: float, *, up: bool) -> float | None:
-    """``_sqrt`` of a value within ``err`` of the sum of ``pieces``; None when ``err`` leaves it open.
-
-    ``r^2`` is exactly the sum of three products of Veltkamp's parts of
-    ``r``, so each check of the walk is the sign of the value less those.
-    """
-    s = _sign(pieces, err)
-    if s is None or s <= 0:
-        return None if s is None else 0.0
-
-    def holds(r: float) -> bool | None:
-        h, l = _split(r)
-        s = _sign(pieces + [-h * h, -(h + h) * l, -l * l], err)
-        return None if s is None else s <= 0 if up else s >= 0
-
-    return _walk(holds, math.sqrt(math.fsum(pieces)), *((math.inf, 0.0) if up else (0.0, math.inf)))
-
-
 class BallsAbout:
     """The balls of a ``ConstraintSet`` ``cs`` seen from a centre ``c``: what every reading about ``c`` shares.
 
-    A reading takes the bound of the balls and one anchor ``|x - c|^2 +
-    offset``. ``d`` holds the centres less ``c``, ``points`` the centres and
-    then ``c``, ``offsets`` the balls' offsets, and ``floats`` whether the
-    float path may run at all: ``cs`` holds only balls, and each centre,
-    offset and ``c`` is in ``_in_range``. The integer rows of the balls about
-    ``c`` are built once, by the first reading that the floats leave open.
+    ``d`` holds the centres less ``c`` and ``offsets`` the balls' offsets, in
+    floats, for the Newton solves; ``rows`` holds the balls about ``c`` in
+    integers (``_dyadic_rows``), built once. Each reading rounds an exact
+    value to the float on one side of it: the bound of the balls and one
+    anchor ``|x - c|^2 + offset`` (``bound``), and at a point ``x`` the
+    witness ``G`` (``witness_value``) and the distance ``|x - c|``
+    (``distance``). The last two take ``y = x - c`` in integers, where a
+    ball row is ``|y|^2 - 2 u.y + q``. An anchor offset or a point that
+    needs more bits than the rows' ``b`` shifts what a reading takes from
+    the rows, which are never rebuilt.
     """
 
     def __init__(self, cs, c: np.ndarray):
-        centers, offsets, normals, _, others = cs.rows
         self.cs, self.c = cs, c
-        self.d = centers - c
-        self.points = np.concatenate((centers, c[None, :]))
-        self.offsets = offsets
-        self.floats = normals is None and not others and _in_range(self.points, offsets)
-        self._balls = None
+        self.d = cs.rows.centers - c
+        self.offsets = cs.rows.offsets
+        self.rows = _dyadic_rows(cs.constraints, c)
 
-    def dyadic(self, offset: float) -> DyadicRows:
-        """The rows of the balls and the anchor about ``c``, in integers."""
-        if self._balls is None:
-            self._balls = _dyadic_rows(self.cs.constraints, self.c)
-        quadratic, linear, values, b = self._balls
-        parts = _dyadic([offset])
-        k = max(0, (_bits(parts) + 1) // 2 - b)  # the anchor's offset may need more bits
-        return DyadicRows(quadratic + [True], [[u << k for u in row] for row in linear] + [[0] * len(self.c)],
-                          [v << 2 * k for v in values] + _at(parts, 2 * (b + k)), b + k)
+    def bound(self, offset: float, weights: list[float]) -> tuple[int, int] | None:
+        """``_bound`` of the balls and the anchor ``|x - c|^2 + offset``; ``weights`` end with the anchor's."""
+        return _bound(self.rows, offset, weights)
 
-    def read(self, offset: float, weights: list[float], floats, exact) -> float:
-        """A value of the bound at ``weights``, one per ball and then the anchor's.
+    def _from_c(self, x: np.ndarray, rr: float) -> tuple[list[int], int, int]:
+        """``(y, rr, k)``: ``x - c`` times ``2**(b + k)`` and ``rr`` times ``2**(2 (b + k))``, in integers.
 
-        ``floats(pieces, err)`` reads it from ``_bound_in_floats``; where that
-        gives None, ``exact`` reads it from ``_bound``'s ``(num, den)``, or
-        from None.
+        ``k >= 0`` is the fewest bits beyond the rows' ``b`` that make ``x``
+        and ``rr`` integral times ``2**(b + k)``; the integers of ``c``
+        shift by ``k``.
         """
-        read = _bound_in_floats(self, offset, weights)
-        value = None if read is None else floats(*read)
-        return exact(_bound(self.dyadic(offset), weights)) if value is None else value
+        b = self.rows.b
+        parts = _dyadic(x.tolist() + [rr])
+        k = max(0, _bits(parts) - b)
+        *X, rr = _at(parts, b + k)
+        return list(map(sub, X, (z << k for z in self.rows.origin))), rr << (b + k), k
 
+    def witness_value(self, r: float, x: np.ndarray) -> float:
+        """``G(x)`` of the balls against ``B(c, r)``, proven and rounded up.
 
-def _bound_in_floats(about: BallsAbout, offset: float, weights: list[float]):
-    """``(pieces, err)``: the bound of the balls and the anchor of ``about`` lies within ``err`` of the sum of ``pieces``.
+        ``G = -min(f, 0) + sum max(g_i, 0) + min(max g_i, 0)`` with ``f =
+        |x - c|^2`` minus the float ``r * r``, as ``witness_dual`` reads it.
+        In ``y`` times ``2**(b + k)`` every row is an integer times ``2**(2
+        (b + k))``: ``f`` is ``|y|^2 - rr`` and ``g_i`` is ``|y|^2 - 2 u_i.y
+        + q_i``, with ``u_i`` shifted by ``k`` and ``q_i`` by ``2 k``.
+        """
+        y, rr, k = self._from_c(x, r * r)
+        yy = sum(map(mul, y, y))
+        g = [yy - (sum(map(mul, y, u)) << (k + 1)) + (q << 2 * k)
+             for u, q in zip(self.rows.linear, self.rows.values)]
+        G = max(rr - yy, 0) + sum(v for v in g if v > 0) + min(max(g), 0)
+        return -_floor(-G, 1 << 2 * (self.rows.b + k))
 
-    ``weights`` hold one weight per ball and then the anchor's. With ``s``
-    their sum, the bound is ``L(z) - |v'|^2 / s`` about any point ``z``,
-    where ``v' = sum w_r (c_r - z)``, since ``L(x) = min L + s |x -
-    x(w)|^2`` and ``s (x(w) - z) = v'``. ``z`` is the primal point ``x(w) =
-    sum w_r c_r / s`` in floats, where ``v'`` is of the order of ``u`` and
-    exactly 0 when the weights pick out one centre.
-
-    - Over the ``N`` rows, ``L(z) = sum w_r (hi_r + lo_r)`` to within ``sum
-      |w_r| err_r`` (``_rows_at``). Each ``w_r hi_r`` is exactly the sum of
-      four products of Veltkamp's parts, and each ``w_r lo_r`` is read in
-      floats, within ``u |w_r lo_r|``.
-    - ``v'`` in floats, from the float ``c_r - z``, errs by at most ``eps =
-      (N + 2) u sum_r |w_r| |fl(c_r - z)|`` in norm, where ``|fl(c_r - z)|
-      <= (1 + u) |c_r - z|`` and the row gives ``|c_r - z|^2 <= hi_r - o_r +
-      |lo_r| + err_r``. So ``0 <= |v'|^2 / s <= 2 (|fl(v')|^2 + eps^2) /
-      s``; both terms are of the order of ``u^2`` near the primal point, and
-      0 when every weighted row has ``z`` at its centre. With ``kappa``
-      twice that bound, the pieces take ``-kappa / 2`` and the error ``kappa
-      / 2``.
-
-    Each term of ``err`` is taken at twice its bound, which covers the
-    roundings of ``err`` itself. None unless ``s``, whose sign ``math.fsum``
-    gives exactly, is positive (the integer path has no bound there either),
-    ``about.floats`` holds, ``z``, the weights and ``offset`` are in
-    ``_in_range`` and ``err`` is finite.
-    """
-    if not (about.floats and all(map(math.isfinite, weights))):
-        return None
-    s = math.fsum(weights)
-    if not s > 0.0:
-        return None
-    w = np.array(weights)
-    z = (w @ about.points) / s
-    if not _in_range(z, [offset] + weights):
-        return None
-    offsets = about.offsets + [offset]
-    pieces, bound, spread = [], 0.0, 0.0
-    for wr, a, b, e, o in zip(weights, *_rows_at(about.points, offsets, z), offsets):
-        wh, wl = _split(wr)
-        ah, al = _split(a)
-        wb = wr * b
-        pieces += (wh * ah, wh * al, wl * ah, wl * al, wb)
-        bound += abs(wr) * e + 2.0 * _U * abs(wb)
-        spread += abs(wr) * math.sqrt(max(a - o + abs(b) + e, 0.0))
-    v = w @ (about.points - z)
-    kappa = 4.0 * (float(v @ v) + ((len(w) + 2) * _U * spread) ** 2) / s
-    bound += 0.5 * kappa
-    if not math.isfinite(bound):
-        return None
-    pieces.append(-0.5 * kappa)
-    return pieces, bound
+    def distance(self, x: np.ndarray, *, up: bool) -> float:
+        """``|x - c|``, proven and rounded up or down: ``_sqrt`` of ``|y|^2``."""
+        y, _, k = self._from_c(x, 0.0)
+        return _sqrt(sum(map(mul, y, y)), 1 << 2 * (self.rows.b + k), up=up)
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -871,55 +711,34 @@ def _anchored(cs, c: np.ndarray, sigma: float):
     return lam, _primal(k, k[:, None], d, o, sigma, lam)[1]
 
 
-def farthest_bracket(cs, c: np.ndarray, witness: np.ndarray, floor: float):
-    """``(r_lo, r_hi, witness, lambda)``: ``r_lo <= r_star <= r_hi`` over the balls of ``cs``.
+def farthest_bracket(about: BallsAbout, witness: np.ndarray, floor: float):
+    """``(r_lo, r_hi, witness, lambda)``: ``r_lo <= r_star <= r_hi`` over the balls of ``about``.
 
-    ``r_star`` is the farthest distance from ``c``; ``witness`` is a member of
-    C and ``floor`` a lower bound on ``r_star``. ``lambda`` maximises the
-    S-lemma bound ``-phi`` (``_anchored`` at ``sigma = -1``); for one ball
-    centred at ``c`` it stays at 2. ``phi(lambda)`` is minus the bound over
-    the balls and the anchor row ``|x - c|^2`` at weight ``-1``, and ``r_hi``
-    the least float with ``r_hi^2 >= phi(lambda)``. ``r_lo`` reads the
-    anchor row about a member of C: the distance from ``c``, rounded down,
-    of ``x(lambda)`` when it lies exactly in C, or else of ``x(lambda)``
-    pulled toward ``witness`` by the first of ``2^-60, 2^-59, ..., 1`` that
-    does; that point becomes the returned witness. When none does, ``r_lo``
-    is ``floor`` and ``witness`` comes back as it was given.
+    ``r_star`` is the farthest distance from ``about.c``; ``witness`` is a
+    member of C and ``floor`` a lower bound on ``r_star``. ``lambda``
+    maximises the S-lemma bound ``-phi`` (``_anchored`` at ``sigma = -1``);
+    for one ball centred at ``c`` it stays at 2. ``phi(lambda)`` is minus the
+    bound over the balls and the anchor row ``|x - c|^2`` at weight ``-1``,
+    and ``r_hi`` the least float with ``r_hi^2 >= phi(lambda)``. ``r_lo``
+    is the distance from ``c``, rounded down, of ``x(lambda)`` when it lies
+    exactly in C, or else of ``x(lambda)`` pulled toward ``witness`` by the
+    first of ``2^-60, 2^-59, ..., 1`` that does; that point becomes the
+    returned witness. When none does, ``r_lo`` is ``floor`` and ``witness``
+    comes back as it was given.
     """
+    cs, c = about.cs, about.c
     lam, y = _anchored(cs, c, -1.0)
-    r_hi = BallsAbout(cs, c).read(0.0, lam.tolist() + [-1.0],
-                                  lambda pieces, err: _sqrt_of([-v for v in pieces], err, up=True),
-                                  lambda bound: _sqrt(-bound[0], bound[1], up=True))
+    num, den = about.bound(0.0, lam.tolist() + [-1.0])
+    r_hi = _sqrt(-num, den, up=True)
     member = _member_near(cs, c + y, witness)
     if member is None:
         return floor, r_hi, witness, lam
-    return _distance(c, member, up=False), r_hi, member, lam
-
-
-def _distance_in_floats(c: np.ndarray, x: np.ndarray, up: bool) -> float | None:
-    """``_distance`` from the anchor row about ``x`` in double-double; None when its bound leaves it open."""
-    if not _in_range(x, c):
-        return None
-    (hi,), (lo,), (err,) = _rows_at(c[None, :], [0.0], x)
-    return _sqrt_of([hi, lo], err, up=up)
-
-
-def _distance_exactly(c: np.ndarray, x: np.ndarray, up: bool) -> float:
-    """``_distance`` from the anchor row ``|y - c|^2`` about ``x`` in integers."""
-    about = _dyadic_rows((BallQuad(c, 0.0),), x)
-    return _sqrt(about.values[0], 1 << (2 * about.b), up=up)
-
-
-def _distance(c: np.ndarray, x: np.ndarray, *, up: bool) -> float:
-    """``|x - c|``, proven and rounded up or down: in floats where their bound settles it, else in integers."""
-    r = _distance_in_floats(c, x, up)
-    return _distance_exactly(c, x, up) if r is None else r
+    return about.distance(member, up=False), r_hi, member, lam
 
 
 def _root(about: BallsAbout, weights: list[float]) -> float:
     """The square root, rounded down, of the distance dual's bound at ``weights``: a lower bound on ``d(c, C)``."""
-    return about.read(0.0, weights, lambda pieces, err: _sqrt_of(pieces, err, up=False),
-                      lambda bound: _sqrt(*bound, up=False))
+    return _sqrt(*about.bound(0.0, weights), up=False)
 
 
 def distance_margin(about: BallsAbout, R: float, tol: float) -> float:
@@ -969,11 +788,12 @@ def distance_bounds(cs, c: np.ndarray, tol: float, toward: np.ndarray) -> tuple[
     member ``toward`` by ``_member_near`` when it is not exactly in ``C``;
     ``upper`` is ``inf`` when no pull lands in ``C``.
     """
-    lower, y = _margin_and_point(BallsAbout(cs, c), 0.0, tol)
+    about = BallsAbout(cs, c)
+    lower, y = _margin_and_point(about, 0.0, tol)
     if lower > tol:
         return lower, None
     member = _member_near(cs, c + y, toward)
-    return lower, math.inf if member is None else _distance(c, member, up=True)
+    return lower, math.inf if member is None else about.distance(member, up=True)
 
 
 class WitnessDual(NamedTuple):
@@ -1036,56 +856,7 @@ def witness_dual(about: BallsAbout, r: float, gap: float) -> WitnessDual:
             theta[1] = max(t, 0.0)
     x = c + _primal(k, k[:, None], D, o, 0.0, theta)[1]
     w, t = theta[:-1].tolist(), float(theta[-1])
-    g_lower = -math.inf
+    bound = None
     if 0.0 <= min(w) and max(w) <= 1.0 and 0.0 <= t <= 1.0 and _reaches_one(w):
-        g_lower = about.read(-(r * r), w + [-t], _floor_of,
-                             lambda bound: -math.inf if bound is None else _floor(*bound))
-    return WitnessDual(x, g_lower, tuple(w) + (t,))
-
-
-def _witness_value_in_floats(about: BallsAbout, r: float, x: np.ndarray) -> float | None:
-    """``witness_value`` from the rows about ``x`` in double-double; None when their bounds leave it open.
-
-    The sign of every row, and which ball row is greatest when none is
-    positive, must be settled by ``_rows_at``'s bounds; ``G`` is then a sum
-    of rows, each with its sign, within the sum of their bounds.
-    """
-    rr = r * r
-    if not about.floats or not _in_range(x, [rr]):
-        return None
-    rows = list(zip(*_rows_at(about.points, about.offsets + [-rr], x)))
-    signs = [_sign(row[:2], row[2]) for row in rows]
-    if None in signs:
-        return None
-    *g, f = rows
-    terms = [(-f[0], -f[1], f[2])] if signs[-1] < 0 else []
-    terms += [row for row, s in zip(g, signs) if s > 0]
-    if max(signs[:-1]) <= 0:  # then G takes the greatest ball row
-        top = max(g, key=lambda row: row[0] + row[1])
-        for row in g:
-            s = 1 if row is top else _sign([top[0], top[1], -row[0], -row[1]], top[2] + row[2])
-            if s is None or s < 0:
-                return None
-        terms.append(top)
-    G = _floor_of([-v for h, l, _ in terms for v in (h, l)], sum(e for *_, e in terms))
-    return None if G is None else -G
-
-
-def witness_value(about: BallsAbout, r: float, x: np.ndarray) -> float:
-    """``G(x)`` of the balls of ``about`` against ``B(c, r)``, proven and rounded up.
-
-    ``G = -min(f, 0) + sum max(g_i, 0) + min(max g_i, 0)`` with ``f =
-    |x - c|^2`` minus the float ``r * r``, as ``witness_dual`` reads it:
-    from the rows about ``x`` in double-double where their bounds settle it,
-    and otherwise exactly, in integers.
-    """
-    value = _witness_value_in_floats(about, r, x)
-    return _witness_value_exactly(about, r, x) if value is None else value
-
-
-def _witness_value_exactly(about: BallsAbout, r: float, x: np.ndarray) -> float:
-    """``witness_value`` from the rows about ``x`` in integers."""
-    rows = _dyadic_rows(about.cs.constraints + (BallQuad(about.c, -(r * r)),), x)
-    *g, f = rows.values
-    G = max(-f, 0) + sum(max(v, 0) for v in g) + min(max(g), 0)
-    return -_floor(-G, 1 << (2 * rows.b))
+        bound = about.bound(-(r * r), w + [-t])
+    return WitnessDual(x, -math.inf if bound is None else _floor(*bound), tuple(w) + (t,))

@@ -3,8 +3,9 @@
 ``r_star`` is the maximum of ``||x - c||`` over the intersection ``C1`` of the
 rows ``g_k(x) = ||x - c_k||^2 + o_k`` (``o_k = -R^2``). The S-lemma dual of
 the ``dual`` module (the anchor row ``||x - c||^2`` at weight ``-1``) brackets
-it first, both ends proven over the float inputs: read in floats where a
-proven error bound settles their rounding, and otherwise in integers.
+it first, both ends proven over the float inputs: each is read exactly in
+integers, from the rows of the balls about ``c`` that the inclusion checker
+builds once and shares with every check.
 
 Under the distance precondition ``d(c, C1) > R`` that relaxation is exact
 (the argument is in the ``dual`` module docstring). For any ``r > r_star``,
@@ -88,8 +89,8 @@ def solve_farthest(bi: BallIntersection, c, cfg: BisectionConfig | None = None) 
     if cfg is None:
         cfg = BisectionConfig()
     c = np.asarray(c, dtype=np.float64)
-    witness, check = inclusion_checker(bi, c, cfg.inner)
-    r_lo, r_hi, witness, lam = farthest_bracket(bi, c, witness, bi.radius)
+    witness, about, check = inclusion_checker(bi, c, cfg.inner)
+    r_lo, r_hi, witness, lam = farthest_bracket(about, witness, bi.radius)
     steps = 0
     total_inner = 0
 

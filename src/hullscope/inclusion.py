@@ -69,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convexfn import BallQuad, ConvexFn
-from .dual import BallsAbout, distance_margin, witness_dual, witness_value
+from .dual import BallsAbout, distance_margin, witness_dual
 from .errors import DimensionMismatch, EmptyIntersection, PreconditionFailed
 from .feasibility import ConstraintSet, FeasibilityVerdict, ProjectionResult, check_feasibility
 from .geometry import Ball
@@ -123,9 +123,9 @@ class InclusionReport:
     difference when ``g_at_xstar <= 0``. ``residuals_fk`` and
     ``dist_xstar_to_c`` describe ``x_star`` and decide nothing.
     Each of ``precondition_margin``, ``g_at_xstar`` and ``g_lower`` is the
-    nearest float on one side of an exact value; the ``dual`` module reads it
-    in floats only where a proven error bound settles that rounding, and
-    otherwise in integers, so it is the same float either way.
+    nearest float on one side of an exact value, which the ``dual`` module
+    reads exactly in integers, from the rows of the balls about ``c`` that it
+    builds once per centre.
     ``precondition_margin`` is a proven lower bound on ``d(c, C1) - R``,
     rounded down (``dual.distance_margin``): for one ball the margin itself
     to rounding; for more, the bound at equal multipliers when that is above
@@ -225,7 +225,7 @@ def _inclusion_at(about: BallsAbout, ob: OuterBall, cfg: SolverConfig,
     g_lower = max(-(bi.radius * bi.radius), dual.g_lower)
     res = refine_minimum(G, dual.x, lower_bound=g_lower, value_gap=gap, max_iters=cfg.max_iters)
     x_star = res.x_best
-    g_at_xstar = witness_value(about, ob.radius, x_star)
+    g_at_xstar = about.witness_value(ob.radius, x_star)
     if g_lower > 0.0:
         verdict = InclusionVerdict.INCLUDED
     elif g_at_xstar <= 0.0:
@@ -255,7 +255,9 @@ def inclusion_checker(bi: BallIntersection, c, cfg: SolverConfig):
     Finds a point of ``C1`` with ``check_feasibility`` and proves the
     distance precondition ``d(c, C1) > R + tol`` with
     ``dual.distance_margin``, an exact lower bound. Returns ``(witness,
-    check)``: ``check(r)`` runs the inclusion test against ``B(c, r)``.
+    about, check)``: ``about`` is the ``dual.BallsAbout`` of the balls seen
+    from ``c``, whose integer rows every exact reading about ``c`` shares,
+    and ``check(r)`` runs the inclusion test against ``B(c, r)``.
 
     Raises
     ------
@@ -287,7 +289,7 @@ def inclusion_checker(bi: BallIntersection, c, cfg: SolverConfig):
     def check(r: float) -> InclusionReport:
         return _inclusion_at(about, OuterBall(c, r), cfg, margin)
 
-    return np.asarray(report.witness, dtype=np.float64), check
+    return np.asarray(report.witness, dtype=np.float64), about, check
 
 
 def check_inclusion(bi: BallIntersection, ob: OuterBall,
@@ -314,5 +316,5 @@ def check_inclusion(bi: BallIntersection, ob: OuterBall,
     """
     if cfg is None:
         cfg = SolverConfig()
-    _, check = inclusion_checker(bi, ob.center, cfg)
+    _, _, check = inclusion_checker(bi, ob.center, cfg)
     return check(ob.radius)

@@ -73,8 +73,8 @@ def test_package_has_no_unused_import_or_private_definition():
     # a simplification that leaves dead code behind fails here: an import the
     # module never reads (unless ``__all__`` re-exports it), a module-level
     # private function or class that no module of the package references, or
-    # a module-level assignment that no module reads and ``__all__`` does not
-    # export (dunder names aside)
+    # a module-level assignment, of a name or of each name of a tuple, that no
+    # module reads and ``__all__`` does not export (dunder names aside)
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(Path(hullscope.__file__).parent.rglob("*.py"))}
     referenced, loaded = set(), set()
@@ -106,11 +106,12 @@ def test_package_has_no_unused_import_or_private_definition():
         dead += [f"{name}: {node.name}" for node in tree.body
                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                  and node.name.startswith("_") and node.name not in referenced]
-        dead += [f"{name}: {target.id}" for node in tree.body
+        dead += [f"{name}: {bound.id}" for node in tree.body
                  if isinstance(node, (ast.Assign, ast.AnnAssign))
                  for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
-                 if isinstance(target, ast.Name) and target.id not in loaded | exported
-                 and not (target.id.startswith("__") and target.id.endswith("__"))]
+                 for bound in (target.elts if isinstance(target, ast.Tuple) else [target])
+                 if isinstance(bound, ast.Name) and bound.id not in loaded | exported
+                 and not (bound.id.startswith("__") and bound.id.endswith("__"))]
     assert dead == []
 
 

@@ -12,13 +12,15 @@ the float value is often wrong, must not mislead them either.
 every check of the feasibility checker's ascent: a filter that always fell
 back would pass every other test.
 
-The readings of the reported values in double-double (the floor and both
-square roots of the Lagrangian bound, ``witness_value`` and ``_distance``)
-may likewise return None, and otherwise must return the float the integer
-path returns. On the grid the bounds and row values often sit exactly on a
-float; a weight or a point one ulp off puts them within a hair of one. The
-float path reads both, scaled by ``2^300`` or ``2^-300`` it must give None,
-and on the dual sweeps it must settle every reading.
+The reported values are read in integers only, from the rows that
+``BallsAbout`` builds once per centre: the floor and both square roots of
+the Lagrangian bound, ``witness_value`` and ``distance``. Each is checked
+against ``Fraction`` arithmetic. On the grid the bounds and row values often
+sit exactly on a float; a weight, a point or a radius one ulp off puts them
+within a hair of one, and an anchor offset, a point or a radius one ulp off
+needs more bits than the rows about the centre hold, so the reading shifts
+them: it must agree with rows built from scratch. Scaled by ``2^300`` or
+``2^-300``, every value must scale exactly.
 """
 
 import itertools
@@ -29,16 +31,11 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hullscope import (Affine, BallIntersection, BallQuad, ConstraintSet, FeasibilityVerdict,
-                       SolverConfig, check_feasibility)
+from hullscope import Affine, BallQuad, ConstraintSet, FeasibilityVerdict, check_feasibility
 from hullscope import dual
-from hullscope.dual import (BallsAbout, _bound, _bound_in_floats, _distance_exactly,
-                            _distance_in_floats, _dyadic_rows, _floor, _floor_of, _inside_exactly,
+from hullscope.dual import (BallsAbout, _bound, _dyadic_rows, _floor, _inside_exactly,
                             _inside_in_floats, _proves_empty_exactly, _proves_empty_in_floats,
-                            _reaches_one, _sqrt, _sqrt_of, _witness_value_exactly,
-                            _witness_value_in_floats, certify_empty, distance_bounds,
-                            farthest_bracket, proves_empty)
-from hullscope.inclusion import inclusion_checker
+                            _reaches_one, _sqrt, certify_empty, proves_empty)
 
 from conftest import dual_sweep, wide_dual_sweep
 from test_feasibility import _fraction_sums
@@ -224,20 +221,38 @@ def nudged(a, j: int, side: int):
     return b
 
 
-def bound_readings(pieces, err) -> list:
-    """The floor and both square roots of a value and of its negative, read from its pieces."""
-    out = []
-    for sign in (1, -1):
-        signed = [sign * v for v in pieces]
-        out += [_floor_of(signed, err), _sqrt_of(signed, err, up=False), _sqrt_of(signed, err, up=True)]
-    return out
+def is_floor(x: float, q: Fraction) -> bool:
+    """``x`` is the greatest float at most ``q``."""
+    return Fraction(x) <= q < Fraction(math.nextafter(x, math.inf))
 
 
-def exact_readings(num: int, den: int) -> list:
-    out = []
-    for sign in (1, -1):
-        out += [_floor(sign * num, den), _sqrt(sign * num, den, up=False), _sqrt(sign * num, den, up=True)]
-    return out
+def is_root(r: float, q: Fraction, up: bool) -> bool:
+    """``r`` is the least float with ``r^2 >= q`` (``up``) or the greatest with ``r^2 <= q``; 0 at ``q <= 0``."""
+    if q <= 0:
+        return r == 0.0
+    if up:
+        return Fraction(math.nextafter(r, 0.0)) ** 2 < q <= Fraction(r) ** 2
+    return Fraction(r) ** 2 <= q < Fraction(math.nextafter(r, math.inf)) ** 2
+
+
+def bound_readings(bound) -> list[float]:
+    """The floor and both square roots of a bound ``(num, den)`` and of its negative."""
+    num, den = bound
+    return [read for n in (num, -num)
+            for read in (_floor(n, den), _sqrt(n, den, up=False), _sqrt(n, den, up=True))]
+
+
+def assert_bound_readings(bound, want: Fraction) -> None:
+    readings = bound_readings(bound)
+    for sign, (floor, down, up) in zip((1, -1), (readings[:3], readings[3:])):
+        assert is_floor(floor, sign * want), (sign, floor, want)
+        assert is_root(down, sign * want, False) and is_root(up, sign * want, True), (sign, down, up, want)
+
+
+def fraction_bound(cs, c, offset: float, weights) -> Fraction | None:
+    """The bound of ``cs``'s balls and the anchor ``|x - c|^2 + offset`` in ``Fraction``; None at ``s <= 0``."""
+    s, S, v, _ = _fraction_sums(ConstraintSet(cs.constraints + (BallQuad(c, offset),)), weights, c.tolist())
+    return S - sum(u * u for u in v) / s if s > 0 else None
 
 
 def scaled_about(cs, c, s: float) -> BallsAbout:
@@ -246,91 +261,87 @@ def scaled_about(cs, c, s: float) -> BallsAbout:
 
 @given(balls_about(), st.lists(st.integers(0, 64).map(lambda k: k / 16), min_size=4, max_size=4),
        st.integers(-32, 32).map(lambda k: k / 16), GRID, st.integers(0, 4), st.sampled_from([-1, 1]))
-def test_bound_readings_answer_only_as_the_integers_do(system, pool, anchor, offset, j, side):
+def test_bound_readings_match_fractions(system, pool, anchor, offset, j, side):
     cs, c, _ = system
     about = BallsAbout(cs, c)
     m = len(cs.constraints)
     base = pool[:m] + [anchor]
     # all on one ball, the bound is that ball's offset exactly
     single = [0.0] * m + [1.0] if j >= m else [0.0] * j + [1.0] + [0.0] * (m - j)
-    for weights in (base, nudged(base, j, side).tolist(), single):
-        exact = _bound(about.dyadic(offset), weights)
-        # the rows of the balls about c, built once, and the anchor appended
-        # give the bound of the rows built together
-        together = _bound(_dyadic_rows(cs.constraints + (BallQuad(c, offset),), c), weights)
-        assert exact == together or Fraction(*exact) == Fraction(*together)
-        read = _bound_in_floats(about, offset, weights)
-        if exact is None:
-            assert read is None
-            continue
-        if read is not None:
-            got, want = bound_readings(*read), exact_readings(*exact)
-            assert all(g is None or g == w for g, w in zip(got, want)), (got, want)
-        if not blank(cs) or c.any():
-            for s in (2.0 ** 300, 2.0 ** -300):
-                assert _bound_in_floats(scaled_about(cs, c, s), s * s * offset, weights) is None
-    # the float path reads it exactly, with no bound to leave it open
-    assert _floor_of(*_bound_in_floats(about, offset, single)) == (offset if j >= m else cs.constraints[j].offset)
+    # an offset one ulp off needs more bits than the rows about c hold
+    for off in (offset, math.nextafter(offset, side * math.inf)):
+        # the anchor as one more row, its rows built from scratch
+        fresh = _dyadic_rows(cs.constraints + (BallQuad(c, off),), c)
+        for weights in (base, nudged(base, j, side).tolist(), single):
+            want, bound = fraction_bound(cs, c, off, weights), about.bound(off, weights)
+            assert (bound is None) is (want is None) is (_bound(fresh, 0.0, weights + [0.0]) is None)
+            if want is None:
+                continue
+            assert Fraction(*bound) == want == Fraction(*_bound(fresh, 0.0, weights + [0.0]))
+            assert_bound_readings(bound, want)
+    assert _floor(*about.bound(offset, single)) == (offset if j >= m else cs.constraints[j].offset)
+    want = fraction_bound(cs, c, offset, base)
+    if want is not None:
+        for s in (2.0 ** 300, 2.0 ** -300):
+            bound = scaled_about(cs, c, s).bound(s * s * offset, base)
+            assert Fraction(*bound) == Fraction(s * s) * want
+            assert bound_readings(bound) == [s * s * v if k % 3 == 0 else s * v
+                                             for k, v in enumerate(bound_readings(about.bound(offset, base)))]
+
+
+def fraction_witness(cs, c, r: float, x) -> Fraction:
+    """``G(x)`` of the balls of ``cs`` against ``B(c, r)`` in ``Fraction``, ``f`` taking the float ``r * r``."""
+    def sq(p):
+        return sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(x.tolist(), p.tolist()))
+    f = sq(c) - Fraction(r * r)
+    g = [sq(ball.center) + Fraction(ball.offset) for ball in cs.constraints]
+    return max(-f, 0) + sum(max(v, 0) for v in g) + min(max(g), 0)
 
 
 @given(balls_about(), st.integers(1, 64).map(lambda k: k / 16), st.integers(0, 4), st.sampled_from([-1, 1]))
-def test_value_readings_answer_only_as_the_integers_do(system, r, j, side):
+def test_value_readings_match_fractions(system, r, j, side):
     cs, c, x = system
     about = BallsAbout(cs, c)
-    for y in (x, nudged(x, j, side)):
-        got = _witness_value_in_floats(about, r, y)
-        assert got is None or got == _witness_value_exactly(about, r, y)
+    # a point or a radius one ulp off needs more bits than the rows about c hold
+    for y, radius in ((x, r), (nudged(x, j, side), r), (x, math.nextafter(r, side * math.inf))):
+        G = about.witness_value(radius, y)
+        want = fraction_witness(cs, c, radius, y)
+        assert Fraction(math.nextafter(G, -math.inf)) < want <= Fraction(G), (G, want)
+        # every row about y, built from scratch, gives the same G
+        fresh = _dyadic_rows(cs.constraints + (BallQuad(c, -(radius * radius)),), y)
+        *g, f = fresh.values
+        assert -_floor(-(max(-f, 0) + sum(max(v, 0) for v in g) + min(max(g), 0)), 1 << 2 * fresh.b) == G
+        d2 = sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(y.tolist(), c.tolist()))
         for up in (False, True):
-            got = _distance_in_floats(c, y, up)
-            assert got is None or got == _distance_exactly(c, y, up)
-    # on the grid every difference and sum is exact, so the float path reads
-    # each row exactly and must settle every value, even one that is a float
-    assert _witness_value_in_floats(about, r, x) == _witness_value_exactly(about, r, x)
-    assert _distance_in_floats(c, x, True) == _distance_exactly(c, x, True)
+            assert is_root(about.distance(y, up=up), d2, up)
     for s in (2.0 ** 300, 2.0 ** -300):
-        if not blank(cs) or c.any() or x.any():
-            assert _witness_value_in_floats(scaled_about(cs, c, s), s * r, s * x) is None
-        if c.any() or x.any():
-            assert _distance_in_floats(s * c, s * x, True) is None
+        big = scaled_about(cs, c, s)
+        assert big.witness_value(s * r, s * x) == s * s * about.witness_value(r, x)
+        for up in (False, True):
+            assert big.distance(s * x, up=up) == s * about.distance(x, up=up)
 
 
-def test_float_readings_settle_every_reading_of_the_sweeps(monkeypatch):
-    # the precondition margin, both ends of the farthest bracket, g_lower and
-    # G(x*) on either side of r_star, and both distance bounds
-    results = []
-    for name in ("_bound_in_floats", "_floor_of", "_sqrt_of", "_witness_value_in_floats",
-                 "_distance_in_floats"):
-        def record(*args, _reading=getattr(dual, name), **kwargs):
-            results.append(_reading(*args, **kwargs))
-            return results[-1]
-        monkeypatch.setattr(dual, name, record)
-    for label, bi, c in itertools.chain(dual_sweep(), wide_dual_sweep()):
-        witness, check = inclusion_checker(bi, c, SolverConfig())
-        r_lo, r_hi, member, _ = farthest_bracket(bi, c, witness, bi.radius)
-        assert check(0.9 * r_lo).verdict.value == "nonempty_difference", label
-        assert check(1.1 * r_hi).verdict.value == "included", label
-        assert distance_bounds(bi, c, math.inf, member)[1] < math.inf, label
-    assert len(results) > 160 * 10 and None not in results
-
-
-def test_bound_readings_stay_open_where_only_their_bounds_separate_them():
-    # each bound is a float, or within 2^-170 of one, and the float path's
-    # pieces sum to a value off it by less than their own error: a reading
-    # that dropped either error term would round the wrong way
+def test_bound_readings_round_correctly_a_hair_off_a_float():
+    # each bound is a float, or within 2^-170 of one: a reading that rounded
+    # anywhere on its way would land on the wrong side
     cases = [
         # z = 1 + 2^-52 is the primal point exactly, but the first row's
         # residual needs more bits than a float holds: the bound is 2 + 2^-50
         # + 2^-170
         (ConstraintSet([BallQuad([0.0], 2.0 ** -170), BallQuad([2.0 + 2.0 ** -51], -(2.0 ** -103))]),
-         [1.0, 1.0, 0.0]),
-        # the primal point (2/3, 2/3, 2/3) is no float, so L(z) exceeds the
-        # bound by about 1e-32; the bound is 2 - fl(4/3) - 2 fl(1/3) = 2^-53
+         0.0, [1.0, 1.0, 0.0]),
+        # the primal point (2/3, 2/3, 2/3) is no float; the bound is
+        # 2 - fl(4/3) - 2 fl(1/3) = 2^-53
         (ConstraintSet([BallQuad([0.0] * 3, -(4.0 / 3.0)), BallQuad([1.0] * 3, -(1.0 / 3.0))]),
-         [1.0, 2.0, 0.0]),
+         0.0, [1.0, 2.0, 0.0]),
+        # the anchor alone, at weight 1/16 on the least subnormal: the bound
+        # 2^-1078 is no float, and both its square roots are 2^-539
+        (ConstraintSet([BallQuad([0.0], -1.0)]), 2.0 ** -1074, [0.0, 0.0625]),
     ]
-    for cs, weights in cases:
-        about = BallsAbout(cs, np.full(cs.dimension, 5.0))
-        exact = _bound(about.dyadic(0.0), weights)
-        got, want = bound_readings(*_bound_in_floats(about, 0.0, weights)), exact_readings(*exact)
-        assert all(g is None or g == w for g, w in zip(got, want)), (got, want)
-        assert None in got
+    for cs, offset, weights in cases:
+        c = np.full(cs.dimension, 5.0)
+        want = fraction_bound(cs, c, offset, weights)
+        bound = BallsAbout(cs, c).bound(offset, weights)
+        assert Fraction(*bound) == want
+        assert_bound_readings(bound, want)
+    assert bound_readings(bound)[1:3] == [2.0 ** -539] * 2

@@ -7,7 +7,7 @@ import pytest
 from hullscope import (BallIntersection, BisectionConfig, DimensionMismatch, InclusionVerdict,
                        InnerUndetermined, OuterBall, PreconditionFailed, SolverConfig,
                        check_inclusion, solve_farthest)
-from hullscope.dual import farthest_bracket, witness_dual
+from hullscope.dual import BallsAbout, farthest_bracket, witness_dual
 
 from conftest import dual_sweep, far_center, random_ball_intersection, wide_dual_sweep, without_newton
 from oracles import GridSpec, grid_max_distance
@@ -137,6 +137,21 @@ def test_step_bound(forced_bisection):
     assert 0 < rep.bisection_steps <= math.ceil(math.log2((start.r_hi - start.r_lo) / eps))
 
 
+def test_solve_builds_the_rows_about_c_once(forced_bisection, monkeypatch):
+    # the distance gate, the dual bracket and every bisection step read the
+    # balls about c from the one BallsAbout of the inclusion checker
+    built = []
+    init = BallsAbout.__init__
+
+    def counted(self, cs, c):
+        built.append(c.tolist())
+        init(self, cs, c)
+    monkeypatch.setattr(BallsAbout, "__init__", counted)
+    rep = solve_farthest(BallIntersection([[0.0, 0.0], [1.0, 0.0]], 1.0), [4.0, 0.5], BisectionConfig(eps=1e-4))
+    assert rep.bisection_steps > 0
+    assert built == [[4.0, 0.5]]
+
+
 def test_dual_agrees_with_forced_bisection(monkeypatch):
     # the two brackets are proofs, so beyond agreeing within 2 eps they must overlap
     rng = np.random.default_rng(15)
@@ -225,7 +240,7 @@ def test_bracket_of_one_ball_centred_at_c():
     # the Lagrangian flat; the uniform start lambda = 2 gives [0, sqrt(2) R]
     bi = BallIntersection([[0.0, 0.0]], 1.0)
     c = np.zeros(2)
-    r_lo, r_hi, _, lam = farthest_bracket(bi, c, c, 0.0)
+    r_lo, r_hi, _, lam = farthest_bracket(BallsAbout(bi, c), c, 0.0)
     assert r_lo <= 1.0 <= r_hi
     assert r_hi == pytest.approx(math.sqrt(2.0)) and lam.tolist() == [2.0]
 

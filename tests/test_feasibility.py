@@ -8,7 +8,7 @@ from hullscope import (Affine, Ball, BallQuad, ConstraintSet, DimensionMismatch,
                        ball_constraint, build_g_tilde, check_feasibility, default_start,
                        halfspace_constraint)
 
-from hullscope.dual import _bound, _dual_sums, _dyadic_rows, certify_empty, proves_empty
+from hullscope.dual import _bound, _dyadic_rows, certify_empty, proves_empty
 
 from conftest import (disk_grid_bounds, disks_to_constraints, mixed_instance,
                       random_disk_instance, value)
@@ -186,12 +186,9 @@ def test_dyadic_kernel_matches_fraction_formula():
                                              (-1, anchored, list(weights) + [-1.0])):
             s, S, v, values = _fraction_sums(rows_cs, row_weights, origin)
             rows = _dyadic_rows(rows_cs.constraints, origin)
-            sums = _dual_sums(rows, row_weights)
-            assert Fraction(sums.s, 2 ** sums.a) == s
-            assert Fraction(sums.S, 2 ** (sums.a + 2 * sums.b)) == S
-            assert [Fraction(u, 2 ** (sums.a + sums.b)) for u in sums.v] == v
             assert [Fraction(u, 2 ** (2 * rows.b)) for u in rows.values] == values
-            bound = _bound(rows, row_weights)
+            # the kernel's own anchor at weight 0 adds nothing
+            bound = _bound(rows, 0.0, row_weights + [0.0])
             if s <= 0:
                 assert bound is None
             else:
@@ -206,12 +203,11 @@ def test_dyadic_kernel_matches_fraction_formula():
     assert all(min(counts) > 0 for counts in bounds.values())
     assert _fraction_sums(touching, [0.5, 0.5], [0.0, 0.0])[:3] == (1, 1, [1, 0])
     rows = _dyadic_rows(touching.constraints, [0.0, 0.0])
-    assert _bound(rows, [0.5, 0.5])[0] == 0
+    assert _bound(rows, 0.0, [0.5, 0.5, 0.0])[0] == 0
     assert not proves_empty(touching, [0.5, 0.5])
     # with the anchor at weight -1, s = 0 and s < 0 leave the Lagrangian unbounded below
-    anchored = _dyadic_rows(touching.constraints + (BallQuad([0.0, 0.0], 0.0),), [0.0, 0.0])
-    assert _bound(anchored, [0.5, 0.5, -1.0]) is None
-    assert _bound(anchored, [0.25, 0.5, -1.0]) is None
+    assert _bound(rows, 0.0, [0.5, 0.5, -1.0]) is None
+    assert _bound(rows, 0.0, [0.25, 0.5, -1.0]) is None
 
 
 def test_single_ball_start_already_feasible():

@@ -20,8 +20,9 @@ still give the same weights and steps, its checks now settled in integers.
 The reported values are nearest floats on one side of exact values, so at
 fixed points and weights they scale exactly: ``witness_value`` and the
 ``g_lower`` reading by ``s^2``, the margin and both ends of the farthest
-bracket by ``s``. At ``s`` in {1/4, 4} the double-double path reads them, and
-at ``2^300`` the integers do, so the two paths are checked against each other.
+bracket by ``s``. Each is read in integers, so this holds at ``s`` in {1/4,
+4} and at ``2^300`` and ``2^-300`` alike: a reading that rounded in floats
+on its way would show at some scale.
 
 ``solve_farthest`` returns a bracket that is a proof for its own instance.
 On a reflected, permuted, translated or scaled copy that is exactly the same
@@ -45,10 +46,9 @@ import pytest
 from hullscope import (Ball, BallIntersection, BisectionConfig, ConstraintSet, FeasibilityVerdict,
                        InclusionVerdict, OuterBall, SolverConfig, check_feasibility, check_inclusion,
                        solve_farthest)
-from hullscope.dual import (BallsAbout, _anchored, _distance, _floor, _floor_of, _inside_in_floats,
-                            _minus, _proves_empty_in_floats, _root, _sqrt, _sqrt_of,
-                            _witness_value_in_floats, certify_empty, farthest_bracket, witness_dual,
-                            witness_value)
+from hullscope.dual import (BallsAbout, _anchored, _floor, _inside_in_floats, _minus,
+                            _proves_empty_in_floats, _root, _sqrt, certify_empty, farthest_bracket,
+                            witness_dual)
 
 from conftest import (disks_to_constraints, far_center, mixed_instance, problem_path,
                       random_ball_intersection, random_disk_instance)
@@ -175,33 +175,31 @@ def _readings(bi, c, r, x, witness, multipliers, lam, dist_lam) -> list[float]:
     """``g_lower``, ``G(x)``, the margin, ``r_lo`` and ``r_hi`` of ``bi`` about ``c``, at the given points and weights."""
     about = BallsAbout(bi, c)
     *w, t = multipliers
-    return [about.read(-(r * r), w + [-t], _floor_of, lambda bound: _floor(*bound)),
-            witness_value(about, r, x),
+    num, den = about.bound(0.0, lam + [-1.0])
+    return [_floor(*about.bound(-(r * r), w + [-t])),
+            about.witness_value(r, x),
             _minus(_root(about, dist_lam + [1.0]), bi.radius),
-            _distance(c, witness, up=False),
-            about.read(0.0, lam + [-1.0], lambda pieces, err: _sqrt_of([-v for v in pieces], err, up=True),
-                       lambda bound: _sqrt(-bound[0], bound[1], up=True))]
+            about.distance(witness, up=False),
+            _sqrt(-num, den, up=True)]
 
 
-def test_readings_scale_exactly_in_floats_and_in_integers():
+def test_readings_scale_exactly_in_integers():
     rng = np.random.default_rng(35)
     for i in range(6):
         bi, z0 = random_ball_intersection(rng, 1 + 2 * (i % 3), 2 + i % 2)
         c = far_center(rng, bi, z0)
         about = BallsAbout(bi, c)
-        lo, hi, witness, lam = farthest_bracket(bi, c, z0, bi.radius)
+        lo, hi, witness, lam = farthest_bracket(about, z0, bi.radius)
         r = 0.5 * (lo + hi) * (0.95, 1.05)[i % 2]
         dual = witness_dual(about, r, 1e-10)
         fixed = (dual.multipliers, lam.tolist(), _anchored(bi, c, 1.0)[0].tolist())
         base = _readings(bi, c, r, dual.x, witness, *fixed)
         assert all(np.isfinite(base)), f"instance {i}: {base}"
-        for s in (*SCALES, 2.0 ** 300):
+        for s in (*SCALES, 2.0 ** 300, 2.0 ** -300):
             scaled = BallIntersection(s * bi.centers, s * bi.radius)
             got = _readings(scaled, s * c, s * r, s * dual.x, s * witness, *fixed)
             label = f"instance {i}, scale {s}"
             assert got == [s * s * base[0], s * s * base[1]] + [s * v for v in base[2:]], label
-            decided = _witness_value_in_floats(BallsAbout(scaled, s * c), s * r, s * dual.x)
-            assert (decided is None) is (s > 4.0), label
 
 
 def _dyadic_farthest_instances():
