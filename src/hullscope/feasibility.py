@@ -361,9 +361,10 @@ def check_feasibility(cs: ConstraintSet, x0=None, cfg: SolverConfig | None = Non
     """
     if cfg is None:
         cfg = SolverConfig()
-    start = default_start(cs) if x0 is None else np.asarray(x0, dtype=np.float64)
-    if start.shape != (cs.dimension,):
-        raise DimensionMismatch(f"x0 has shape {start.shape}, constraints have dimension {cs.dimension}")
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=np.float64)
+        if x0.shape != (cs.dimension,):
+            raise DimensionMismatch(f"x0 has shape {x0.shape}, constraints have dimension {cs.dimension}")
 
     g_tilde = build_g_tilde(cs)
     decided = certify_empty(cs)
@@ -377,7 +378,7 @@ def check_feasibility(cs: ConstraintSet, x0=None, cfg: SolverConfig | None = Non
         else:
             verdict = FeasibilityVerdict.FEASIBLE
     else:
-        best = minimize(g_tilde, start, cfg)
+        best = minimize(g_tilde, default_start(cs) if x0 is None else x0, cfg)
         iters = best.iters
         refined_ok = True
         if best.f_best > cfg.tol:

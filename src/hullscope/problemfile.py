@@ -5,15 +5,26 @@ optional blocks a command needs: a constraint list (feasibility), a ball
 intersection and an outer ball (inclusion / farthest), and a region with a
 covering constant (distance bounding). Validation is two-stage: the JSON
 Schema shipped with the package, then semantic checks the schema cannot
-express (vector lengths against the dimension).
+express (vector lengths against the dimension, and every number finite).
+
+The schema stage is decided by ``_conforms``, a walk of the packaged schema
+that implements the few keywords it uses with jsonschema's semantics, so a
+valid file never imports jsonschema. Only a file the walk rejects imports
+it, and jsonschema's ``best_match`` words the rejection. The schema file
+stays the one statement of the rules: ``_schema()`` refuses to build from a
+schema with a keyword the walk does not implement, so a later edit to the
+file cannot be ignored silently.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
+from numbers import Number
 
 from .convexfn import ConvexFn, ball_constraint, halfspace_constraint
 from .errors import HullscopeError
@@ -50,20 +61,95 @@ def _inline(node, defs):
     return node
 
 
-@cache
-def _validator():
-    """Validator of the packaged schema, built once per process; the tests check the schema itself.
+# Each JSON type the schema names, tested as jsonschema 4's draft 2020-12
+# type checker tests it: a bool is neither a number nor an integer, and a
+# float with an integral value is an integer.
+_TYPES = {
+    "object": lambda doc: isinstance(doc, dict),
+    "array": lambda doc: isinstance(doc, list),
+    "number": lambda doc: isinstance(doc, Number) and not isinstance(doc, bool),
+    "integer": lambda doc: ((isinstance(doc, int) and not isinstance(doc, bool))
+                            or (isinstance(doc, float) and doc.is_integer())),
+}
+_KEYWORDS = frozenset({"type", "required", "properties", "additionalProperties", "items",
+                       "minItems", "oneOf", "const", "minimum", "exclusiveMinimum"})
+_ANNOTATIONS = frozenset({"$schema", "$id", "title"})
 
-    The schema's ``$ref``s point into its own acyclic ``$defs``, so they are
+
+def _walkable(node) -> None:
+    """Raise unless ``_conforms`` implements every keyword and value in the schema ``node``."""
+    unknown = node.keys() - _KEYWORDS - _ANNOTATIONS
+    if unknown:
+        raise NotImplementedError(f"problem schema keywords {sorted(unknown)} are not implemented")
+    kind = node.get("type", "object")
+    if not isinstance(kind, str) or kind not in _TYPES:
+        raise NotImplementedError(f"problem schema type {kind!r} is not implemented")
+    if node.get("additionalProperties", False) is not False:
+        raise NotImplementedError("problem schema additionalProperties other than false is not implemented")
+    # _conforms compares a const with ==, which is jsonschema's equality for a
+    # string or a number that is no bool
+    const = node.get("const", "")
+    if isinstance(const, bool) or not isinstance(const, (str, int, float)):
+        raise NotImplementedError(f"problem schema const {const!r} is not implemented")
+    for child in [*node.get("properties", {}).values(), *node.get("oneOf", ()),
+                  *([node["items"]] if "items" in node else ())]:
+        _walkable(child)
+
+
+@cache
+def _schema() -> dict:
+    """The packaged schema with its ``$ref``s inlined, read once per process.
+
+    The ``$ref``s point into the schema's own acyclic ``$defs``, so they are
     resolved once, here, by inlining each definition where it is used, rather
     than again at every visit of every load.
     """
-    import jsonschema  # here, not at module level: only a problem file needs it
-
     text = resources.files("hullscope").joinpath("schema/problem-v1.schema.json").read_text()
     schema = json.loads(text)
     defs = schema.pop("$defs")
-    return jsonschema.validators.validator_for(schema)(_inline(schema, defs))
+    schema = _inline(schema, defs)
+    _walkable(schema)
+    return schema
+
+
+def _conforms(node, doc) -> bool:
+    """Whether ``doc`` is valid under the schema ``node``, as jsonschema 4 decides it.
+
+    Each keyword applies only to instances of its own type; a NaN passes
+    ``minimum`` and ``exclusiveMinimum``, whose failure tests are ``<`` and
+    ``<=``; ``oneOf`` holds when exactly one branch does.
+    """
+    if "type" in node and not _TYPES[node["type"]](doc):
+        return False
+    if "const" in node and (isinstance(doc, bool) or doc != node["const"]):
+        return False
+    if "oneOf" in node and sum(_conforms(branch, doc) for branch in node["oneOf"]) != 1:
+        return False
+    if isinstance(doc, dict):
+        properties = node.get("properties", {})
+        if any(key not in doc for key in node.get("required", ())):
+            return False
+        if "additionalProperties" in node and any(key not in properties for key in doc):
+            return False
+        return all(_conforms(properties[key], value) for key, value in doc.items() if key in properties)
+    if isinstance(doc, list):
+        return len(doc) >= node.get("minItems", 0) and (
+            "items" not in node or all(_conforms(node["items"], item) for item in doc))
+    if _TYPES["number"](doc):
+        if "minimum" in node and doc < node["minimum"]:
+            return False
+        if "exclusiveMinimum" in node and doc <= node["exclusiveMinimum"]:
+            return False
+    return True
+
+
+@cache
+def _validator():
+    """jsonschema's validator of ``_schema()``, built once per process; the tests check the schema itself."""
+    import jsonschema  # here, not at module level: only a rejected problem file needs it
+
+    schema = _schema()
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 def _check_dim(name: str, vec, n: int) -> None:
@@ -71,16 +157,31 @@ def _check_dim(name: str, vec, n: int) -> None:
         raise ProblemFileError(f"{name} has length {len(vec)}, expected dimension {n}")
 
 
+@contextmanager
+def _refused(name: str):
+    """Report a value a constructor refuses against ``name``.
+
+    The constructors refuse a NaN, an infinity and an int too large for a float.
+    """
+    try:
+        yield
+    except (ValueError, OverflowError) as exc:
+        raise ProblemFileError(f"{name}: {exc}") from exc
+
+
 def _leaves(specs, name: str, n: int) -> list[ConvexFn]:
     """Halfspaces ``{a, b}`` and balls ``{center, radius}`` of a constraint list."""
     out = []
     for i, spec in enumerate(specs):
+        entry = f"{name}[{i}]"
         if "a" in spec:
-            _check_dim(f"{name}[{i}].a", spec["a"], n)
-            out.append(halfspace_constraint(spec["a"], spec["b"]))
+            _check_dim(f"{entry}.a", spec["a"], n)
+            with _refused(entry):
+                out.append(halfspace_constraint(spec["a"], spec["b"]))
         else:
-            _check_dim(f"{name}[{i}].center", spec["center"], n)
-            out.append(ball_constraint(Ball(spec["center"], spec["radius"])))
+            _check_dim(f"{entry}.center", spec["center"], n)
+            with _refused(entry):
+                out.append(ball_constraint(Ball(spec["center"], spec["radius"])))
     return out
 
 
@@ -94,12 +195,14 @@ def load_problem(path) -> ProblemFile:
     except json.JSONDecodeError as exc:
         raise ProblemFileError(f"malformed JSON: {exc}") from exc
 
-    from jsonschema.exceptions import best_match
+    if not _conforms(_schema(), raw):
+        from jsonschema.exceptions import best_match
 
-    # best_match picks the error jsonschema.validate would raise
-    error = best_match(_validator().iter_errors(raw))
-    if error is not None:
-        raise ProblemFileError(f"schema violation: {error.message}")
+        # best_match picks the error jsonschema.validate would raise; should it
+        # find none, jsonschema, the reference, accepts the file
+        error = best_match(_validator().iter_errors(raw))
+        if error is not None:
+            raise ProblemFileError(f"schema violation: {error.message}")
 
     n = raw["dimension"]
 
@@ -112,12 +215,14 @@ def load_problem(path) -> ProblemFile:
         block = raw["ball_intersection"]
         for i, ctr in enumerate(block["centers"]):
             _check_dim(f"ball_intersection.centers[{i}]", ctr, n)
-        bi = BallIntersection(block["centers"], block["radius"])
+        with _refused("ball_intersection"):
+            bi = BallIntersection(block["centers"], block["radius"])
 
     outer = None
     if "outer" in raw:
         _check_dim("outer.center", raw["outer"]["center"], n)
-        outer = OuterBall(raw["outer"]["center"], raw["outer"]["radius"])
+        with _refused("outer"):
+            outer = OuterBall(raw["outer"]["center"], raw["outer"]["radius"])
 
     region = None
     if "region" in raw:
@@ -127,10 +232,14 @@ def load_problem(path) -> ProblemFile:
         if not leaves:
             raise ProblemFileError("region must list at least one halfspace or ball")
         region = ConstraintSet(leaves)
-        try:  # region operations refuse a zero halfspace normal: refuse it at load
+        with _refused("region"):  # region operations refuse a zero halfspace normal: refuse it at load
             region.region_rows
-        except ValueError as exc:
-            raise ProblemFileError(f"region: {exc}") from exc
+
+    delta = raw.get("delta")
+    if delta is not None:
+        with _refused("delta"):
+            if not math.isfinite(delta):
+                raise ValueError(f"must be finite, got {delta!r}")
 
     return ProblemFile(
         version=raw["version"],
@@ -139,5 +248,5 @@ def load_problem(path) -> ProblemFile:
         ball_intersection=bi,
         outer=outer,
         region=region,
-        delta=raw.get("delta"),
+        delta=delta,
     )

@@ -115,10 +115,23 @@ def test_package_has_no_unused_import_or_private_definition():
     assert dead == []
 
 
-def test_import_leaves_the_schema_validator_unloaded():
-    # only reading a problem file needs jsonschema, so importing the package
-    # must not pay for it
+def test_import_leaves_the_schema_validator_unloaded(tmp_path):
+    # importing the package must not pay for jsonschema, and neither must
+    # loading a valid problem file: only a rejected file needs it, to word the
+    # rejection as its best_match does
     env = {**os.environ, "PYTHONPATH": str(Path(hullscope.__file__).parent.parent)}
-    code = "import sys, hullscope; print('jsonschema' in sys.modules)"
+    fixture = Path(__file__).resolve().parent.parent / "problems" / "lens-far-c.json"
+    version_2 = tmp_path / "version-2.json"
+    version_2.write_text('{"version": 2, "dimension": 2}')
+    code = f"""
+import sys, hullscope
+print('jsonschema' in sys.modules)
+hullscope.load_problem({str(fixture)!r})
+print('jsonschema' in sys.modules)
+try:
+    hullscope.load_problem({str(version_2)!r})
+except hullscope.ProblemFileError as exc:
+    print(exc)
+"""
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines() == ["False", "False", "schema violation: 1 was expected"]

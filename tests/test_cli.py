@@ -2,12 +2,14 @@ import copy
 import json
 import subprocess
 import sys
+from functools import cache
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from hullscope.dual import witness_dual
 
-from conftest import problem_path, without_newton
+from conftest import PROBLEMS_DIR, problem_path, without_newton
 
 
 def run_cli(*args, env_extra=None):
@@ -85,6 +87,15 @@ def packaged_schema() -> dict:
     return json.loads(resources.files("hullscope").joinpath("schema/problem-v1.schema.json").read_text())
 
 
+@cache
+def shipped_validator():
+    """jsonschema's validator of the schema as shipped, ``$ref``s and all."""
+    import jsonschema
+
+    schema = packaged_schema()
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
 def test_packaged_schema_is_valid():
     # loading trusts the packaged schema, so check the shipped file here once;
     # the loader's own validator holds an inlined copy of it
@@ -93,8 +104,12 @@ def test_packaged_schema_is_valid():
     _validator().check_schema(packaged_schema())
 
 
-def mutated(rng, doc):
-    """``doc`` with one to three random edits: a node deleted, replaced, or given an extra key."""
+MUTATIONS = [0, -1, 0.5, 2, "x", None, True, [], {}, [1, "a"], [[0, 0]],
+             {"radius": 1}, {"type": "ball", "center": [0], "radius": 0}]
+
+
+def mutated(rng, doc, values=MUTATIONS):
+    """``doc`` with one to three random edits: a node deleted, replaced by a ``values`` entry, or given an extra key."""
     doc = copy.deepcopy(doc)
     for _ in range(rng.randint(1, 3)):
         slots, stack = [], [doc]
@@ -110,8 +125,7 @@ def mutated(rng, doc):
         if edit == 0:
             del node[key]
         elif edit == 1:
-            node[key] = rng.choice([0, -1, 0.5, 2, "x", None, True, [], {}, [1, "a"], [[0, 0]],
-                                    {"radius": 1}, {"type": "ball", "center": [0], "radius": 0}])
+            node[key] = copy.deepcopy(rng.choice(values))
         elif isinstance(node[key], dict):
             node[key]["extra"] = 1
         else:
@@ -121,31 +135,123 @@ def mutated(rng, doc):
 
 def test_inlined_validator_matches_the_packaged_schema(problems_dir):
     # the loader inlines the schema's $refs; on the fixtures and 600 seeded
-    # mutations of them it must pick the same error as the schema as shipped
+    # mutations of them it must pick the same error as the schema as shipped,
+    # and its walk of the inlined schema must accept exactly what that accepts
     import random
 
-    import jsonschema
     from jsonschema.exceptions import best_match
 
-    from hullscope.problemfile import _validator
+    from hullscope.problemfile import _conforms, _schema, _validator
 
-    schema = packaged_schema()
-    shipped = jsonschema.validators.validator_for(schema)(schema)
+    shipped = shipped_validator()
     inlined = _validator()
     assert "$ref" not in json.dumps(inlined.schema)
     fixtures = [json.loads(path.read_text()) for path in sorted(problems_dir.glob("*.json"))]
     for doc in fixtures:
-        assert shipped.is_valid(doc) and inlined.is_valid(doc)
+        assert shipped.is_valid(doc) and inlined.is_valid(doc) and _conforms(_schema(), doc)
     rng = random.Random(23)
     invalid = 0
     for _ in range(600):
         doc = mutated(rng, rng.choice(fixtures))
+        assert _conforms(_schema(), doc) == shipped.is_valid(doc), doc
         want, got = best_match(shipped.iter_errors(doc)), best_match(inlined.iter_errors(doc))
         assert (want is None) == (got is None), doc
         if want is not None:
             invalid += 1
             assert got.message == want.message, doc
     assert invalid >= 300
+
+
+# values jsonschema treats specially: bools are no numbers, 2.0 is an
+# integer, 1.0 equals the const 1 and true does not, -0.0 and 0 are no
+# positive radius, and NaN passes every minimum
+EDGE_VALUES = [True, False, 0, -0.0, 0.0, 1, 1.0, 2, 2.0, -1, 1e-300, float("nan"), float("inf"),
+               float("-inf"), "", "1", "ball", "halfspace", None, [], {}, [0.0], [True], [[0.0, 0.0]]]
+
+
+@st.composite
+def edge_documents(draw):
+    """A fixture with one to three edits that bring in ``EDGE_VALUES`` or an extra key."""
+    path = draw(st.sampled_from(sorted(PROBLEMS_DIR.glob("*.json"))))
+    return mutated(draw(st.randoms(use_true_random=False)), json.loads(path.read_text()), EDGE_VALUES)
+
+
+@given(doc=edge_documents())
+@example(doc={"version": 1, "dimension": 2.0})
+@example(doc={"version": 1.0, "dimension": 2})
+@example(doc={"version": True, "dimension": 2})
+@example(doc={"version": 1, "dimension": True})
+@example(doc={"version": 1, "dimension": 1, "delta": float("nan")})
+@example(doc={"version": 1, "dimension": 1, "delta": -0.0})
+@example(doc={"version": 1, "dimension": 1, "outer": {"center": [0], "radius": -0.0}})
+@example(doc={"version": 1, "dimension": 1, "outer": {"center": [0], "radius": 0}})
+@example(doc={"version": 1, "dimension": 1, "outer": {"center": [0], "radius": float("nan")}})
+@example(doc={"version": 1, "dimension": 1, "constraints": [{"type": "ball", "center": [True], "radius": 1}]})
+def test_walk_accepts_what_jsonschema_accepts(doc):
+    from hullscope.problemfile import _conforms, _schema
+
+    assert _conforms(_schema(), doc) == shipped_validator().is_valid(doc)
+
+
+def test_walk_holds_one_of_for_exactly_one_branch():
+    # the packaged schema's oneOf branches exclude each other by their type
+    # const, so only overlapping branches show that one match is required
+    import jsonschema
+
+    from hullscope.problemfile import _conforms
+
+    node = {"oneOf": [{"type": "number"}, {"type": "integer"}]}
+    for doc in (1, 2.0, 1.5, True, "x"):
+        assert _conforms(node, doc) == jsonschema.Draft202012Validator(node).is_valid(doc), doc
+
+
+def test_walk_implements_every_keyword_of_the_packaged_schema():
+    # the walk is checked against jsonschema only where the schema's keywords
+    # reach; a keyword it does not implement must stop the schema from loading
+    from hullscope.problemfile import _ANNOTATIONS, _KEYWORDS, _schema, _walkable
+
+    def keywords(node):
+        found = set(node)
+        for child in [*node.get("$defs", {}).values(), *node.get("properties", {}).values(),
+                      *node.get("oneOf", ()), *([node["items"]] if "items" in node else ())]:
+            found |= keywords(child)
+        return found
+
+    assert keywords(packaged_schema()) - {"$defs", "$ref"} <= _KEYWORDS | _ANNOTATIONS
+    schema = copy.deepcopy(_schema())
+    _walkable(schema)
+    schema["properties"]["constraints"]["items"]["oneOf"][1]["properties"]["center"]["maxItems"] = 3
+    with pytest.raises(NotImplementedError, match="maxItems"):
+        _walkable(schema)
+
+
+@pytest.mark.parametrize("constraints, entry", [
+    ('[{"type": "ball", "center": [0, 0], "radius": NaN}]', "constraints[0]"),
+    ('[{"type": "ball", "center": [0, 0], "radius": Infinity}]', "constraints[0]"),
+    ('[{"type": "ball", "center": [0, 0], "radius": 1e400}]', "constraints[0]"),
+    ('[{"type": "ball", "center": [0, 0], "radius": 1' + "0" * 400 + '}]', "constraints[0]"),
+    ('[{"type": "ball", "center": [0, 0], "radius": 1}, {"type": "ball", "center": [-Infinity, 0], "radius": 1}]',
+     "constraints[1]"),
+    ('[{"type": "halfspace", "a": [1, 0], "b": NaN}]', "constraints[0]"),
+])
+def test_non_finite_number_exits_65(tmp_path, constraints, entry):
+    # the schema passes these, and the constructors refuse them: that must be
+    # a bad problem file naming the entry, not a usage error or a traceback
+    path = tmp_path / "non-finite.json"
+    path.write_text(f'{{"version": 1, "dimension": 2, "constraints": {constraints}}}')
+    proc = run_cli("feas", str(path))
+    assert proc.returncode == 65
+    assert proc.stderr.startswith(f"hullscope: bad problem file: {entry}: "), proc.stderr
+
+
+def test_non_finite_delta_exits_65(tmp_path):
+    doc = problem_path("square-and-disk").read_text().replace('"delta": 0.42', '"delta": NaN')
+    assert "NaN" in doc
+    path = tmp_path / "nan-delta.json"
+    path.write_text(doc)
+    proc = run_cli("appbound", str(path))
+    assert proc.returncode == 65
+    assert proc.stderr.startswith("hullscope: bad problem file: delta: "), proc.stderr
 
 
 def test_missing_block_exits_65():
