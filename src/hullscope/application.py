@@ -1,8 +1,8 @@
 """Bounding the maximum distance over a convex region via an inner ball intersection.
 
 Given a bounded convex region ``S`` (a ``ConstraintSet`` of ball and
-halfspace constraints; boundedness is the caller's responsibility, and
-sampling raises ``UnboundedRegion`` when it detects a free direction), an inner
+halfspace constraints; boundedness is the caller's responsibility, and a
+ray that never leaves the region raises ``UnboundedRegion``), an inner
 intersection ``C1`` of equal-radius balls with ``C1`` inside ``S``, and a
 covering constant ``delta`` such that every point of ``S`` is within
 ``delta`` of ``C1``, the maximum distance ``V_s`` from a center ``c`` over
@@ -90,18 +90,6 @@ def project_region(region: ConstraintSet, y) -> np.ndarray:
     wraps it by name.
     """
     return region.project(y).point
-
-
-def _balls(region: ConstraintSet):
-    """``(center, offset)`` of each ball ``||x - center||^2 + offset <= 0``, in order."""
-    rows = region.region_rows
-    return () if rows.centers is None else zip(rows.centers, rows.offsets)
-
-
-def _halfspaces(region: ConstraintSet):
-    """``(a, b)`` of each halfspace ``a.x + b <= 0``, in order."""
-    rows = region.region_rows
-    return () if rows.normals is None else zip(rows.normals, rows.shifts)
 
 
 def _exits(region: ConstraintSet, x0: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -203,9 +191,9 @@ def bound_max_distance(region: ConstraintSet, bi: BallIntersection, c, delta: fl
         When ``c`` or ``delta`` is not finite, ``delta`` is negative, or a
         region constraint is not a ball or a halfspace with a nonzero normal.
     HypothesisViolation
-        With the offending sample attached, when a spot check fails; for the
+        With the offending point attached, when a spot check fails; for the
         covering check its ``distance`` is a proven lower bound, above the
-        threshold, on the sample's distance to the inner intersection.
+        threshold, on the point's distance to the inner intersection.
     UnboundedRegion
         When a ray never leaves the region, the ray from ``x_star_c``
         included.
@@ -220,7 +208,7 @@ def bound_max_distance(region: ConstraintSet, bi: BallIntersection, c, delta: fl
                                 f"{bi.dimension} and c has shape {c.shape}")
     if not all(map(math.isfinite, c.tolist())):
         raise ValueError(f"outer center must be finite, got {c.tolist()}")
-    region.region_rows  # refuse a constraint that is not a ball or a halfspace before sampling
+    rows = region.region_rows  # refuse a constraint that is not a ball or a halfspace before any ray
     delta = float(delta)
     if delta < 0 or not math.isfinite(delta):
         raise ValueError("delta must be finite and >= 0")
@@ -243,9 +231,10 @@ def bound_max_distance(region: ConstraintSet, bi: BallIntersection, c, delta: fl
 
     # 200 random rays check the containment; 1,000 more and the rays along
     # each halfspace normal and towards each ball center check the covering
+    centers = () if rows.centers is None else rows.centers
+    normals = () if rows.normals is None else rows.normals
     d = np.vstack([rng.standard_normal((1200, region.dimension)),
-                   *(center - deep for center, _ in _balls(region) if (center != deep).any()),
-                   *(a for a, _ in _halfspaces(region))])
+                   *(center - deep for center in centers if (center != deep).any()), *normals])
     d /= np.linalg.norm(d, axis=1, keepdims=True)
     reach = _exits(region, deep, d)
     t = _exits(bi, deep, d)

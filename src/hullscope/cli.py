@@ -12,7 +12,7 @@ variable: off, info or trace). Exit codes encode the verdict:
     shared     5 empty intersection   64 usage   65 bad file   70 solver abort
 
 A solver abort (70) reports a library error with no code of its own: a
-non-finite value, or an ``appbound`` region that sampling found unbounded.
+non-finite value, or an ``appbound`` region that a ray never leaves.
 
 Reports are deterministic given identical flags and seed; floats are
 serialized with Python's shortest round-trip representation, so a report
@@ -232,10 +232,6 @@ def main(argv=None) -> int:
     parser = build_arg_parser()
     try:
         args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"hullscope: usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         return args.func(args)
     except UsageError as exc:
         print(f"hullscope: usage error: {exc}", file=sys.stderr)

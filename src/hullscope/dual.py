@@ -104,6 +104,7 @@ in floats (``_reaches_one``).
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import compress
 from operator import lshift, mul, sub
 from typing import NamedTuple
@@ -414,6 +415,30 @@ def proves_empty(cs, weights) -> bool:
     return _proves_empty_exactly(cs, weights) if empty is None else empty
 
 
+@dataclass(frozen=True)
+class InfeasibilityCertificate:
+    """Lagrange multipliers whose dual value proves the intersection empty.
+
+    ``weights`` holds one multiplier per constraint, in constraint order:
+    ``lambda_i`` for a ball quadratic, ``mu_j`` for an affine constraint.
+    ``bound`` is the dual value ``D`` in floating point and ``steps`` the
+    number of ascent steps that found the multipliers. The proof rests on
+    ``weights`` alone: ``verify`` re-checks it exactly.
+    """
+
+    weights: tuple[float, ...]
+    bound: float
+    steps: int
+
+    def verify(self, cs) -> bool:
+        """True when ``weights`` prove the ``ConstraintSet`` ``cs`` empty, checked exactly.
+
+        The sign of the bound is settled in floats when a proven error bound
+        decides it, and otherwise in integers (``proves_empty``).
+        """
+        return proves_empty(cs, self.weights)
+
+
 class BallsAbout:
     """The balls of a ``ConstraintSet`` ``cs`` seen from a centre ``c``: what every reading about ``c`` shares.
 
@@ -544,29 +569,15 @@ def _dual_ascent(cs, *, stop_inside: bool = False):
     return theta, x + z, D, step
 
 
-class DualDecision(NamedTuple):
-    """A certificate ascent that settled whether ``C`` is empty, and how.
-
-    ``weights`` are the ascent's weights in constraint order, ``bound`` its
-    dual value ``D`` in floats, ``steps`` its step count and ``x`` its primal
-    point. With ``empty`` the weights prove ``C`` empty; without it ``x``
-    lies in ``C``. Both are checked exactly.
-    """
-
-    weights: tuple[float, ...]
-    bound: float
-    steps: int
-    x: np.ndarray
-    empty: bool
-
-
-def certify_empty(cs) -> DualDecision | None:
+def certify_empty(cs) -> tuple[np.ndarray, InfeasibilityCertificate | None] | None:
     """One certificate ascent over the ``ConstraintSet`` ``cs``: a proof that it is empty, or a point of it.
 
-    The ascent stops at its first primal point inside ``C`` in floats, so on
-    a nonempty set it takes no step past the first point it can offer. None
-    when it settles neither, or when ``cs`` has no ball or a node that is
-    neither a ball nor a halfspace.
+    Returns ``(x, certificate)`` with ``x`` the ascent's primal point: with a
+    certificate its weights prove ``C`` empty, and with None ``x`` lies in
+    ``C``, each checked exactly. The ascent stops at its first primal point
+    inside ``C`` in floats, so on a nonempty set it takes no step past the
+    first point it can offer. None when it settles neither, or when ``cs``
+    has no ball or a node that is neither a ball nor a halfspace.
     """
     if cs.rows.others or cs.rows.centers is None:
         return None
@@ -575,9 +586,9 @@ def certify_empty(cs) -> DualDecision | None:
     balls, halfspaces = iter(theta[:m].tolist()), iter(theta[m:].tolist())
     weights = tuple(next(balls) if isinstance(g, BallQuad) else next(halfspaces) for g in cs.constraints)
     if D > 0.0 and proves_empty(cs, weights):
-        return DualDecision(weights, D, steps, x, True)
+        return x, InfeasibilityCertificate(weights, D, steps)
     if _inside(cs, x):
-        return DualDecision(weights, D, steps, x, False)
+        return x, None
     return None
 
 
@@ -682,8 +693,8 @@ def _member_near(cs, x: np.ndarray, toward: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _anchored(cs, c: np.ndarray, sigma: float):
-    """``(lambda, y)`` of the balls of ``cs`` and the anchor ``|x - c|^2`` at weight ``sigma``.
+def _anchored(about: BallsAbout, sigma: float):
+    """``(lambda, y)`` of the balls of ``about`` and the anchor ``|x - c|^2`` at weight ``sigma``.
 
     ``sigma`` is -1 for the farthest dual and +1 for the distance dual.
     ``lambda`` maximises the bound over ``lambda >= 0``, and ``sum lambda >=
@@ -694,8 +705,8 @@ def _anchored(cs, c: np.ndarray, sigma: float):
     farthest dual, ``c`` in the ball in the distance dual), where the start
     stays. ``y`` is the primal point less ``c``.
     """
-    d = cs.rows.centers - c
-    o = np.array(cs.rows.offsets)
+    d = about.d
+    o = np.array(about.offsets)
     m = len(d)
     k = np.ones(m)
     lam = np.full(m, 2.0 / m)
@@ -727,7 +738,7 @@ def farthest_bracket(about: BallsAbout, witness: np.ndarray, floor: float):
     comes back as it was given.
     """
     cs, c = about.cs, about.c
-    lam, y = _anchored(cs, c, -1.0)
+    lam, y = _anchored(about, -1.0)
     num, den = about.bound(0.0, lam.tolist() + [-1.0])
     r_hi = _sqrt(-num, den, up=True)
     member = _member_near(cs, c + y, witness)
@@ -765,7 +776,7 @@ def _margin_and_point(about: BallsAbout, R: float, tol: float) -> tuple[float, n
     ``y`` is the primal point less ``c`` of the weights of ``_anchored`` when
     the margin was read there, and None when the closed form decided.
     """
-    d, c = about.d, about.c
+    d = about.d
     m, v = len(d), d.sum(axis=0)
     Q, vv = float(((d * d).sum(axis=1) + about.offsets).sum()), float(v @ v)
     ratio = 1.0 - Q * m / vv if vv > 0.0 else 1.0
@@ -773,7 +784,7 @@ def _margin_and_point(about: BallsAbout, R: float, tol: float) -> tuple[float, n
     first = _minus(_root(about, [t] * m + [1.0]), R)
     if first > tol:
         return first, None
-    lam, y = _anchored(about.cs, c, 1.0)
+    lam, y = _anchored(about, 1.0)
     return _minus(_root(about, lam.tolist() + [1.0]), R), y
 
 

@@ -26,11 +26,11 @@ class InnerUndetermined(HullscopeError):
 
 
 class UnboundedRegion(HullscopeError):
-    """Sampling found a direction along which the region is unbounded."""
+    """A ray from a point of the region never leaves it: the region is unbounded along it."""
 
 
 class HypothesisViolation(HullscopeError):
-    """A sampled point violates a caller-asserted hypothesis.
+    """A point found on a spot check violates a caller-asserted hypothesis.
 
     Carries the offending point so callers can report a counterexample, and
     ``distance``: for a covering violation, an exact lower bound on the

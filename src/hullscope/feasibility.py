@@ -4,13 +4,14 @@ The merit function ``g~(x) = sum_k max(g_k(x), 0)`` is zero exactly on the
 feasible set and positive elsewhere, so the intersection is nonempty if and
 only if its global minimum is zero. ``build_g_tilde`` evaluates it in closed
 form from the dense rows of ``ConstraintSet.rows``: the ball quadratics
-``||x - c_i||^2 + o_i`` in one row reduction over ``x - c_i``, the affine
-constraints ``a_j.x + b_j`` in one mat-vec, and any other convex ``g_k``
-through its own ``eval``. The subgradient adds ``2 (x - c_i)``, ``a_j`` or
-the node's own subgradient for each constraint with ``g_k > 0``; one at
-exactly zero adds the zero vector, which lies in the subdifferential of
-``max(g_k, 0)`` there. Grouping the constraints by kind changes only the
-order of the floating-point additions, not the function.
+``||x - c_i||^2 + o_i`` in one row reduction over ``x - c_i`` and the
+affine constraints ``a_j.x + b_j`` in one mat-vec; any other convex ``g_k``
+is added after them as its ``PositivePart``, under a ``Sum``. The
+subgradient adds ``2 (x - c_i)``, ``a_j`` or the node's own subgradient for
+each constraint with ``g_k > 0``; one at exactly zero adds the zero vector,
+which lies in the subdifferential of ``max(g_k, 0)`` there. Grouping the
+constraints by kind changes only the order of the floating-point additions,
+not the function.
 
 The checker decides from the Lagrange dual of the ``dual`` module first.
 When every constraint is a ball or a halfspace, with at least one ball, one
@@ -35,7 +36,6 @@ Tolerances are absolute; callers should pre-scale badly scaled problems.
 from __future__ import annotations
 
 import enum
-import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -43,13 +43,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .convexfn import Affine, BallQuad, ConvexFn
-from .dual import certify_empty, proves_empty
+from .convexfn import Affine, BallQuad, ConvexFn, PositivePart, Sum
+from .dual import InfeasibilityCertificate, certify_empty
 from .errors import DimensionMismatch
 from .geometry import Vector
 from .minimize import SolverConfig, minimize, refine_minimum
-
-log = logging.getLogger("hullscope.feasibility")
 
 DYKSTRA_SWEEPS = 1_000  # sweeps before a Dykstra projection gives up
 
@@ -110,7 +108,7 @@ class ConstraintSet:
 
     Feasibility and the residuals accept any convex g_k; the merit function
     reads ``rows``, which groups the constraints by kind. The region
-    operations (``project`` and the sampling of ``application``) read
+    operations (``project`` and the ray exits of ``application``) read
     ``region_rows``, which needs every g_k to be a ball ``BallQuad`` with
     offset ``-r^2 < 0`` or a halfspace ``Affine`` with a nonzero normal, as
     ``ball_constraint`` and ``halfspace_constraint`` build them. The order
@@ -215,12 +213,6 @@ class ConstraintSet:
             if shift <= 1e-11:
                 converged = True
                 break
-        if not converged:
-            # a tiny last shift means the point is essentially settled; only a
-            # large one deserves attention
-            level = logging.WARNING if shift > 1e-6 else logging.DEBUG
-            log.log(level, "Dykstra projection stopped after %d sweeps (last shift %.3e)",
-                    sweep, shift)
         return ProjectionResult(point=x, converged=converged, sweeps=sweep, last_shift=shift)
 
 
@@ -228,30 +220,6 @@ class FeasibilityVerdict(enum.Enum):
     FEASIBLE = "feasible"
     INFEASIBLE = "infeasible"
     UNDETERMINED = "undetermined"
-
-
-@dataclass(frozen=True)
-class InfeasibilityCertificate:
-    """Lagrange multipliers whose dual value proves the intersection empty.
-
-    ``weights`` holds one multiplier per constraint, in constraint order:
-    ``lambda_i`` for a ball quadratic, ``mu_j`` for an affine constraint.
-    ``bound`` is the dual value ``D`` in floating point and ``steps`` the
-    number of ascent steps that found the multipliers. The proof rests on
-    ``weights`` alone: ``verify`` re-checks it exactly.
-    """
-
-    weights: tuple[float, ...]
-    bound: float
-    steps: int
-
-    def verify(self, cs: ConstraintSet) -> bool:
-        """True when ``weights`` prove ``cs`` empty, checked exactly.
-
-        The sign of the bound is settled in floats when a proven error bound
-        decides it, and otherwise in integers (``dual.proves_empty``).
-        """
-        return proves_empty(cs, self.weights)
 
 
 @dataclass
@@ -279,18 +247,18 @@ class FeasibilityReport:
 
 
 class _Merit(ConvexFn):
-    """``sum_k max(g_k, 0)`` in closed form, reading each kind of row once.
+    """``sum_k max(g_k, 0)`` over the ball and halfspace rows, in closed form, reading each kind once.
 
     A constraint adds to the value and the subgradient only where
     ``g_k > 0``, so at a kink ``g_k = 0`` it adds the zero vector, as
     ``PositivePart`` does.
     """
 
-    __slots__ = ("centers", "offsets", "ones", "normals", "shifts", "others", "zero")
+    __slots__ = ("centers", "offsets", "ones", "normals", "shifts", "zero")
 
     def __init__(self, cs: ConstraintSet):
         super().__init__(cs.dimension)
-        self.centers, self.offsets, self.normals, self.shifts, self.others = cs.rows
+        self.centers, self.offsets, self.normals, self.shifts, _ = cs.rows
         self.ones = np.ones(cs.dimension)
         zero = np.zeros(cs.dimension)
         zero.setflags(write=False)
@@ -321,17 +289,17 @@ class _Merit(ConvexFn):
                 else:
                     w.append(0.0)
             grad = grad + np.dot(w, self.normals)
-        for g in self.others:
-            v, s = g.eval(x)
-            if v > 0.0:
-                value += v
-                grad = grad + s
         return value, grad
 
 
 def build_g_tilde(cs: ConstraintSet) -> ConvexFn:
-    """Merit function ``sum_k max(g_k, 0)``: zero exactly on the feasible set."""
-    return _Merit(cs)
+    """Merit function ``sum_k max(g_k, 0)``: zero exactly on the feasible set.
+
+    ``_Merit`` reads the ball and halfspace rows; each other node comes in as
+    its ``PositivePart``, added after them under a ``Sum``.
+    """
+    merit, others = _Merit(cs), cs.rows.others
+    return Sum([merit, *map(PositivePart, others)]) if others else merit
 
 
 def default_start(cs: ConstraintSet) -> np.ndarray:
@@ -370,13 +338,10 @@ def check_feasibility(cs: ConstraintSet, x0=None, cfg: SolverConfig | None = Non
     decided = certify_empty(cs)
     certificate = None
     if decided is not None:
-        x, iters = decided.x, 0
+        x, certificate = decided
+        iters = 0
         f = float(g_tilde.eval(x)[0])
-        if decided.empty:
-            verdict = FeasibilityVerdict.INFEASIBLE
-            certificate = InfeasibilityCertificate(decided.weights, decided.bound, decided.steps)
-        else:
-            verdict = FeasibilityVerdict.FEASIBLE
+        verdict = FeasibilityVerdict.FEASIBLE if certificate is None else FeasibilityVerdict.INFEASIBLE
     else:
         best = minimize(g_tilde, default_start(cs) if x0 is None else x0, cfg)
         iters = best.iters

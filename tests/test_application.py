@@ -402,9 +402,9 @@ def test_covering_solves_the_distance_dual_once_per_exit(monkeypatch):
     solves = []
     anchored = dual._anchored
 
-    def counting(cs, c, sigma):
+    def counting(about, sigma):
         solves.append(sigma)
-        return anchored(cs, c, sigma)
+        return anchored(about, sigma)
 
     monkeypatch.setattr(dual, "_anchored", counting)
     region, bi = three_disks()

@@ -198,10 +198,10 @@ def test_filters_decide_every_ascent_check_on_the_sweep_shapes(monkeypatch):
         monkeypatch.setattr(dual, name, record)
     for label, bi, c in itertools.chain(dual_sweep(), wide_dual_sweep()):
         decided = certify_empty(bi)
-        assert decided is not None and not decided.empty, label
+        assert decided is not None and decided[1] is None, label
         cut = ConstraintSet(bi.constraints + (BallQuad(c, -(bi.radius * bi.radius)),))
         decided = certify_empty(cut)
-        assert decided is not None and decided.empty, label
+        assert decided is not None and decided[1] is not None, label
     assert answers.count(True) == len(answers) == 2 * (120 + 40)
 
 

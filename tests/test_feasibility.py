@@ -114,6 +114,9 @@ def test_verifier_accepts_valid_multipliers():
     swapped = ConstraintSet(mixed.constraints[::-1])
     assert _cert([2.0, 1.0]).verify(swapped)
     assert not _cert([1.0, 2.0]).verify(swapped)
+    # a row of weight 0 takes no part, whatever its kind
+    with_max = ConstraintSet(disks.constraints + (Max([ball_constraint(Ball([3, 0], 1.0))]),))
+    assert _cert([0.5, 0.5, 0.0]).verify(with_max)
 
 
 def test_verifier_rejects_what_only_a_wrong_formula_accepts():
@@ -175,8 +178,8 @@ def test_dyadic_kernel_matches_fraction_formula():
             # weight on the halfspaces alone: s = 0
             cases.append((cs, [1.0, 0.5, 0.0, 0.0, 0.0], z.tolist()))
             found = certify_empty(cs)
-            if found is not None:
-                cases.append((cs, list(found[0]), z.tolist()))
+            if found is not None and found[1] is not None:
+                cases.append((cs, list(found[1].weights), z.tolist()))
     proofs = 0
     bounds = {0: [0, 0], -1: [0, 0]}  # per anchor weight: [None, fraction] counts
     for cs, weights, origin in cases:
