@@ -1,7 +1,9 @@
 """hullscope: certificates for convex feasibility and ball-intersection inclusion.
 
 The library decides whether an intersection of convex sub-level sets is
-nonempty by minimizing a non-smooth merit function, decides whether an
+nonempty from an exactly checked Lagrange dual of its balls and
+halfspaces, and minimizes a non-smooth merit function only when another
+kind of set is present or the dual settles nothing; it decides whether an
 intersection of equal-radius balls fits inside another ball by localizing
 the minimizer of a convex witness function, finds the farthest point of the
 intersection from an outside center with an exactly checked dual bracket

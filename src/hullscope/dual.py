@@ -105,13 +105,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 from operator import lshift, mul, sub
 from typing import NamedTuple
 
 import numpy as np
-
-from .convexfn import Affine, BallQuad
 
 # steps of the dual ascent before the certificate attempt gives up
 CERTIFICATE_STEPS = 1_000
@@ -121,7 +118,7 @@ DUAL_STEPS = 100
 
 
 class DyadicRows(NamedTuple):
-    """Ball and halfspace rows about an origin ``z``, in integers and in constraint order.
+    """Ball and halfspace rows about an origin ``z``, in integers, the ``balls`` ball rows first.
 
     Each row is ``k |y|^2 - 2 u.y + q`` in ``y = x - z``: a ball has ``k = 1``
     and ``u = c_i - z``, a halfspace ``k = 0`` and ``u = -a_j / 2``, and ``q``
@@ -131,7 +128,7 @@ class DyadicRows(NamedTuple):
     of them integers with no rounding.
     """
 
-    quadratic: list[bool]
+    balls: int
     linear: list[list[int]]
     values: list[int]
     origin: list[int]
@@ -161,35 +158,33 @@ def _at(parts, k: int) -> list[int]:
     return list(map(lshift, mant.tolist(), (exp + k).tolist()))
 
 
-def _dyadic_rows(constraints, origin) -> DyadicRows | None:
-    """The rows of ``constraints`` about ``origin`` in integers; None if a node is neither kind.
+def _dyadic_rows(rows, origin) -> DyadicRows:
+    """The ball and then the halfspace rows of the ``ConstraintRows`` ``rows`` about ``origin``, in integers.
 
-    ``values`` are exact, so ``origin`` lies in the intersection exactly when
-    none of them is positive.
+    ``values`` are exact, so ``origin`` lies in the intersection of these
+    rows exactly when none of them is positive. Other nodes take no part.
     """
-    if not all(isinstance(g, (BallQuad, Affine)) for g in constraints):
-        return None
-    quadratic = [isinstance(g, BallQuad) for g in constraints]
+    centers, offsets, normals, shifts, *_ = rows
+    m = 0 if centers is None else len(centers)
     n = len(origin)
-    points = _dyadic(np.concatenate([origin] + [g.center if ball else g.a
-                                                for g, ball in zip(constraints, quadratic)]))
-    consts = _dyadic([g.offset if ball else g.b for g, ball in zip(constraints, quadratic)])
+    points = _dyadic(np.concatenate([origin] + [p for p in (centers, normals) if p is not None], axis=None))
+    consts = _dyadic((offsets or []) + (shifts or []))
     # one bit beyond the coordinates keeps a_j / 2 integral, and 2 b covers
     # the offsets and shifts, which sit on the squared scale
     b = max(_bits(points) + 1, (_bits(consts) + 1) // 2)
     flat = _at(points, b)
     Z = flat[:n]
     linear, values = [], []
-    for r, (ball, const) in enumerate(zip(quadratic, _at(consts, 2 * b)), 1):
+    for r, const in enumerate(_at(consts, 2 * b), 1):
         row = flat[r * n:(r + 1) * n]
-        if ball:
+        if r <= m:
             u = list(map(sub, row, Z))
             values.append(sum(map(mul, u, u)) + const)
         else:
             u = [-(p >> 1) for p in row]
             values.append(sum(map(mul, row, Z)) + const)
         linear.append(u)
-    return DyadicRows(quadratic, linear, values, Z, b)
+    return DyadicRows(m, linear, values, Z, b)
 
 
 def _bound(rows: DyadicRows, offset: float, weights: list[float]) -> tuple[int, int] | None:
@@ -210,7 +205,7 @@ def _bound(rows: DyadicRows, offset: float, weights: list[float]) -> tuple[int, 
     parts = _dyadic(weights + [offset])
     a = _bits(parts)
     *W, w, o = _at(parts, a)
-    s = sum(compress(W, rows.quadratic), w)
+    s = sum(W[:rows.balls], w)
     if s <= 0:
         return None
     e = max(2 * rows.b, a)
@@ -305,7 +300,7 @@ def _inside_in_floats(cs, x: np.ndarray) -> bool | None:
     within its bound of 0, a node of another kind, or an input out of
     ``_in_range``.
     """
-    centers, offsets, normals, shifts, others = cs.rows
+    centers, offsets, normals, shifts, others, _ = cs.rows
     if others or not _in_range(x, centers, offsets, normals, shifts):
         return None
     n = len(x)
@@ -331,11 +326,14 @@ def _inside_in_floats(cs, x: np.ndarray) -> bool | None:
 
 def _inside_exactly(cs, x: np.ndarray) -> bool:
     """``x`` lies in the intersection of the rows of ``cs``, checked in integers."""
-    return max(_dyadic_rows(cs.constraints, x).values) <= 0
+    return max(_dyadic_rows(cs.rows, x).values) <= 0
 
 
 def _inside(cs, x: np.ndarray) -> bool:
-    """``x`` lies in the intersection of the rows of ``cs``, exactly: in floats when they settle it."""
+    """``x`` lies in the intersection of the rows of ``cs``, exactly: in floats when they settle it.
+
+    ``cs`` holds no node of another kind, which neither check reads.
+    """
     inside = _inside_in_floats(cs, x)
     return _inside_exactly(cs, x) if inside is None else inside
 
@@ -358,15 +356,15 @@ def _proves_empty_in_floats(cs, weights: list[float]) -> bool | None:
     constraint is a ball or a halfspace, every input is in ``_in_range`` and
     ``T`` is farther from 0 than that.
     """
-    centers, offsets, normals, shifts, others = cs.rows
+    centers, offsets, normals, shifts, others, order = cs.rows
     if others or not _in_range(weights, centers, offsets, normals, shifts):
         return None
-    kinds = [isinstance(g, BallQuad) for g in cs.constraints]
     n = cs.dimension
+    m = 0 if centers is None else len(centers)
     s = S = S_abs = V = 0.0
     v = np.zeros(n)
     if centers is not None:
-        wb = [w for w, ball in zip(weights, kinds) if ball]
+        wb = [weights[i] for i in order[:m]]
         s = math.fsum(wb)
         for w, cc, o in zip(wb, (centers * centers).sum(axis=1).tolist(), offsets):
             S += w * (cc + o)
@@ -374,25 +372,30 @@ def _proves_empty_in_floats(cs, weights: list[float]) -> bool | None:
             V += w * math.sqrt(cc)
         v = np.dot(wb, centers)
     if normals is not None:
-        wh = [w for w, ball in zip(weights, kinds) if not ball]
+        wh = [weights[i] for i in order[m:]]
         for w, aa, b in zip(wh, (normals * normals).sum(axis=1).tolist(), shifts):
             S += w * b
             S_abs += w * abs(b)
             V += 0.5 * w * math.sqrt(aa)
         v = v - 0.5 * np.dot(wh, normals)
     T = S * s - float(v @ v)
-    err = 2 * (n + 2 * len(kinds) + 8) * _U * (S_abs * s + V * V)
+    err = 2 * (n + 2 * len(weights) + 8) * _U * (S_abs * s + V * V)
     return True if T > err else False if T < -err else None
 
 
 def _proves_empty_exactly(cs, weights: list[float]) -> bool:
-    """``weights``, non-negative and one per constraint, prove ``cs`` empty, checked in integers."""
-    used = [(g, w) for g, w in zip(cs.constraints, weights) if w != 0.0]
-    if not used:
+    """``weights``, non-negative and one per constraint, prove ``cs`` empty, checked in integers.
+
+    A row of zero weight adds nothing to ``S``, ``s`` or ``v``; a nonzero
+    weight on a node of another kind proves nothing.
+    """
+    rows = cs.rows
+    kept = len(weights) - len(rows.others)
+    if any(weights[i] for i in rows.order[kept:]):
         return False
-    rows = _dyadic_rows([g for g, _ in used], [0.0] * used[0][0].dim)
     # no anchor: it takes the weight 0
-    bound = None if rows is None else _bound(rows, 0.0, [w for _, w in used] + [0.0])
+    bound = _bound(_dyadic_rows(rows, [0.0] * cs.dimension), 0.0,
+                   [weights[i] for i in rows.order[:kept]] + [0.0])
     return bound is not None and bound[0] > 0
 
 
@@ -446,8 +449,8 @@ class BallsAbout:
     floats, for the Newton solves; ``rows`` holds the balls about ``c`` in
     integers (``_dyadic_rows``), built once. Each reading rounds an exact
     value to the float on one side of it: the bound of the balls and one
-    anchor ``|x - c|^2 + offset`` (``bound``), and at a point ``x`` the
-    witness ``G`` (``witness_value``) and the distance ``|x - c|``
+    anchor ``|x - c|^2 + offset`` (``_bound`` of ``rows``), and at a point
+    ``x`` the witness ``G`` (``witness_value``) and the distance ``|x - c|``
     (``distance``). The last two take ``y = x - c`` in integers, where a
     ball row is ``|y|^2 - 2 u.y + q``. An anchor offset or a point that
     needs more bits than the rows' ``b`` shifts what a reading takes from
@@ -458,11 +461,7 @@ class BallsAbout:
         self.cs, self.c = cs, c
         self.d = cs.rows.centers - c
         self.offsets = cs.rows.offsets
-        self.rows = _dyadic_rows(cs.constraints, c)
-
-    def bound(self, offset: float, weights: list[float]) -> tuple[int, int] | None:
-        """``_bound`` of the balls and the anchor ``|x - c|^2 + offset``; ``weights`` end with the anchor's."""
-        return _bound(self.rows, offset, weights)
+        self.rows = _dyadic_rows(cs.rows, c)
 
     def _from_c(self, x: np.ndarray, rr: float) -> tuple[list[int], int, int]:
         """``(y, rr, k)``: ``x - c`` times ``2**(b + k)`` and ``rr`` times ``2**(2 (b + k))``, in integers.
@@ -535,7 +534,7 @@ def _dual_ascent(cs, *, stop_inside: bool = False):
     weights, balls first, and ``x`` the primal point, the minimizer of the
     Lagrangian.
     """
-    centers, offsets, normals, shifts, _ = cs.rows
+    centers, offsets, normals, shifts, *_ = cs.rows
     m = len(centers)
     # D does not change when the rows are translated together, but ||U||_F
     # does: centring the balls at their mean lets the step follow the spread
@@ -582,11 +581,10 @@ def certify_empty(cs) -> tuple[np.ndarray, InfeasibilityCertificate | None] | No
     if cs.rows.others or cs.rows.centers is None:
         return None
     theta, x, D, steps = _dual_ascent(cs, stop_inside=True)
-    m = len(cs.rows.centers)
-    balls, halfspaces = iter(theta[:m].tolist()), iter(theta[m:].tolist())
-    weights = tuple(next(balls) if isinstance(g, BallQuad) else next(halfspaces) for g in cs.constraints)
+    # theta holds the balls first, then the halfspaces: put it back in constraint order
+    weights = [w for _, w in sorted(zip(cs.rows.order, theta.tolist()))]
     if D > 0.0 and proves_empty(cs, weights):
-        return x, InfeasibilityCertificate(weights, D, steps)
+        return x, InfeasibilityCertificate(tuple(weights), D, steps)
     if _inside(cs, x):
         return x, None
     return None
@@ -739,7 +737,7 @@ def farthest_bracket(about: BallsAbout, witness: np.ndarray, floor: float):
     """
     cs, c = about.cs, about.c
     lam, y = _anchored(about, -1.0)
-    num, den = about.bound(0.0, lam.tolist() + [-1.0])
+    num, den = _bound(about.rows, 0.0, lam.tolist() + [-1.0])
     r_hi = _sqrt(-num, den, up=True)
     member = _member_near(cs, c + y, witness)
     if member is None:
@@ -749,11 +747,11 @@ def farthest_bracket(about: BallsAbout, witness: np.ndarray, floor: float):
 
 def _root(about: BallsAbout, weights: list[float]) -> float:
     """The square root, rounded down, of the distance dual's bound at ``weights``: a lower bound on ``d(c, C)``."""
-    return _sqrt(*about.bound(0.0, weights), up=False)
+    return _sqrt(*_bound(about.rows, 0.0, weights), up=False)
 
 
-def distance_margin(about: BallsAbout, R: float, tol: float) -> float:
-    """A lower bound on ``d(c, C) - R`` over the balls of ``about``, proven and rounded down.
+def distance_margin(about: BallsAbout, R: float, tol: float) -> tuple[float, np.ndarray | None]:
+    """``(margin, y)``: a lower bound on ``d(c, C) - R`` over the balls of ``about``, proven and rounded down.
 
     On ``C`` every ball row is at most zero, so for ``lambda >= 0`` the bound
     over the balls and the anchor ``|x - c|^2`` at weight ``+1`` is at most
@@ -765,16 +763,9 @@ def distance_margin(about: BallsAbout, R: float, tol: float) -> float:
     exact for one ball and proves a centre well outside ``C`` in one
     reading. Only a margin at most ``tol`` reads the bound again at the
     weights of ``_anchored``, the dual of projecting ``c`` onto ``C``, whose
-    optimum is ``d(c, C)^2`` when ``C`` has an interior point.
-    """
-    return _margin_and_point(about, R, tol)[0]
-
-
-def _margin_and_point(about: BallsAbout, R: float, tol: float) -> tuple[float, np.ndarray | None]:
-    """``(margin, y)``: the reading of ``distance_margin`` and the point behind it.
-
-    ``y`` is the primal point less ``c`` of the weights of ``_anchored`` when
-    the margin was read there, and None when the closed form decided.
+    optimum is ``d(c, C)^2`` when ``C`` has an interior point. ``y`` is the
+    primal point less ``c`` of those weights when the margin was read there,
+    and None when the closed form decided.
     """
     d = about.d
     m, v = len(d), d.sum(axis=0)
@@ -800,7 +791,7 @@ def distance_bounds(cs, c: np.ndarray, tol: float, toward: np.ndarray) -> tuple[
     ``upper`` is ``inf`` when no pull lands in ``C``.
     """
     about = BallsAbout(cs, c)
-    lower, y = _margin_and_point(about, 0.0, tol)
+    lower, y = distance_margin(about, 0.0, tol)
     if lower > tol:
         return lower, None
     member = _member_near(cs, c + y, toward)
@@ -869,5 +860,5 @@ def witness_dual(about: BallsAbout, r: float, gap: float) -> WitnessDual:
     w, t = theta[:-1].tolist(), float(theta[-1])
     bound = None
     if 0.0 <= min(w) and max(w) <= 1.0 and 0.0 <= t <= 1.0 and _reaches_one(w):
-        bound = about.bound(-(r * r), w + [-t])
+        bound = _bound(about.rows, -(r * r), w + [-t])
     return WitnessDual(x, -math.inf if bound is None else _floor(*bound), tuple(w) + (t,))

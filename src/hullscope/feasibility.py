@@ -93,13 +93,17 @@ def _projector(g: BallQuad | Affine):
 
 class ConstraintRows(NamedTuple):
     """``ConstraintSet.rows``: ``||x - centers[i]||^2 + offsets[i]``,
-    ``normals[j] . x + shifts[j]`` and the remaining nodes."""
+    ``normals[j] . x + shifts[j]`` and the remaining nodes.
+
+    ``order`` holds the constraint index of each row, balls first, then
+    halfspaces, then the other nodes."""
 
     centers: np.ndarray | None
     offsets: list[float] | None
     normals: np.ndarray | None
     shifts: list[float] | None
     others: tuple[ConvexFn, ...]
+    order: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -150,26 +154,30 @@ class ConstraintSet:
     def rows(self) -> ConstraintRows:
         """The constraints grouped by kind, as dense rows.
 
-        Unlike ``region_rows`` this accepts every ``BallQuad`` and ``Affine``
-        (any offset, any normal): ball quadratics become the rows of
-        ``centers`` with their ``offsets``, affine functions the rows of
-        ``normals`` with their ``shifts``, and any other node stays in
-        ``others``. A kind with no constraint gets ``None``. Constraint order
-        is kept within each kind.
+        This is the one place that tells the kinds apart. Unlike
+        ``region_rows`` it accepts every ``BallQuad`` and ``Affine`` (any
+        offset, any normal): ball quadratics become the rows of ``centers``
+        with their ``offsets``, affine functions the rows of ``normals`` with
+        their ``shifts``, and any other node stays in ``others``. A kind with
+        no constraint gets ``None``. Constraint order is kept within each
+        kind, and ``order`` maps each row back to its constraint.
         """
-        balls = [g for g in self.constraints if isinstance(g, BallQuad)]
-        affines = [g for g in self.constraints if isinstance(g, Affine)]
-        others = tuple(g for g in self.constraints if not isinstance(g, (BallQuad, Affine)))
+        gs = self.constraints
+        kinds = ([], [], [])
+        for i, g in enumerate(gs):
+            kinds[0 if isinstance(g, BallQuad) else 1 if isinstance(g, Affine) else 2].append(i)
+        balls, affines, others = kinds
         centers = offsets = normals = shifts = None
         if balls:
-            centers = np.array([g.center for g in balls])
+            centers = np.array([gs[i].center for i in balls])
             centers.setflags(write=False)
-            offsets = [g.offset for g in balls]
+            offsets = [gs[i].offset for i in balls]
         if affines:
-            normals = np.array([g.a for g in affines])
+            normals = np.array([gs[i].a for i in affines])
             normals.setflags(write=False)
-            shifts = [g.b for g in affines]
-        return ConstraintRows(centers, offsets, normals, shifts, others)
+            shifts = [gs[i].b for i in affines]
+        return ConstraintRows(centers, offsets, normals, shifts, tuple(gs[i] for i in others),
+                              tuple(balls + affines + others))
 
     @cached_property
     def region_rows(self) -> ConstraintRows:
@@ -258,7 +266,7 @@ class _Merit(ConvexFn):
 
     def __init__(self, cs: ConstraintSet):
         super().__init__(cs.dimension)
-        self.centers, self.offsets, self.normals, self.shifts, _ = cs.rows
+        self.centers, self.offsets, self.normals, self.shifts, *_ = cs.rows
         self.ones = np.ones(cs.dimension)
         zero = np.zeros(cs.dimension)
         zero.setflags(write=False)
@@ -304,7 +312,7 @@ def build_g_tilde(cs: ConstraintSet) -> ConvexFn:
 
 def default_start(cs: ConstraintSet) -> np.ndarray:
     """Centroid of ball centers when every constraint is a ball, else zero."""
-    centers, _, normals, _, others = cs.rows
+    centers, _, normals, _, others, _ = cs.rows
     if normals is None and not others:
         return np.mean(centers, axis=0)
     return np.zeros(cs.dimension)

@@ -39,7 +39,3 @@ class Ball:
         if not (np.isfinite(r) and r > 0.0):
             raise ValueError(f"radius must be a finite positive number, got {self.radius!r}")
         object.__setattr__(self, "radius", r)
-
-    @property
-    def dim(self) -> int:
-        return self.center.shape[0]

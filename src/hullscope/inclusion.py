@@ -281,7 +281,7 @@ def inclusion_checker(bi: BallIntersection, c, cfg: SolverConfig):
             f"merit minimum {report.g_tilde_min:.3e})")
     # the balls seen from c, shared by the precondition and every check
     about = BallsAbout(bi, c)
-    margin = distance_margin(about, bi.radius, cfg.tol)
+    margin, _ = distance_margin(about, bi.radius, cfg.tol)
     if not margin > cfg.tol:
         raise PreconditionFailed(
             f"outer center too close to the intersection: d(c, C1) - R = {margin:.6e}")

@@ -192,7 +192,9 @@ def load_problem(path) -> ProblemFile:
             raw = json.load(fh)
     except OSError as exc:
         raise ProblemFileError(f"cannot read problem file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad syntax, bytes that are not UTF-8, an integer of more digits than
+        # int() converts, or nesting deeper than the decoder's recursion limit
         raise ProblemFileError(f"malformed JSON: {exc}") from exc
 
     if not _conforms(_schema(), raw):

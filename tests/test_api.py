@@ -115,6 +115,24 @@ def test_package_has_no_unused_import_or_private_definition():
     assert dead == []
 
 
+def test_only_feasibility_tells_constraint_kinds_apart():
+    # ``ConstraintSet.rows`` sorts the constraints into balls, halfspaces and
+    # other nodes; every other module reads the rows and asks no node its kind
+    found = []
+    for path in sorted(Path(hullscope.__file__).parent.rglob("*.py")):
+        if path.name == "feasibility.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2):
+                continue
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            names = {getattr(kind, "id", None) or getattr(kind, "attr", None) for kind in kinds}
+            if names & {"BallQuad", "Affine"}:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_import_leaves_the_schema_validator_unloaded(tmp_path):
     # importing the package must not pay for jsonschema, and neither must
     # loading a valid problem file: only a rejected file needs it, to word the

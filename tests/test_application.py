@@ -343,7 +343,7 @@ def test_covering_bounds_hold_against_dykstra(monkeypatch, case, seed):
         dyk = dykstra_distance(bi, x)
         assert gap >= dyk - 1e-11
         limit = delta + 1e-7 * max(1.0, float(np.linalg.norm(x)))
-        assert distance_margin(BallsAbout(bi, x), 0.0, limit) <= dyk + 1e-12
+        assert distance_margin(BallsAbout(bi, x), 0.0, limit)[0] <= dyk + 1e-12
 
 
 @pytest.mark.parametrize("delta, refused", [(0.34, False), (0.5, False),

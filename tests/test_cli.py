@@ -52,6 +52,22 @@ def test_malformed_json_exits_65(tmp_path):
     assert proc.returncode == 65
 
 
+@pytest.mark.parametrize("content", [
+    b'{"version": 1, "dimension": 2, \xff}',
+    # nested deeper than the JSON decoder's recursion limit
+    b'{"version": 1, "dimension": 2, "constraints": ' + b"[" * 3000 + b"]" * 3000 + b"}",
+    # an integer longer than int() converts from a string
+    b'{"version": 1, "dimension": ' + b"9" * 5000 + b"}",
+], ids=["not-utf8", "too-deep", "long-int"])
+def test_undecodable_file_exits_65(tmp_path, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    proc = run_cli("feas", str(bad))
+    assert proc.returncode == 65
+    assert proc.stderr.startswith("hullscope: bad problem file: "), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_schema_violation_exits_65(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"version": 2, "dimension": 2}))

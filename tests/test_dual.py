@@ -271,22 +271,22 @@ def test_bound_readings_match_fractions(system, pool, anchor, offset, j, side):
     # an offset one ulp off needs more bits than the rows about c hold
     for off in (offset, math.nextafter(offset, side * math.inf)):
         # the anchor as one more row, its rows built from scratch
-        fresh = _dyadic_rows(cs.constraints + (BallQuad(c, off),), c)
+        fresh = _dyadic_rows(ConstraintSet(cs.constraints + (BallQuad(c, off),)).rows, c)
         for weights in (base, nudged(base, j, side).tolist(), single):
-            want, bound = fraction_bound(cs, c, off, weights), about.bound(off, weights)
+            want, bound = fraction_bound(cs, c, off, weights), _bound(about.rows, off, weights)
             assert (bound is None) is (want is None) is (_bound(fresh, 0.0, weights + [0.0]) is None)
             if want is None:
                 continue
             assert Fraction(*bound) == want == Fraction(*_bound(fresh, 0.0, weights + [0.0]))
             assert_bound_readings(bound, want)
-    assert _floor(*about.bound(offset, single)) == (offset if j >= m else cs.constraints[j].offset)
+    assert _floor(*_bound(about.rows, offset, single)) == (offset if j >= m else cs.constraints[j].offset)
     want = fraction_bound(cs, c, offset, base)
     if want is not None:
         for s in (2.0 ** 300, 2.0 ** -300):
-            bound = scaled_about(cs, c, s).bound(s * s * offset, base)
+            bound = _bound(scaled_about(cs, c, s).rows, s * s * offset, base)
             assert Fraction(*bound) == Fraction(s * s) * want
             assert bound_readings(bound) == [s * s * v if k % 3 == 0 else s * v
-                                             for k, v in enumerate(bound_readings(about.bound(offset, base)))]
+                                             for k, v in enumerate(bound_readings(_bound(about.rows, offset, base)))]
 
 
 def fraction_witness(cs, c, r: float, x) -> Fraction:
@@ -308,7 +308,7 @@ def test_value_readings_match_fractions(system, r, j, side):
         want = fraction_witness(cs, c, radius, y)
         assert Fraction(math.nextafter(G, -math.inf)) < want <= Fraction(G), (G, want)
         # every row about y, built from scratch, gives the same G
-        fresh = _dyadic_rows(cs.constraints + (BallQuad(c, -(radius * radius)),), y)
+        fresh = _dyadic_rows(ConstraintSet(cs.constraints + (BallQuad(c, -(radius * radius)),)).rows, y)
         *g, f = fresh.values
         assert -_floor(-(max(-f, 0) + sum(max(v, 0) for v in g) + min(max(g), 0)), 1 << 2 * fresh.b) == G
         d2 = sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(y.tolist(), c.tolist()))
@@ -341,7 +341,7 @@ def test_bound_readings_round_correctly_a_hair_off_a_float():
     for cs, offset, weights in cases:
         c = np.full(cs.dimension, 5.0)
         want = fraction_bound(cs, c, offset, weights)
-        bound = BallsAbout(cs, c).bound(offset, weights)
+        bound = _bound(BallsAbout(cs, c).rows, offset, weights)
         assert Fraction(*bound) == want
         assert_bound_readings(bound, want)
     assert bound_readings(bound)[1:3] == [2.0 ** -539] * 2

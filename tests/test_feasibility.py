@@ -117,6 +117,14 @@ def test_verifier_accepts_valid_multipliers():
     # a row of weight 0 takes no part, whatever its kind
     with_max = ConstraintSet(disks.constraints + (Max([ball_constraint(Ball([3, 0], 1.0))]),))
     assert _cert([0.5, 0.5, 0.0]).verify(with_max)
+    # the node between the disks and x1 - 5 <= 0 after them, at mu = 1/4:
+    # D = 1.25 - 3.5 mu - mu^2 / 4 = 23/64, so the rows must take the weights
+    # of their own constraints, not of their positions
+    between = ConstraintSet([disks.constraints[0], Max([ball_constraint(Ball([3, 0], 1.0))]),
+                             disks.constraints[1], halfspace_constraint([1.0, 0.0], -5.0)])
+    assert _cert([0.5, 0.0, 0.5, 0.25]).verify(between)
+    # a weighted node of another kind proves nothing
+    assert not _cert([0.5, 1.0, 0.5, 0.25]).verify(between)
 
 
 def test_verifier_rejects_what_only_a_wrong_formula_accepts():
@@ -170,7 +178,7 @@ def test_dyadic_kernel_matches_fraction_formula():
     for n in (2, 5):
         for feasible in (True, False):
             constraints, z = mixed_instance(rng, n, 3, 2, feasible)
-            # halfspaces first, to check that the kernel keeps the weights with their rows
+            # halfspaces first, to check that ``rows.order`` keeps the weights with their rows
             cs = ConstraintSet(constraints[3:] + constraints[:3])
             for _ in range(10):
                 weights = rng.uniform(0.0, 2.0, 5) * (rng.uniform(size=5) < 0.8)
@@ -188,10 +196,11 @@ def test_dyadic_kernel_matches_fraction_formula():
         for anchor, rows_cs, row_weights in ((0, cs, list(weights)),
                                              (-1, anchored, list(weights) + [-1.0])):
             s, S, v, values = _fraction_sums(rows_cs, row_weights, origin)
-            rows = _dyadic_rows(rows_cs.constraints, origin)
-            assert [Fraction(u, 2 ** (2 * rows.b)) for u in rows.values] == values
+            order = rows_cs.rows.order
+            rows = _dyadic_rows(rows_cs.rows, origin)
+            assert [Fraction(u, 2 ** (2 * rows.b)) for u in rows.values] == [values[i] for i in order]
             # the kernel's own anchor at weight 0 adds nothing
-            bound = _bound(rows, 0.0, row_weights + [0.0])
+            bound = _bound(rows, 0.0, [row_weights[i] for i in order] + [0.0])
             if s <= 0:
                 assert bound is None
             else:
@@ -205,7 +214,7 @@ def test_dyadic_kernel_matches_fraction_formula():
     assert 0 < proofs < len(cases)
     assert all(min(counts) > 0 for counts in bounds.values())
     assert _fraction_sums(touching, [0.5, 0.5], [0.0, 0.0])[:3] == (1, 1, [1, 0])
-    rows = _dyadic_rows(touching.constraints, [0.0, 0.0])
+    rows = _dyadic_rows(touching.rows, [0.0, 0.0])
     assert _bound(rows, 0.0, [0.5, 0.5, 0.0])[0] == 0
     assert not proves_empty(touching, [0.5, 0.5])
     # with the anchor at weight -1, s = 0 and s < 0 leave the Lagrangian unbounded below

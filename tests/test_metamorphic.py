@@ -46,7 +46,7 @@ import pytest
 from hullscope import (Ball, BallIntersection, BisectionConfig, ConstraintSet, FeasibilityVerdict,
                        InclusionVerdict, OuterBall, SolverConfig, check_feasibility, check_inclusion,
                        solve_farthest)
-from hullscope.dual import (BallsAbout, _anchored, _floor, _inside_in_floats, _minus,
+from hullscope.dual import (BallsAbout, _anchored, _bound, _floor, _inside_in_floats, _minus,
                             _proves_empty_in_floats, _root, _sqrt, certify_empty, farthest_bracket,
                             witness_dual)
 
@@ -177,8 +177,8 @@ def _readings(bi, c, r, x, witness, multipliers, lam, dist_lam) -> list[float]:
     """``g_lower``, ``G(x)``, the margin, ``r_lo`` and ``r_hi`` of ``bi`` about ``c``, at the given points and weights."""
     about = BallsAbout(bi, c)
     *w, t = multipliers
-    num, den = about.bound(0.0, lam + [-1.0])
-    return [_floor(*about.bound(-(r * r), w + [-t])),
+    num, den = _bound(about.rows, 0.0, lam + [-1.0])
+    return [_floor(*_bound(about.rows, -(r * r), w + [-t])),
             about.witness_value(r, x),
             _minus(_root(about, dist_lam + [1.0]), bi.radius),
             about.distance(witness, up=False),
