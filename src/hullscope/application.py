@@ -66,6 +66,7 @@ from .dual import deep_point, distance_bounds
 from .errors import DimensionMismatch, HypothesisViolation, UnboundedRegion
 from .farthest import BisectionConfig, solve_farthest
 from .feasibility import ConstraintSet
+from .geometry import as_point
 from .inclusion import BallIntersection
 
 log = logging.getLogger("hullscope.application")
@@ -140,18 +141,13 @@ def extract_boundary_point(region: ConstraintSet, x_star_c, c) -> np.ndarray:
     floats, is returned as it is. ``|x_hat - c| = |x_star_c - c| + t``, so
     ``x_hat`` lies no nearer ``c`` than ``x_star_c``. Raises
     ``DimensionMismatch`` unless ``x_star_c`` and ``c`` both have shape
-    ``(region.dimension,)``, ``ValueError`` if either is not finite, if they
+    ``(region.dimension,)`` and ``ValueError`` if a coordinate of either is
+    not finite, both before any ray is cast; ``ValueError`` if they
     coincide, or if ``x_star_c`` lies beyond a region row by more than ``1e-7
     max(1, |x_star_c|)``, and ``UnboundedRegion`` when the ray never leaves.
     """
-    x_star_c = np.asarray(x_star_c, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    n = region.dimension
-    if x_star_c.shape != (n,) or c.shape != (n,):
-        raise DimensionMismatch(f"region has dimension {n}, x_star_c has shape {x_star_c.shape} "
-                                f"and c has shape {c.shape}")
-    if not (np.isfinite(x_star_c).all() and np.isfinite(c).all()):
-        raise ValueError(f"x_star_c and c must be finite, got {x_star_c.tolist()} and {c.tolist()}")
+    x_star_c = as_point(x_star_c, region.dimension, "x_star_c")
+    c = as_point(c, region.dimension, "c")
     d = x_star_c - c
     nd = float(np.linalg.norm(d))
     if nd < 1e-14:
@@ -185,11 +181,13 @@ def bound_max_distance(region: ConstraintSet, bi: BallIntersection, c, delta: fl
     Raises
     ------
     DimensionMismatch
-        When the region, the inner intersection and ``c`` do not share one
-        dimension.
+        When the region and the inner intersection do not share one
+        dimension, or ``c`` does not have shape ``(bi.dimension,)``, before
+        any ray is cast.
     TypeError, ValueError
-        When ``c`` or ``delta`` is not finite, ``delta`` is negative, or a
-        region constraint is not a ball or a halfspace with a nonzero normal.
+        When a coordinate of ``c`` or ``delta`` is not finite, ``delta`` is
+        negative, or a region constraint is not a ball or a halfspace with a
+        nonzero normal, before any ray is cast.
     HypothesisViolation
         With the offending point attached, when a spot check fails; for the
         covering check its ``distance`` is a proven lower bound, above the
@@ -202,12 +200,10 @@ def bound_max_distance(region: ConstraintSet, bi: BallIntersection, c, delta: fl
     """
     if cfg is None:
         cfg = BisectionConfig()
-    c = np.asarray(c, dtype=np.float64)
-    if region.dimension != bi.dimension or c.shape != (bi.dimension,):
-        raise DimensionMismatch(f"region has dimension {region.dimension}, the inner intersection "
-                                f"{bi.dimension} and c has shape {c.shape}")
-    if not all(map(math.isfinite, c.tolist())):
-        raise ValueError(f"outer center must be finite, got {c.tolist()}")
+    if region.dimension != bi.dimension:
+        raise DimensionMismatch(f"region has dimension {region.dimension}, "
+                                f"the inner intersection {bi.dimension}")
+    c = as_point(c, bi.dimension, "c")
     rows = region.region_rows  # refuse a constraint that is not a ball or a halfspace before any ray
     delta = float(delta)
     if delta < 0 or not math.isfinite(delta):

@@ -84,11 +84,14 @@ def solve_farthest(bi: BallIntersection, c, cfg: BisectionConfig | None = None) 
 
     Raises
     ------
+    DimensionMismatch
+        If ``c`` does not have shape ``(bi.dimension,)``, before any solve.
+    ValueError
+        If a coordinate of ``c`` is not finite, before any solve.
     EmptyIntersection, PreconditionFailed, InnerUndetermined
     """
     if cfg is None:
         cfg = BisectionConfig()
-    c = np.asarray(c, dtype=np.float64)
     witness, about, check = inclusion_checker(bi, c, cfg.inner)
     r_lo, r_hi, witness, lam = farthest_bracket(about, witness, bi.radius)
     steps = 0

@@ -46,7 +46,7 @@ import numpy as np
 from .convexfn import Affine, BallQuad, ConvexFn, PositivePart, Sum
 from .dual import InfeasibilityCertificate, certify_empty
 from .errors import DimensionMismatch
-from .geometry import Vector
+from .geometry import Vector, as_point
 from .minimize import SolverConfig, minimize, refine_minimum
 
 DYKSTRA_SWEEPS = 1_000  # sweeps before a Dykstra projection gives up
@@ -135,15 +135,13 @@ class ConstraintSet:
         object.__setattr__(self, "constraints", constraints)
         object.__setattr__(self, "dimension", dim)
 
-    def _point(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.dimension,):
-            raise DimensionMismatch(f"point has shape {x.shape}, "
-                                    f"constraints have dimension {self.dimension}")
-        return x
-
     def residuals(self, x) -> np.ndarray:
-        x = self._point(x)
+        """The constraint values at ``x``, in constraint order.
+
+        Raises ``DimensionMismatch`` unless ``x`` has shape ``(dimension,)``
+        and ``ValueError`` if a coordinate is not finite, before evaluating.
+        """
+        x = as_point(x, self.dimension)
         return np.array([g.eval(x)[0] for g in self.constraints])
 
     def worst_residual(self, x) -> float:
@@ -200,13 +198,12 @@ class ConstraintSet:
         projection onto the intersection. Every call stops at the first sweep
         that moves the point by at most ``1e-11``, or after ``DYKSTRA_SWEEPS``
         sweeps with the result flagged, as it is on an empty intersection
-        (certify it nonempty via ``check_feasibility`` first). A non-finite
-        ``y`` raises ``ValueError`` before any sweep.
+        (certify it nonempty via ``check_feasibility`` first). A ``y`` of
+        another shape raises ``DimensionMismatch``, and a non-finite one
+        ``ValueError``, before any sweep.
         """
         self.region_rows  # refuse a non-region constraint before any sweep
-        x = np.array(self._point(y))
-        if not np.isfinite(x).all():
-            raise ValueError(f"cannot project a non-finite point {x.tolist()}")
+        x = as_point(y, self.dimension)
         # built per call, not cached: a set held for many calls keeps only its rows
         projectors = [_projector(g) for g in self.constraints]
         corrections = [np.zeros_like(x) for _ in projectors]
@@ -334,13 +331,14 @@ def check_feasibility(cs: ConstraintSet, x0=None, cfg: SolverConfig | None = Non
     Undetermined in between or when the refinement could not close its
     bracket. ``iters`` counts subgradient iterations only, so it is 0 when
     the dual decided; the ascent reports its steps in the certificate.
+    Raises ``DimensionMismatch`` unless ``x0`` has shape ``(cs.dimension,)``
+    and ``ValueError`` if a coordinate of it is not finite, before either
+    route runs, so both refuse the same start.
     """
     if cfg is None:
         cfg = SolverConfig()
     if x0 is not None:
-        x0 = np.asarray(x0, dtype=np.float64)
-        if x0.shape != (cs.dimension,):
-            raise DimensionMismatch(f"x0 has shape {x0.shape}, constraints have dimension {cs.dimension}")
+        x0 = as_point(x0, cs.dimension, "x0")
 
     g_tilde = build_g_tilde(cs)
     decided = certify_empty(cs)

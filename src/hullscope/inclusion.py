@@ -68,11 +68,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convexfn import BallQuad, ConvexFn
+from .convexfn import ConvexFn, ball_constraint
 from .dual import BallsAbout, distance_margin, witness_dual
-from .errors import DimensionMismatch, EmptyIntersection, PreconditionFailed
+from .errors import EmptyIntersection, PreconditionFailed
 from .feasibility import ConstraintSet, FeasibilityVerdict, ProjectionResult, check_feasibility
-from .geometry import Ball
+from .geometry import Ball, as_point
 from .minimize import SolverConfig, refine_minimum
 
 
@@ -87,11 +87,8 @@ class BallIntersection(ConstraintSet):
     radius: float
 
     def __init__(self, centers, radius: float):
-        r = float(radius)
-        if not (math.isfinite(r) and r > 0):
-            raise ValueError("radius must be a finite positive number")
-        super().__init__([BallQuad(c, -(r * r)) for c in centers])
-        object.__setattr__(self, "radius", r)
+        super().__init__([ball_constraint(Ball(c, radius)) for c in centers])
+        object.__setattr__(self, "radius", float(radius))
 
     @property
     def centers(self) -> np.ndarray:
@@ -210,9 +207,11 @@ class _WitnessG(ConvexFn):
 
 
 def build_G(bi: BallIntersection, ob: OuterBall) -> ConvexFn:
-    """The convex witness ``G = max_k G_k`` of ``bi`` against the outer ball ``ob``."""
-    if ob.center.shape[0] != bi.dimension:
-        raise DimensionMismatch("outer ball and intersection must share the ambient dimension")
+    """The convex witness ``G = max_k G_k`` of ``bi`` against the outer ball ``ob``.
+
+    Raises ``DimensionMismatch`` unless ``ob.center`` has shape ``(bi.dimension,)``.
+    """
+    as_point(ob.center, bi.dimension, "outer center")
     return _WitnessG(bi, ob)
 
 
@@ -261,19 +260,17 @@ def inclusion_checker(bi: BallIntersection, c, cfg: SolverConfig):
 
     Raises
     ------
-    DimensionMismatch, ValueError
-        If ``c`` is not a finite point of the intersection's dimension.
+    DimensionMismatch
+        If ``c`` does not have shape ``(bi.dimension,)``, before any solve.
+    ValueError
+        If a coordinate of ``c`` is not finite, before any solve.
     EmptyIntersection
         If the intersection cannot be certified nonempty.
     PreconditionFailed
         If ``d(c, C1) - R`` is not proven above the configured tolerance;
         no sound verdict exists in that regime.
     """
-    c = np.asarray(c, dtype=np.float64)
-    if c.shape != (bi.dimension,):
-        raise DimensionMismatch("outer ball and intersection must share the ambient dimension")
-    if not all(map(math.isfinite, c.tolist())):
-        raise ValueError(f"outer center must be finite, got {c.tolist()}")
+    c = as_point(c, bi.dimension, "c")
     report = check_feasibility(bi, cfg=cfg)
     if report.verdict is not FeasibilityVerdict.FEASIBLE:
         raise EmptyIntersection(
@@ -308,6 +305,8 @@ def check_inclusion(bi: BallIntersection, ob: OuterBall,
 
     Raises
     ------
+    DimensionMismatch
+        If ``ob.center`` does not have shape ``(bi.dimension,)``, before any solve.
     EmptyIntersection
         If the intersection cannot be certified nonempty.
     PreconditionFailed

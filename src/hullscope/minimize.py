@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convexfn import ConvexFn
-from .errors import DimensionMismatch, NonFiniteValue
+from .errors import NonFiniteValue
+from .geometry import as_point
 
 # iterations without a ``tol`` improvement of the best value that end a run
 STALL_ITERS = 400
@@ -84,8 +85,11 @@ def minimize(fn: ConvexFn, x0, cfg: SolverConfig | None = None, *,
 
     Raises
     ------
+    DimensionMismatch
+        If ``x0`` does not have shape ``(fn.dim,)``, before any evaluation.
     ValueError
-        If ``target`` is not finite.
+        If ``target`` or a coordinate of ``x0`` is not finite, before any
+        evaluation.
     NonFiniteValue
         If an evaluation returns NaN or infinity.
     """
@@ -93,11 +97,7 @@ def minimize(fn: ConvexFn, x0, cfg: SolverConfig | None = None, *,
         raise ValueError("target must be finite")
     if cfg is None:
         cfg = SolverConfig()
-    x = np.array(x0, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != fn.dim:
-        raise DimensionMismatch(f"start point has shape {x.shape}, function expects dimension {fn.dim}")
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteValue("start point has non-finite coordinates")
+    x = as_point(x0, fn.dim, "x0")
 
     tol = cfg.tol
     fn_eval = fn.eval
@@ -161,14 +161,17 @@ def refine_minimum(
     are ``check_feasibility``, on its merit fallback when the dual ascent
     has neither proved the set empty nor found a point of it, and the
     inclusion check, which starts it from the witness dual's point and bound
-    and so runs no probe when the dual has closed the gap.
+    and so runs no probe when the dual has closed the gap. Raises
+    ``DimensionMismatch`` unless ``x0`` has shape ``(fn.dim,)`` and
+    ``ValueError`` if a coordinate of it is not finite, before any
+    evaluation.
     """
     if not (math.isfinite(value_gap) and value_gap > 0):
         raise ValueError("value_gap must be a finite positive number")
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
     probe_tol = max(value_gap / 8.0, 1e-13)
-    x = np.asarray(x0, dtype=np.float64)
+    x = as_point(x0, fn.dim, "x0")
     f0, _ = fn.eval(x)
     if not math.isfinite(f0):
         raise NonFiniteValue("non-finite value at the refinement start point")

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -237,12 +238,32 @@ def test_start_of_wrong_shape_is_dimension_mismatch(x0):
         check_feasibility(cs, x0=x0)
 
 
-@pytest.mark.parametrize("x", [[0.0, 0.0, 0.0], [0.0], 0.0])
+def _unit_box():
+    return ConstraintSet([halfspace_constraint(a, 1.0) for a in ([1.0, 0.0], [-1.0, 0.0],
+                                                                 [0.0, 1.0], [0.0, -1.0])])
+
+
+@pytest.mark.parametrize("x0", [[math.nan, 0.0], [0.0, math.inf]])
+@pytest.mark.parametrize("system", ["disk", "box"])
+def test_non_finite_start_is_refused_before_either_route(monkeypatch, system, x0):
+    # the disk goes the dual route, the box the merit route; both refuse first
+    def fail(*args, **kwargs):
+        raise AssertionError("decided before checking x0")
+
+    monkeypatch.setattr("hullscope.feasibility.certify_empty", fail)
+    monkeypatch.setattr("hullscope.feasibility.minimize", fail)
+    cs = ConstraintSet([ball_constraint(Ball([0, 0], 1.0))]) if system == "disk" else _unit_box()
+    with pytest.raises(ValueError, match="x0 has non-finite"):
+        check_feasibility(cs, x0=x0)
+
+
+@pytest.mark.parametrize("x", [[0.0, 0.0, 0.0], [0.0], 0.0, [math.nan, 0.0], [0.0, -math.inf]])
 def test_point_of_wrong_shape_is_dimension_mismatch(x):
-    box = ConstraintSet([halfspace_constraint(a, 1.0) for a in ([1.0, 0.0], [-1.0, 0.0],
-                                                                [0.0, 1.0], [0.0, -1.0])])
+    # a point of the right shape with a non-finite coordinate is refused too
+    box = _unit_box()
+    error, text = (DimensionMismatch, "shape") if np.shape(x) != (2,) else (ValueError, "non-finite")
     for op in (box.residuals, box.worst_residual, box.project):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(error, match=text):
             op(x)
 
 

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from hullscope import (Affine, Ball, BallQuad, ConstraintSet, Max,
+from hullscope import (Affine, Ball, BallQuad, ConstraintSet, DimensionMismatch, Max,
                        NonFiniteValue, SolverConfig, ball_constraint,
                        build_g_tilde, minimize, refine_minimum)
 
@@ -91,6 +93,27 @@ def test_non_finite_value_aborts():
 
     with pytest.raises(NonFiniteValue):
         minimize(Bad(), [0.0], SolverConfig())
+
+
+def test_non_finite_start_is_a_value_error_before_any_evaluation():
+    # NonFiniteValue is kept for evaluations; a bad start is the caller's input
+    class Unevaluated:
+        dim = 2
+
+        def eval(self, x):
+            raise AssertionError("evaluated before checking the start")
+
+    with pytest.raises(ValueError, match="x0 has non-finite"):
+        minimize(Unevaluated(), [math.nan, 0.0], SolverConfig())
+
+
+@pytest.mark.parametrize("x0, error, text", [([math.nan, 0.0], ValueError, "non-finite"),
+                                             ([0.0, 0.0, 0.0], DimensionMismatch, "shape")])
+def test_refine_minimum_refuses_a_bad_start(x0, error, text):
+    # a NaN row of the merit reads as satisfied, so an unchecked NaN start
+    # would close the bracket at 0 on the empty set of two disjoint disks
+    with pytest.raises(error, match=text):
+        refine_minimum(disjoint_disks_merit(), x0, lower_bound=0.0, value_gap=1e-8, max_iters=100)
 
 
 def test_stall_marks_converged():
