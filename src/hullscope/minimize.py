@@ -161,13 +161,18 @@ def refine_minimum(
     are ``check_feasibility``, on its merit fallback when the dual ascent
     has neither proved the set empty nor found a point of it, and the
     inclusion check, which starts it from the witness dual's point and bound
-    and so runs no probe when the dual has closed the gap. Raises
-    ``DimensionMismatch`` unless ``x0`` has shape ``(fn.dim,)`` and
-    ``ValueError`` if a coordinate of it is not finite, before any
-    evaluation.
+    and so runs no probe when the dual has closed the gap. A finite
+    ``lower_bound`` above ``fn(x0)`` is accepted and closes the bracket with
+    no probe: the inclusion caller passes the exact dual bound, which ``G``
+    evaluated in floats at the dual point can read below by rounding. Raises
+    ``DimensionMismatch`` unless ``x0`` has shape ``(fn.dim,)``, and
+    ``ValueError`` if ``lower_bound`` or a coordinate of ``x0`` is not
+    finite, before any evaluation.
     """
     if not (math.isfinite(value_gap) and value_gap > 0):
         raise ValueError("value_gap must be a finite positive number")
+    if not math.isfinite(lower_bound):
+        raise ValueError("lower_bound must be finite")
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
     probe_tol = max(value_gap / 8.0, 1e-13)

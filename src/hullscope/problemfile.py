@@ -7,13 +7,13 @@ covering constant (distance bounding). Validation is two-stage: the JSON
 Schema shipped with the package, then semantic checks the schema cannot
 express (vector lengths against the dimension, and every number finite).
 
-The schema stage is decided by ``_conforms``, a walk of the packaged schema
-that implements the few keywords it uses with jsonschema's semantics, so a
-valid file never imports jsonschema. Only a file the walk rejects imports
-it, and jsonschema's ``best_match`` words the rejection. The schema file
-stays the one statement of the rules: ``_schema()`` refuses to build from a
-schema with a keyword the walk does not implement, so a later edit to the
-file cannot be ignored silently.
+The schema stage is ``_violation``, a walk of the packaged schema that
+implements the few keywords it uses with jsonschema's semantics. It both
+decides validity and words a rejection, naming the first entry that breaks
+a rule the way the semantic checks name theirs. The schema file stays the
+one statement of the rules: ``_schema()`` refuses to build from a schema
+with a keyword the walk does not implement, so a later edit to the file
+cannot be ignored silently.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ _ANNOTATIONS = frozenset({"$schema", "$id", "title"})
 
 
 def _walkable(node) -> None:
-    """Raise unless ``_conforms`` implements every keyword and value in the schema ``node``."""
+    """Raise unless ``_violation`` implements every keyword and value in the schema ``node``."""
     unknown = node.keys() - _KEYWORDS - _ANNOTATIONS
     if unknown:
         raise NotImplementedError(f"problem schema keywords {sorted(unknown)} are not implemented")
@@ -86,7 +86,7 @@ def _walkable(node) -> None:
         raise NotImplementedError(f"problem schema type {kind!r} is not implemented")
     if node.get("additionalProperties", False) is not False:
         raise NotImplementedError("problem schema additionalProperties other than false is not implemented")
-    # _conforms compares a const with ==, which is jsonschema's equality for a
+    # _violation compares a const with ==, which is jsonschema's equality for a
     # string or a number that is no bool
     const = node.get("const", "")
     if isinstance(const, bool) or not isinstance(const, (str, int, float)):
@@ -112,44 +112,45 @@ def _schema() -> dict:
     return schema
 
 
-def _conforms(node, doc) -> bool:
-    """Whether ``doc`` is valid under the schema ``node``, as jsonschema 4 decides it.
+def _violation(node, doc, path=""):
+    """The first entry of ``doc`` that breaks the schema ``node``, as ``(entry, rule)``; None if ``doc`` is valid.
 
-    Each keyword applies only to instances of its own type; a NaN passes
-    ``minimum`` and ``exclusiveMinimum``, whose failure tests are ``<`` and
-    ``<=``; ``oneOf`` holds when exactly one branch does.
+    ``entry`` is written as the loader's other messages write one
+    (``outer.radius``, ``constraints[0]``), or is "the file" for the root.
+    Validity is decided as jsonschema 4 decides it: each keyword applies only
+    to instances of its own type; a NaN passes ``minimum`` and
+    ``exclusiveMinimum``, whose failure tests are ``<`` and ``<=``; ``oneOf``
+    holds when exactly one branch does.
     """
+    entry = path or "the file"
     if "type" in node and not _TYPES[node["type"]](doc):
-        return False
+        return entry, f"must be of type {node['type']}"
     if "const" in node and (isinstance(doc, bool) or doc != node["const"]):
-        return False
-    if "oneOf" in node and sum(_conforms(branch, doc) for branch in node["oneOf"]) != 1:
-        return False
+        return entry, f"must be {node['const']!r}"
+    if "oneOf" in node and sum(_violation(branch, doc) is None for branch in node["oneOf"]) != 1:
+        return entry, f"must match exactly one of {len(node['oneOf'])} forms"
     if isinstance(doc, dict):
         properties = node.get("properties", {})
-        if any(key not in doc for key in node.get("required", ())):
-            return False
-        if "additionalProperties" in node and any(key not in properties for key in doc):
-            return False
-        return all(_conforms(properties[key], value) for key, value in doc.items() if key in properties)
-    if isinstance(doc, list):
-        return len(doc) >= node.get("minItems", 0) and (
-            "items" not in node or all(_conforms(node["items"], item) for item in doc))
-    if _TYPES["number"](doc):
+        for key in node.get("required", ()):
+            if key not in doc:
+                return entry, f"lacks the required {key!r}"
+        for key, value in doc.items():
+            if key not in properties:
+                if "additionalProperties" in node:
+                    return entry, f"has the unexpected {key!r}"
+            elif found := _violation(properties[key], value, f"{path}.{key}" if path else key):
+                return found
+    elif isinstance(doc, list):
+        if len(doc) < node.get("minItems", 0):
+            return entry, f"must have {node['minItems']} or more items"
+        for i, item in enumerate(doc):
+            if "items" in node and (found := _violation(node["items"], item, f"{path}[{i}]")):
+                return found
+    elif _TYPES["number"](doc):
         if "minimum" in node and doc < node["minimum"]:
-            return False
+            return entry, f"must be at least {node['minimum']}"
         if "exclusiveMinimum" in node and doc <= node["exclusiveMinimum"]:
-            return False
-    return True
-
-
-@cache
-def _validator():
-    """jsonschema's validator of ``_schema()``, built once per process; the tests check the schema itself."""
-    import jsonschema  # here, not at module level: only a rejected problem file needs it
-
-    schema = _schema()
-    return jsonschema.validators.validator_for(schema)(schema)
+            return entry, f"must be above {node['exclusiveMinimum']}"
 
 
 def _check_dim(name: str, vec, n: int) -> None:
@@ -197,14 +198,8 @@ def load_problem(path) -> ProblemFile:
         # int() converts, or nesting deeper than the decoder's recursion limit
         raise ProblemFileError(f"malformed JSON: {exc}") from exc
 
-    if not _conforms(_schema(), raw):
-        from jsonschema.exceptions import best_match
-
-        # best_match picks the error jsonschema.validate would raise; should it
-        # find none, jsonschema, the reference, accepts the file
-        error = best_match(_validator().iter_errors(raw))
-        if error is not None:
-            raise ProblemFileError(f"schema violation: {error.message}")
+    if (found := _violation(_schema(), raw)) is not None:
+        raise ProblemFileError(f"schema violation: {' '.join(found)}")
 
     n = raw["dimension"]
 
@@ -238,10 +233,9 @@ def load_problem(path) -> ProblemFile:
             region.region_rows
 
     delta = raw.get("delta")
-    if delta is not None:
-        with _refused("delta"):
-            if not math.isfinite(delta):
-                raise ValueError(f"must be finite, got {delta!r}")
+    with _refused("delta"):
+        if delta is not None and not math.isfinite(delta):
+            raise ValueError(f"must be finite, got {delta!r}")
 
     return ProblemFile(
         version=raw["version"],

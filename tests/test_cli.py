@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 import subprocess
 import sys
 from functools import cache
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from hullscope.dual import witness_dual
+from hullscope.problemfile import ProblemFileError, load_problem
 
 from conftest import PROBLEMS_DIR, problem_path, without_newton
 
@@ -75,6 +77,42 @@ def test_schema_violation_exits_65(tmp_path):
     assert proc.returncode == 65
 
 
+def test_runs_without_jsonschema(tmp_path):
+    # jsonschema is a test dependency only: with it unimportable, every
+    # fixture command and every file the schema rejects keeps its exit code
+    import os
+    rejected = {"version-2": {"version": 2, "dimension": 2},
+                "zero-radius": {"version": 1, "dimension": 2,
+                                "constraints": [{"type": "ball", "center": [0, 0], "radius": 0}]},
+                "extra-key": {"version": 1, "dimension": 2, "extra": 1}}
+    runs = [(["feas", "disjoint-disks"], 1), (["feas", "overlapping-disks"], 0),
+            (["inclusion", "single-disk-far-c", "--r", "6.1"], 1), (["inclusion", "lens-far-c"], 0),
+            (["inclusion", "c-inside"], 3), (["farthest", "lens-far-c"], 0),
+            (["farthest", "single-disk-far-c"], 0), (["appbound", "square-and-disk"], 0),
+            (["appbound", "big-square"], 4)]
+    argvs = [[command, str(problem_path(name)), *rest] for (command, name, *rest), _ in runs]
+    for name, doc in rejected.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        argvs.append(["feas", str(path)])
+    code = f"""
+import io, sys
+from contextlib import redirect_stdout
+sys.modules["jsonschema"] = None
+from hullscope import cli
+codes = []
+for argv in {argvs!r}:
+    with redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+print(codes)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "HULLSCOPE_LOG": "off"})
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.stdout.splitlines() == [str([want for _, want in runs] + [65] * len(rejected))]
+    assert proc.stderr.count("hullscope: bad problem file: schema violation: ") == len(rejected)
+
+
 def test_zero_region_normal_exits_65(tmp_path):
     bad = tmp_path / "flat.json"
     bad.write_text(json.dumps({"version": 1, "dimension": 2,
@@ -113,11 +151,44 @@ def shipped_validator():
 
 
 def test_packaged_schema_is_valid():
-    # loading trusts the packaged schema, so check the shipped file here once;
-    # the loader's own validator holds an inlined copy of it
-    from hullscope.problemfile import _validator
+    # loading trusts the packaged schema, so check the shipped file here once
+    import jsonschema
 
-    _validator().check_schema(packaged_schema())
+    schema = packaged_schema()
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def schema_rejection(doc, path) -> str | None:
+    """The message of ``load_problem``'s refusal of ``doc`` on schema grounds; None if the schema passes it."""
+    path.write_text(json.dumps(doc))
+    try:
+        load_problem(path)
+    except ProblemFileError as exc:
+        if str(exc).startswith("schema violation: "):
+            return str(exc)
+    return None
+
+
+def names_an_entry_of(doc, message: str) -> bool:
+    """Whether the entry a schema violation names, such as ``constraints[0].center``, is in ``doc``.
+
+    "the file" names the root, which is always there.
+    """
+    entry = message.removeprefix("schema violation: ")
+    if entry.startswith("the file "):
+        return True
+    entry = entry.split(" ", 1)[0]
+    if not re.fullmatch(r"[a-z_]+(\.[a-z_]+|\[\d+\])*", entry):
+        return False
+    node = doc
+    for key, index in re.findall(r"([a-z_]+)|\[(\d+)\]", entry):
+        if key and isinstance(node, dict) and key in node:
+            node = node[key]
+        elif index and isinstance(node, list) and int(index) < len(node):
+            node = node[int(index)]
+        else:
+            return False
+    return True
 
 
 MUTATIONS = [0, -1, 0.5, 2, "x", None, True, [], {}, [1, "a"], [[0, 0]],
@@ -149,32 +220,28 @@ def mutated(rng, doc, values=MUTATIONS):
     return doc
 
 
-def test_inlined_validator_matches_the_packaged_schema(problems_dir):
+def test_inlined_validator_matches_the_packaged_schema(problems_dir, tmp_path):
     # the loader inlines the schema's $refs; on the fixtures and 600 seeded
-    # mutations of them it must pick the same error as the schema as shipped,
-    # and its walk of the inlined schema must accept exactly what that accepts
+    # mutations of them it must refuse exactly what the schema as shipped
+    # refuses, naming an entry of the file
     import random
 
-    from jsonschema.exceptions import best_match
-
-    from hullscope.problemfile import _conforms, _schema, _validator
+    from hullscope.problemfile import _schema, _violation
 
     shipped = shipped_validator()
-    inlined = _validator()
-    assert "$ref" not in json.dumps(inlined.schema)
+    assert "$ref" not in json.dumps(_schema())
     fixtures = [json.loads(path.read_text()) for path in sorted(problems_dir.glob("*.json"))]
     for doc in fixtures:
-        assert shipped.is_valid(doc) and inlined.is_valid(doc) and _conforms(_schema(), doc)
+        assert shipped.is_valid(doc) and _violation(_schema(), doc) is None
     rng = random.Random(23)
     invalid = 0
     for _ in range(600):
         doc = mutated(rng, rng.choice(fixtures))
-        assert _conforms(_schema(), doc) == shipped.is_valid(doc), doc
-        want, got = best_match(shipped.iter_errors(doc)), best_match(inlined.iter_errors(doc))
-        assert (want is None) == (got is None), doc
-        if want is not None:
+        message = schema_rejection(doc, tmp_path / "mutated.json")
+        assert (message is None) == shipped.is_valid(doc), doc
+        if message is not None:
             invalid += 1
-            assert got.message == want.message, doc
+            assert names_an_entry_of(doc, message), (message, doc)
     assert invalid >= 300
 
 
@@ -203,10 +270,10 @@ def edge_documents(draw):
 @example(doc={"version": 1, "dimension": 1, "outer": {"center": [0], "radius": 0}})
 @example(doc={"version": 1, "dimension": 1, "outer": {"center": [0], "radius": float("nan")}})
 @example(doc={"version": 1, "dimension": 1, "constraints": [{"type": "ball", "center": [True], "radius": 1}]})
-def test_walk_accepts_what_jsonschema_accepts(doc):
-    from hullscope.problemfile import _conforms, _schema
-
-    assert _conforms(_schema(), doc) == shipped_validator().is_valid(doc)
+def test_walk_accepts_what_jsonschema_accepts(doc, tmp_path_factory):
+    message = schema_rejection(doc, tmp_path_factory.getbasetemp() / "edge.json")
+    assert (message is None) == shipped_validator().is_valid(doc)
+    assert message is None or names_an_entry_of(doc, message), message
 
 
 def test_walk_holds_one_of_for_exactly_one_branch():
@@ -214,11 +281,11 @@ def test_walk_holds_one_of_for_exactly_one_branch():
     # const, so only overlapping branches show that one match is required
     import jsonschema
 
-    from hullscope.problemfile import _conforms
+    from hullscope.problemfile import _violation
 
     node = {"oneOf": [{"type": "number"}, {"type": "integer"}]}
     for doc in (1, 2.0, 1.5, True, "x"):
-        assert _conforms(node, doc) == jsonschema.Draft202012Validator(node).is_valid(doc), doc
+        assert (_violation(node, doc) is None) == jsonschema.Draft202012Validator(node).is_valid(doc), doc
 
 
 def test_walk_implements_every_keyword_of_the_packaged_schema():

@@ -95,14 +95,15 @@ def test_non_finite_value_aborts():
         minimize(Bad(), [0.0], SolverConfig())
 
 
+class Unevaluated:
+    dim = 2
+
+    def eval(self, x):
+        raise AssertionError("evaluated before checking the arguments")
+
+
 def test_non_finite_start_is_a_value_error_before_any_evaluation():
     # NonFiniteValue is kept for evaluations; a bad start is the caller's input
-    class Unevaluated:
-        dim = 2
-
-        def eval(self, x):
-            raise AssertionError("evaluated before checking the start")
-
     with pytest.raises(ValueError, match="x0 has non-finite"):
         minimize(Unevaluated(), [math.nan, 0.0], SolverConfig())
 
@@ -114,6 +115,23 @@ def test_refine_minimum_refuses_a_bad_start(x0, error, text):
     # would close the bracket at 0 on the empty set of two disjoint disks
     with pytest.raises(error, match=text):
         refine_minimum(disjoint_disks_merit(), x0, lower_bound=0.0, value_gap=1e-8, max_iters=100)
+
+
+@pytest.mark.parametrize("lower_bound", [math.inf, -math.inf, math.nan])
+def test_refine_minimum_refuses_a_non_finite_lower_bound(lower_bound):
+    # inf would close the bracket with no probe and -inf would reach minimize
+    # as target; a NaN bound would leave the bracket unconverged in silence
+    with pytest.raises(ValueError, match="lower_bound"):
+        refine_minimum(Unevaluated(), [1.5, 0.0], lower_bound=lower_bound, value_gap=1e-8, max_iters=100)
+
+
+def test_refine_minimum_accepts_a_lower_bound_above_the_start_value():
+    # the inclusion check passes an exact dual bound that G in floats can read
+    # below by rounding: the bracket closes at once, with no probe
+    fn = disjoint_disks_merit()
+    f0 = value(fn, [1.5, 0.0])
+    ref = refine_minimum(fn, [1.5, 0.0], lower_bound=f0 + 1e-15, value_gap=1e-8, max_iters=100)
+    assert ref.converged and ref.iters == 0 and ref.f_best == f0
 
 
 def test_stall_marks_converged():
