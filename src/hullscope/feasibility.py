@@ -56,39 +56,16 @@ DYKSTRA_SWEEPS = 1_000  # sweeps before a Dykstra projection gives up
 class ProjectionResult:
     """Dykstra output: the projection point plus convergence evidence.
 
-    ``last_shift`` is the point displacement over the final sweep; it bounds
-    how much another sweep could still move the result.
+    ``last_shift`` is the root-sum-square change of the corrections over the
+    final sweep. The point is ``y`` less the sum of the corrections, so that
+    sweep moved it by at most ``sqrt(N)`` times ``last_shift`` for ``N``
+    constraints.
     """
 
     point: np.ndarray
     converged: bool
     sweeps: int
     last_shift: float
-
-
-def _projector(g: BallQuad | Affine):
-    """Closed-form Euclidean projection onto one ball or halfspace leaf."""
-    if isinstance(g, BallQuad):
-        center, radius = g.center, math.sqrt(-g.offset)
-
-        def onto_ball(u):
-            d = u - center
-            nd = float(np.linalg.norm(d))
-            if nd <= radius:
-                return u
-            return center + (radius / nd) * d
-
-        return onto_ball
-
-    a, b, na2 = g.a, g.b, float(g.a @ g.a)
-
-    def onto_halfspace(u):
-        excess = float(a @ u) + b
-        if excess <= 0.0:
-            return u
-        return u - (excess / na2) * a
-
-    return onto_halfspace
 
 
 class ConstraintRows(NamedTuple):
@@ -194,29 +171,42 @@ class ConstraintSet:
     def project(self, y) -> ProjectionResult:
         """Euclidean projection of ``y`` onto the intersection, by Dykstra's algorithm.
 
-        Alternating projections with correction terms; the limit is the
-        projection onto the intersection. Every call stops at the first sweep
-        that moves the point by at most ``1e-11``, or after ``DYKSTRA_SWEEPS``
-        sweeps with the result flagged, as it is on an empty intersection
-        (certify it nonempty via ``check_feasibility`` first). A ``y`` of
-        another shape raises ``DimensionMismatch``, and a non-finite one
-        ``ValueError``, before any sweep.
+        Alternating projections onto the leaves of ``region_rows``, in
+        constraint order, each with its own correction; the limit is the
+        projection onto the intersection. The point is always ``y`` less the
+        sum of the corrections, so the run stops at the first sweep that
+        changes them by at most ``1e-11`` in root-sum-square (``last_shift``):
+        a stop on the point's move alone can halt outside the set while the
+        corrections still drift. After ``DYKSTRA_SWEEPS`` sweeps the result
+        is flagged unconverged, as it is on an empty intersection (certify it
+        nonempty via ``check_feasibility`` first). A ``y`` of another shape
+        raises ``DimensionMismatch``, and a non-finite one ``ValueError``,
+        before any sweep.
         """
-        self.region_rows  # refuse a non-region constraint before any sweep
+        centers, offsets, normals, shifts, _, order = self.region_rows
         x = as_point(y, self.dimension)
-        # built per call, not cached: a set held for many calls keeps only its rows
-        projectors = [_projector(g) for g in self.constraints]
-        corrections = [np.zeros_like(x) for _ in projectors]
-        converged = False
+        # a ball leaf is (centre, radius), a halfspace leaf (a, b, a.a)
+        leaves = [] if centers is None else [(c, math.sqrt(-o)) for c, o in zip(centers, offsets)]
+        if normals is not None:
+            leaves += [(a, b, a @ a) for a, b in zip(normals, shifts)]
+        leaves = [leaves[row] for row in np.argsort(order)]  # in constraint order
+        corrections = np.zeros((len(leaves), x.size))
         for sweep in range(1, DYKSTRA_SWEEPS + 1):
-            x_prev = x
-            for i, proj in enumerate(projectors):
+            previous = corrections.copy()
+            for i, leaf in enumerate(leaves):
                 z = x + corrections[i]
-                x = proj(z)
+                if len(leaf) == 2:
+                    centre, radius = leaf
+                    d = z - centre
+                    nd = float(np.linalg.norm(d))
+                    x = z if nd <= radius else centre + (radius / nd) * d
+                else:
+                    a, b, a2 = leaf
+                    excess = float(a @ z) + b
+                    x = z if excess <= 0.0 else z - (excess / a2) * a
                 corrections[i] = z - x
-            shift = float(np.linalg.norm(x - x_prev))
-            if shift <= 1e-11:
-                converged = True
+            shift = float(np.linalg.norm(corrections - previous))
+            if converged := shift <= 1e-11:
                 break
         return ProjectionResult(point=x, converged=converged, sweeps=sweep, last_shift=shift)
 

@@ -48,7 +48,12 @@ def as_point(coords, dim: int, name: str = "point") -> Vector:
 
 @dataclass(frozen=True)
 class Ball:
-    """A closed ball given by center and radius > 0."""
+    """A closed ball given by center and radius > 0.
+
+    The ball's constraint is ``||x - center||^2 - radius^2``, so the radius
+    must square to a positive finite float: ``1e-170`` squares to 0 and
+    ``1e160`` to infinity, and both are refused.
+    """
 
     center: Vector
     radius: float
@@ -56,6 +61,6 @@ class Ball:
     def __post_init__(self):
         object.__setattr__(self, "center", as_vector(self.center))
         r = float(self.radius)
-        if not (np.isfinite(r) and r > 0.0):
-            raise ValueError(f"radius must be a finite positive number, got {self.radius!r}")
+        if not (r > 0.0 and 0.0 < r * r < math.inf):
+            raise ValueError(f"radius {r!r} must be positive and square to a positive finite float")
         object.__setattr__(self, "radius", r)

@@ -11,6 +11,7 @@ from hullscope import (Affine, Ball, BallIntersection, BallQuad, BisectionConfig
                        extract_boundary_point, halfspace_constraint, load_problem, project_region)
 from hullscope.application import _exits
 from hullscope.dual import BallsAbout, _dual_ascent, distance_bounds, distance_margin
+from hullscope.geometry import as_point
 from hullscope.inclusion import dykstra_project_full
 
 from oracles import GridSpec, grid_max_distance
@@ -330,9 +331,10 @@ def covering_exits(monkeypatch, region, bi, c, delta, seed):
                          + [("three-disk", 0)])
 def test_covering_bounds_hold_against_dykstra(monkeypatch, case, seed):
     # the ray gap bounds an exit's distance to C1 from above and the dual
-    # bound from below. Dykstra stops at a sweep that moves the point by at
-    # most 1e-11, and at the three-disk vertex it reads 3.9e-12 above the
-    # exact distance, where the gap is exact: the margin is its stopping rule
+    # bound from below. Dykstra stops at a sweep that changes its corrections
+    # by at most 1e-11, and at the three-disk vertex it reads 1.7e-12 above
+    # the exact distance, where the gap is exact: the margin is its stopping
+    # rule (the square-and-disk exits agree to 4.2e-16)
     if case == "square-and-disk":
         region, bi, c, delta = unit_square_shifted(), inner_disk(), C, 0.42
     else:
@@ -511,13 +513,24 @@ def test_extract_boundary_point_non_finite_raised_before_projecting(monkeypatch,
 
 
 def test_project_non_finite_raised_before_sweeping(monkeypatch):
-    def fail(*args, **kwargs):
-        raise AssertionError("swept before checking finiteness")
+    # the refusal must come from the point check, which runs before the sweep
+    import hullscope.feasibility as feasibility
 
-    monkeypatch.setattr("hullscope.feasibility._projector", fail)
+    refusals = []
+
+    def checked(*args, **kwargs):
+        try:
+            return as_point(*args, **kwargs)
+        except ValueError as exc:
+            refusals.append(exc)
+            raise
+
+    monkeypatch.setattr(feasibility, "as_point", checked)
     for y in ([math.nan, 0.0], [0.0, -math.inf]):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="non-finite") as info:
             unit_square_shifted().project(y)
+        assert refusals[-1] is info.value
+    assert len(refusals) == 2
 
 
 def test_extract_boundary_point_single_ball():

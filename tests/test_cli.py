@@ -327,6 +327,27 @@ def test_non_finite_number_exits_65(tmp_path, constraints, entry):
     assert proc.stderr.startswith(f"hullscope: bad problem file: {entry}: "), proc.stderr
 
 
+@pytest.mark.parametrize("command", ["inclusion", "farthest"])
+def test_outer_radius_whose_square_overflows_exits_65(tmp_path, command):
+    # 1e160 squares to inf: the loader must refuse the outer ball before any
+    # solve, where it used to reach the duals and warn of invalid values
+    doc = json.loads(problem_path("lens-far-c").read_text())
+    doc["outer"]["radius"] = 1e160
+    path = tmp_path / "huge-outer.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli(command, str(path))
+    assert proc.returncode == 65
+    assert proc.stderr.startswith("hullscope: bad problem file: outer: radius 1e+160 "), proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_r_whose_square_overflows_exits_64_before_any_solve():
+    proc = run_cli("inclusion", str(problem_path("lens-far-c")), "--r", "1e160")
+    assert proc.returncode == 64
+    assert proc.stderr.startswith("hullscope: usage error: radius 1e+160 "), proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
 def test_non_finite_delta_exits_65(tmp_path):
     doc = problem_path("square-and-disk").read_text().replace('"delta": 0.42', '"delta": NaN')
     assert "NaN" in doc
