@@ -103,18 +103,14 @@ def _exits(region: ConstraintSet, x0: np.ndarray, d: np.ndarray) -> np.ndarray:
     of about 0, slightly negative when rounding puts ``x0`` just past a row.
     """
     rows = region.region_rows
-    t = np.full(len(d), np.inf)
-    if rows.normals is not None:
-        ad = d @ rows.normals.T
-        slack = -(rows.normals @ x0 + rows.shifts)
-        t = np.divide(slack, ad, out=np.full(ad.shape, np.inf), where=ad > 1e-14).min(axis=1)
-    if rows.centers is not None:
-        # ||w + t d||^2 + offset = 0 with ||d|| = 1
-        w = x0 - rows.centers
-        beta = d @ w.T
-        gamma = np.einsum("ij,ij->i", w, w) + rows.offsets
-        t = np.minimum(t, (np.sqrt(np.maximum(beta * beta - gamma, 0.0)) - beta).min(axis=1))
-    return t
+    ad = d @ rows.normals.T
+    slack = -(rows.normals @ x0 + rows.shifts)
+    t = np.divide(slack, ad, out=np.full(ad.shape, np.inf), where=ad > 1e-14).min(axis=1, initial=np.inf)
+    # ||w + t d||^2 + offset = 0 with ||d|| = 1
+    w = x0 - rows.centers
+    beta = d @ w.T
+    gamma = np.einsum("ij,ij->i", w, w) + rows.offsets
+    return np.minimum(t, (np.sqrt(np.maximum(beta * beta - gamma, 0.0)) - beta).min(axis=1, initial=np.inf))
 
 
 def _off_region(region: ConstraintSet, x: np.ndarray) -> bool:
@@ -124,11 +120,8 @@ def _off_region(region: ConstraintSet, x: np.ndarray) -> bool:
     and ``|x - center| - r`` for a ball.
     """
     rows = region.region_rows
-    past = []
-    if rows.normals is not None:
-        past += ((rows.normals @ x + rows.shifts) / np.linalg.norm(rows.normals, axis=1)).tolist()
-    if rows.centers is not None:
-        past += (np.linalg.norm(x - rows.centers, axis=1) - np.sqrt(np.negative(rows.offsets))).tolist()
+    past = ((rows.normals @ x + rows.shifts) / np.linalg.norm(rows.normals, axis=1)).tolist()
+    past += (np.linalg.norm(x - rows.centers, axis=1) - np.sqrt(np.negative(rows.offsets))).tolist()
     return max(past) > 1e-7 * max(1.0, float(np.linalg.norm(x)))
 
 
@@ -227,10 +220,8 @@ def bound_max_distance(region: ConstraintSet, bi: BallIntersection, c, delta: fl
 
     # 200 random rays check the containment; 1,000 more and the rays along
     # each halfspace normal and towards each ball center check the covering
-    centers = () if rows.centers is None else rows.centers
-    normals = () if rows.normals is None else rows.normals
     d = np.vstack([rng.standard_normal((1200, region.dimension)),
-                   *(center - deep for center in centers if (center != deep).any()), *normals])
+                   *(center - deep for center in rows.centers if (center != deep).any()), *rows.normals])
     d /= np.linalg.norm(d, axis=1, keepdims=True)
     reach = _exits(region, deep, d)
     t = _exits(bi, deep, d)

@@ -165,10 +165,9 @@ def _dyadic_rows(rows, origin) -> DyadicRows:
     rows exactly when none of them is positive. Other nodes take no part.
     """
     centers, offsets, normals, shifts, *_ = rows
-    m = 0 if centers is None else len(centers)
-    n = len(origin)
-    points = _dyadic(np.concatenate([origin] + [p for p in (centers, normals) if p is not None], axis=None))
-    consts = _dyadic((offsets or []) + (shifts or []))
+    m, n = len(centers), len(origin)
+    points = _dyadic(np.concatenate([origin, centers, normals], axis=None))
+    consts = _dyadic(offsets + shifts)
     # one bit beyond the coordinates keeps a_j / 2 integral, and 2 b covers
     # the offsets and shifts, which sit on the squared scale
     b = max(_bits(points) + 1, (_bits(consts) + 1) // 2)
@@ -269,7 +268,7 @@ _U = 2.0 ** -53
 
 
 def _in_range(*parts) -> bool:
-    """Every value of ``parts`` (arrays, lists or None) is finite, and 0 or of magnitude in ``[2^-200, 2^200)``.
+    """Every value of ``parts`` (arrays or lists) is finite, and 0 or of magnitude in ``[2^-200, 2^200)``.
 
     That is the range of the two sign filters. A nonzero input is then a
     multiple of ``2^-252``, and so is a difference of two, so every value a
@@ -280,7 +279,7 @@ def _in_range(*parts) -> bool:
     ``frexp`` gives each value a fraction in ``(-1, 1)``, or a non-finite
     one, so one sum of the fractions checks that all are finite.
     """
-    frac, exp = np.frexp(np.concatenate([p for p in parts if p is not None], axis=None))
+    frac, exp = np.frexp(np.concatenate(parts, axis=None))
     return (math.isfinite(np.add.reduce(frac))
             and -199 <= np.minimum.reduce(exp) and np.maximum.reduce(exp) <= 200)
 
@@ -305,7 +304,7 @@ def _inside_in_floats(cs, x: np.ndarray) -> bool | None:
         return None
     n = len(x)
     settled = True
-    if centers is not None:
+    if offsets:
         D = x - centers
         k = 2 * (n + 4) * _U
         for s, o in zip((D * D).sum(axis=1).tolist(), offsets):
@@ -313,7 +312,7 @@ def _inside_in_floats(cs, x: np.ndarray) -> bool | None:
             if value > err:
                 return False
             settled = settled and value < -err
-    if normals is not None:
+    if shifts:
         xx = float(x @ x)
         k = 2 * (n + 2) * _U
         for ax, aa, b in zip((normals @ x).tolist(), (normals * normals).sum(axis=1).tolist(), shifts):
@@ -359,11 +358,10 @@ def _proves_empty_in_floats(cs, weights: list[float]) -> bool | None:
     centers, offsets, normals, shifts, others, order = cs.rows
     if others or not _in_range(weights, centers, offsets, normals, shifts):
         return None
-    n = cs.dimension
-    m = 0 if centers is None else len(centers)
+    n, m = cs.dimension, len(centers)
     s = S = S_abs = V = 0.0
     v = np.zeros(n)
-    if centers is not None:
+    if offsets:
         wb = [weights[i] for i in order[:m]]
         s = math.fsum(wb)
         for w, cc, o in zip(wb, (centers * centers).sum(axis=1).tolist(), offsets):
@@ -371,7 +369,7 @@ def _proves_empty_in_floats(cs, weights: list[float]) -> bool | None:
             S_abs += w * (cc + abs(o))
             V += w * math.sqrt(cc)
         v = np.dot(wb, centers)
-    if normals is not None:
+    if shifts:
         wh = [weights[i] for i in order[m:]]
         for w, aa, b in zip(wh, (normals * normals).sum(axis=1).tolist(), shifts):
             S += w * b
@@ -542,7 +540,7 @@ def _dual_ascent(cs, *, stop_inside: bool = False):
     z = centers.mean(axis=0)
     U = centers - z
     q = offsets + (U * U).sum(axis=1)
-    if normals is not None:
+    if shifts:
         U = np.vstack((U, -0.5 * normals))
         q = np.append(q, shifts + normals @ z)
     theta = np.append(np.full(m, 1.0 / m), np.zeros(len(q) - m))
@@ -578,7 +576,7 @@ def certify_empty(cs) -> tuple[np.ndarray, InfeasibilityCertificate | None] | No
     first point it can offer. None when it settles neither, or when ``cs``
     has no ball or a node that is neither a ball nor a halfspace.
     """
-    if cs.rows.others or cs.rows.centers is None:
+    if cs.rows.others or not cs.rows.offsets:
         return None
     theta, x, D, steps = _dual_ascent(cs, stop_inside=True)
     # theta holds the balls first, then the halfspaces: put it back in constraint order

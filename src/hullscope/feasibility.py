@@ -72,13 +72,15 @@ class ConstraintRows(NamedTuple):
     """``ConstraintSet.rows``: ``||x - centers[i]||^2 + offsets[i]``,
     ``normals[j] . x + shifts[j]`` and the remaining nodes.
 
-    ``order`` holds the constraint index of each row, balls first, then
-    halfspaces, then the other nodes."""
+    ``centers`` has shape ``(m_b, n)`` and ``normals`` ``(m_h, n)``, both
+    read-only float64; a kind with no constraint has an empty block, with no
+    row and an empty list. ``order`` holds the constraint index of each row,
+    balls first, then halfspaces, then the other nodes."""
 
-    centers: np.ndarray | None
-    offsets: list[float] | None
-    normals: np.ndarray | None
-    shifts: list[float] | None
+    centers: np.ndarray
+    offsets: list[float]
+    normals: np.ndarray
+    shifts: list[float]
     others: tuple[ConvexFn, ...]
     order: tuple[int, ...]
 
@@ -134,25 +136,22 @@ class ConstraintSet:
         offset, any normal): ball quadratics become the rows of ``centers``
         with their ``offsets``, affine functions the rows of ``normals`` with
         their ``shifts``, and any other node stays in ``others``. A kind with
-        no constraint gets ``None``. Constraint order is kept within each
-        kind, and ``order`` maps each row back to its constraint.
+        no constraint gets an empty block: ``(0, n)`` rows and an empty list.
+        Constraint order is kept within each kind, and ``order`` maps each row
+        back to its constraint.
         """
         gs = self.constraints
         kinds = ([], [], [])
         for i, g in enumerate(gs):
             kinds[0 if isinstance(g, BallQuad) else 1 if isinstance(g, Affine) else 2].append(i)
         balls, affines, others = kinds
-        centers = offsets = normals = shifts = None
-        if balls:
-            centers = np.array([gs[i].center for i in balls])
-            centers.setflags(write=False)
-            offsets = [gs[i].offset for i in balls]
-        if affines:
-            normals = np.array([gs[i].a for i in affines])
-            normals.setflags(write=False)
-            shifts = [gs[i].b for i in affines]
-        return ConstraintRows(centers, offsets, normals, shifts, tuple(gs[i] for i in others),
-                              tuple(balls + affines + others))
+        # np.array copies np.empty into one small array, where a reshape would keep a view and its base
+        centers = np.array([gs[i].center for i in balls] or np.empty((0, self.dimension)))
+        normals = np.array([gs[i].a for i in affines] or np.empty((0, self.dimension)))
+        centers.setflags(write=False)
+        normals.setflags(write=False)
+        return ConstraintRows(centers, [gs[i].offset for i in balls], normals, [gs[i].b for i in affines],
+                              tuple(gs[i] for i in others), tuple(balls + affines + others))
 
     @cached_property
     def region_rows(self) -> ConstraintRows:
@@ -162,9 +161,9 @@ class ConstraintSet:
         if rows.others:
             raise TypeError("region operations need ball or halfspace leaves, "
                             f"got {type(rows.others[0]).__name__}")
-        if rows.offsets is not None and any(o >= 0.0 for o in rows.offsets):
+        if any(o >= 0.0 for o in rows.offsets):
             raise ValueError("ball constraint needs a negative offset -r^2")
-        if rows.normals is not None and any(float(a @ a) == 0.0 for a in rows.normals):
+        if any(float(a @ a) == 0.0 for a in rows.normals):
             raise ValueError("halfspace normal must be nonzero")
         return rows
 
@@ -186,9 +185,8 @@ class ConstraintSet:
         centers, offsets, normals, shifts, _, order = self.region_rows
         x = as_point(y, self.dimension)
         # a ball leaf is (centre, radius), a halfspace leaf (a, b, a.a)
-        leaves = [] if centers is None else [(c, math.sqrt(-o)) for c, o in zip(centers, offsets)]
-        if normals is not None:
-            leaves += [(a, b, a @ a) for a, b in zip(normals, shifts)]
+        leaves = [(c, math.sqrt(-o)) for c, o in zip(centers, offsets)]
+        leaves += [(a, b, a @ a) for a, b in zip(normals, shifts)]
         leaves = [leaves[row] for row in np.argsort(order)]  # in constraint order
         corrections = np.zeros((len(leaves), x.size))
         for sweep in range(1, DYKSTRA_SWEEPS + 1):
@@ -262,7 +260,7 @@ class _Merit(ConvexFn):
     def eval(self, x):
         value = 0.0
         grad = self.zero
-        if self.centers is not None:
+        if self.offsets:
             D = x - self.centers
             # row sums by a matrix product: at n = 2 it costs less than np.einsum
             w = []
@@ -274,7 +272,7 @@ class _Merit(ConvexFn):
                 else:
                     w.append(0.0)
             grad = np.dot(w, D)
-        if self.normals is not None:
+        if self.shifts:
             w = []
             for s, b in zip((self.normals @ x).tolist(), self.shifts):
                 v = s + b
@@ -299,8 +297,8 @@ def build_g_tilde(cs: ConstraintSet) -> ConvexFn:
 
 def default_start(cs: ConstraintSet) -> np.ndarray:
     """Centroid of ball centers when every constraint is a ball, else zero."""
-    centers, _, normals, _, others, _ = cs.rows
-    if normals is None and not others:
+    centers, _, _, shifts, others, _ = cs.rows
+    if not shifts and not others:
         return np.mean(centers, axis=0)
     return np.zeros(cs.dimension)
 

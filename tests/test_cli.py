@@ -42,6 +42,34 @@ def test_feas_overlapping_exit_and_witness():
     assert max(doc["residuals"]) <= 1e-8
 
 
+def halfspaces_file(tmp_path, rows):
+    """A problem file of the halfspaces ``a.x <= b`` alone, one per ``(a, b)`` of ``rows``."""
+    path = tmp_path / "halfspaces.json"
+    path.write_text(json.dumps({"version": 1, "dimension": len(rows[0][0]),
+                                "constraints": [{"type": "halfspace", "a": a, "b": b} for a, b in rows]}))
+    return path
+
+
+def test_feas_on_a_box_with_no_ball_finds_a_witness(tmp_path):
+    # no ball row, so no dual certificate: the merit route decides
+    proc = run_cli("feas", str(halfspaces_file(tmp_path, [([1, 0], 1), ([-1, 0], 1), ([0, 1], 1)])))
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    assert doc["verdict"] == "feasible"
+    assert doc["certificate"] is None
+    assert max(doc["residuals"]) <= 0.0
+
+
+def test_feas_on_two_parallel_halfspaces_apart_is_infeasible(tmp_path):
+    # x <= -1 and x >= 1: the merit is 2 everywhere between them
+    proc = run_cli("feas", str(halfspaces_file(tmp_path, [([1], -1), ([-1], -1)])))
+    assert proc.returncode == 1
+    doc = json.loads(proc.stdout)
+    assert doc["verdict"] == "infeasible"
+    assert doc["g_tilde_min"] == 2.0
+    assert doc["certificate"] is None
+
+
 def test_feas_with_x0_flag():
     proc = run_cli("feas", str(problem_path("overlapping-disks")), "--x0", "10,10")
     assert proc.returncode == 0

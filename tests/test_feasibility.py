@@ -277,6 +277,26 @@ def test_worst_residual_takes_any_constraint():
         cs.project([0.0, 0.0])
 
 
+_BALL = ball_constraint(Ball([0.0, 0.0, 1.0], 1.0))
+_HALFSPACE = halfspace_constraint([1.0, 0.0, 0.0], 0.5)
+
+
+@pytest.mark.parametrize("constraints, balls, halfspaces", [
+    ([_BALL, _BALL], 2, 0), ([_HALFSPACE], 0, 1), ([Max([_BALL, _HALFSPACE])], 0, 0),
+], ids=["balls", "halfspaces", "max"])
+def test_rows_give_a_missing_kind_an_empty_block(constraints, balls, halfspaces):
+    cs = ConstraintSet(constraints)
+    rows = cs.rows
+    for block, values, count in ((rows.centers, rows.offsets, balls), (rows.normals, rows.shifts, halfspaces)):
+        assert block.shape == (count, 3)
+        assert block.dtype == np.float64
+        assert not block.flags.writeable
+        assert isinstance(values, list) and len(values) == count
+    if not rows.others:
+        # a region of one kind reads the same blocks
+        assert cs.region_rows is rows
+
+
 def test_default_start_is_centroid_for_balls():
     cs = ConstraintSet([ball_constraint(Ball([0, 0], 1.0)), ball_constraint(Ball([4, 2], 1.0))])
     np.testing.assert_allclose(default_start(cs), [2.0, 1.0])

@@ -120,13 +120,16 @@ def _direction(rng, n):
 
 @st.composite
 def regions(draw):
-    """Unit balls within ``0.5 / sqrt(n)`` of a point ``z`` and halfspaces passing 0.05-1 beyond it, and a ``y``."""
+    """Unit balls within ``0.5 / sqrt(n)`` of a point ``z`` and halfspaces passing 0.05-1 beyond it, and a ``y``.
+
+    0-3 balls, then 0-5 halfspaces, or 2-5 when no ball was drawn.
+    """
     n = draw(st.sampled_from([2, 3, 5, 10]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     z = rng.uniform(-1.0, 1.0, n)
     leaves = [ball_constraint(Ball(z + rng.uniform(0.0, 0.5 / math.sqrt(n)) * _direction(rng, n), 1.0))
               for _ in range(draw(st.integers(0, 3)))]
-    for _ in range(draw(st.integers(2, 5))):
+    for _ in range(draw(st.integers(0 if leaves else 2, 5))):
         a = rng.uniform(0.5, 3.0) * _direction(rng, n)
         leaves.append(halfspace_constraint(a, float(a @ z) + np.linalg.norm(a) * rng.uniform(0.05, 1.0)))
     order = draw(st.permutations(range(len(leaves))))
