@@ -155,7 +155,7 @@ def extract_boundary_point(region: ConstraintSet, x_star_c, c) -> np.ndarray:
 
 
 def bound_max_distance(region: ConstraintSet, bi: BallIntersection, c, delta: float,
-                       cfg: BisectionConfig | None = None, *, seed: int = 0) -> AppBoundReport:
+                       cfg: BisectionConfig = BisectionConfig(), *, seed: int = 0) -> AppBoundReport:
     """Sandwich the maximum distance over the region between V_c and V_c + delta.
 
     Spot-checks the two hypotheses first (the deep point inside the region,
@@ -169,7 +169,8 @@ def bound_max_distance(region: ConstraintSet, bi: BallIntersection, c, delta: fl
     it wider than ``2 eps``), refuses a farthest point ``x_star_c`` that lies
     past a region row by more than ``1e-7 max(1, ||x_star_c||)`` as a
     containment counterexample, and takes the boundary point from the one
-    ray exit of ``extract_boundary_point``.
+    ray exit of ``extract_boundary_point``. ``cfg``, ``BisectionConfig()``
+    by default, configures that farthest-point solve.
 
     Raises
     ------
@@ -191,8 +192,6 @@ def bound_max_distance(region: ConstraintSet, bi: BallIntersection, c, delta: fl
     EmptyIntersection, PreconditionFailed, InnerUndetermined
         Propagated from the farthest-point solve.
     """
-    if cfg is None:
-        cfg = BisectionConfig()
     if region.dimension != bi.dimension:
         raise DimensionMismatch(f"region has dimension {region.dimension}, "
                                 f"the inner intersection {bi.dimension}")

@@ -76,15 +76,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _json_default(obj):
-    """``json.dumps`` hook for what JSON lacks: arrays, enums, dataclasses, numpy scalars."""
+    """``json.dumps`` hook for what JSON lacks: arrays, enums and dataclasses."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, enum.Enum):
         return obj.value
     if dataclasses.is_dataclass(obj):
         return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-    if isinstance(obj, np.generic):
-        return obj.item()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
@@ -103,20 +101,18 @@ def _require(problem: ProblemFile, field: str):
     return value
 
 
-def _parse_x0(text: str, dim: int) -> np.ndarray:
+def _parse_x0(text: str) -> list[float]:
+    """The coordinates of ``--x0``; ``check_feasibility`` checks their count and finiteness."""
     try:
-        coords = [float(v) for v in text.split(",")]
+        return [float(v) for v in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"--x0 must be comma-separated numbers, got {text!r}") from exc
-    if len(coords) != dim or not np.isfinite(coords).all():
-        raise UsageError(f"--x0 needs {dim} finite coordinates, got {text!r}")
-    return np.array(coords)
 
 
 def cmd_feas(args) -> int:
     problem = load_problem(args.file)
     constraints = _require(problem, "constraints")
-    x0 = _parse_x0(args.x0, problem.dimension) if args.x0 else None
+    x0 = _parse_x0(args.x0) if args.x0 else None
     report = check_feasibility(ConstraintSet(constraints), x0=x0, cfg=_solver_config(args))
     log.info("verdict=%s g_tilde_min=%.6e iters=%d",
              report.verdict.value, report.g_tilde_min, report.iters)
@@ -177,9 +173,10 @@ def build_arg_parser() -> _Parser:
                      description="Feasibility and ball-intersection inclusion certificates.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("file", help="problem file (JSON, schema version 1)")
-    common.add_argument("--tol", type=float, default=1e-8, help="absolute tolerance (default 1e-8)")
+    common.add_argument("--tol", type=float, default=SolverConfig.tol,
+                        help="absolute tolerance (default 1e-8)")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
-    common.add_argument("--max-iters", type=int, default=50_000, dest="max_iters",
+    common.add_argument("--max-iters", type=int, default=SolverConfig.max_iters, dest="max_iters",
                         help="subgradient iteration budget of one feasibility check, "
                              "one inclusion check or one bisection step; the Newton steps "
                              "of farthest's dual bracket and of inclusion's dual bound are "
@@ -202,14 +199,14 @@ def build_arg_parser() -> _Parser:
 
     p = sub.add_parser("farthest", parents=[common],
                        help="max distance from the outer center over the ball intersection")
-    p.add_argument("--eps", type=float, default=1e-4,
+    p.add_argument("--eps", type=float, default=BisectionConfig.eps,
                    help="half-width of the final bracket on the maximum (default 1e-4)")
     p.set_defaults(func=cmd_farthest)
 
     p = sub.add_parser("appbound", parents=[common],
                        help="sandwich the max distance over a region via the inner intersection")
     p.add_argument("--delta", type=float, default=None, help="override the covering constant")
-    p.add_argument("--eps", type=float, default=1e-4,
+    p.add_argument("--eps", type=float, default=BisectionConfig.eps,
                    help="half-width of the final bracket on the maximum (default 1e-4)")
     p.set_defaults(func=cmd_appbound)
     return parser
@@ -248,13 +245,15 @@ def main(argv=None) -> int:
     except InnerUndetermined as exc:
         _emit({"error": "inner_undetermined", "message": str(exc)}, args.json_indent)
         return 2
+    except ValueError as exc:
+        # invalid parameter values (negative radii, non-positive tolerances, an
+        # --x0 of the wrong length, ...), caught before HullscopeError since a
+        # DimensionMismatch is both
+        print(f"hullscope: usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except HullscopeError as exc:
         print(f"hullscope: solver abort: {exc}", file=sys.stderr)
         return EXIT_SOLVER_ABORT
-    except ValueError as exc:
-        # invalid parameter values (negative radii, non-positive tolerances, ...)
-        print(f"hullscope: usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

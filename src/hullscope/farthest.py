@@ -30,7 +30,7 @@ lower bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,7 @@ class BisectionConfig:
     """Bracket precision and the inner solver configuration."""
 
     eps: float = 1e-4
-    inner: SolverConfig = field(default_factory=SolverConfig)
+    inner: SolverConfig = SolverConfig()
 
     def __post_init__(self):
         if not (math.isfinite(float(self.eps)) and self.eps > 0):
@@ -71,16 +71,17 @@ class FarthestReport:
     multipliers: tuple[float, ...]
 
 
-def solve_farthest(bi: BallIntersection, c, cfg: BisectionConfig | None = None) -> FarthestReport:
+def solve_farthest(bi: BallIntersection, c, cfg: BisectionConfig = BisectionConfig()) -> FarthestReport:
     """Maximum distance from ``c`` attained on the ball intersection.
 
     Brackets ``r_star`` with the dual (module docstring) and returns at once
     when the bracket is at most ``2 eps`` wide, with no bisection step and
     no inner iteration. Otherwise bisects the bracket, running one inclusion
-    check per midpoint; ``cfg.inner.max_iters`` caps the subgradient
-    iterations of each step. An inner Undetermined verdict, including a step
-    that ran out of budget, is surfaced as ``InnerUndetermined`` rather than
-    silently resolved; callers may loosen ``eps`` or tighten the inner solver.
+    check per midpoint; ``cfg`` is ``BisectionConfig()`` by default, and
+    ``cfg.inner.max_iters`` caps the subgradient iterations of each step. An
+    inner Undetermined verdict, including a step that ran out of budget, is
+    surfaced as ``InnerUndetermined`` rather than silently resolved; callers
+    may loosen ``eps`` or tighten the inner solver.
 
     Raises
     ------
@@ -90,8 +91,6 @@ def solve_farthest(bi: BallIntersection, c, cfg: BisectionConfig | None = None) 
         If a coordinate of ``c`` is not finite, before any solve.
     EmptyIntersection, PreconditionFailed, InnerUndetermined
     """
-    if cfg is None:
-        cfg = BisectionConfig()
     witness, about, check = inclusion_checker(bi, c, cfg.inner)
     r_lo, r_hi, witness, lam = farthest_bracket(about, witness, bi.radius)
     steps = 0

@@ -303,7 +303,7 @@ def default_start(cs: ConstraintSet) -> np.ndarray:
     return np.zeros(cs.dimension)
 
 
-def check_feasibility(cs: ConstraintSet, x0=None, cfg: SolverConfig | None = None) -> FeasibilityReport:
+def check_feasibility(cs: ConstraintSet, x0=None, cfg: SolverConfig = SolverConfig()) -> FeasibilityReport:
     """Certify the intersection of the sub-level sets nonempty or empty.
 
     First, when ``dual.certify_empty`` applies (only balls and halfspaces, at
@@ -317,14 +317,13 @@ def check_feasibility(cs: ConstraintSet, x0=None, cfg: SolverConfig | None = Non
     by zero, so the refinement brackets are certified) and the instance is
     classified Infeasible when the refined value clears ``10 tol``,
     Undetermined in between or when the refinement could not close its
-    bracket. ``iters`` counts subgradient iterations only, so it is 0 when
+    bracket. ``cfg``, ``SolverConfig()`` by default, gives that budget and
+    ``tol``. ``iters`` counts subgradient iterations only, so it is 0 when
     the dual decided; the ascent reports its steps in the certificate.
     Raises ``DimensionMismatch`` unless ``x0`` has shape ``(cs.dimension,)``
     and ``ValueError`` if a coordinate of it is not finite, before either
     route runs, so both refuse the same start.
     """
-    if cfg is None:
-        cfg = SolverConfig()
     if x0 is not None:
         x0 = as_point(x0, cs.dimension, "x0")
 

@@ -30,9 +30,10 @@ weights ``w`` in ``[0, 1]^m`` with ``sum w >= 1`` and ``t`` in ``[0, 1]``
 give ``G >= sum w_i f_i - t f`` everywhere, whose minimum over ``x`` has a
 closed form and a closed-form minimiser ``x(w, t)``. The best weights attain
 ``min G`` (Sion's minimax theorem), so Newton steps on them give a point
-and an exact lower bound ``g_lower``; when ``G(x) - g_lower`` is within the
-value gap, the refinement of the paper (``refine_minimum``) is closed
-before any probe, and otherwise it runs from that point and that bound.
+and an exact lower bound ``g_lower``; when ``g_lower > 0`` (a proof of
+Included) or ``G(x) - g_lower`` is within the value gap, the refinement of
+the paper (``refine_minimum``) runs no probe, and otherwise it runs from
+that point and that bound.
 
 The verdict is the sign of the exact bracket ``g_lower <= min G <=
 g_at_xstar``, where ``g_at_xstar`` is ``G(x*)`` proven and rounded up:
@@ -136,8 +137,8 @@ class InclusionReport:
     of ``G`` decides when it stops.
     ``g_lower`` is a proven lower bound on ``min G``, the larger of ``-R^2``
     and the dual bound at ``multipliers`` (``w`` in centre order, then
-    ``t``); ``iters`` is 0 when ``g_at_xstar - g_lower`` was already within
-    the value gap.
+    ``t``); ``iters`` is 0 when ``g_lower > 0`` or ``g_at_xstar - g_lower``
+    was already within the value gap.
     """
 
     verdict: InclusionVerdict
@@ -222,7 +223,9 @@ def _inclusion_at(about: BallsAbout, ob: OuterBall, cfg: SolverConfig,
     gap = max(cfg.tol / 100.0, 1e-12)
     dual = witness_dual(about, ob.radius, gap)
     g_lower = max(-(bi.radius * bi.radius), dual.g_lower)
-    res = refine_minimum(G, dual.x, lower_bound=g_lower, value_gap=gap, max_iters=cfg.max_iters)
+    # no probe can change a verdict that g_lower > 0 has proven
+    res = refine_minimum(G, dual.x, lower_bound=g_lower, value_gap=gap,
+                         max_iters=cfg.max_iters if g_lower <= 0.0 else 0)
     x_star = res.x_best
     g_at_xstar = about.witness_value(ob.radius, x_star)
     if g_lower > 0.0:
@@ -290,18 +293,19 @@ def inclusion_checker(bi: BallIntersection, c, cfg: SolverConfig):
 
 
 def check_inclusion(bi: BallIntersection, ob: OuterBall,
-                    cfg: SolverConfig | None = None) -> InclusionReport:
+                    cfg: SolverConfig = SolverConfig()) -> InclusionReport:
     """Decide whether the ball intersection minus the open outer ball is empty.
 
     Pipeline: certify the intersection nonempty, prove the distance
     precondition ``d(c, C1) > R`` by an exact dual bound, minimize ``G``
     through its dual (module docstring), refine the minimum only while the
     dual bound leaves a gap, and read the verdict from the sign of the exact
-    bracket on ``min G``. ``cfg.max_iters`` caps the subgradient iterations
-    of the witness search, and separately those of the refinement; the
-    dual's Newton steps have the fixed cap ``dual.DUAL_STEPS``. A refinement
-    that stops before its bracket closes can report Included only from
-    ``g_lower > 0``.
+    bracket on ``min G``. No refinement iteration runs when ``g_lower > 0``
+    has proven Included. ``cfg`` defaults to ``SolverConfig()``; its
+    ``max_iters`` caps the subgradient iterations of the witness search, and
+    separately those of the refinement; the dual's Newton steps have the
+    fixed cap ``dual.DUAL_STEPS``. A refinement that stops before its
+    bracket closes can report Included only from ``g_lower > 0``.
 
     Raises
     ------
@@ -313,7 +317,5 @@ def check_inclusion(bi: BallIntersection, ob: OuterBall,
         If ``d(c, C1) - R`` is not proven above the configured tolerance;
         no sound verdict exists in that regime.
     """
-    if cfg is None:
-        cfg = SolverConfig()
     _, _, check = inclusion_checker(bi, ob.center, cfg)
     return check(ob.radius)

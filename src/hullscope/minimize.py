@@ -66,7 +66,7 @@ class MinimizeResult:
     converged: bool
 
 
-def minimize(fn: ConvexFn, x0, cfg: SolverConfig | None = None, *,
+def minimize(fn: ConvexFn, x0, cfg: SolverConfig = SolverConfig(), *,
              target: float = 0.0) -> MinimizeResult:
     """Minimize a convex function by Polyak steps toward ``target``.
 
@@ -76,8 +76,8 @@ def minimize(fn: ConvexFn, x0, cfg: SolverConfig | None = None, *,
         Function to minimize; must report a valid subgradient everywhere.
     x0 : array_like
         Start point, dimension must match ``fn.dim``.
-    cfg : SolverConfig, optional
-        Budget and tolerance; defaults to ``SolverConfig()``.
+    cfg : SolverConfig
+        Budget and tolerance; ``SolverConfig()`` by default.
     target : float
         The value the Polyak steps aim at; the run stops once it is reached
         within ``tol``. 0, the default, is the minimum of a feasible merit
@@ -95,8 +95,6 @@ def minimize(fn: ConvexFn, x0, cfg: SolverConfig | None = None, *,
     """
     if not math.isfinite(float(target)):
         raise ValueError("target must be finite")
-    if cfg is None:
-        cfg = SolverConfig()
     x = as_point(x0, fn.dim, "x0")
 
     tol = cfg.tol

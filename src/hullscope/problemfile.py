@@ -201,7 +201,7 @@ def load_problem(path) -> ProblemFile:
     if (found := _violation(_schema(), raw)) is not None:
         raise ProblemFileError(f"schema violation: {' '.join(found)}")
 
-    n = raw["dimension"]
+    n = int(raw["dimension"])  # the schema admits an integral float such as 2.0
 
     constraints = None
     if "constraints" in raw:

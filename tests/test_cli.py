@@ -386,6 +386,15 @@ def test_non_finite_delta_exits_65(tmp_path):
     assert proc.stderr.startswith("hullscope: bad problem file: delta: "), proc.stderr
 
 
+def test_integral_float_dimension_loads_as_an_int(tmp_path):
+    doc = problem_path("overlapping-disks").read_text()
+    path = tmp_path / "float-dimension.json"
+    path.write_text(re.sub(r'"dimension": 2\b', '"dimension": 2.0', doc))
+    assert '"dimension": 2.0' in path.read_text()
+    dimension = load_problem(path).dimension
+    assert dimension == 2 and type(dimension) is int
+
+
 def test_missing_block_exits_65():
     proc = run_cli("inclusion", str(problem_path("disjoint-disks")))
     assert proc.returncode == 65
@@ -396,10 +405,37 @@ def test_unknown_command_exits_64():
     assert proc.returncode == 64
 
 
-@pytest.mark.parametrize("x0", ["1,banana", "nan,0", "1e400,0"])
+@pytest.mark.parametrize("x0", ["1,banana", "nan,0", "1e400,0", "1", "1,2,3"])
 def test_bad_x0_exits_64(x0):
+    # a wrong length is a DimensionMismatch from check_feasibility, which is
+    # a ValueError and a HullscopeError: a usage error, not a solver abort
     proc = run_cli("feas", str(problem_path("overlapping-disks")), "--x0", x0)
     assert proc.returncode == 64
+    assert proc.stderr.startswith("hullscope: usage error: "), proc.stderr
+    assert "x0" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_parser_defaults_are_the_config_defaults():
+    from hullscope import BisectionConfig, SolverConfig, cli
+
+    parser = cli.build_arg_parser()
+    for command in ("feas", "farthest", "appbound"):
+        args = parser.parse_args([command, "x.json"])
+        assert (args.tol, args.max_iters) == (SolverConfig().tol, SolverConfig().max_iters), command
+        if command != "feas":
+            assert args.eps == BisectionConfig().eps, command
+
+
+@pytest.mark.parametrize("r", ["1e20", "1e100"])
+def test_inclusion_proven_by_the_dual_runs_no_probe(r):
+    # g_lower > 0 proves Included, so no refinement probe runs: none can
+    # overflow at 1e100 or spend the whole budget at 1e20
+    proc = run_cli("inclusion", str(problem_path("lens-far-c")), "--r", r)
+    assert proc.returncode == 1, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["verdict"] == "included"
+    assert doc["g_lower"] > 0
+    assert doc["iters"] == 0
 
 
 def test_bad_parameter_values_exit_64():
